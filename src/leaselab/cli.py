@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
+from .errors import LedgerError
 from .generators import GENERATOR_KINDS, gen_instance
 from .harness import (
     ExperimentConfig,
@@ -71,14 +72,18 @@ def _ledger_csv(ledger: PurchaseLedger) -> str:
 
 
 def _read_ledger_csv(path: str, catalog: LeaseCatalog) -> PurchaseLedger:
+    """Each row must name a lease in 1..|L| and start on that lease's slot grid."""
     ledger = PurchaseLedger()
     with open(path, encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            ledger.add(
-                Triplet(int(row["node"]), int(row["lease"]), int(row["start"])),
-                step=int(row["step"]),
-                cost=Fraction(row["cost"]),
-            )
+        reader = csv.DictReader(fh)
+        for row in reader:
+            tr = Triplet(int(row["node"]), int(row["lease"]), int(row["start"]))
+            if not 1 <= tr.lease <= len(catalog) or tr.start % catalog.duration(tr.lease):
+                raise LedgerError(
+                    f"{path} line {reader.line_num}: lease {tr.lease} from {tr.start} is "
+                    f"not an aligned slot of a lease type in 1..{len(catalog)}"
+                )
+            ledger.add(tr, step=int(row["step"]), cost=Fraction(row["cost"]))
     return ledger
 
 
@@ -163,7 +168,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    ledger = _read_ledger_csv(args.ledger, inst.catalog)
+    try:
+        ledger = _read_ledger_csv(args.ledger, inst.catalog)
+    except LedgerError as exc:
+        sys.stderr.write(f"leaselab verify: {exc}\n")
+        return 2
     ok = check_solution(inst, ledger, require_connected=(args.mode == "cds"))
     sys.stdout.write("FEASIBLE\n" if ok else "INFEASIBLE\n")
     return 0 if ok else 1

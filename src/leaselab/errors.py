@@ -13,5 +13,9 @@ class EmptyRequest(LeaselabError):
     """A request step carried no nodes."""
 
 
+class LedgerError(LeaselabError):
+    """A ledger file row names no lease type or starts off its lease's slot grid."""
+
+
 class InfeasibleOutput(LeaselabError):
     """An algorithm produced a ledger that fails verification (a bug)."""

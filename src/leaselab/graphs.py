@@ -143,26 +143,12 @@ def components(graph: Graph, allowed: Set[int]) -> List[Set[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class DominatorSet:
-    """All t-triplets that can dominate ``target``: closed neighborhood x catalog."""
-
-    target: int
-    time: int
-    triplets: Tuple[Triplet, ...]  # sorted
-
-    def __len__(self) -> int:
-        return len(self.triplets)
-
-    def __iter__(self) -> Iterator[Triplet]:
-        return iter(self.triplets)
-
-
-def dominators(graph: Graph, u: int, t: int, catalog: LeaseCatalog) -> DominatorSet:
-    """The (deg(u)+1)·|L| candidate t-triplets on u's closed neighborhood."""
-    trs = tuple(
-        Triplet(i, lt.index, t - t % lt.duration)
-        for i in graph.closed_neighborhood(u)
-        for lt in catalog
+def dominators(graph: Graph, u: int, t: int, catalog: LeaseCatalog) -> Tuple[Triplet, ...]:
+    """The (deg(u)+1)·|L| candidate t-triplets on u's closed neighborhood, sorted."""
+    return tuple(
+        sorted(
+            Triplet(i, lt.index, t - t % lt.duration)
+            for i in graph.closed_neighborhood(u)
+            for lt in catalog
+        )
     )
-    return DominatorSet(target=u, time=t, triplets=tuple(sorted(trs)))

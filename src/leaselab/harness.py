@@ -158,9 +158,7 @@ def run_algorithm(
 
 def verify_run(algorithm: str, inst: Instance, ledger: PurchaseLedger) -> bool:
     if algorithm == "pp":
-        return all(
-            any(inst.catalog.is_active(tr, t) for tr in ledger) for t, _ in inst.requests
-        )
+        return all(ledger.active_triplets(inst.catalog, t) for t, _ in inst.requests)
     return check_solution(inst, ledger, require_connected=(algorithm == "ocdsl"))
 
 

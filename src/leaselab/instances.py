@@ -79,14 +79,24 @@ def make_instance(
 
 @dataclass
 class PurchaseLedger:
-    """The online solution: bought triplets with purchase step and cost paid."""
+    """The online solution: bought triplets with purchase step and cost paid.
 
-    entries: Dict[Triplet, Tuple[int, Fraction]] = field(default_factory=dict)
+    ``add`` also files each triplet under its (lease, start) slot, so an
+    activity lookup reads only the |L| slots holding t: O(|L| + output). It
+    therefore sees only starts aligned to their lease's duration, which is how
+    every algorithm and the oracle buy.
+    """
+
+    entries: Dict[Triplet, Tuple[int, Fraction]] = field(default_factory=dict, init=False)
+    _slots: Dict[Tuple[int, int], List[Triplet]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def add(self, tr: Triplet, step: int, cost: Fraction) -> None:
         if tr in self.entries:
             raise DuplicatePurchase(f"triplet {tr} bought twice")
         self.entries[tr] = (step, cost)
+        self._slots.setdefault((tr.lease, tr.start), []).append(tr)
 
     def __contains__(self, tr: Triplet) -> bool:
         return tr in self.entries
@@ -103,8 +113,8 @@ class PurchaseLedger:
     def active_triplets(self, catalog: LeaseCatalog, t: int) -> List[Triplet]:
         return [
             tr
-            for tr in self.entries
-            if tr.start <= t < tr.start + catalog.duration(tr.lease)
+            for lt in catalog
+            for tr in self._slots.get((lt.index, t - t % lt.duration), ())
         ]
 
     def active_nodes(self, catalog: LeaseCatalog, t: int) -> Set[int]:

@@ -92,10 +92,6 @@ class LeaseCatalog:
     def __iter__(self) -> Iterator[LeaseType]:
         return iter(self.types)
 
-    def type_at(self, index: int) -> LeaseType:
-        """Lease type for a 1-based catalog index."""
-        return self.types[index - 1]
-
     def duration(self, index: int) -> int:
         return self.types[index - 1].duration
 
@@ -111,9 +107,6 @@ class LeaseCatalog:
     def triplet_at(self, node: int, index: int, t: int) -> Triplet:
         """The unique triplet of this lease type on ``node`` whose window contains ``t``."""
         return Triplet(node, index, self.slot(t, index))
-
-    def is_active(self, tr: Triplet, t: int) -> bool:
-        return is_active(tr, t, self)
 
 
 def slot_start(t: int, duration: int) -> int:

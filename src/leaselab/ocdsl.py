@@ -93,15 +93,13 @@ class OcdslState:
 
     # ------------------------------------------------------------------ helpers
 
-    def active_nodes(self, t: int) -> Set[int]:
-        return self.ledger.active_nodes(self.catalog, t)
-
     def has_active_dominator(self, u: int, t: int) -> bool:
-        active = self.active_nodes(t)
-        return u in active or any(v in active for v in self.graph.neighbors(u))
+        """True iff the ledger holds one of u's (deg(u)+1)·|L| aligned dominators at t.
 
-    def weight(self, tr: Triplet) -> Fraction:
-        return self.weights.get(tr, Fraction(0))
+        O(deg(u)·|L|) membership tests, however long the ledger's history.
+        """
+        entries = self.ledger.entries
+        return any(tr in entries for tr in dominators(self.graph, u, t, self.catalog))
 
     def threshold(self, tr: Triplet) -> float:
         """Per-triplet rounding threshold, sampled once on first touch."""
@@ -127,20 +125,25 @@ class OcdslState:
 
     def grow_fractional(self, u: int, t: int) -> int:
         """Multiplicative weight growth until u's dominators carry total mass >= 1."""
-        doms = dominators(self.graph, u, t, self.catalog).triplets
-        w_count = len(doms)
-        lease_count = len(self.catalog)
-        total = sum((self.weight(tr) for tr in doms), Fraction(0))
+        doms = dominators(self.graph, u, t, self.catalog)
+        w_count, lease_count = len(doms), len(self.catalog)
+        # per lease type: new = old * (1 + 1/c) + 1/(|W||L|c)
+        growth = {
+            lt.index: (1 + 1 / lt.cost, 1 / (w_count * lease_count * lt.cost))
+            for lt in self.catalog
+        }
+        weights, zero, per_round = self.weights, Fraction(0), Fraction(1, lease_count)
+        total = sum((weights.get(tr, zero) for tr in doms), zero)
         rounds = 0
         while total < 1:
             rounds += 1
-            total = Fraction(0)
+            # c * (new - old) = old + 1/(|W||L|), so a round costs total + 1/|L|
+            self.fractional_cost += total + per_round
+            total = zero
             for tr in doms:
-                cost = self.catalog.cost(tr.lease)
-                old = self.weight(tr)
-                new = old * (1 + 1 / cost) + 1 / (w_count * lease_count * cost)
-                self.weights[tr] = new
-                self.fractional_cost += cost * (new - old)
+                factor, bump = growth[tr.lease]
+                new = weights.get(tr, zero) * factor + bump
+                weights[tr] = new
                 total += new
         self.max_dominator_count = max(self.max_dominator_count, w_count)
         if self.min_guard_sum is None or total < self.min_guard_sum:
@@ -153,8 +156,8 @@ class OcdslState:
         """Buy every dominator whose weight beats its frozen threshold."""
         log = log if log is not None else []
         bought = []
-        for tr in dominators(self.graph, u, t, self.catalog).triplets:
-            if self.weight(tr) > self.threshold(tr) and tr not in self.ledger:
+        for tr in dominators(self.graph, u, t, self.catalog):
+            if self.weights.get(tr, 0) > self.threshold(tr) and tr not in self.ledger:
                 self._buy(tr, t, 1, log)
                 bought.append(tr)
         return bought
@@ -226,12 +229,10 @@ class OcdslState:
 
         # Phase 1 step ii: assign dominators and buy representatives
         s_set: Set[Triplet] = set()
-        active = self.ledger.active_triplets(self.catalog, t)
+        entries = self.ledger.entries
         for u in requested:
-            reach = set(self.graph.closed_neighborhood(u))
-            candidates = [tr for tr in active if tr.node in reach]
             chosen = min(
-                candidates,
+                (tr for tr in dominators(self.graph, u, t, self.catalog) if tr in entries),
                 key=lambda tr: (self.catalog.cost(tr.lease), tr.node, tr.start, tr.lease),
             )
             s_set.add(chosen)
@@ -243,7 +244,7 @@ class OcdslState:
         if self.connect_phase:
             reps, _ = self.select_representatives(s_t, requested, t, purchases)
             root = min(reps, key=lambda tr: tr.node)
-            active_now = self.active_nodes(t)
+            active_now = self.ledger.active_nodes(self.catalog, t)
             root_comp = connected_component(self.graph, root.node, active_now)
             r_nodes = sorted({tr.node for tr in reps} - root_comp)
             assert self.osfl is not None

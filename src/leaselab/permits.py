@@ -33,9 +33,8 @@ class PermitState:
         self.last_time: int | None = None
 
     def covered(self, t: int) -> bool:
-        return any(
-            s <= t < s + self.catalog.duration(k) for k, s in self.owned
-        )
+        """True iff an owned permit holds t: one aligned slot per lease type."""
+        return any((lt.index, t - t % lt.duration) in self.owned for lt in self.catalog)
 
     def total_cost(self) -> Fraction:
         return sum((p[3] for p in self.purchases), Fraction(0))

@@ -32,7 +32,7 @@ class DualState:
         if self.last_time is not None and t < self.last_time:
             raise NonMonotonicTime(f"request at t={t} after t={self.last_time}")
         self.last_time = t
-        doms = dominators(self.graph, u, t, self.catalog).triplets
+        doms = dominators(self.graph, u, t, self.catalog)
         if any(tr in self.ledger for tr in doms):
             self.y[(u, t)] = Fraction(0)
             return [], Fraction(0)

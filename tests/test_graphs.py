@@ -60,7 +60,7 @@ def test_dominators_single_node():
     g = build_graph(1, [])
     cat = LeaseCatalog.from_pairs([(1, 1)])
     dom = dominators(g, 0, 5, cat)
-    assert [tuple(tr) for tr in dom.triplets] == [(0, 1, 5)]
+    assert [tuple(tr) for tr in dom] == [(0, 1, 5)]
 
 
 def test_dominators_triangle():

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +13,9 @@ from leaselab.harness import (
     read_records_csv,
     records_to_csv,
     report,
+    run_algorithm,
     run_experiment,
+    steps_to_jsonl,
     trial_seed,
 )
 from leaselab.instances import Instance
@@ -251,3 +255,52 @@ def test_cli_steps_jsonl(tmp_path):
     for key in ("t", "requested", "purchases", "s_t", "representatives", "root", "r_t",
                 "c1_increment", "c2_increment"):
         assert key in payload
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["0,2,1,1,2", "0,0,0,1,3"],  # lease 2 (duration 4) from 1; lease 0 names no type
+    ids=["misaligned-start", "lease-0"],
+)
+def test_cli_verify_rejects_a_ledger_row_off_the_slot_grid(tmp_path, capsys, row):
+    inst_path = tmp_path / "inst.json"
+    ledger_path = tmp_path / "ledger.csv"
+    main(["gen", "--kind", "star", "--params", "n=4", "T=2", "L=2", "k=2", "--out", str(inst_path)])
+    ledger_path.write_text("node,lease,start,step,cost\n0,1,1,1,1\n" + row + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--instance", str(inst_path), "--ledger", str(ledger_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("leaselab verify: ") and "line 3" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+# sha256 of the step JSONL plus the ledger rows, and the exact fractional cost
+# and guard sum, frozen from the implementation that scanned the whole ledger
+# and recomputed every growth factor: speed-ups must keep them byte-identical.
+GOLDEN_6X6 = {
+    "ocdsl": (
+        "269fd64faf77a36619fb0acc0be9826654ed63ab8fb7cc37cc5ac9792e3b4d8d",
+        Fraction(2190428503, 37791360),
+        Fraction(119141, 104976),
+    ),
+    "odsl-rr": (
+        "7b760e976ad5f8b87df7734f8141de0cde5aa26837127a582e460646c4980c7a",
+        Fraction(230592773, 4199040),
+        Fraction(2321, 1944),
+    ),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN_6X6))
+def test_fixed_seed_grid_run_is_frozen(algorithm):
+    params = {"rows": 6, "cols": 6, "T": 30, "k": 4, "L": 3}
+    inst = gen_instance("grid", params, random.Random("golden:inst"))
+    _, _, _, ledger, reports, state = run_algorithm(algorithm, inst, 5)
+    text = steps_to_jsonl(reports) + "".join(
+        ",".join(map(str, row)) + "\n" for row in ledger.rows()
+    )
+    digest, fractional_cost, min_guard_sum = GOLDEN_6X6[algorithm]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert state.fractional_cost == fractional_cost
+    assert state.min_guard_sum == min_guard_sum

@@ -50,7 +50,7 @@ def test_grow_two_node_two_lease_needs_two_rounds():
     g = build_graph(2, [(0, 1)])
     state = OcdslState(g, TWO, seed=0)
     rounds = state.grow_fractional(0, 0)
-    doms = dominators(g, 0, 0, TWO).triplets
+    doms = dominators(g, 0, 0, TWO)
     costs = [TWO.cost(tr.lease) for tr in doms]
     expected_rounds, expected_weights = replay_growth(costs, len(doms), len(TWO))
     assert rounds == expected_rounds == 2
