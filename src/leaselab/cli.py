@@ -4,26 +4,25 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import random
 import sys
 from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
-from .errors import LedgerError
+from .errors import LeaselabError, LedgerError
 from .generators import GENERATOR_KINDS, gen_instance
 from .harness import (
+    ALGORITHMS,
     ExperimentConfig,
+    csv_text,
     format_summary_table,
     read_records_csv,
     records_to_csv,
     report,
-    run_algorithm,
-    run_experiment,
+    run_trial,
     steps_to_jsonl,
     summary_to_csv,
-    trial_seed,
 )
 from .instances import Instance, PurchaseLedger
 from .leases import LeaseCatalog, Triplet, as_cost
@@ -63,27 +62,36 @@ def _write(text: str, out: Optional[str]) -> None:
 
 
 def _ledger_csv(ledger: PurchaseLedger) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["node", "lease", "start", "step", "cost"])
-    for node, lease, start, step, cost in ledger.rows():
-        writer.writerow([node, lease, start, step, str(cost)])
-    return buf.getvalue()
+    return csv_text(["node", "lease", "start", "step", "cost"], ledger.rows())
 
 
-def _read_ledger_csv(path: str, catalog: LeaseCatalog) -> PurchaseLedger:
-    """Each row must name a lease in 1..|L| and start on that lease's slot grid."""
+def _read_ledger_csv(path: str, inst: Instance) -> PurchaseLedger:
+    """Each row holds integers and an exact cost, names a node of the graph and a
+    lease in 1..|L| starting on that lease's slot grid, and differs from every
+    earlier row."""
+    catalog = inst.catalog
     ledger = PurchaseLedger()
     with open(path, encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            tr = Triplet(int(row["node"]), int(row["lease"]), int(row["start"]))
+            where = f"{path} line {reader.line_num}"
+            try:
+                tr = Triplet(int(row["node"]), int(row["lease"]), int(row["start"]))
+                step, cost = int(row["step"]), Fraction(row["cost"])
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise LedgerError(
+                    f"{where}: want integer node, lease, start, step and a cost ({exc})"
+                ) from None
+            if not 0 <= tr.node < inst.graph.node_count:
+                raise LedgerError(f"{where}: node {tr.node} is not in the graph")
             if not 1 <= tr.lease <= len(catalog) or tr.start % catalog.duration(tr.lease):
                 raise LedgerError(
-                    f"{path} line {reader.line_num}: lease {tr.lease} from {tr.start} is "
+                    f"{where}: lease {tr.lease} from {tr.start} is "
                     f"not an aligned slot of a lease type in 1..{len(catalog)}"
                 )
-            ledger.add(tr, step=int(row["step"]), cost=Fraction(row["cost"]))
+            if tr in ledger:
+                raise LedgerError(f"{where}: repeats the purchase of {tr}")
+            ledger.add(tr, step=step, cost=cost)
     return ledger
 
 
@@ -97,63 +105,39 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     if args.instance:
-        cfg = ExperimentConfig(
-            algorithm=args.algorithm,
-            trials=args.trials,
-            base_seed=args.seed,
-            oracle=args.oracle,
+        source = dict(
             instance=_load_instance(args.instance),
             instance_id=args.instance.rsplit("/", 1)[-1].removesuffix(".json"),
-            timing=args.timing,
         )
     else:
-        cfg = ExperimentConfig(
-            algorithm=args.algorithm,
-            trials=args.trials,
-            base_seed=args.seed,
-            oracle=args.oracle,
-            generator=(args.kind, _parse_params(args.params)),
-            instance_id=args.kind,
-            timing=args.timing,
-        )
-    records = run_experiment(cfg)
+        source = dict(generator=(args.kind, _parse_params(args.params)), instance_id=args.kind)
+    cfg = ExperimentConfig(
+        algorithm=args.algorithm,
+        trials=args.trials,
+        base_seed=args.seed,
+        oracle=args.oracle,
+        **source,
+    )
+    record, first = run_trial(cfg, 0)  # trial 0's run also feeds the artifacts below
+    records = [record] + [run_trial(cfg, index)[0] for index in range(1, cfg.trials)]
     _write(records_to_csv(records, timing=args.timing), args.out)
-    if args.steps_out or args.ledger_out or args.edge_ledger_out or args.dump_tree:
-        # re-run trial 0 to export its artifacts
-        seed = trial_seed(cfg.base_seed, 0)
-        if cfg.generator is not None:
-            inst = gen_instance(cfg.generator[0], cfg.generator[1], random.Random(f"{seed}:inst"))
-        else:
-            inst = cfg.instance
-        _, _, _, ledger, reports, state = run_algorithm(cfg.algorithm, inst, seed)
-        if args.steps_out:
-            text = steps_to_jsonl(reports)
-            if isinstance(state, DualState):
-                primal, dual = state.totals()
-                text += json.dumps({"primal": str(primal), "dual": str(dual)}) + "\n"
-            _write(text, args.steps_out)
-        if args.ledger_out:
-            _write(_ledger_csv(ledger), args.ledger_out)
-        if args.edge_ledger_out:
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["u", "v", "lease", "start", "step", "cost"])
-            if isinstance(state, OcdslState) and state.osfl is not None:
-                for entry in state.osfl.ledger:
-                    writer.writerow(
-                        [
-                            entry.edge[0],
-                            entry.edge[1],
-                            entry.lease,
-                            entry.start,
-                            entry.step,
-                            str(inst.catalog.cost(entry.lease)),
-                        ]
-                    )
-            _write(buf.getvalue(), args.edge_ledger_out)
-        if args.dump_tree:
-            if isinstance(state, OcdslState) and state.osfl is not None:
-                sys.stdout.write(state.osfl.hst.format_tree() + "\n")
+    osfl = first.state.osfl if isinstance(first.state, OcdslState) else None
+    if args.steps_out:
+        text = steps_to_jsonl(first.steps)
+        if isinstance(first.state, DualState):
+            primal, dual = first.state.totals()
+            text += json.dumps({"primal": str(primal), "dual": str(dual)}) + "\n"
+        _write(text, args.steps_out)
+    if args.ledger_out:
+        _write(_ledger_csv(first.ledger), args.ledger_out)
+    if args.edge_ledger_out:
+        rows = [
+            (*e.edge, e.lease, e.start, e.step, osfl.catalog.cost(e.lease))
+            for e in (osfl.ledger if osfl is not None else [])
+        ]
+        _write(csv_text(["u", "v", "lease", "start", "step", "cost"], rows), args.edge_ledger_out)
+    if args.dump_tree and osfl is not None:
+        sys.stdout.write(osfl.hst.format_tree() + "\n")
     return 0
 
 
@@ -168,11 +152,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    try:
-        ledger = _read_ledger_csv(args.ledger, inst.catalog)
-    except LedgerError as exc:
-        sys.stderr.write(f"leaselab verify: {exc}\n")
-        return 2
+    ledger = _read_ledger_csv(args.ledger, inst)
     ok = check_solution(inst, ledger, require_connected=(args.mode == "cds"))
     sys.stdout.write("FEASIBLE\n" if ok else "INFEASIBLE\n")
     return 0 if ok else 1
@@ -192,13 +172,9 @@ def cmd_pp(args: argparse.Namespace) -> int:
     cost = state.total_cost()
     opt = pp_offline_opt(rainy, catalog, horizon)
     ratio = float(cost / opt) if opt else 1.0
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["row", "t", "lease", "start", "cost", "opt", "ratio"])
-    for t, lease, start, paid in state.purchases:
-        writer.writerow(["purchase", t, lease, start, str(paid), "", ""])
-    writer.writerow(["summary", "", "", "", str(cost), str(opt), repr(ratio)])
-    _write(buf.getvalue(), args.out)
+    rows = [("purchase", t, lease, start, paid, "", "") for t, lease, start, paid in state.purchases]
+    rows.append(("summary", "", "", "", cost, opt, repr(ratio)))
+    _write(csv_text(["row", "t", "lease", "start", "cost", "opt", "ratio"], rows), args.out)
     return 0
 
 
@@ -226,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--instance", default=None, help="instance JSON file")
     p_run.add_argument("--kind", choices=GENERATOR_KINDS, default=None)
     p_run.add_argument("--params", nargs="*", default=[], metavar="key=value")
-    p_run.add_argument("--algorithm", choices=("ocdsl", "odsl-pd", "odsl-rr", "pp"), default="ocdsl")
+    p_run.add_argument("--algorithm", choices=ALGORITHMS, default="ocdsl")
     p_run.add_argument("--trials", type=int, default=1)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--oracle", action="store_true")
@@ -269,7 +245,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "run" and not args.instance and not args.kind:
         raise SystemExit("run needs --instance or --kind")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except LeaselabError as exc:
+        sys.stderr.write(f"leaselab {args.command}: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Every exception class a ``leaselab`` module defines derives from ``LeaselabError``,
+so a caller (the CLI among them) can catch every library error in one place.
+"""
 
 
 class LeaselabError(Exception):
@@ -14,7 +18,8 @@ class EmptyRequest(LeaselabError):
 
 
 class LedgerError(LeaselabError):
-    """A ledger file row names no lease type or starts off its lease's slot grid."""
+    """A ledger file row is malformed, names a node or lease type the instance lacks,
+    starts off its lease's slot grid, or repeats an earlier row."""
 
 
 class InfeasibleOutput(LeaselabError):

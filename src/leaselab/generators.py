@@ -5,12 +5,13 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Tuple
 
+from .errors import LeaselabError
 from .graphs import Graph, build_graph
 from .instances import Instance, make_instance
 from .leases import LeaseCatalog
 
 
-class BadParams(ValueError):
+class BadParams(LeaselabError, ValueError):
     pass
 
 

@@ -9,10 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Set, Tuple
 
+from .errors import LeaselabError
 from .leases import LeaseCatalog, Triplet
 
 
-class GraphError(ValueError):
+class GraphError(LeaselabError, ValueError):
     pass
 
 

@@ -17,18 +17,48 @@ import statistics
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 from .errors import InfeasibleOutput
 from .generators import gen_instance
 from .graphs import max_degree
-from .instances import Instance, PurchaseLedger
-from .ocdsl import OcdslState, StepReport
+from .instances import Instance, PurchaseLedger, StepReport
+from .ocdsl import OcdslState
 from .oracle import check_solution, offline_opt, offline_opt_ds
-from .permits import PermitState, pp_offline_opt
+from .permits import PermitLeaser, pp_offline_opt
 from .primal_dual import DualState
 
-ALGORITHMS = ("ocdsl", "odsl-pd", "odsl-rr", "pp")
+
+class OnlineLeaser(Protocol):
+    """What every online algorithm offers: one request step at a time, then its costs."""
+
+    ledger: PurchaseLedger
+
+    def serve_request(self, nodes: Sequence[int], t: int) -> StepReport: ...
+
+    def cost_split(self) -> Tuple[Fraction, Fraction]: ...
+
+
+# algorithm name -> factory (instance, seed) -> a fresh leaser
+FACTORIES: Dict[str, Callable[[Instance, int], OnlineLeaser]] = {
+    "ocdsl": lambda inst, seed: OcdslState(inst.graph, inst.catalog, seed=seed),
+    "odsl-pd": lambda inst, seed: DualState(inst.graph, inst.catalog),
+    "odsl-rr": lambda inst, seed: OcdslState(inst.graph, inst.catalog, seed=seed, connect=False),
+    "pp": lambda inst, seed: PermitLeaser(inst.catalog),
+}
+ALGORITHMS = tuple(FACTORIES)
+
+
+class Run(NamedTuple):
+    """One served instance; cost == c1 + c2 == ledger.total_cost()."""
+
+    cost: Fraction
+    c1: Fraction
+    c2: Fraction
+    ledger: PurchaseLedger
+    steps: List[StepReport]
+    state: OnlineLeaser
+
 
 CSV_COLUMNS = [
     "instance_id",
@@ -55,7 +85,6 @@ class ExperimentConfig:
     instance: Optional[Instance] = None  # fixed instance for all trials
     generator: Optional[Tuple[str, Dict]] = None  # (kind, params), fresh per trial
     instance_id: str = "instance"
-    timing: bool = False
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -107,53 +136,12 @@ def trial_seed(base_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def run_algorithm(
-    algorithm: str, inst: Instance, seed: int
-) -> Tuple[Fraction, Fraction, Fraction, PurchaseLedger, List[StepReport], Optional[object]]:
-    """Run one algorithm over the instance; returns (cost, c1, c2, ledger, steps, state)."""
-    reports: List[StepReport] = []
-    if algorithm in ("ocdsl", "odsl-rr"):
-        state = OcdslState(
-            inst.graph, inst.catalog, seed=seed, connect=(algorithm == "ocdsl")
-        )
-        for t, nodes in inst.requests:
-            reports.append(state.serve_request(nodes, t))
-        return state.total_cost(), state.c1, state.c2, state.ledger, reports, state
-    if algorithm == "odsl-pd":
-        dual = DualState(inst.graph, inst.catalog)
-        for t, nodes in inst.requests:
-            purchases = []
-            for u in nodes:
-                for tr in dual.serve(u, t)[0]:
-                    purchases.append((tr.node, tr.lease, tr.start, inst.catalog.cost(tr.lease)))
-            reports.append(
-                StepReport(
-                    t=t,
-                    requested=tuple(nodes),
-                    purchases=purchases,
-                    s_t=[],
-                    representatives=[],
-                    root=None,
-                    r_t=[],
-                    c1_increment=sum((p[3] for p in purchases), Fraction(0)),
-                    c2_increment=Fraction(0),
-                    growth_rounds=0,
-                )
-            )
-        primal, _ = dual.totals()
-        return primal, primal, Fraction(0), dual.ledger, reports, dual
-    if algorithm == "pp":
-        permit = PermitState(inst.catalog)
-        node = 0  # permit runs ignore the graph; charge purchases to node 0
-        ledger = PurchaseLedger()
-        for t, _ in inst.requests:
-            for lease, start in permit.request(t):
-                ledger.add(
-                    inst.catalog.triplet_at(node, lease, start), t, inst.catalog.cost(lease)
-                )
-        cost = permit.total_cost()
-        return cost, cost, Fraction(0), ledger, reports, None
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+def run_algorithm(algorithm: str, inst: Instance, seed: int) -> Run:
+    """Serve the instance's requests in order with a fresh leaser."""
+    state = FACTORIES[algorithm](inst, seed)
+    steps = [state.serve_request(nodes, t) for t, nodes in inst.requests]
+    c1, c2 = state.cost_split()
+    return Run(c1 + c2, c1, c2, state.ledger, steps, state)
 
 
 def verify_run(algorithm: str, inst: Instance, ledger: PurchaseLedger) -> bool:
@@ -170,59 +158,62 @@ def oracle_cost(algorithm: str, inst: Instance) -> Fraction:
     return offline_opt_ds(inst)[0]
 
 
+def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[RunRecord, Run]:
+    """Generate (or take) trial ``index``'s instance, run, verify and score it once."""
+    seed = trial_seed(cfg.base_seed, index)
+    if cfg.generator is not None:
+        kind, params = cfg.generator
+        inst = gen_instance(kind, params, random.Random(f"{seed}:inst"))
+    else:
+        inst = cfg.instance
+        assert inst is not None
+    started = time.monotonic()
+    run = run_algorithm(cfg.algorithm, inst, seed)
+    elapsed = time.monotonic() - started
+    if not verify_run(cfg.algorithm, inst, run.ledger):
+        raise InfeasibleOutput(f"{cfg.algorithm} produced an infeasible ledger on trial {index}")
+    opt: Optional[Fraction] = None
+    ratio: Optional[float] = None
+    if cfg.oracle:
+        opt = oracle_cost(cfg.algorithm, inst)
+        ratio = float(run.cost / opt)
+    record = RunRecord(
+        instance_id=f"{cfg.instance_id}#{index}",
+        algorithm=cfg.algorithm,
+        seed=seed,
+        online_cost=run.cost,
+        c1=run.c1,
+        c2=run.c2,
+        opt_cost=opt,
+        ratio=ratio,
+        n=inst.graph.node_count,
+        lease_count=len(inst.catalog),
+        max_degree=max_degree(inst.graph),
+        steps=len(inst.requests),
+        wall_time_s=elapsed,
+    )
+    return record, run
+
+
 def run_experiment(cfg: ExperimentConfig) -> List[RunRecord]:
-    records: List[RunRecord] = []
-    for index in range(cfg.trials):
-        seed = trial_seed(cfg.base_seed, index)
-        if cfg.generator is not None:
-            kind, params = cfg.generator
-            inst = gen_instance(kind, params, random.Random(f"{seed}:inst"))
-        else:
-            inst = cfg.instance
-            assert inst is not None
-        started = time.monotonic()
-        cost, c1, c2, ledger, _, _ = run_algorithm(cfg.algorithm, inst, seed)
-        elapsed = time.monotonic() - started
-        if not verify_run(cfg.algorithm, inst, ledger):
-            raise InfeasibleOutput(
-                f"{cfg.algorithm} produced an infeasible ledger on trial {index}"
-            )
-        opt: Optional[Fraction] = None
-        ratio: Optional[float] = None
-        if cfg.oracle:
-            opt = oracle_cost(cfg.algorithm, inst)
-            ratio = float(cost / opt)
-        records.append(
-            RunRecord(
-                instance_id=f"{cfg.instance_id}#{index}",
-                algorithm=cfg.algorithm,
-                seed=seed,
-                online_cost=cost,
-                c1=c1,
-                c2=c2,
-                opt_cost=opt,
-                ratio=ratio,
-                n=inst.graph.node_count,
-                lease_count=len(inst.catalog),
-                max_degree=max_degree(inst.graph),
-                steps=len(inst.requests),
-                wall_time_s=elapsed,
-            )
-        )
-    return records
+    return [run_trial(cfg, index)[0] for index in range(cfg.trials)]
 
 
 # ------------------------------------------------------------------ CSV and report
 
 
-def records_to_csv(records: Sequence[RunRecord], timing: bool = False) -> str:
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """One CSV document with "\\n" line ends; cells are written with str()."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = list(CSV_COLUMNS) + (["wall_time_s"] if timing else [])
     writer.writerow(header)
-    for rec in records:
-        writer.writerow(rec.to_row(timing))
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def records_to_csv(records: Sequence[RunRecord], timing: bool = False) -> str:
+    header = list(CSV_COLUMNS) + (["wall_time_s"] if timing else [])
+    return csv_text(header, (rec.to_row(timing) for rec in records))
 
 
 def write_records_csv(records: Sequence[RunRecord], path: str, timing: bool = False) -> None:
@@ -300,9 +291,7 @@ def report(records: Sequence[RunRecord]) -> List[SummaryRow]:
 
 
 def summary_to_csv(rows: Sequence[SummaryRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
+    return csv_text(
         [
             "group",
             "algorithm",
@@ -313,10 +302,8 @@ def summary_to_csv(rows: Sequence[SummaryRow]) -> str:
             "total_cost",
             "total_c1",
             "total_c2",
-        ]
-    )
-    for row in rows:
-        writer.writerow(
+        ],
+        (
             [
                 row.group,
                 row.algorithm,
@@ -328,8 +315,9 @@ def summary_to_csv(rows: Sequence[SummaryRow]) -> str:
                 str(row.total_c1),
                 str(row.total_c2),
             ]
-        )
-    return buf.getvalue()
+            for row in rows
+        ),
+    )
 
 
 def format_summary_table(rows: Sequence[SummaryRow]) -> str:

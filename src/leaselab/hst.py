@@ -149,15 +149,19 @@ def tree_path_clusters(h: Hst, u: int, v: int) -> List[int]:
     return up[: seen[cur] + 1] + list(reversed(down))
 
 
+def tree_path_edges(h: Hst, u: int, v: int) -> List[int]:
+    """Tree edges on the leaf(u)-leaf(v) path, each named by its child cluster id.
+
+    That is every cluster on the path but the LCA, the one of highest level.
+    """
+    path = tree_path_clusters(h, u, v)
+    top = max(path, key=h.level)
+    return [cid for cid in path if cid != top]
+
+
 def tree_distance(h: Hst, u: int, v: int) -> int:
     """Sum of edge lengths on the tree path between the leaves of u and v."""
-    total = 0
-    path = tree_path_clusters(h, u, v)
-    top = max(range(len(path)), key=lambda i: h.clusters[path[i]].level)
-    for i, cid in enumerate(path):
-        if i != top:
-            total += h.edge_length(cid)
-    return total
+    return sum(h.edge_length(cid) for cid in tree_path_edges(h, u, v))
 
 
 def realize_tree_path(h: Hst, u: int, v: int, graph: Graph) -> List[Tuple[int, int]]:

@@ -1,20 +1,21 @@
-"""Problem instances and node-purchase ledgers shared by algorithms and oracle."""
+"""Problem instances, node-purchase ledgers and per-step reports shared by algorithms and oracle."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from .errors import LeaselabError
 from .graphs import Graph, build_graph
 from .leases import LeaseCatalog, Triplet, as_cost
 
 
-class InstanceError(ValueError):
+class InstanceError(LeaselabError, ValueError):
     pass
 
 
-class DuplicatePurchase(ValueError):
+class DuplicatePurchase(LeaselabError, ValueError):
     pass
 
 
@@ -126,3 +127,47 @@ class PurchaseLedger:
             (tr.node, tr.lease, tr.start, step, cost)
             for tr, (step, cost) in self.entries.items()
         ]
+
+
+@dataclass
+class StepReport:
+    """What one online algorithm did for one request step; one JSON line in ``--steps-out``.
+
+    The fields after ``c1_increment`` describe OCDSL's dominator choice and
+    Phase 2; the other algorithms leave them empty.
+    """
+
+    t: int
+    requested: Tuple[int, ...]
+    purchases: List[Tuple[int, int, int, Fraction]]  # (node, lease, start, cost)
+    c1_increment: Fraction
+    s_t: List[Triplet] = field(default_factory=list)
+    representatives: List[Triplet] = field(default_factory=list)
+    root: Optional[Triplet] = None
+    r_t: List[int] = field(default_factory=list)
+    c2_increment: Fraction = Fraction(0)
+    growth_rounds: int = 0
+
+    @classmethod
+    def purchases_only(
+        cls, t: int, requested: Tuple[int, ...], purchases: List[Tuple[int, int, int, Fraction]]
+    ) -> "StepReport":
+        """A step whose purchases all count as C1."""
+        return cls(t, requested, purchases, sum((p[3] for p in purchases), Fraction(0)))
+
+    def to_json(self) -> dict:
+        return {
+            "t": self.t,
+            "requested": list(self.requested),
+            "purchases": [
+                [node, lease, start, str(cost)]
+                for node, lease, start, cost in self.purchases
+            ],
+            "s_t": [list(tr) for tr in self.s_t],
+            "representatives": [list(tr) for tr in self.representatives],
+            "root": list(self.root) if self.root else None,
+            "r_t": list(self.r_t),
+            "c1_increment": str(self.c1_increment),
+            "c2_increment": str(self.c2_increment),
+            "growth_rounds": self.growth_rounds,
+        }

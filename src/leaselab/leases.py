@@ -12,10 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Tuple, Union
 
+from .errors import LeaselabError
+
 CostLike = Union[int, str, float, Fraction]
 
 
-class CatalogError(ValueError):
+class CatalogError(LeaselabError, ValueError):
     """A lease catalog violates an invariant; ``index`` is the 1-based offender."""
 
     def __init__(self, message: str, index: int | None = None):

@@ -16,50 +16,18 @@ randomized rounding algorithm for the domination-only problem.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import EmptyRequest, NonMonotonicTime
+from .errors import EmptyRequest, LeaselabError, NonMonotonicTime
 from .graphs import Graph, connected_component, dominators
-from .instances import PurchaseLedger
+from .instances import PurchaseLedger, StepReport
 from .leases import LeaseCatalog, Triplet
 from .steiner import OsflState
 
 
-class UncoveredDominator(RuntimeError):
+class UncoveredDominator(LeaselabError, RuntimeError):
     """Greedy representative selection stalled; cannot happen on valid input."""
-
-
-@dataclass
-class StepReport:
-    t: int
-    requested: Tuple[int, ...]
-    purchases: List[Tuple[int, int, int, Fraction]]  # (node, lease, start, cost)
-    s_t: List[Triplet]
-    representatives: List[Triplet]
-    root: Optional[Triplet]
-    r_t: List[int]
-    c1_increment: Fraction
-    c2_increment: Fraction
-    growth_rounds: int
-
-    def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "requested": list(self.requested),
-            "purchases": [
-                [node, lease, start, str(cost)]
-                for node, lease, start, cost in self.purchases
-            ],
-            "s_t": [list(tr) for tr in self.s_t],
-            "representatives": [list(tr) for tr in self.representatives],
-            "root": list(self.root) if self.root else None,
-            "r_t": list(self.r_t),
-            "c1_increment": str(self.c1_increment),
-            "c2_increment": str(self.c2_increment),
-            "growth_rounds": self.growth_rounds,
-        }
 
 
 class OcdslState:
@@ -270,3 +238,7 @@ class OcdslState:
 
     def total_cost(self) -> Fraction:
         return self.c1 + self.c2
+
+    def cost_split(self) -> Tuple[Fraction, Fraction]:
+        """(C1, C2): Phase-1 domination cost and Phase-2 connection cost."""
+        return self.c1, self.c2

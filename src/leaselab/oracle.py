@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Set, Tuple
 
+from .errors import LeaselabError
 from .graphs import Graph, components
 from .instances import Instance, PurchaseLedger
 from .leases import Triplet
@@ -20,7 +21,7 @@ from .leases import Triplet
 ORACLE_UNIVERSE_CAP = 24
 
 
-class TooLarge(ValueError):
+class TooLarge(LeaselabError, ValueError):
     pass
 
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from .errors import NonMonotonicTime
+from .errors import LeaselabError, NonMonotonicTime
+from .instances import PurchaseLedger, StepReport
 from .leases import LeaseCatalog, slot_start
 
 
-class RainyDayOutOfHorizon(ValueError):
+class RainyDayOutOfHorizon(LeaselabError, ValueError):
     pass
 
 
@@ -73,8 +74,29 @@ class PermitState:
         return bought
 
 
-def pp_request(state: PermitState, t: int) -> List[Tuple[int, int]]:
-    return state.request(t)
+class PermitLeaser:
+    """The ``pp`` algorithm as an online leaser: one PermitState over the request times.
+
+    Permit runs ignore the graph and charge every purchase to node 0 of a
+    ledger kept here, not on PermitState, because ``OsflState`` runs one
+    bare PermitState per tree edge.
+    """
+
+    def __init__(self, catalog: LeaseCatalog):
+        self.catalog = catalog
+        self.permit = PermitState(catalog)
+        self.ledger = PurchaseLedger()
+
+    def serve_request(self, nodes: Sequence[int], t: int) -> StepReport:
+        purchases = []
+        for lease, start in self.permit.request(t):
+            cost = self.catalog.cost(lease)
+            self.ledger.add(self.catalog.triplet_at(0, lease, start), t, cost)
+            purchases.append((0, lease, start, cost))
+        return StepReport.purchases_only(t, tuple(nodes), purchases)
+
+    def cost_split(self) -> Tuple[Fraction, Fraction]:
+        return self.permit.total_cost(), Fraction(0)
 
 
 def pp_offline_opt(

@@ -10,11 +10,11 @@ between the dual value and |L|*(Delta+1) times it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import NonMonotonicTime
 from .graphs import Graph, dominators
-from .instances import PurchaseLedger
+from .instances import PurchaseLedger, StepReport
 from .leases import LeaseCatalog, Triplet
 
 
@@ -49,14 +49,19 @@ class DualState:
                 bought.append(tr)
         return bought, raise_by
 
+    def serve_request(self, nodes: Sequence[int], t: int) -> StepReport:
+        """Serve every occurrence of one request step; its purchases all count as C1."""
+        purchases = [
+            (tr.node, tr.lease, tr.start, self.catalog.cost(tr.lease))
+            for u in nodes
+            for tr in self.serve(u, t)[0]
+        ]
+        return StepReport.purchases_only(t, tuple(nodes), purchases)
+
+    def cost_split(self) -> Tuple[Fraction, Fraction]:
+        """(C1, C2): every purchase dominates, none connects."""
+        return self.ledger.total_cost(), Fraction(0)
+
     def totals(self) -> Tuple[Fraction, Fraction]:
         """(primal purchase cost, dual objective value)."""
         return self.ledger.total_cost(), sum(self.y.values(), Fraction(0))
-
-
-def pd_serve(state: DualState, u: int, t: int) -> Tuple[List[Triplet], Fraction]:
-    return state.serve(u, t)
-
-
-def pd_totals(state: DualState) -> Tuple[Fraction, Fraction]:
-    return state.totals()

@@ -18,7 +18,7 @@ from typing import Dict, List, Set, Tuple
 
 from .errors import NonMonotonicTime
 from .graphs import Graph
-from .hst import Hst, build_hst, edge_realization
+from .hst import Hst, build_hst, edge_realization, tree_path_edges
 from .leases import LeaseCatalog
 from .permits import PermitState
 
@@ -50,11 +50,8 @@ class OsflState:
             raise NonMonotonicTime(f"connect at t={t} after t={self.last_time}")
         self.last_time = t
         needed: Set[int] = set()
-        for r in sorted(set(terminals)):
-            if r == root:
-                continue
-            path = _tree_edge_children(self.hst, r, root)
-            needed.update(path)
+        for r in set(terminals):
+            needed.update(tree_path_edges(self.hst, r, root))
         new_entries: List[EdgeLease] = []
         for cid in sorted(needed):
             permit = self.edge_permits.get(cid)
@@ -84,27 +81,3 @@ class OsflState:
             for e in self.ledger
             if e.start <= t < e.start + self.catalog.duration(e.lease)
         }
-
-
-def _tree_edge_children(h: Hst, u: int, v: int) -> List[int]:
-    """Tree edges on the leaf(u)-leaf(v) path, each named by its child cluster id."""
-    up = h.path_to_root(h.leaf_of[u])
-    seen = {cid: i for i, cid in enumerate(up)}
-    down = []
-    cur = h.leaf_of[v]
-    while cur not in seen:
-        down.append(cur)
-        cur = h.clusters[cur].parent
-    return up[: seen[cur]] + down
-
-
-def osfl_init(graph: Graph, catalog: LeaseCatalog, rng: random.Random) -> OsflState:
-    return OsflState(graph, catalog, rng)
-
-
-def osfl_connect(state: OsflState, terminals, root: int, t: int) -> List[EdgeLease]:
-    return state.connect(terminals, root, t)
-
-
-def osfl_cost(state: OsflState) -> Fraction:
-    return state.cost()

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from leaselab.cli import main
+from leaselab.cli import _ledger_csv, main
 from leaselab.generators import BadParams, burst_times, gen_instance
 from leaselab.harness import (
+    ALGORITHMS,
     ExperimentConfig,
     format_summary_table,
     read_records_csv,
@@ -100,7 +101,7 @@ def test_run_experiment_deterministic():
 
 
 def test_run_experiment_all_algorithms():
-    for algorithm in ("ocdsl", "odsl-pd", "odsl-rr", "pp"):
+    for algorithm in ALGORITHMS:
         cfg = ExperimentConfig(
             algorithm=algorithm,
             trials=2,
@@ -259,8 +260,10 @@ def test_cli_steps_jsonl(tmp_path):
 
 @pytest.mark.parametrize(
     "row",
-    ["0,2,1,1,2", "0,0,0,1,3"],  # lease 2 (duration 4) from 1; lease 0 names no type
-    ids=["misaligned-start", "lease-0"],
+    # lease 2 (duration 4) from 1; lease 0 names no type; line 2 again; a cell
+    # that is no integer; a node outside the 4-node star
+    ["0,2,1,1,2", "0,0,0,1,3", "0,1,1,1,1", "x,1,1,1,1", "99,1,1,1,1"],
+    ids=["misaligned-start", "lease-0", "repeated-row", "non-integer", "node-outside-graph"],
 )
 def test_cli_verify_rejects_a_ledger_row_off_the_slot_grid(tmp_path, capsys, row):
     inst_path = tmp_path / "inst.json"
@@ -272,6 +275,52 @@ def test_cli_verify_rejects_a_ledger_row_off_the_slot_grid(tmp_path, capsys, row
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("leaselab verify: ") and "line 3" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+CONTRACT_GRID = ("grid", {"rows": 3, "cols": 3, "T": 8, "k": 3, "L": 2})
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_algorithm_serves_through_one_contract(algorithm):
+    kind, params = CONTRACT_GRID
+    inst = gen_instance(kind, params, random.Random("contract:inst"))
+    run = run_algorithm(algorithm, inst, 4)
+    assert [step.t for step in run.steps] == list(inst.times)
+    c1 = sum((step.c1_increment for step in run.steps), Fraction(0))
+    c2 = sum((step.c2_increment for step in run.steps), Fraction(0))
+    assert (c1, c2) == run.state.cost_split() == (run.c1, run.c2)
+    assert run.c1 + run.c2 == run.cost == run.ledger.total_cost()
+    assert run.ledger is run.state.ledger
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_cli_run_exports_trial_0_of_several(tmp_path, algorithm):
+    kind, params = CONTRACT_GRID
+    ledger_path, steps_path = tmp_path / "ledger.csv", tmp_path / "steps.jsonl"
+    assert main([
+        "run", "--kind", kind, "--params", *(f"{k}={v}" for k, v in params.items()),
+        "--algorithm", algorithm, "--trials", "3", "--seed", "6",
+        "--out", str(tmp_path / "r.csv"),
+        "--ledger-out", str(ledger_path), "--steps-out", str(steps_path),
+    ]) == 0
+    seed = trial_seed(6, 0)
+    inst = gen_instance(kind, params, random.Random(f"{seed}:inst"))
+    run = run_algorithm(algorithm, inst, seed)
+    assert ledger_path.read_bytes() == _ledger_csv(run.ledger).encode()
+    trailer = 1 if algorithm == "odsl-pd" else 0  # the primal/dual pair
+    assert len(steps_path.read_text().splitlines()) == len(inst.requests) + trailer
+
+
+def test_cli_reports_a_library_error_in_one_line(tmp_path, capsys):
+    # a 3x3 grid has more candidate triplets than the exact oracle takes
+    code = main([
+        "run", "--kind", "grid", "--params", "rows=3", "cols=3", "T=4", "L=2",
+        "--oracle", "--out", str(tmp_path / "r.csv"),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("leaselab run: candidate universe has ")
     assert captured.err.count("\n") == 1
 
 

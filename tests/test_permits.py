@@ -12,7 +12,6 @@ from leaselab.permits import (
     RainyDayOutOfHorizon,
     pp_brute_force_opt,
     pp_offline_opt,
-    pp_request,
 )
 
 SINGLE = LeaseCatalog.from_pairs([(1, 1)])
@@ -45,7 +44,7 @@ def test_escalation_example():
 def test_covered_day_buys_nothing():
     state = run_days(TWO, [0, 1])
     assert state.request(2) == []  # (2, 0) covers [0, 4)
-    assert pp_request(state, 3) == []
+    assert state.request(3) == []
 
 
 def test_rejects_decreasing_time():

@@ -10,7 +10,7 @@ from leaselab.graphs import build_graph, max_degree
 from leaselab.instances import make_instance
 from leaselab.leases import LeaseCatalog, Triplet
 from leaselab.oracle import check_solution, offline_opt_ds
-from leaselab.primal_dual import DualState, pd_serve, pd_totals
+from leaselab.primal_dual import DualState
 
 
 def test_min_slack_purchase():
@@ -56,7 +56,7 @@ def test_shared_dominator_example_with_brute_force_dual():
 def test_totals_fresh_state():
     g = build_graph(1, [])
     state = DualState(g, LeaseCatalog.from_pairs([(1, 1)]))
-    assert pd_totals(state) == (0, 0)
+    assert state.totals() == (0, 0)
 
 
 def test_rejects_decreasing_time():
@@ -70,8 +70,8 @@ def test_rejects_decreasing_time():
 def test_equal_times_allowed_for_same_step_occurrences():
     g = build_graph(2, [(0, 1)])
     state = DualState(g, LeaseCatalog.from_pairs([(1, 1)]))
-    pd_serve(state, 0, 3)
-    pd_serve(state, 1, 3)
+    state.serve(0, 3)
+    state.serve(1, 3)
     assert check_solution(
         make_instance(g, state.catalog, [(3, [0, 1])]), state.ledger, require_connected=False
     )

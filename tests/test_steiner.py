@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from conftest import connected_graphs
 from leaselab.errors import NonMonotonicTime
 from leaselab.graphs import build_graph
-from leaselab.hst import edge_realization, realize_tree_path
+from leaselab.hst import edge_realization, realize_tree_path, tree_path_edges
 from leaselab.leases import LeaseCatalog
 from leaselab.permits import PermitState
-from leaselab.steiner import OsflState, _tree_edge_children, osfl_cost
+from leaselab.steiner import OsflState
 
 UNIT = LeaseCatalog.from_pairs([(1, 1)])
 ESCALATING = LeaseCatalog.from_pairs([(1, 1), (2, Fraction(3, 2))])
@@ -21,7 +21,7 @@ ESCALATING = LeaseCatalog.from_pairs([(1, 1), (2, Fraction(3, 2))])
 def test_init_empty_ledger(path3):
     st_ = OsflState(path3, UNIT, random.Random(0))
     assert st_.ledger == []
-    assert osfl_cost(st_) == 0
+    assert st_.cost() == 0
 
 
 def test_init_same_seed_same_tree(path3):
@@ -35,7 +35,7 @@ def test_single_node_connects_are_noops():
     st_ = OsflState(g, UNIT, random.Random(0))
     assert st_.connect([0], 0, 0) == []
     assert st_.connect([0], 0, 5) == []
-    assert osfl_cost(st_) == 0
+    assert st_.cost() == 0
 
 
 def test_terminal_equal_root_buys_nothing(path3):
@@ -49,7 +49,7 @@ def test_two_node_graph_leases_the_edge():
     new = st_.connect([1], 0, 3)
     assert [e.edge for e in new] == [(0, 1)]
     assert all(e.start == 3 for e in new)  # unit leases align to t itself
-    assert osfl_cost(st_) == len(new)
+    assert st_.cost() == len(new)
 
 
 def test_escalation_matches_per_edge_permit_replay():
@@ -59,7 +59,7 @@ def test_escalation_matches_per_edge_permit_replay():
     st_ = OsflState(g, ESCALATING, random.Random(1))
     st_.connect([2], 0, 0)
     st_.connect([2], 0, 1)
-    needed = _tree_edge_children(st_.hst, 2, 0)
+    needed = tree_path_edges(st_.hst, 2, 0)
     # hand-simulate an independent permit instance per tree edge
     replay = PermitState(ESCALATING)
     fired = [replay.request(0), replay.request(1)]
@@ -81,7 +81,7 @@ def test_escalation_matches_per_edge_permit_replay():
             for lease, start in day:
                 expected_keys.update((edge, lease, start) for edge in walk)
     assert {(e.edge, e.lease, e.start) for e in st_.ledger} == expected_keys
-    assert osfl_cost(st_) == sum(
+    assert st_.cost() == sum(
         (ESCALATING.cost(lease) for _, lease, _ in expected_keys), Fraction(0)
     )
 
@@ -156,5 +156,5 @@ def test_eternal_lease_on_trees_costs_the_realized_union():
                     union.update(
                         tuple(sorted(e)) for e in realize_tree_path(st_.hst, r, 0, g)
                     )
-            assert osfl_cost(st_) == 2 * len(union)
+            assert st_.cost() == 2 * len(union)
             assert {e.edge for e in st_.ledger} == union
