@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
-from .errors import LeaselabError, LedgerError
+from .errors import ConfigError, InstanceError, LeaselabError, LedgerError
 from .generators import GENERATOR_KINDS, gen_instance
 from .harness import (
     ALGORITHMS,
@@ -28,7 +28,7 @@ from .instances import Instance, PurchaseLedger
 from .leases import LeaseCatalog, Triplet, as_cost
 from .ocdsl import OcdslState
 from .oracle import check_solution, offline_opt, offline_opt_ds
-from .permits import PermitState, pp_offline_opt
+from .permits import PermitLeaser, pp_offline_opt
 from .primal_dual import DualState
 
 
@@ -50,7 +50,11 @@ def _parse_params(pairs: Sequence[str]) -> Dict:
 
 def _load_instance(path: str) -> Instance:
     with open(path, encoding="utf-8") as fh:
-        return Instance.from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise InstanceError(f"{path} is not JSON: {exc}") from None
+    return Instance.from_json(data)
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -159,20 +163,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_pp(args: argparse.Namespace) -> int:
-    rainy = sorted({int(x) for x in args.rainy.split(",") if x != ""})
-    pairs = []
-    for chunk in args.leases.split(","):
-        duration, cost = chunk.split(":")
-        pairs.append((int(duration), as_cost(cost)))
+    try:
+        rainy = sorted({int(x) for x in args.rainy.split(",") if x != ""})
+        pairs = [
+            (int(duration), as_cost(cost))
+            for duration, cost in (chunk.split(":") for chunk in args.leases.split(","))
+        ]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(
+            f"want --rainy day,day,... and --leases duration:cost,... of numbers ({exc})"
+        ) from None
     catalog = LeaseCatalog.from_pairs(pairs)
     horizon = args.horizon if args.horizon is not None else (max(rainy) + 1 if rainy else 1)
-    state = PermitState(catalog)
+    leaser = PermitLeaser(catalog)
     for t in rainy:
-        state.request(t)
-    cost = state.total_cost()
+        leaser.serve_request([0], t)
+    cost, _ = leaser.cost_split()
     opt = pp_offline_opt(rainy, catalog, horizon)
     ratio = float(cost / opt) if opt else 1.0
-    rows = [("purchase", t, lease, start, paid, "", "") for t, lease, start, paid in state.purchases]
+    rows = [
+        ("purchase", t, lease, start, paid, "", "")
+        for t, lease, start, paid in leaser.permit.purchases
+    ]
     rows.append(("summary", "", "", "", cost, opt, repr(ratio)))
     _write(csv_text(["row", "t", "lease", "start", "cost", "opt", "ratio"], rows), args.out)
     return 0

@@ -48,9 +48,6 @@ class Graph:
         """u together with its neighbors, sorted."""
         return tuple(sorted((u, *self.adjacency[u])))
 
-    def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
-
     def edges(self) -> Iterator[Tuple[int, int]]:
         for u in range(self.node_count):
             for v in self.adjacency[u]:

@@ -15,11 +15,24 @@ import json
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Protocol, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    get_args,
+    get_type_hints,
+)
 
-from .errors import InfeasibleOutput
+from .errors import ConfigError, InfeasibleOutput, RecordsError
 from .generators import gen_instance
 from .graphs import max_degree
 from .instances import Instance, PurchaseLedger, StepReport
@@ -60,22 +73,6 @@ class Run(NamedTuple):
     state: OnlineLeaser
 
 
-CSV_COLUMNS = [
-    "instance_id",
-    "algorithm",
-    "seed",
-    "online_cost",
-    "c1",
-    "c2",
-    "opt_cost",
-    "ratio",
-    "n",
-    "lease_count",
-    "max_degree",
-    "steps",
-]
-
-
 @dataclass
 class ExperimentConfig:
     algorithm: str
@@ -88,11 +85,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if (self.instance is None) == (self.generator is None):
-            raise ValueError("provide exactly one of instance or generator")
+            raise ConfigError("provide exactly one of instance or generator")
 
 
 @dataclass
@@ -112,23 +109,19 @@ class RunRecord:
     wall_time_s: float = 0.0
 
     def to_row(self, timing: bool = False) -> List[str]:
-        row = [
-            self.instance_id,
-            self.algorithm,
-            str(self.seed),
-            str(self.online_cost),
-            str(self.c1),
-            str(self.c2),
-            "" if self.opt_cost is None else str(self.opt_cost),
-            "" if self.ratio is None else repr(self.ratio),
-            str(self.n),
-            str(self.lease_count),
-            str(self.max_degree),
-            str(self.steps),
-        ]
+        row = _cells(self, CSV_COLUMNS)
         if timing:
             row.append(f"{self.wall_time_s:.6f}")
         return row
+
+
+# the records CSV columns are RunRecord's fields; wall_time_s is written only with --timing
+CSV_COLUMNS = [f.name for f in fields(RunRecord) if f.name != "wall_time_s"]
+
+
+def _cells(row: object, names: Sequence[str]) -> List[str]:
+    """One CSV cell per named field: str() of the value, "" for None."""
+    return ["" if v is None else str(v) for v in (getattr(row, name) for name in names)]
 
 
 def trial_seed(base_seed: int, index: int) -> int:
@@ -221,27 +214,29 @@ def write_records_csv(records: Sequence[RunRecord], path: str, timing: bool = Fa
         fh.write(records_to_csv(records, timing))
 
 
+def _field_parsers(cls: type) -> Dict[str, Callable[[str], Any]]:
+    """Field name -> parser from its annotation; an empty cell reads as None for Optional[X]."""
+    parsers: Dict[str, Callable[[str], Any]] = {}
+    for name, hint in get_type_hints(cls).items():
+        inner = [arg for arg in get_args(hint) if arg is not type(None)]
+        parsers[name] = (lambda text, x=inner[0]: x(text) if text else None) if inner else hint
+    return parsers
+
+
 def read_records_csv(path: str) -> List[RunRecord]:
+    parsers = _field_parsers(RunRecord)
     records = []
     with open(path, encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                RunRecord(
-                    instance_id=row["instance_id"],
-                    algorithm=row["algorithm"],
-                    seed=int(row["seed"]),
-                    online_cost=Fraction(row["online_cost"]),
-                    c1=Fraction(row["c1"]),
-                    c2=Fraction(row["c2"]),
-                    opt_cost=Fraction(row["opt_cost"]) if row["opt_cost"] else None,
-                    ratio=float(row["ratio"]) if row["ratio"] else None,
-                    n=int(row["n"]),
-                    lease_count=int(row["lease_count"]),
-                    max_degree=int(row["max_degree"]),
-                    steps=int(row["steps"]),
-                    wall_time_s=float(row.get("wall_time_s") or 0.0),
-                )
-            )
+        reader = csv.DictReader(fh)
+        missing = [name for name in CSV_COLUMNS if name not in (reader.fieldnames or ())]
+        if missing:
+            raise RecordsError(f"{path}: missing column(s) {', '.join(missing)}")
+        for row in reader:
+            try:
+                values = {name: parse(row[name]) for name, parse in parsers.items() if name in row}
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise RecordsError(f"{path} line {reader.line_num}: {exc}") from None
+            records.append(RunRecord(**values))
     return records
 
 
@@ -262,7 +257,7 @@ def report(records: Sequence[RunRecord]) -> List[SummaryRow]:
     """Aggregate records per (instance family, algorithm); verifies C1+C2 accounting."""
     for rec in records:
         if rec.c1 + rec.c2 != rec.online_cost:
-            raise ValueError(
+            raise RecordsError(
                 f"cost split broken for {rec.instance_id}: "
                 f"{rec.c1} + {rec.c2} != {rec.online_cost}"
             )
@@ -291,58 +286,23 @@ def report(records: Sequence[RunRecord]) -> List[SummaryRow]:
 
 
 def summary_to_csv(rows: Sequence[SummaryRow]) -> str:
-    return csv_text(
-        [
-            "group",
-            "algorithm",
-            "runs",
-            "mean_ratio",
-            "median_ratio",
-            "max_ratio",
-            "total_cost",
-            "total_c1",
-            "total_c2",
-        ],
-        (
-            [
-                row.group,
-                row.algorithm,
-                str(row.runs),
-                "" if row.mean_ratio is None else repr(row.mean_ratio),
-                "" if row.median_ratio is None else repr(row.median_ratio),
-                "" if row.max_ratio is None else repr(row.max_ratio),
-                str(row.total_cost),
-                str(row.total_c1),
-                str(row.total_c2),
-            ]
-            for row in rows
-        ),
-    )
+    names = [f.name for f in fields(SummaryRow)]
+    return csv_text(names, (_cells(row, names) for row in rows))
 
 
 def format_summary_table(rows: Sequence[SummaryRow]) -> str:
     if not rows:
         return "(no records)"
-    headers = ["group", "algorithm", "runs", "mean", "median", "max", "cost", "C1", "C2"]
-    table = [headers]
-    for row in rows:
-        fmt = lambda x: "-" if x is None else f"{x:.4f}"
-        table.append(
-            [
-                row.group,
-                row.algorithm,
-                str(row.runs),
-                fmt(row.mean_ratio),
-                fmt(row.median_ratio),
-                fmt(row.max_ratio),
-                str(row.total_cost),
-                str(row.total_c1),
-                str(row.total_c2),
-            ]
-        )
-    widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(r)) for r in table]
-    return "\n".join(lines)
+
+    def show(value: Any) -> str:
+        if value is None:
+            return "-"
+        return f"{value:.4f}" if isinstance(value, float) else str(value)  # ratios
+
+    table = [["group", "algorithm", "runs", "mean", "median", "max", "cost", "C1", "C2"]]
+    table += [[show(getattr(row, f.name)) for f in fields(SummaryRow)] for row in rows]
+    widths = [max(len(cell) for cell in column) for column in zip(*table)]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in table)
 
 
 def steps_to_jsonl(reports: Sequence[StepReport]) -> str:

@@ -164,15 +164,6 @@ def tree_distance(h: Hst, u: int, v: int) -> int:
     return sum(h.edge_length(cid) for cid in tree_path_edges(h, u, v))
 
 
-def realize_tree_path(h: Hst, u: int, v: int, graph: Graph) -> List[Tuple[int, int]]:
-    """Map the tree path to a walk in the graph through consecutive cluster centers."""
-    edges: List[Tuple[int, int]] = []
-    path = tree_path_clusters(h, u, v)
-    for a, b in zip(path, path[1:]):
-        edges.extend(center_walk(h, a, b, graph))
-    return edges
-
-
 def center_walk(h: Hst, cid_a: int, cid_b: int, graph: Graph) -> List[Tuple[int, int]]:
     """Graph edges of the shortest path between two clusters' centers."""
     a, b = h.center(cid_a), h.center(cid_b)

@@ -4,15 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .errors import LeaselabError
+from .errors import EmptyRequest, InstanceError, LeaselabError, NonMonotonicTime
 from .graphs import Graph, build_graph
 from .leases import LeaseCatalog, Triplet, as_cost
-
-
-class InstanceError(LeaselabError, ValueError):
-    pass
 
 
 class DuplicatePurchase(LeaselabError, ValueError):
@@ -44,12 +40,35 @@ class Instance:
 
     @classmethod
     def from_json(cls, data: dict) -> "Instance":
-        graph = build_graph(int(data["n"]), [tuple(e) for e in data["edges"]])
-        catalog = LeaseCatalog.from_pairs(
-            (entry["duration"], as_cost(entry["cost"])) for entry in data["leases"]
-        )
-        requests = [(int(r["t"]), r["nodes"]) for r in data["requests"]]
+        """Parse an instance file's JSON; a missing key or a value of the wrong
+        shape raises InstanceError, and library errors pass through as they are."""
+        try:
+            graph = build_graph(int(data["n"]), [tuple(e) for e in data["edges"]])
+            catalog = LeaseCatalog.from_pairs(
+                (entry["duration"], as_cost(entry["cost"])) for entry in data["leases"]
+            )
+            requests = [(int(r["t"]), [int(v) for v in r["nodes"]]) for r in data["requests"]]
+        except LeaselabError:
+            raise
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InstanceError(f"malformed instance: {type(exc).__name__}: {exc}") from None
         return make_instance(graph, catalog, requests)
+
+
+def request_nodes(prev_t: Optional[int], nodes: Iterable[int], t: int) -> Tuple[int, ...]:
+    """The request rule, for instance files and every online leaser alike.
+
+    A step at time t >= 0, strictly after the previous step's ``prev_t`` (None
+    before the first), names a non-empty node set; returns it sorted and distinct.
+    """
+    if t < 0:
+        raise InstanceError(f"request time {t} is negative")
+    if prev_t is not None and t <= prev_t:
+        raise NonMonotonicTime(f"request times must strictly increase ({prev_t} then {t})")
+    requested = tuple(sorted(set(nodes)))
+    if not requested:
+        raise EmptyRequest(f"request at t={t} has no nodes")
+    return requested
 
 
 def make_instance(
@@ -57,20 +76,14 @@ def make_instance(
     catalog: LeaseCatalog,
     requests: Sequence[Tuple[int, Sequence[int]]],
 ) -> Instance:
-    """Validate request structure: strictly increasing times, non-empty node sets."""
+    """Validate every step by the request rule, and its nodes against the graph."""
     cleaned: List[Tuple[int, Tuple[int, ...]]] = []
     prev = None
     for t, nodes in requests:
-        node_tuple = tuple(sorted(set(int(v) for v in nodes)))
-        if not node_tuple:
-            raise InstanceError(f"request at t={t} has no nodes")
-        if t < 0:
-            raise InstanceError(f"request time {t} is negative")
-        if prev is not None and t <= prev:
-            raise InstanceError(f"request times must strictly increase ({prev} then {t})")
+        node_tuple = request_nodes(prev, nodes, t)
         if node_tuple[0] < 0 or node_tuple[-1] >= graph.node_count:
             raise InstanceError(f"request at t={t} names nodes outside the graph")
-        cleaned.append((int(t), node_tuple))
+        cleaned.append((t, node_tuple))
         prev = t
     if not cleaned:
         raise InstanceError("instance has no requests")

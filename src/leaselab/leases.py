@@ -118,11 +118,6 @@ def slot_start(t: int, duration: int) -> int:
     return t - t % duration
 
 
-def is_active(tr: Triplet, t: int, catalog: LeaseCatalog) -> bool:
-    """True iff start <= t < start + duration (half-open window)."""
-    return tr.start <= t < tr.start + catalog.duration(tr.lease)
-
-
 def validate_catalog(catalog: LeaseCatalog) -> None:
     """Raise a CatalogError naming the first offending 1-based index."""
     types = catalog.types

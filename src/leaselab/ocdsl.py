@@ -19,9 +19,9 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import EmptyRequest, LeaselabError, NonMonotonicTime
+from .errors import LeaselabError
 from .graphs import Graph, connected_component, dominators
-from .instances import PurchaseLedger, StepReport
+from .instances import PurchaseLedger, StepReport, request_nodes
 from .leases import LeaseCatalog, Triplet
 from .steiner import OsflState
 
@@ -119,10 +119,9 @@ class OcdslState:
         return rounds
 
     def round_purchases(
-        self, u: int, t: int, log: Optional[List[Tuple[int, int, int, Fraction]]] = None
+        self, u: int, t: int, log: List[Tuple[int, int, int, Fraction]]
     ) -> List[Triplet]:
         """Buy every dominator whose weight beats its frozen threshold."""
-        log = log if log is not None else []
         bought = []
         for tr in dominators(self.graph, u, t, self.catalog):
             if self.weights.get(tr, 0) > self.threshold(tr) and tr not in self.ledger:
@@ -131,12 +130,11 @@ class OcdslState:
         return bought
 
     def fallback(
-        self, u: int, t: int, log: Optional[List[Tuple[int, int, int, Fraction]]] = None
+        self, u: int, t: int, log: List[Tuple[int, int, int, Fraction]]
     ) -> Optional[Triplet]:
         """Guarantee domination: buy the cheapest-lease triplet on u if rounding missed."""
         if self.has_active_dominator(u, t):
             return None
-        log = log if log is not None else []
         tr = self.catalog.triplet_at(u, 1, t)
         self._buy(tr, t, 1, log)
         return tr
@@ -146,10 +144,9 @@ class OcdslState:
         s_t: Sequence[Triplet],
         d_t: Sequence[int],
         t: int,
-        log: Optional[List[Tuple[int, int, int, Fraction]]] = None,
+        log: List[Tuple[int, int, int, Fraction]],
     ) -> Tuple[List[Triplet], Dict[Triplet, Triplet]]:
         """Greedy cover of the chosen dominators by cheapest-lease request nodes."""
-        log = log if log is not None else []
         uncovered: Set[Triplet] = set(s_t)
         reps: List[Triplet] = []
         assignment: Dict[Triplet, Triplet] = {}
@@ -177,11 +174,7 @@ class OcdslState:
 
     def serve_request(self, nodes: Sequence[int], t: int) -> StepReport:
         """Run both phases for one request step."""
-        if self.last_time is not None and t <= self.last_time:
-            raise NonMonotonicTime(f"request at t={t} after t={self.last_time}")
-        requested = tuple(sorted(set(nodes)))
-        if not requested:
-            raise EmptyRequest(f"empty request at t={t}")
+        requested = request_nodes(self.last_time, nodes, t)
         self.last_time = t
         c1_before, c2_before = self.c1, self.c2
         purchases: List[Tuple[int, int, int, Fraction]] = []

@@ -14,9 +14,9 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from .errors import LeaselabError, NonMonotonicTime
-from .instances import PurchaseLedger, StepReport
-from .leases import LeaseCatalog, slot_start
+from .errors import LeaselabError
+from .instances import PurchaseLedger, StepReport, request_nodes
+from .leases import LeaseCatalog
 
 
 class RainyDayOutOfHorizon(LeaselabError, ValueError):
@@ -31,7 +31,6 @@ class PermitState:
         self.owned: Set[Tuple[int, int]] = set()  # (lease index, start)
         self.spend: Dict[Tuple[int, int], Fraction] = {}  # (lease index, slot) -> cost of smaller types inside
         self.purchases: List[Tuple[int, int, int, Fraction]] = []  # (t, lease, start, cost)
-        self.last_time: int | None = None
 
     def covered(self, t: int) -> bool:
         """True iff an owned permit holds t: one aligned slot per lease type."""
@@ -53,9 +52,6 @@ class PermitState:
 
     def request(self, t: int) -> List[Tuple[int, int]]:
         """Serve a rainy day; returns the (lease, start) pairs bought, if any."""
-        if self.last_time is not None and t < self.last_time:
-            raise NonMonotonicTime(f"request at t={t} after t={self.last_time}")
-        self.last_time = t
         if self.covered(t):
             return []
         bought = [self._buy(1, t)]
@@ -86,14 +82,17 @@ class PermitLeaser:
         self.catalog = catalog
         self.permit = PermitState(catalog)
         self.ledger = PurchaseLedger()
+        self.last_time: int | None = None
 
     def serve_request(self, nodes: Sequence[int], t: int) -> StepReport:
+        requested = request_nodes(self.last_time, nodes, t)
+        self.last_time = t
         purchases = []
         for lease, start in self.permit.request(t):
             cost = self.catalog.cost(lease)
             self.ledger.add(self.catalog.triplet_at(0, lease, start), t, cost)
             purchases.append((0, lease, start, cost))
-        return StepReport.purchases_only(t, tuple(nodes), purchases)
+        return StepReport.purchases_only(t, requested, purchases)
 
     def cost_split(self) -> Tuple[Fraction, Fraction]:
         return self.permit.total_cost(), Fraction(0)
@@ -143,33 +142,3 @@ def pp_offline_opt(
         total += opt(top, s)
         s += d_top
     return total
-
-
-def pp_brute_force_opt(
-    rainy: Iterable[int], catalog: LeaseCatalog, horizon: int | None = None
-) -> Fraction:
-    """Exhaustive minimum over all aligned permit subsets; cross-check oracle.
-
-    Only usable when there are few candidate permits (<= ~16).
-    """
-    days = sorted(set(rainy))
-    if not days:
-        return Fraction(0)
-    if horizon is None:
-        horizon = max(days) + 1
-    candidates = []
-    for lt in catalog:
-        starts = sorted({slot_start(t, lt.duration) for t in days})
-        candidates.extend((lt.index, s, lt.cost, lt.duration) for s in starts)
-    if len(candidates) > 16:
-        raise ValueError(f"{len(candidates)} candidate permits is too many to enumerate")
-    best = None
-    for mask in range(1 << len(candidates)):
-        chosen = [candidates[i] for i in range(len(candidates)) if mask >> i & 1]
-        cost = sum((c for _, _, c, _ in chosen), Fraction(0))
-        if best is not None and cost >= best:
-            continue
-        if all(any(s <= t < s + d for _, s, _, d in chosen) for t in days):
-            best = cost
-    assert best is not None  # buying everything always covers
-    return best

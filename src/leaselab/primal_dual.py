@@ -12,9 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import NonMonotonicTime
 from .graphs import Graph, dominators
-from .instances import PurchaseLedger, StepReport
+from .instances import PurchaseLedger, StepReport, request_nodes
 from .leases import LeaseCatalog, Triplet
 
 
@@ -29,12 +28,9 @@ class DualState:
 
     def serve(self, u: int, t: int) -> Tuple[List[Triplet], Fraction]:
         """Serve one request occurrence; returns (purchases, dual raise)."""
-        if self.last_time is not None and t < self.last_time:
-            raise NonMonotonicTime(f"request at t={t} after t={self.last_time}")
-        self.last_time = t
         doms = dominators(self.graph, u, t, self.catalog)
         if any(tr in self.ledger for tr in doms):
-            self.y[(u, t)] = Fraction(0)
+            self.y.setdefault((u, t), Fraction(0))
             return [], Fraction(0)
         for tr in doms:
             if tr not in self.slack:
@@ -51,12 +47,14 @@ class DualState:
 
     def serve_request(self, nodes: Sequence[int], t: int) -> StepReport:
         """Serve every occurrence of one request step; its purchases all count as C1."""
+        requested = request_nodes(self.last_time, nodes, t)
+        self.last_time = t
         purchases = [
             (tr.node, tr.lease, tr.start, self.catalog.cost(tr.lease))
-            for u in nodes
+            for u in requested
             for tr in self.serve(u, t)[0]
         ]
-        return StepReport.purchases_only(t, tuple(nodes), purchases)
+        return StepReport.purchases_only(t, requested, purchases)
 
     def cost_split(self) -> Tuple[Fraction, Fraction]:
         """(C1, C2): every purchase dominates, none connects."""

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Set, Tuple
 
-from .errors import NonMonotonicTime
 from .graphs import Graph
 from .hst import Hst, build_hst, edge_realization, tree_path_edges
 from .leases import LeaseCatalog
@@ -42,13 +41,9 @@ class OsflState:
         self.ledger: List[EdgeLease] = []
         self._seen: Set[Tuple[Tuple[int, int], int, int]] = set()
         self.tree_cost = Fraction(0)  # length-weighted permit cost, diagnostic
-        self.last_time: int | None = None
 
     def connect(self, terminals, root: int, t: int) -> List[EdgeLease]:
         """Lease enough graph edges that every terminal reaches the root at time t."""
-        if self.last_time is not None and t < self.last_time:
-            raise NonMonotonicTime(f"connect at t={t} after t={self.last_time}")
-        self.last_time = t
         needed: Set[int] = set()
         for r in set(terminals):
             needed.update(tree_path_edges(self.hst, r, root))
@@ -74,10 +69,3 @@ class OsflState:
     def cost(self) -> Fraction:
         """Total leasing cost of the graph-edge ledger (unit edge weights)."""
         return sum((self.catalog.cost(e.lease) for e in self.ledger), Fraction(0))
-
-    def active_edges(self, t: int) -> Set[Tuple[int, int]]:
-        return {
-            e.edge
-            for e in self.ledger
-            if e.start <= t < e.start + self.catalog.duration(e.lease)
-        }

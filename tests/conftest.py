@@ -1,10 +1,12 @@
 import random
+from typing import List, Tuple
 
 import hypothesis
 import pytest
 from hypothesis import strategies as st
 
 from leaselab.graphs import Graph, build_graph
+from leaselab.hst import Hst, center_walk, tree_path_clusters
 from leaselab.leases import LeaseCatalog
 
 hypothesis.settings.register_profile("fast", max_examples=20)
@@ -56,6 +58,15 @@ def catalogs(draw, max_types: int = 3) -> LeaseCatalog:
         pairs.append((d, cost))
         prev_d = d
     return LeaseCatalog.from_pairs(pairs)
+
+
+def realize_tree_path(h: Hst, u: int, v: int, graph: Graph) -> List[Tuple[int, int]]:
+    """Map the tree path to a walk in the graph through consecutive cluster centers."""
+    edges: List[Tuple[int, int]] = []
+    path = tree_path_clusters(h, u, v)
+    for a, b in zip(path, path[1:]):
+        edges.extend(center_walk(h, a, b, graph))
+    return edges
 
 
 @pytest.fixture

@@ -101,7 +101,7 @@ def test_dominator_count_formula(g, cat, t):
     delta = max_degree(g)
     for u in g.nodes():
         dom = dominators(g, u, t, cat)
-        assert len(dom) == (g.degree(u) + 1) * len(cat)
+        assert len(dom) == (len(g.neighbors(u)) + 1) * len(cat)
         assert len(dom) <= (delta + 1) * len(cat)
 
 

@@ -6,9 +6,13 @@ from fractions import Fraction
 import pytest
 
 from leaselab.cli import _ledger_csv, main
-from leaselab.generators import BadParams, burst_times, gen_instance
+from leaselab.errors import EmptyRequest, InstanceError, NonMonotonicTime
+from leaselab.generators import BadParams, burst_times, canonical_catalog, gen_instance
+from leaselab.graphs import build_graph
 from leaselab.harness import (
     ALGORITHMS,
+    CSV_COLUMNS,
+    FACTORIES,
     ExperimentConfig,
     format_summary_table,
     read_records_csv,
@@ -19,7 +23,7 @@ from leaselab.harness import (
     steps_to_jsonl,
     trial_seed,
 )
-from leaselab.instances import Instance
+from leaselab.instances import Instance, make_instance
 
 
 def test_gen_star_instance():
@@ -48,7 +52,7 @@ def test_gen_grid():
 
 def test_gen_pp_adversary_single_node_dominatable():
     inst = gen_instance("pp-adversary", {"n": 5, "L": 2, "horizon": 8}, random.Random(0))
-    assert inst.graph.degree(0) == 4  # the center dominates everything
+    assert len(inst.graph.neighbors(0)) == 4  # the center dominates everything
     assert [t for t, _ in inst.requests] == burst_times(8) == [0, 1, 3, 7]
 
 
@@ -162,9 +166,10 @@ def test_records_csv_roundtrip(tmp_path):
     )
     records = run_experiment(cfg)
     out = tmp_path / "records.csv"
-    out.write_text(records_to_csv(records))
-    again = read_records_csv(str(out))
-    assert records_to_csv(again) == records_to_csv(records)
+    for timing in (False, True):
+        out.write_text(records_to_csv(records, timing))
+        again = read_records_csv(str(out))
+        assert records_to_csv(again, timing) == records_to_csv(records, timing)
 
 
 # ------------------------------------------------------------------ CLI
@@ -312,16 +317,97 @@ def test_cli_run_exports_trial_0_of_several(tmp_path, algorithm):
     assert len(steps_path.read_text().splitlines()) == len(inst.requests) + trailer
 
 
-def test_cli_reports_a_library_error_in_one_line(tmp_path, capsys):
+INSTANCE = {
+    "n": 3,
+    "edges": [[0, 1], [1, 2]],
+    "leases": [{"duration": 1, "cost": 1}],
+    "requests": [{"t": 1, "nodes": [0, 2]}],
+}
+BROKEN_INSTANCES = {
+    "n-not-int": {**INSTANCE, "n": "x"},
+    "leases-null": {**INSTANCE, "leases": None},
+    "no-leases-key": {k: v for k, v in INSTANCE.items() if k != "leases"},
+    "request-without-nodes": {**INSTANCE, "requests": [{"t": 1}]},
+    "one-ended-edge": {**INSTANCE, "edges": [[0]]},
+}
+HEADER = ",".join(CSV_COLUMNS)
+# name -> (argv, files to write first)
+CLI_ERRORS = {
     # a 3x3 grid has more candidate triplets than the exact oracle takes
-    code = main([
-        "run", "--kind", "grid", "--params", "rows=3", "cols=3", "T=4", "L=2",
-        "--oracle", "--out", str(tmp_path / "r.csv"),
-    ])
+    "oracle-too-large": (
+        ["run", "--kind", "grid", "--params", "rows=3", "cols=3", "T=4", "L=2", "--oracle"], {}
+    ),
+    "trials-0": (["run", "--kind", "star", "--trials", "0"], {}),
+    "pp-rainy-x": (["pp", "--rainy", "0,x", "--leases", "1:1"], {}),
+    "pp-lease-without-cost": (["pp", "--rainy", "0", "--leases", "1:1,4"], {}),
+    "pp-negative-day": (["pp", "--rainy", "0,-3", "--leases", "1:1"], {}),
+    **{
+        name: (["run", "--instance", "i.json"], {"i.json": json.dumps(data)})
+        for name, data in BROKEN_INSTANCES.items()
+    },
+    "not-json": (["run", "--instance", "i.json"], {"i.json": "{not json"}),
+    "records-missing-column": (
+        ["report", "--records", "r.csv"], {"r.csv": "instance_id,algorithm\nx#0,ocdsl\n"}
+    ),
+    "records-bad-cell": (
+        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,x,,,3,1,2,1\n"}
+    ),
+    "records-broken-split": (
+        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,1,,,3,1,2,1\n"}
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, files", CLI_ERRORS.values(), ids=list(CLI_ERRORS))
+def test_cli_reports_a_library_error_in_one_line(tmp_path, monkeypatch, capsys, argv, files):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code = main(argv + (["--out", "out.csv"] if argv[0] != "report" else []))
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("leaselab run: candidate universe has ")
+    assert captured.out == ""
+    assert captured.err.startswith(f"leaselab {argv[0]}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_algorithm_keeps_the_request_rule(algorithm):
+    inst = make_instance(build_graph(3, [(0, 1), (1, 2)]), canonical_catalog(2), [(1, [0])])
+    state = FACTORIES[algorithm](inst, 0)
+    with pytest.raises(InstanceError) as negative:
+        state.serve_request([0], -1)
+    assert negative.type is InstanceError
+    assert state.serve_request([2, 0, 2], 3).requested == (0, 2)
+    for t in (2, 3):  # backward, then repeated
+        with pytest.raises(NonMonotonicTime):
+            state.serve_request([1], t)
+    with pytest.raises(EmptyRequest):
+        state.serve_request([], 4)
+    assert state.serve_request([1], 4).t == 4  # a rejected step leaves the state as it was
+
+
+# 40 seeded instances, each served by every algorithm at its own times and
+# shifted by one and by three of the longest lease's durations
+SHIFT_FAMILIES = [
+    ("grid", {"rows": 3, "cols": 4, "T": 5, "k": 3, "L": 3}, 15),
+    ("random-gnp-connected", {"n": 8, "p": 0.4, "T": 5, "k": 2, "L": 3}, 15),
+    ("pp-adversary", {"n": 5, "L": 4, "horizon": 64}, 10),
+]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_shifting_every_time_by_whole_longest_leases_keeps_the_cost_split(algorithm):
+    for kind, params, count in SHIFT_FAMILIES:
+        for index in range(count):
+            inst = gen_instance(kind, params, random.Random(f"shift:{index}"))
+            base = run_algorithm(algorithm, inst, index)
+            for multiple in (1, 3):
+                shift = multiple * inst.catalog.max_duration()
+                moved = [(t + shift, nodes) for t, nodes in inst.requests]
+                moved_inst = make_instance(inst.graph, inst.catalog, moved)
+                run = run_algorithm(algorithm, moved_inst, index)
+                assert (run.c1, run.c2) == (base.c1, base.c2), (kind, index, multiple)
 
 
 # sha256 of the step JSONL plus the ledger rows, and the exact fractional cost

@@ -3,15 +3,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graphs
+from conftest import connected_graphs, realize_tree_path
 from leaselab.graphs import all_pairs_distances, build_graph, shortest_path
-from leaselab.hst import (
-    build_hst,
-    edge_realization,
-    realize_tree_path,
-    tree_distance,
-    tree_path_clusters,
-)
+from leaselab.hst import build_hst, edge_realization, tree_distance, tree_path_clusters
 
 
 def path_graph(n):

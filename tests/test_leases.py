@@ -15,10 +15,14 @@ from leaselab.leases import (
     NonPowerOfTwoDuration,
     Triplet,
     as_cost,
-    is_active,
     slot_start,
     validate_catalog,
 )
+
+
+def is_active(tr: Triplet, t: int, catalog: LeaseCatalog) -> bool:
+    """True iff start <= t < start + duration (half-open window)."""
+    return tr.start <= t < tr.start + catalog.duration(tr.lease)
 
 
 def test_slot_start_examples():

@@ -1,11 +1,9 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leaselab.errors import NonMonotonicTime
 from leaselab.graphs import build_graph, max_degree
 from leaselab.instances import make_instance
 from leaselab.leases import LeaseCatalog, Triplet
@@ -59,12 +57,15 @@ def test_totals_fresh_state():
     assert state.totals() == (0, 0)
 
 
-def test_rejects_decreasing_time():
+def test_serving_an_occurrence_twice_keeps_its_dual():
     g = build_graph(2, [(0, 1)])
     state = DualState(g, LeaseCatalog.from_pairs([(1, 1)]))
-    state.serve(0, 3)
-    with pytest.raises(NonMonotonicTime):
-        state.serve(1, 2)
+    state.serve(0, 3)  # raises y(0, 3) to 1 and buys both dominators
+    assert state.serve(0, 3) == ([], 0)
+    assert state.totals() == (2, 1)
+    report = state.serve_request([0, 0], 5)  # one occurrence, served once
+    assert report.requested == (0,) and report.c1_increment == 2
+    assert state.totals() == (4, 2)
 
 
 def test_equal_times_allowed_for_same_step_occurrences():

@@ -2,14 +2,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graphs
-from leaselab.errors import NonMonotonicTime
+from conftest import connected_graphs, realize_tree_path
 from leaselab.graphs import build_graph
-from leaselab.hst import edge_realization, realize_tree_path, tree_path_edges
+from leaselab.hst import edge_realization, tree_path_edges
 from leaselab.leases import LeaseCatalog
 from leaselab.permits import PermitState
 from leaselab.steiner import OsflState
@@ -86,13 +84,6 @@ def test_escalation_matches_per_edge_permit_replay():
     )
 
 
-def test_rejects_decreasing_time(path3):
-    st_ = OsflState(path3, UNIT, random.Random(0))
-    st_.connect([2], 0, 4)
-    with pytest.raises(NonMonotonicTime):
-        st_.connect([2], 0, 3)
-
-
 def test_no_duplicate_ledger_keys(path3):
     st_ = OsflState(path3, ESCALATING, random.Random(3))
     for t in range(4):
@@ -110,7 +101,9 @@ def test_terminals_connected_through_active_edges(g, seed):
     for t in range(4):
         terminals = sorted(rng.sample(range(g.node_count), rng.randint(1, g.node_count)))
         st_.connect(terminals, root, t)
-        active = st_.active_edges(t)
+        active = {
+            e.edge for e in st_.ledger if e.start <= t < e.start + ESCALATING.duration(e.lease)
+        }
         # reachability in the subgraph of active leased edges
         adj = {u: set() for u in g.nodes()}
         for a, b in active:
