@@ -333,10 +333,6 @@ BROKEN_INSTANCES = {
 HEADER = ",".join(CSV_COLUMNS)
 # name -> (argv, files to write first)
 CLI_ERRORS = {
-    # a 3x3 grid has more candidate triplets than the exact oracle takes
-    "oracle-too-large": (
-        ["run", "--kind", "grid", "--params", "rows=3", "cols=3", "T=4", "L=2", "--oracle"], {}
-    ),
     "trials-0": (["run", "--kind", "star", "--trials", "0"], {}),
     "pp-rainy-x": (["pp", "--rainy", "0,x", "--leases", "1:1"], {}),
     "pp-lease-without-cost": (["pp", "--rainy", "0", "--leases", "1:1,4"], {}),
@@ -358,8 +354,20 @@ CLI_ERRORS = {
 }
 
 
+def test_cli_reports_a_library_error_in_one_line(tmp_path, capsys):
+    # a 3x3 grid has more candidate triplets than the exact oracle takes
+    code = main([
+        "run", "--kind", "grid", "--params", "rows=3", "cols=3", "T=4", "L=2",
+        "--oracle", "--out", str(tmp_path / "r.csv"),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("leaselab run: candidate universe has ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, files", CLI_ERRORS.values(), ids=list(CLI_ERRORS))
-def test_cli_reports_a_library_error_in_one_line(tmp_path, monkeypatch, capsys, argv, files):
+def test_cli_reports_each_bad_input_in_one_line(tmp_path, monkeypatch, capsys, argv, files):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leaselab.errors import NonMonotonicTime
 from leaselab.leases import LeaseCatalog, slot_start
-from leaselab.permits import PermitState, RainyDayOutOfHorizon, pp_offline_opt
+from leaselab.permits import PermitLeaser, PermitState, RainyDayOutOfHorizon, pp_offline_opt
 
 SINGLE = LeaseCatalog.from_pairs([(1, 1)])
 TWO = LeaseCatalog.from_pairs([(1, 1), (4, 2)])
@@ -55,6 +56,15 @@ def test_escalation_example():
     assert state.request(1) == [(1, 1), (2, 0)]
     assert state.total_cost() == 4
     assert pp_offline_opt([0, 1], TWO) == 2
+
+
+def test_rejects_decreasing_time():
+    # PermitState.request trusts its caller; the leaser applies the request rule
+    leaser = PermitLeaser(SINGLE)
+    leaser.serve_request([0], 4)
+    with pytest.raises(NonMonotonicTime):
+        leaser.serve_request([0], 3)
+    assert leaser.cost_split() == (1, 0)
 
 
 def test_covered_day_buys_nothing():

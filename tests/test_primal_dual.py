@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leaselab.errors import NonMonotonicTime
 from leaselab.graphs import build_graph, max_degree
 from leaselab.instances import make_instance
 from leaselab.leases import LeaseCatalog, Triplet
@@ -66,6 +68,16 @@ def test_serving_an_occurrence_twice_keeps_its_dual():
     report = state.serve_request([0, 0], 5)  # one occurrence, served once
     assert report.requested == (0,) and report.c1_increment == 2
     assert state.totals() == (4, 2)
+
+
+def test_rejects_decreasing_time():
+    # DualState.serve trusts its caller; serve_request applies the request rule
+    g = build_graph(2, [(0, 1)])
+    state = DualState(g, LeaseCatalog.from_pairs([(1, 1)]))
+    state.serve_request([0], 3)
+    with pytest.raises(NonMonotonicTime):
+        state.serve_request([1], 2)
+    assert state.totals() == (2, 1)
 
 
 def test_equal_times_allowed_for_same_step_occurrences():

@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs, realize_tree_path
+from leaselab.errors import NonMonotonicTime
 from leaselab.graphs import build_graph
 from leaselab.hst import edge_realization, tree_path_edges
 from leaselab.leases import LeaseCatalog
+from leaselab.ocdsl import OcdslState
 from leaselab.permits import PermitState
 from leaselab.steiner import OsflState
 
@@ -82,6 +85,17 @@ def test_escalation_matches_per_edge_permit_replay():
     assert st_.cost() == sum(
         (ESCALATING.cost(lease) for _, lease, _ in expected_keys), Fraction(0)
     )
+
+
+def test_rejects_decreasing_time(path3):
+    # OsflState.connect trusts its caller; OcdslState.serve_request applies the
+    # request rule before the connection phase touches the edge ledger
+    state = OcdslState(path3, UNIT, seed=0)
+    state.serve_request([0, 2], 4)
+    edges = list(state.osfl.ledger)
+    with pytest.raises(NonMonotonicTime):
+        state.serve_request([0, 2], 3)
+    assert state.osfl.ledger == edges
 
 
 def test_no_duplicate_ledger_keys(path3):
