@@ -36,7 +36,7 @@ def _parse_params(pairs: Sequence[str]) -> Dict:
     params: Dict = {}
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"bad --params entry {pair!r}, expected key=value")
+            raise ConfigError(f"bad --params entry {pair!r}, expected key=value")
         key, value = pair.split("=", 1)
         try:
             params[key] = int(value)
@@ -113,8 +113,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             instance=_load_instance(args.instance),
             instance_id=args.instance.rsplit("/", 1)[-1].removesuffix(".json"),
         )
-    else:
+    elif args.kind:
         source = dict(generator=(args.kind, _parse_params(args.params)), instance_id=args.kind)
+    else:
+        raise ConfigError("run needs --instance or --kind")
     cfg = ExperimentConfig(
         algorithm=args.algorithm,
         trials=args.trials,
@@ -136,8 +138,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         _write(_ledger_csv(first.ledger), args.ledger_out)
     if args.edge_ledger_out:
         rows = [
-            (*e.edge, e.lease, e.start, e.step, osfl.catalog.cost(e.lease))
-            for e in (osfl.ledger if osfl is not None else [])
+            (*e.edge, e.lease, e.start, step, osfl.catalog.cost(e.lease))
+            for e, step in (osfl.ledger.items() if osfl is not None else ())
         ]
         _write(csv_text(["u", "v", "lease", "start", "step", "cost"], rows), args.edge_ledger_out)
     if args.dump_tree and osfl is not None:
@@ -182,8 +184,8 @@ def cmd_pp(args: argparse.Namespace) -> int:
     opt = pp_offline_opt(rainy, catalog, horizon)
     ratio = float(cost / opt) if opt else 1.0
     rows = [
-        ("purchase", t, lease, start, paid, "", "")
-        for t, lease, start, paid in leaser.permit.purchases
+        ("purchase", t, lease, start, catalog.cost(lease), "", "")
+        for (lease, start), t in leaser.permit.owned.items()
     ]
     rows.append(("summary", "", "", "", cost, opt, repr(ratio)))
     _write(csv_text(["row", "t", "lease", "start", "cost", "opt", "ratio"], rows), args.out)
@@ -255,11 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run" and not args.instance and not args.kind:
-        raise SystemExit("run needs --instance or --kind")
     try:
         return args.func(args)
-    except LeaselabError as exc:
+    except (LeaselabError, OSError) as exc:
         sys.stderr.write(f"leaselab {args.command}: {exc}\n")
         return 2
 

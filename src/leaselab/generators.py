@@ -86,21 +86,31 @@ def _uniform_requests(
     ]
 
 
+def _param(params: Dict, key: str, default, kind=int):
+    """Generator parameter ``key`` as a ``kind``; a value that does not convert raises BadParams."""
+    try:
+        return kind(params.get(key, default))
+    except (TypeError, ValueError, OverflowError):
+        raise BadParams(
+            f"parameter {key}={params[key]!r} does not convert to {kind.__name__}"
+        ) from None
+
+
 def gen_instance(kind: str, params: Dict, rng: random.Random) -> Instance:
     """Build a validated instance; deterministic for a given seeded rng."""
     if kind not in GENERATOR_KINDS:
         raise BadParams(f"unknown generator kind {kind!r}")
-    lease_count = int(params.get("L", 1))
+    lease_count = _param(params, "L", 1)
     catalog = canonical_catalog(lease_count)
-    steps = int(params.get("T", 2))
-    size = int(params.get("k", 1))
+    steps = _param(params, "T", 2)
+    size = _param(params, "k", 1)
 
     if kind == "pp-adversary":
-        n = int(params.get("n", 4))
+        n = _param(params, "n", 4)
         if n < 2:
             raise BadParams("pp-adversary wants a star, n >= 2")
         graph = build_graph(n, _star_edges(n))
-        horizon = int(params.get("horizon", catalog.max_duration()))
+        horizon = _param(params, "horizon", catalog.max_duration())
         leaves = list(range(1, n))
         requests = [
             (t, [leaves[i % len(leaves)]]) for i, t in enumerate(burst_times(horizon))
@@ -108,18 +118,18 @@ def gen_instance(kind: str, params: Dict, rng: random.Random) -> Instance:
         return make_instance(graph, catalog, requests)
 
     if kind == "path":
-        n = int(params.get("n", 3))
+        n = _param(params, "n", 3)
         graph = build_graph(n, _path_edges(n))
     elif kind == "star":
-        n = int(params.get("n", 4))
+        n = _param(params, "n", 4)
         graph = build_graph(n, _star_edges(n))
     elif kind == "grid":
-        rows = int(params.get("rows", 2))
-        cols = int(params.get("cols", 3))
+        rows = _param(params, "rows", 2)
+        cols = _param(params, "cols", 3)
         graph = build_graph(rows * cols, _grid_edges(rows, cols))
     else:  # random-gnp-connected
-        n = int(params.get("n", 6))
-        p = float(params.get("p", 0.4))
+        n = _param(params, "n", 6)
+        p = _param(params, "p", 0.4, float)
         graph = _gnp_connected(n, p, rng)
 
     requests = _uniform_requests(graph.node_count, steps, size, rng)

@@ -59,7 +59,6 @@ def build_graph(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
     """Validate and build: simple, undirected, connected; node ids in [0, n)."""
     if n < 1:
         raise BadNodeId(f"need at least one node, got n={n}")
-    adj: List[Set[int]] = [set() for _ in range(n)]
     seen = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -70,6 +69,11 @@ def build_graph(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
         if key in seen:
             raise DuplicateEdge(f"edge {key} listed twice")
         seen.add(key)
+    # checked before any per-node allocation, so a huge n with few edges fails fast
+    if len(seen) < n - 1:
+        raise Disconnected(f"{len(seen)} edges cannot connect {n} nodes")
+    adj: List[Set[int]] = [set() for _ in range(n)]
+    for u, v in seen:
         adj[u].add(v)
         adj[v].add(u)
     graph = Graph(node_count=n, adjacency=tuple(tuple(sorted(s)) for s in adj))

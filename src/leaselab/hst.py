@@ -39,9 +39,6 @@ class Hst:
     clusters: Tuple[Cluster, ...]
     leaf_of: Tuple[int, ...]  # graph node -> leaf cluster id
 
-    def parent(self, cid: int) -> int:
-        return self.clusters[cid].parent
-
     def level(self, cid: int) -> int:
         return self.clusters[cid].level
 

@@ -141,6 +141,21 @@ class PurchaseLedger:
             for tr, (step, cost) in self.entries.items()
         ]
 
+    def bought_at(self, step: int) -> List[Tuple[int, int, int, Fraction]]:
+        """(node, lease, start, cost) of the purchases made at ``step``, in purchase order.
+
+        Reads back from the newest entry while the step matches, so it costs
+        O(purchases at step); sound because the request rule makes the steps
+        of an online run strictly increase.
+        """
+        bought = []
+        for tr, (bought_step, cost) in reversed(self.entries.items()):
+            if bought_step != step:
+                break
+            bought.append((tr.node, tr.lease, tr.start, cost))
+        bought.reverse()
+        return bought
+
 
 @dataclass
 class StepReport:
@@ -163,9 +178,10 @@ class StepReport:
 
     @classmethod
     def purchases_only(
-        cls, t: int, requested: Tuple[int, ...], purchases: List[Tuple[int, int, int, Fraction]]
+        cls, t: int, requested: Tuple[int, ...], ledger: PurchaseLedger
     ) -> "StepReport":
-        """A step whose purchases all count as C1."""
+        """A step whose purchases, the ledger's entries bought at t, all count as C1."""
+        purchases = ledger.bought_at(t)
         return cls(t, requested, purchases, sum((p[3] for p in purchases), Fraction(0)))
 
     def to_json(self) -> dict:

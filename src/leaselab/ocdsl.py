@@ -77,17 +77,13 @@ class OcdslState:
             self.thresholds[tr] = mu
         return mu
 
-    def _buy(
-        self, tr: Triplet, t: int, phase: int, log: List[Tuple[int, int, int, Fraction]]
-    ) -> Fraction:
+    def _buy(self, tr: Triplet, t: int, phase: int) -> None:
         cost = self.catalog.cost(tr.lease)
         self.ledger.add(tr, step=t, cost=cost)
         if phase == 1:
             self.c1 += cost
         else:
             self.c2 += cost
-        log.append((tr.node, tr.lease, tr.start, cost))
-        return cost
 
     # ------------------------------------------------------------------ phase 1
 
@@ -118,33 +114,25 @@ class OcdslState:
             self.min_guard_sum = total
         return rounds
 
-    def round_purchases(
-        self, u: int, t: int, log: List[Tuple[int, int, int, Fraction]]
-    ) -> List[Triplet]:
+    def round_purchases(self, u: int, t: int) -> List[Triplet]:
         """Buy every dominator whose weight beats its frozen threshold."""
         bought = []
         for tr in dominators(self.graph, u, t, self.catalog):
             if self.weights.get(tr, 0) > self.threshold(tr) and tr not in self.ledger:
-                self._buy(tr, t, 1, log)
+                self._buy(tr, t, 1)
                 bought.append(tr)
         return bought
 
-    def fallback(
-        self, u: int, t: int, log: List[Tuple[int, int, int, Fraction]]
-    ) -> Optional[Triplet]:
+    def fallback(self, u: int, t: int) -> Optional[Triplet]:
         """Guarantee domination: buy the cheapest-lease triplet on u if rounding missed."""
         if self.has_active_dominator(u, t):
             return None
         tr = self.catalog.triplet_at(u, 1, t)
-        self._buy(tr, t, 1, log)
+        self._buy(tr, t, 1)
         return tr
 
     def select_representatives(
-        self,
-        s_t: Sequence[Triplet],
-        d_t: Sequence[int],
-        t: int,
-        log: List[Tuple[int, int, int, Fraction]],
+        self, s_t: Sequence[Triplet], d_t: Sequence[int], t: int
     ) -> Tuple[List[Triplet], Dict[Triplet, Triplet]]:
         """Greedy cover of the chosen dominators by cheapest-lease request nodes."""
         uncovered: Set[Triplet] = set(s_t)
@@ -161,7 +149,7 @@ class OcdslState:
                 raise UncoveredDominator(f"no request node covers {sorted(uncovered)}")
             rep = self.catalog.triplet_at(best_u, 1, t)
             if rep not in self.ledger:
-                self._buy(rep, t, 1, log)
+                self._buy(rep, t, 1)
             reps.append(rep)
             reach = set(self.graph.closed_neighborhood(best_u))
             for tr in sorted(uncovered):
@@ -177,7 +165,6 @@ class OcdslState:
         requested = request_nodes(self.last_time, nodes, t)
         self.last_time = t
         c1_before, c2_before = self.c1, self.c2
-        purchases: List[Tuple[int, int, int, Fraction]] = []
         rounds = 0
 
         # Phase 1 step i: dominate every requested node
@@ -185,8 +172,8 @@ class OcdslState:
             if self.has_active_dominator(u, t):
                 continue
             rounds += self.grow_fractional(u, t)
-            self.round_purchases(u, t, purchases)
-            self.fallback(u, t, purchases)
+            self.round_purchases(u, t)
+            self.fallback(u, t)
 
         # Phase 1 step ii: assign dominators and buy representatives
         s_set: Set[Triplet] = set()
@@ -203,7 +190,7 @@ class OcdslState:
         root: Optional[Triplet] = None
         r_nodes: List[int] = []
         if self.connect_phase:
-            reps, _ = self.select_representatives(s_t, requested, t, purchases)
+            reps, _ = self.select_representatives(s_t, requested, t)
             root = min(reps, key=lambda tr: tr.node)
             active_now = self.ledger.active_nodes(self.catalog, t)
             root_comp = connected_component(self.graph, root.node, active_now)
@@ -214,12 +201,12 @@ class OcdslState:
                 for node in entry.edge:
                     tr = Triplet(node, entry.lease, entry.start)
                     if tr not in self.ledger:
-                        self._buy(tr, t, 2, purchases)
+                        self._buy(tr, t, 2)
 
         return StepReport(
             t=t,
             requested=requested,
-            purchases=purchases,
+            purchases=self.ledger.bought_at(t),
             s_t=s_t,
             representatives=reps,
             root=root,

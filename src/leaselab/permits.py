@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import LeaselabError
 from .instances import PurchaseLedger, StepReport, request_nodes
@@ -28,22 +28,21 @@ class PermitState:
 
     def __init__(self, catalog: LeaseCatalog):
         self.catalog = catalog
-        self.owned: Set[Tuple[int, int]] = set()  # (lease index, start)
+        # (lease index, start) -> day bought, in purchase order
+        self.owned: Dict[Tuple[int, int], int] = {}
         self.spend: Dict[Tuple[int, int], Fraction] = {}  # (lease index, slot) -> cost of smaller types inside
-        self.purchases: List[Tuple[int, int, int, Fraction]] = []  # (t, lease, start, cost)
 
     def covered(self, t: int) -> bool:
         """True iff an owned permit holds t: one aligned slot per lease type."""
         return any((lt.index, t - t % lt.duration) in self.owned for lt in self.catalog)
 
     def total_cost(self) -> Fraction:
-        return sum((p[3] for p in self.purchases), Fraction(0))
+        return sum((self.catalog.cost(k) for k, _ in self.owned), Fraction(0))
 
     def _buy(self, k: int, t: int) -> Tuple[int, int]:
         start = self.catalog.slot(t, k)
         cost = self.catalog.cost(k)
-        self.owned.add((k, start))
-        self.purchases.append((t, k, start, cost))
+        self.owned[(k, start)] = t
         # charge into every strictly larger enclosing slot
         for bigger in range(k + 1, len(self.catalog) + 1):
             key = (bigger, self.catalog.slot(t, bigger))
@@ -87,12 +86,9 @@ class PermitLeaser:
     def serve_request(self, nodes: Sequence[int], t: int) -> StepReport:
         requested = request_nodes(self.last_time, nodes, t)
         self.last_time = t
-        purchases = []
         for lease, start in self.permit.request(t):
-            cost = self.catalog.cost(lease)
-            self.ledger.add(self.catalog.triplet_at(0, lease, start), t, cost)
-            purchases.append((0, lease, start, cost))
-        return StepReport.purchases_only(t, requested, purchases)
+            self.ledger.add(self.catalog.triplet_at(0, lease, start), t, self.catalog.cost(lease))
+        return StepReport.purchases_only(t, requested, self.ledger)
 
     def cost_split(self) -> Tuple[Fraction, Fraction]:
         return self.permit.total_cost(), Fraction(0)
@@ -134,11 +130,6 @@ def pp_offline_opt(
         split = sum((opt(k - 1, s2) for s2 in range(s, s + d, step)), Fraction(0))
         return min(costs[k - 1], split)
 
-    top = len(catalog)
-    d_top = durations[-1]
-    total = Fraction(0)
-    s = 0
-    while s < horizon:
-        total += opt(top, s)
-        s += d_top
-    return total
+    # only the top slots holding a rainy day cost anything
+    top_starts = {day - day % durations[-1] for day in days}
+    return sum((opt(len(catalog), s) for s in top_starts), Fraction(0))

@@ -49,12 +49,9 @@ class DualState:
         """Serve every occurrence of one request step; its purchases all count as C1."""
         requested = request_nodes(self.last_time, nodes, t)
         self.last_time = t
-        purchases = [
-            (tr.node, tr.lease, tr.start, self.catalog.cost(tr.lease))
-            for u in requested
-            for tr in self.serve(u, t)[0]
-        ]
-        return StepReport.purchases_only(t, requested, purchases)
+        for u in requested:
+            self.serve(u, t)
+        return StepReport.purchases_only(t, requested, self.ledger)
 
     def cost_split(self) -> Tuple[Fraction, Fraction]:
         """(C1, C2): every purchase dominates, none connects."""

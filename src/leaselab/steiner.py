@@ -12,9 +12,8 @@ along the shortest path between the endpoint cluster centers, deduplicated by
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, NamedTuple, Set, Tuple
 
 from .graphs import Graph
 from .hst import Hst, build_hst, edge_realization, tree_path_edges
@@ -22,12 +21,10 @@ from .leases import LeaseCatalog
 from .permits import PermitState
 
 
-@dataclass(frozen=True)
-class EdgeLease:
+class EdgeLease(NamedTuple):
     edge: Tuple[int, int]  # normalized (min, max) graph edge
     lease: int
     start: int
-    step: int  # request time at which the lease was bought
 
 
 class OsflState:
@@ -38,12 +35,12 @@ class OsflState:
         self.catalog = catalog
         self.hst: Hst = build_hst(graph, rng)
         self.edge_permits: Dict[int, PermitState] = {}  # child cluster id -> permit instance
-        self.ledger: List[EdgeLease] = []
-        self._seen: Set[Tuple[Tuple[int, int], int, int]] = set()
+        self.ledger: Dict[EdgeLease, int] = {}  # -> request time bought, in purchase order
         self.tree_cost = Fraction(0)  # length-weighted permit cost, diagnostic
 
     def connect(self, terminals, root: int, t: int) -> List[EdgeLease]:
-        """Lease enough graph edges that every terminal reaches the root at time t."""
+        """Lease enough graph edges that every terminal reaches the root at time t;
+        returns the edge leases this call bought."""
         needed: Set[int] = set()
         for r in set(terminals):
             needed.update(tree_path_edges(self.hst, r, root))
@@ -56,14 +53,10 @@ class OsflState:
             for lease, start in permit.request(t):
                 self.tree_cost += self.hst.edge_length(cid) * self.catalog.cost(lease)
                 for a, b in edge_realization(self.hst, cid, self.graph):
-                    edge = (a, b) if a < b else (b, a)
-                    key = (edge, lease, start)
-                    if key in self._seen:
-                        continue
-                    self._seen.add(key)
-                    entry = EdgeLease(edge=edge, lease=lease, start=start, step=t)
-                    self.ledger.append(entry)
-                    new_entries.append(entry)
+                    key = EdgeLease((a, b) if a < b else (b, a), lease, start)
+                    if key not in self.ledger:
+                        self.ledger[key] = t
+                        new_entries.append(key)
         return new_entries
 
     def cost(self) -> Fraction:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,6 +34,17 @@ def test_build_graph_single_node_is_connected():
 def test_build_graph_rejects_disconnected():
     with pytest.raises(Disconnected):
         build_graph(3, [(0, 1)])
+
+
+def test_build_graph_rejects_too_few_edges_before_allocating_per_node():
+    tracemalloc.start()
+    try:
+        with pytest.raises(Disconnected):
+            build_graph(10**5, [])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_build_graph_rejects_self_loop():

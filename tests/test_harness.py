@@ -297,6 +297,13 @@ def test_every_algorithm_serves_through_one_contract(algorithm):
     assert (c1, c2) == run.state.cost_split() == (run.c1, run.c2)
     assert run.c1 + run.c2 == run.cost == run.ledger.total_cost()
     assert run.ledger is run.state.ledger
+    # a step's purchases are the ledger rows of that step, in purchase order
+    bought = [
+        (node, lease, start, step.t, cost)
+        for step in run.steps
+        for node, lease, start, cost in step.purchases
+    ]
+    assert bought == run.ledger.rows()
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -351,6 +358,14 @@ CLI_ERRORS = {
     "records-broken-split": (
         ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,1,,,3,1,2,1\n"}
     ),
+    "params-not-a-number": (["run", "--kind", "star", "--params", "n=x"], {}),
+    "params-without-equals": (["run", "--kind", "star", "--params", "n"], {}),
+    "run-without-source": (["run"], {}),
+    "missing-records": (["report", "--records", "nope.csv"], {}),
+    "missing-instance": (["run", "--instance", "nope.json"], {}),
+    "missing-ledger": (
+        ["verify", "--instance", "i.json", "--ledger", "nope.csv"], {"i.json": json.dumps(INSTANCE)}
+    ),
 }
 
 
@@ -371,7 +386,7 @@ def test_cli_reports_each_bad_input_in_one_line(tmp_path, monkeypatch, capsys, a
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    code = main(argv + (["--out", "out.csv"] if argv[0] != "report" else []))
+    code = main(argv + (["--out", "out.csv"] if argv[0] in ("run", "pp") else []))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -418,9 +433,11 @@ def test_shifting_every_time_by_whole_longest_leases_keeps_the_cost_split(algori
                 assert (run.c1, run.c2) == (base.c1, base.c2), (kind, index, multiple)
 
 
-# sha256 of the step JSONL plus the ledger rows, and the exact fractional cost
-# and guard sum, frozen from the implementation that scanned the whole ledger
-# and recomputed every growth factor: speed-ups must keep them byte-identical.
+# sha256 of the step JSONL plus the ledger rows, and for OCDSL the exact
+# fractional cost and guard sum, frozen from the implementation that scanned
+# the whole ledger and recomputed every growth factor (odsl-pd and pp: from the
+# one that kept each step's purchases in a list of its own): speed-ups and
+# refactors must keep them byte-identical.
 GOLDEN_6X6 = {
     "ocdsl": (
         "269fd64faf77a36619fb0acc0be9826654ed63ab8fb7cc37cc5ac9792e3b4d8d",
@@ -432,6 +449,8 @@ GOLDEN_6X6 = {
         Fraction(230592773, 4199040),
         Fraction(2321, 1944),
     ),
+    "odsl-pd": ("169caaf08edd6bdd480c977cc0777d17de66b17c6f9c36c1f6da8a13cf0c1be8", None, None),
+    "pp": ("23d0ca6d1ae6502028f394e261eee79323fa5aeefc7564f2bd2a764314720f3e", None, None),
 }
 
 
@@ -445,5 +464,28 @@ def test_fixed_seed_grid_run_is_frozen(algorithm):
     )
     digest, fractional_cost, min_guard_sum = GOLDEN_6X6[algorithm]
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-    assert state.fractional_cost == fractional_cost
-    assert state.min_guard_sum == min_guard_sum
+    if fractional_cost is not None:
+        assert state.fractional_cost == fractional_cost
+        assert state.min_guard_sum == min_guard_sum
+
+
+# name -> (argv writing "out.csv", sha256 of that file), frozen like GOLDEN_6X6
+GOLDEN_CLI = {
+    "ocdsl-edge-ledger": (
+        ["run", "--kind", "grid", "--params", "rows=6", "cols=6", "T=30", "k=4", "L=3",
+         "--seed", "5", "--out", "records.csv", "--edge-ledger-out", "out.csv"],
+        "f8b19f88d7e65ad874375ab86fab45bba78491384c90bc92f27482d0984c1b81",
+    ),
+    "pp": (
+        ["pp", "--rainy", "0,1,2,3,5,8,13,21,34,55,89", "--leases", "1:1,4:2,16:5",
+         "--out", "out.csv"],
+        "cfa3788318a55e784c30e627cbe3005f4e2038c8e4b7995ee7e5f86eaa164993",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_CLI.values(), ids=list(GOLDEN_CLI))
+def test_fixed_cli_output_is_frozen(tmp_path, monkeypatch, argv, digest):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == digest

@@ -71,7 +71,7 @@ def test_round_purchases_weight_one_always_buys():
     g = build_graph(1, [])
     state = OcdslState(g, UNIT, seed=123)
     state.weights[Triplet(0, 1, 0)] = Fraction(1)
-    bought = state.round_purchases(0, 0, [])
+    bought = state.round_purchases(0, 0)
     assert bought == [Triplet(0, 1, 0)]  # any mu < 1 loses to weight 1
 
 
@@ -79,7 +79,7 @@ def test_round_purchases_weight_zero_never_buys():
     g = build_graph(1, [])
     for seed in range(50):
         state = OcdslState(g, UNIT, seed=seed)
-        assert state.round_purchases(0, 0, []) == []
+        assert state.round_purchases(0, 0) == []
 
 
 def test_rounding_probability_matches_min_of_uniforms():
@@ -101,12 +101,12 @@ def test_fallback_none_when_dominated():
     g = build_graph(1, [])
     state = OcdslState(g, UNIT, seed=0)
     state.ledger.add(Triplet(0, 1, 0), 0, Fraction(1))
-    assert state.fallback(0, 0, []) is None
+    assert state.fallback(0, 0) is None
 
 
 def test_fallback_buys_cheapest_lease_on_target(star4):
     state = OcdslState(star4, TWO, seed=0)
-    tr = state.fallback(1, 5, [])
+    tr = state.fallback(1, 5)
     assert tr == Triplet(1, 1, 5)
     assert state.has_active_dominator(1, 5)
 
@@ -115,7 +115,7 @@ def test_select_representatives_self_domination():
     g = build_graph(1, [])
     state = OcdslState(g, UNIT, seed=0)
     s_t = [Triplet(0, 1, 0)]
-    reps, assignment = state.select_representatives(s_t, [0], 0, [])
+    reps, assignment = state.select_representatives(s_t, [0], 0)
     assert reps == [Triplet(0, 1, 0)]
     assert assignment == {Triplet(0, 1, 0): Triplet(0, 1, 0)}
 
@@ -123,7 +123,7 @@ def test_select_representatives_self_domination():
 def test_select_representatives_star_picks_smallest_leaf(star4):
     state = OcdslState(star4, UNIT, seed=0)
     s_t = [Triplet(0, 1, 2)]  # the center dominates every leaf
-    reps, _ = state.select_representatives(s_t, [1, 2, 3], 2, [])
+    reps, _ = state.select_representatives(s_t, [1, 2, 3], 2)
     assert reps == [Triplet(1, 1, 2)]
 
 
@@ -146,7 +146,7 @@ def test_select_representatives_shared_node_first():
     g = build_graph(5, [(0, 2), (1, 2), (0, 3), (1, 4)])
     state = OcdslState(g, UNIT, seed=0)
     s_t = [Triplet(0, 1, 0), Triplet(1, 1, 0)]
-    reps, assignment = state.select_representatives(s_t, [2, 3, 4], 0, [])
+    reps, assignment = state.select_representatives(s_t, [2, 3, 4], 0)
     assert [tr.node for tr in reps] == naive_greedy(g, {0, 1}, [2, 3, 4]) == [2]
     assert assignment[Triplet(0, 1, 0)] == Triplet(2, 1, 0)
     assert assignment[Triplet(1, 1, 0)] == Triplet(2, 1, 0)

@@ -84,6 +84,10 @@ def test_offline_opt_examples():
     assert pp_offline_opt([0], SINGLE) == 1
 
 
+def test_offline_opt_reads_only_slots_holding_a_rainy_day():
+    assert pp_offline_opt([0, 5], SINGLE, horizon=10**12) == 2
+
+
 def test_offline_opt_rejects_day_outside_horizon():
     with pytest.raises(RainyDayOutOfHorizon):
         pp_offline_opt([9], TWO, horizon=8)
@@ -139,7 +143,7 @@ def test_cascading_escalation_can_overshoot_on_tight_catalogs():
     # Known behavior of the cascade rule; ratio-bound suites pick catalogs
     # without such tight chains.
     state = run_days(THREE, [0, 1])
-    assert [(p[1], p[2]) for p in state.purchases] == [
+    assert list(state.owned) == [
         (1, 0),
         (1, 1),
         (2, 0),

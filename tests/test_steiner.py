@@ -21,7 +21,7 @@ ESCALATING = LeaseCatalog.from_pairs([(1, 1), (2, Fraction(3, 2))])
 
 def test_init_empty_ledger(path3):
     st_ = OsflState(path3, UNIT, random.Random(0))
-    assert st_.ledger == []
+    assert st_.ledger == {}
     assert st_.cost() == 0
 
 
@@ -66,7 +66,7 @@ def test_escalation_matches_per_edge_permit_replay():
     fired = [replay.request(0), replay.request(1)]
     assert fired == [[(1, 0)], [(1, 1), (2, 0)]]  # spend hits 1.5 at the second day
     for cid in needed:
-        assert [(p[1], p[2]) for p in st_.edge_permits[cid].purchases] == [
+        assert list(st_.edge_permits[cid].owned) == [
             (1, 0),
             (1, 1),
             (2, 0),
@@ -92,7 +92,7 @@ def test_rejects_decreasing_time(path3):
     # request rule before the connection phase touches the edge ledger
     state = OcdslState(path3, UNIT, seed=0)
     state.serve_request([0, 2], 4)
-    edges = list(state.osfl.ledger)
+    edges = dict(state.osfl.ledger)
     with pytest.raises(NonMonotonicTime):
         state.serve_request([0, 2], 3)
     assert state.osfl.ledger == edges
@@ -100,10 +100,9 @@ def test_rejects_decreasing_time(path3):
 
 def test_no_duplicate_ledger_keys(path3):
     st_ = OsflState(path3, ESCALATING, random.Random(3))
-    for t in range(4):
-        st_.connect([0, 2], 1, t)
-    keys = [(e.edge, e.lease, e.start) for e in st_.ledger]
-    assert len(keys) == len(set(keys))
+    bought = [e for t in range(4) for e in st_.connect([0, 2], 1, t)]
+    assert len(bought) == len(set(bought))
+    assert bought == list(st_.ledger)
 
 
 @given(g=connected_graphs(max_nodes=7), seed=st.integers(min_value=0, max_value=5_000))
