@@ -8,7 +8,7 @@ from typing import Dict, List, Tuple
 from .errors import LeaselabError
 from .graphs import Graph, build_graph
 from .instances import Instance, make_instance
-from .leases import LeaseCatalog
+from .leases import LeaseCatalog, as_whole
 
 
 class BadParams(LeaselabError, ValueError):
@@ -16,6 +16,8 @@ class BadParams(LeaselabError, ValueError):
 
 
 GENERATOR_KINDS = ("path", "star", "grid", "random-gnp-connected", "pp-adversary")
+# every parameter name some kind reads; one params dict may serve every kind
+PARAM_NAMES = ("n", "p", "rows", "cols", "horizon", "T", "k", "L")
 
 # canonical catalogs by lease count; durations powers of two, dyadic costs
 _CANONICAL = {
@@ -77,29 +79,26 @@ def _gnp_connected(n: int, p: float, rng: random.Random, max_tries: int = 500) -
     raise BadParams(f"no connected G({n}, {p}) sample after {max_tries} tries")
 
 
-def _uniform_requests(
-    n: int, steps: int, size: int, rng: random.Random, t0: int = 1
-) -> List[Tuple[int, List[int]]]:
+def _uniform_requests(n: int, steps: int, size: int, rng: random.Random) -> List[Tuple[int, List[int]]]:
     size = max(1, min(size, n))
-    return [
-        (t0 + i, sorted(rng.sample(range(n), size))) for i in range(steps)
-    ]
+    return [(t, sorted(rng.sample(range(n), size))) for t in range(1, steps + 1)]
 
 
-def _param(params: Dict, key: str, default, kind=int):
-    """Generator parameter ``key`` as a ``kind``; a value that does not convert raises BadParams."""
+def _param(params: Dict, key: str, default, kind=as_whole):
+    """Generator parameter ``key`` read by ``kind``; a value it rejects raises BadParams."""
     try:
         return kind(params.get(key, default))
-    except (TypeError, ValueError, OverflowError):
-        raise BadParams(
-            f"parameter {key}={params[key]!r} does not convert to {kind.__name__}"
-        ) from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParams(f"parameter {key}={params[key]!r}: {exc}") from None
 
 
 def gen_instance(kind: str, params: Dict, rng: random.Random) -> Instance:
     """Build a validated instance; deterministic for a given seeded rng."""
     if kind not in GENERATOR_KINDS:
         raise BadParams(f"unknown generator kind {kind!r}")
+    unknown = sorted(set(params) - set(PARAM_NAMES))
+    if unknown:
+        raise BadParams(f"no generator reads parameter {', '.join(unknown)}")
     lease_count = _param(params, "L", 1)
     catalog = canonical_catalog(lease_count)
     steps = _param(params, "T", 2)

@@ -146,11 +146,10 @@ def components(graph: Graph, allowed: Set[int]) -> List[Set[int]]:
 
 
 def dominators(graph: Graph, u: int, t: int, catalog: LeaseCatalog) -> Tuple[Triplet, ...]:
-    """The (deg(u)+1)·|L| candidate t-triplets on u's closed neighborhood, sorted."""
+    """The (deg(u)+1)·|L| candidate t-triplets on u's closed neighborhood, sorted as built:
+    the neighborhood is sorted by node, the catalog by lease index, and a lease fixes its start."""
     return tuple(
-        sorted(
-            Triplet(i, lt.index, t - t % lt.duration)
-            for i in graph.closed_neighborhood(u)
-            for lt in catalog
-        )
+        Triplet(i, lt.index, t - t % lt.duration)
+        for i in graph.closed_neighborhood(u)
+        for lt in catalog
     )

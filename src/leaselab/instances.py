@@ -8,7 +8,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from .errors import EmptyRequest, InstanceError, LeaselabError, NonMonotonicTime
 from .graphs import Graph, build_graph
-from .leases import LeaseCatalog, Triplet, as_cost
+from .leases import LeaseCatalog, Triplet, as_whole
 
 
 class DuplicatePurchase(LeaselabError, ValueError):
@@ -40,17 +40,15 @@ class Instance:
 
     @classmethod
     def from_json(cls, data: dict) -> "Instance":
-        """Parse an instance file's JSON; a missing key or a value of the wrong
-        shape raises InstanceError, and library errors pass through as they are."""
+        """Parse an instance file's JSON. A missing key, a misshapen value or a number that is
+        not whole where an integer belongs raises InstanceError; library errors pass through."""
         try:
-            graph = build_graph(int(data["n"]), [tuple(e) for e in data["edges"]])
-            catalog = LeaseCatalog.from_pairs(
-                (entry["duration"], as_cost(entry["cost"])) for entry in data["leases"]
-            )
-            requests = [(int(r["t"]), [int(v) for v in r["nodes"]]) for r in data["requests"]]
+            graph = build_graph(as_whole(data["n"]), [tuple(map(as_whole, e)) for e in data["edges"]])
+            catalog = LeaseCatalog.from_pairs((e["duration"], e["cost"]) for e in data["leases"])
+            requests = [(as_whole(r["t"]), list(map(as_whole, r["nodes"]))) for r in data["requests"]]
         except LeaselabError:
             raise
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InstanceError(f"malformed instance: {type(exc).__name__}: {exc}") from None
         return make_instance(graph, catalog, requests)
 

@@ -56,6 +56,14 @@ def as_cost(value: CostLike) -> Fraction:
     return Fraction(value)
 
 
+def as_whole(value: object) -> int:
+    """Read an integer field: an int, or a float with no fractional part (inf % 1 is nan).
+    A bool, text or anything else raises ValueError, so 2.7 and 1e400 are never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 class Triplet(NamedTuple):
     """One purchasable unit: node leased with catalog index ``lease`` from ``start``."""
 
@@ -78,7 +86,7 @@ class LeaseCatalog:
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[int, CostLike]]) -> "LeaseCatalog":
         """Build a validated catalog from (duration, cost) pairs, sorted by duration."""
-        ordered = sorted(((int(d), as_cost(c)) for d, c in pairs), key=lambda p: p[0])
+        ordered = sorted(((as_whole(d), as_cost(c)) for d, c in pairs), key=lambda p: p[0])
         catalog = cls(
             types=tuple(
                 LeaseType(index=i + 1, duration=d, cost=c)

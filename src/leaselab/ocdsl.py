@@ -42,7 +42,6 @@ class OcdslState:
     ):
         self.graph = graph
         self.catalog = catalog
-        self.connect_phase = connect
         self.weights: Dict[Triplet, Fraction] = {}
         self.thresholds: Dict[Triplet, float] = {}
         self.ledger = PurchaseLedger()
@@ -61,13 +60,9 @@ class OcdslState:
 
     # ------------------------------------------------------------------ helpers
 
-    def has_active_dominator(self, u: int, t: int) -> bool:
-        """True iff the ledger holds one of u's (deg(u)+1)·|L| aligned dominators at t.
-
-        O(deg(u)·|L|) membership tests, however long the ledger's history.
-        """
-        entries = self.ledger.entries
-        return any(tr in entries for tr in dominators(self.graph, u, t, self.catalog))
+    def has_active_dominator(self, doms: Sequence[Triplet]) -> bool:
+        """True iff the ledger holds one of ``doms``, however long the ledger's history."""
+        return any(tr in self.ledger.entries for tr in doms)
 
     def threshold(self, tr: Triplet) -> float:
         """Per-triplet rounding threshold, sampled once on first touch."""
@@ -87,9 +82,8 @@ class OcdslState:
 
     # ------------------------------------------------------------------ phase 1
 
-    def grow_fractional(self, u: int, t: int) -> int:
-        """Multiplicative weight growth until u's dominators carry total mass >= 1."""
-        doms = dominators(self.graph, u, t, self.catalog)
+    def grow_fractional(self, doms: Sequence[Triplet]) -> int:
+        """Multiplicative weight growth until ``doms`` carry total mass >= 1."""
         w_count, lease_count = len(doms), len(self.catalog)
         # per lease type: new = old * (1 + 1/c) + 1/(|W||L|c)
         growth = {
@@ -114,18 +108,18 @@ class OcdslState:
             self.min_guard_sum = total
         return rounds
 
-    def round_purchases(self, u: int, t: int) -> List[Triplet]:
+    def round_purchases(self, doms: Sequence[Triplet], t: int) -> List[Triplet]:
         """Buy every dominator whose weight beats its frozen threshold."""
         bought = []
-        for tr in dominators(self.graph, u, t, self.catalog):
+        for tr in doms:
             if self.weights.get(tr, 0) > self.threshold(tr) and tr not in self.ledger:
                 self._buy(tr, t, 1)
                 bought.append(tr)
         return bought
 
-    def fallback(self, u: int, t: int) -> Optional[Triplet]:
+    def fallback(self, u: int, doms: Sequence[Triplet], t: int) -> Optional[Triplet]:
         """Guarantee domination: buy the cheapest-lease triplet on u if rounding missed."""
-        if self.has_active_dominator(u, t):
+        if self.has_active_dominator(doms):
             return None
         tr = self.catalog.triplet_at(u, 1, t)
         self._buy(tr, t, 1)
@@ -167,35 +161,36 @@ class OcdslState:
         c1_before, c2_before = self.c1, self.c2
         rounds = 0
 
+        # each requested node's dominators, built once for both steps of Phase 1
+        doms_of = {u: dominators(self.graph, u, t, self.catalog) for u in requested}
+
         # Phase 1 step i: dominate every requested node
-        for u in requested:
-            if self.has_active_dominator(u, t):
+        for u, doms in doms_of.items():
+            if self.has_active_dominator(doms):
                 continue
-            rounds += self.grow_fractional(u, t)
-            self.round_purchases(u, t)
-            self.fallback(u, t)
+            rounds += self.grow_fractional(doms)
+            self.round_purchases(doms, t)
+            self.fallback(u, doms, t)
 
         # Phase 1 step ii: assign dominators and buy representatives
-        s_set: Set[Triplet] = set()
-        entries = self.ledger.entries
-        for u in requested:
-            chosen = min(
-                (tr for tr in dominators(self.graph, u, t, self.catalog) if tr in entries),
-                key=lambda tr: (self.catalog.cost(tr.lease), tr.node, tr.start, tr.lease),
+        entries, cost = self.ledger.entries, self.catalog.cost
+        s_t = sorted({
+            min(
+                (tr for tr in doms if tr in entries),
+                key=lambda tr: (cost(tr.lease), tr.node, tr.start, tr.lease),
             )
-            s_set.add(chosen)
-        s_t = sorted(s_set)
+            for doms in doms_of.values()
+        })
 
         reps: List[Triplet] = []
         root: Optional[Triplet] = None
         r_nodes: List[int] = []
-        if self.connect_phase:
+        if self.osfl is not None:
             reps, _ = self.select_representatives(s_t, requested, t)
             root = min(reps, key=lambda tr: tr.node)
             active_now = self.ledger.active_nodes(self.catalog, t)
             root_comp = connected_component(self.graph, root.node, active_now)
             r_nodes = sorted({tr.node for tr in reps} - root_comp)
-            assert self.osfl is not None
             new_edges = self.osfl.connect(r_nodes, root.node, t)
             for entry in new_edges:
                 for node in entry.edge:

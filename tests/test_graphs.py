@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import catalogs, connected_graphs
+from leaselab.generators import canonical_catalog
 from leaselab.graphs import (
     BadNodeId,
     Disconnected,
@@ -116,6 +117,18 @@ def test_dominator_count_formula(g, cat, t):
         dom = dominators(g, u, t, cat)
         assert len(dom) == (len(g.neighbors(u)) + 1) * len(cat)
         assert len(dom) <= (delta + 1) * len(cat)
+
+
+@given(
+    g=connected_graphs(),
+    lease_count=st.integers(min_value=1, max_value=4),
+    t=st.integers(min_value=0, max_value=64),
+)
+def test_dominators_come_out_sorted(g, lease_count, t):
+    cat = canonical_catalog(lease_count)
+    for u in g.nodes():
+        dom = dominators(g, u, t, cat)
+        assert dom == tuple(sorted(dom))
 
 
 @given(g=connected_graphs())

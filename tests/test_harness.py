@@ -1,7 +1,9 @@
 import hashlib
 import json
 import random
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -336,6 +338,9 @@ BROKEN_INSTANCES = {
     "no-leases-key": {k: v for k, v in INSTANCE.items() if k != "leases"},
     "request-without-nodes": {**INSTANCE, "requests": [{"t": 1}]},
     "one-ended-edge": {**INSTANCE, "edges": [[0]]},
+    # JSON reads 1e400 as inf, which json.dumps writes as Infinity
+    "t-overflows": {**INSTANCE, "requests": [{"t": 1e400, "nodes": [0]}]},
+    "n-not-whole": {**INSTANCE, "n": 3.5},
 }
 HEADER = ",".join(CSV_COLUMNS)
 # name -> (argv, files to write first)
@@ -360,6 +365,8 @@ CLI_ERRORS = {
     ),
     "params-not-a-number": (["run", "--kind", "star", "--params", "n=x"], {}),
     "params-without-equals": (["run", "--kind", "star", "--params", "n"], {}),
+    "params-not-whole": (["run", "--kind", "star", "--params", "n=3.5"], {}),
+    "params-unknown-name": (["run", "--kind", "star", "--params", "n=4", "t=50"], {}),
     "run-without-source": (["run"], {}),
     "missing-records": (["report", "--records", "nope.csv"], {}),
     "missing-instance": (["run", "--instance", "nope.json"], {}),
@@ -392,6 +399,20 @@ def test_cli_reports_each_bad_input_in_one_line(tmp_path, monkeypatch, capsys, a
     assert captured.out == ""
     assert captured.err.startswith(f"leaselab {argv[0]}: ")
     assert captured.err.count("\n") == 1
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line, comments=True)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("leaselab ")
+    ]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

@@ -1,11 +1,14 @@
+import copy
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs
+from leaselab.errors import LeaselabError
 from leaselab.generators import canonical_catalog
-from leaselab.instances import PurchaseLedger
+from leaselab.graphs import dominators
+from leaselab.instances import Instance, PurchaseLedger
 from leaselab.leases import Triplet
 from leaselab.ocdsl import OcdslState
 
@@ -37,7 +40,7 @@ def test_slot_index_matches_window_scan(data, g):
         assert state.ledger.active_nodes(CAT3, t) == nodes
         for u in g.nodes():
             dominated = u in nodes or any(v in nodes for v in g.neighbors(u))
-            assert state.has_active_dominator(u, t) == dominated
+            assert state.has_active_dominator(dominators(g, u, t, CAT3)) == dominated
 
 
 def test_ledger_equality_and_repr_ignore_the_slot_index():
@@ -48,3 +51,47 @@ def test_ledger_equality_and_repr_ignore_the_slot_index():
             ledger.add(tr, 0, Fraction(2))
     assert a == b
     assert repr(PurchaseLedger()) == "PurchaseLedger(entries={})"
+
+
+VALID_INSTANCE = {
+    "n": 3,
+    "edges": [[0, 1], [1, 2]],
+    "leases": [{"duration": 1, "cost": 1}, {"duration": 4, "cost": 2.5}],
+    "requests": [{"t": 1, "nodes": [0, 2]}, {"t": 6, "nodes": [1]}],
+}
+
+
+def _key_paths(value, path=()):
+    """The path of every value nested in a JSON document, the document's own excepted."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, inner in items:
+        yield path + (key,)
+        if isinstance(inner, (dict, list)):
+            yield from _key_paths(inner, path + (key,))
+
+
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+JSON_VALUES = (
+    st.sampled_from([10**400, 1e400, -1e400, 2.5, -1, 0, "3"])
+    | SCALARS
+    | st.recursive(
+        SCALARS,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    )
+)
+
+
+@given(path=st.sampled_from(list(_key_paths(VALID_INSTANCE))), value=JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_instance_reader_parses_or_raises_a_library_error(path, value):
+    data = copy.deepcopy(VALID_INSTANCE)
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    try:
+        Instance.from_json(data)
+    except LeaselabError:
+        pass

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leaselab import ocdsl
 from leaselab.errors import EmptyRequest, NonMonotonicTime
+from leaselab.generators import gen_instance
 from leaselab.graphs import build_graph, dominators
 from leaselab.instances import make_instance
 from leaselab.leases import LeaseCatalog, Triplet
@@ -32,14 +34,14 @@ def replay_growth(costs, w_count, lease_count):
 def test_grow_single_dominator_one_round():
     g = build_graph(1, [])
     state = OcdslState(g, UNIT, seed=0)
-    assert state.grow_fractional(0, 0) == 1
+    assert state.grow_fractional(dominators(g, 0, 0, UNIT)) == 1
     assert state.weights[Triplet(0, 1, 0)] == 1
 
 
 def test_grow_two_equal_dominators_one_round(path3):
     g = build_graph(2, [(0, 1)])
     state = OcdslState(g, UNIT, seed=0)
-    assert state.grow_fractional(0, 0) == 1
+    assert state.grow_fractional(dominators(g, 0, 0, UNIT)) == 1
     assert state.weights[Triplet(0, 1, 0)] == Fraction(1, 2)
     assert state.weights[Triplet(1, 1, 0)] == Fraction(1, 2)
 
@@ -49,8 +51,8 @@ def test_grow_two_node_two_lease_needs_two_rounds():
     # 1/(4*2*c); replay the rule independently and compare exactly
     g = build_graph(2, [(0, 1)])
     state = OcdslState(g, TWO, seed=0)
-    rounds = state.grow_fractional(0, 0)
     doms = dominators(g, 0, 0, TWO)
+    rounds = state.grow_fractional(doms)
     costs = [TWO.cost(tr.lease) for tr in doms]
     expected_rounds, expected_weights = replay_growth(costs, len(doms), len(TWO))
     assert rounds == expected_rounds == 2
@@ -60,7 +62,7 @@ def test_grow_two_node_two_lease_needs_two_rounds():
 
 def test_grow_tracks_fractional_cost(path3):
     state = OcdslState(path3, TWO, seed=0)
-    state.grow_fractional(0, 0)
+    state.grow_fractional(dominators(path3, 0, 0, TWO))
     total = sum(
         TWO.cost(tr.lease) * w for tr, w in state.weights.items()
     )
@@ -71,7 +73,7 @@ def test_round_purchases_weight_one_always_buys():
     g = build_graph(1, [])
     state = OcdslState(g, UNIT, seed=123)
     state.weights[Triplet(0, 1, 0)] = Fraction(1)
-    bought = state.round_purchases(0, 0)
+    bought = state.round_purchases(dominators(g, 0, 0, UNIT), 0)
     assert bought == [Triplet(0, 1, 0)]  # any mu < 1 loses to weight 1
 
 
@@ -79,7 +81,7 @@ def test_round_purchases_weight_zero_never_buys():
     g = build_graph(1, [])
     for seed in range(50):
         state = OcdslState(g, UNIT, seed=seed)
-        assert state.round_purchases(0, 0) == []
+        assert state.round_purchases(dominators(g, 0, 0, UNIT), 0) == []
 
 
 def test_rounding_probability_matches_min_of_uniforms():
@@ -101,14 +103,15 @@ def test_fallback_none_when_dominated():
     g = build_graph(1, [])
     state = OcdslState(g, UNIT, seed=0)
     state.ledger.add(Triplet(0, 1, 0), 0, Fraction(1))
-    assert state.fallback(0, 0) is None
+    assert state.fallback(0, dominators(g, 0, 0, UNIT), 0) is None
 
 
 def test_fallback_buys_cheapest_lease_on_target(star4):
     state = OcdslState(star4, TWO, seed=0)
-    tr = state.fallback(1, 5)
+    doms = dominators(star4, 1, 5, TWO)
+    tr = state.fallback(1, doms, 5)
     assert tr == Triplet(1, 1, 5)
-    assert state.has_active_dominator(1, 5)
+    assert state.has_active_dominator(doms)
 
 
 def test_select_representatives_self_domination():
@@ -150,6 +153,19 @@ def test_select_representatives_shared_node_first():
     assert [tr.node for tr in reps] == naive_greedy(g, {0, 1}, [2, 3, 4]) == [2]
     assert assignment[Triplet(0, 1, 0)] == Triplet(2, 1, 0)
     assert assignment[Triplet(1, 1, 0)] == Triplet(2, 1, 0)
+
+
+@pytest.mark.parametrize("connect", [True, False], ids=["ocdsl", "odsl-rr"])
+def test_serve_builds_each_requested_nodes_dominators_once(monkeypatch, connect):
+    calls = []
+    real = ocdsl.dominators
+    monkeypatch.setattr(ocdsl, "dominators", lambda *args: calls.append(args[1:3]) or real(*args))
+    inst = gen_instance("grid", {"rows": 4, "cols": 5, "T": 12, "k": 4, "L": 3}, random.Random(0))
+    state = OcdslState(inst.graph, inst.catalog, seed=0, connect=connect)
+    for t, nodes in inst.requests:
+        calls.clear()
+        state.serve_request(nodes, t)
+        assert calls == [(u, t) for u in nodes]
 
 
 def test_serve_single_node_graph():
