@@ -108,21 +108,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.instance:
-        source = dict(
-            instance=_load_instance(args.instance),
-            instance_id=args.instance.rsplit("/", 1)[-1].removesuffix(".json"),
-        )
-    elif args.kind:
-        source = dict(generator=(args.kind, _parse_params(args.params)), instance_id=args.kind)
-    else:
-        raise ConfigError("run needs --instance or --kind")
+    # --params belongs to the generator, so --params without --kind names one too
     cfg = ExperimentConfig(
         algorithm=args.algorithm,
         trials=args.trials,
         base_seed=args.seed,
         oracle=args.oracle,
-        **source,
+        instance=_load_instance(args.instance) if args.instance else None,
+        generator=(args.kind, _parse_params(args.params)) if args.kind or args.params else None,
+        instance_id=(
+            args.instance.rsplit("/", 1)[-1].removesuffix(".json") if args.instance else args.kind
+        ),
     )
     record, first = run_trial(cfg, 0)  # trial 0's run also feeds the artifacts below
     records = [record] + [run_trial(cfg, index)[0] for index in range(1, cfg.trials)]

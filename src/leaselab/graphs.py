@@ -133,18 +133,6 @@ def connected_component(graph: Graph, start: int, allowed: Set[int]) -> Set[int]
     return seen
 
 
-def components(graph: Graph, allowed: Set[int]) -> List[Set[int]]:
-    """Connected components of the induced subgraph, ordered by smallest member."""
-    out = []
-    left = set(allowed)
-    while left:
-        start = min(left)
-        comp = connected_component(graph, start, left)
-        out.append(comp)
-        left -= comp
-    return out
-
-
 def dominators(graph: Graph, u: int, t: int, catalog: LeaseCatalog) -> Tuple[Triplet, ...]:
     """The (deg(u)+1)·|L| candidate t-triplets on u's closed neighborhood, sorted as built:
     the neighborhood is sorted by node, the catalog by lease index, and a lease fixes its start."""

@@ -34,13 +34,8 @@ class Cluster:
 @dataclass(frozen=True)
 class Hst:
     delta: int
-    beta: Fraction
-    order: Tuple[int, ...]  # the permutation pi
-    clusters: Tuple[Cluster, ...]
+    clusters: Tuple[Cluster, ...]  # cluster 0 is the root
     leaf_of: Tuple[int, ...]  # graph node -> leaf cluster id
-
-    def level(self, cid: int) -> int:
-        return self.clusters[cid].level
 
     def center(self, cid: int) -> int:
         return self.clusters[cid].center
@@ -49,21 +44,11 @@ class Hst:
         """Length of the tree edge from a child cluster to its parent."""
         return 1 << self.clusters[child_cid].level
 
-    def path_to_root(self, cid: int) -> List[int]:
-        path = [cid]
-        while self.clusters[path[-1]].parent >= 0:
-            path.append(self.clusters[path[-1]].parent)
-        return path
-
     def format_tree(self) -> str:
         """Indented dump of the cluster tree for debugging."""
         children: Dict[int, List[int]] = {}
-        root = -1
-        for cid, cl in enumerate(self.clusters):
-            if cl.parent < 0:
-                root = cid
-            else:
-                children.setdefault(cl.parent, []).append(cid)
+        for cid, cl in enumerate(self.clusters[1:], start=1):
+            children.setdefault(cl.parent, []).append(cid)
         lines: List[str] = []
 
         def walk(cid: int, depth: int) -> None:
@@ -72,28 +57,18 @@ class Hst:
             for kid in children.get(cid, []):
                 walk(kid, depth + 1)
 
-        walk(root, 0)
+        walk(0, 0)
         return "\n".join(lines)
-
-
-def _ceil_log2(m: int) -> int:
-    return (m - 1).bit_length()
 
 
 def build_hst(graph: Graph, rng: random.Random) -> Hst:
     """Sample one embedding; deterministic for a given seeded rng."""
     n = graph.node_count
     if n == 1:
-        return Hst(
-            delta=0,
-            beta=Fraction(1),
-            order=(0,),
-            clusters=(Cluster(level=0, center=0, parent=-1),),
-            leaf_of=(0,),
-        )
+        return Hst(delta=0, clusters=(Cluster(level=0, center=0, parent=-1),), leaf_of=(0,))
     dist = all_pairs_distances(graph)
     diameter = max(max(row) for row in dist)
-    delta = _ceil_log2(diameter)
+    delta = (diameter - 1).bit_length()  # ceil(log2(diameter))
     order = list(range(n))
     rng.shuffle(order)
     beta = 1 + Fraction(rng.getrandbits(32), 2**32)
@@ -125,35 +100,24 @@ def build_hst(graph: Graph, rng: random.Random) -> Hst:
     for cid in level_cids:
         (node,) = member_lists[cid]  # level-0 radius < 1 forces singletons
         leaf_of[node] = cid
-    return Hst(
-        delta=delta,
-        beta=beta,
-        order=tuple(order),
-        clusters=tuple(clusters),
-        leaf_of=tuple(leaf_of),
-    )
-
-
-def tree_path_clusters(h: Hst, u: int, v: int) -> List[int]:
-    """Cluster ids along the unique tree path leaf(u) .. LCA .. leaf(v)."""
-    up = h.path_to_root(h.leaf_of[u])
-    seen = {cid: i for i, cid in enumerate(up)}
-    down = []
-    cur = h.leaf_of[v]
-    while cur not in seen:
-        down.append(cur)
-        cur = h.clusters[cur].parent
-    return up[: seen[cur] + 1] + list(reversed(down))
+    return Hst(delta=delta, clusters=tuple(clusters), leaf_of=tuple(leaf_of))
 
 
 def tree_path_edges(h: Hst, u: int, v: int) -> List[int]:
-    """Tree edges on the leaf(u)-leaf(v) path, each named by its child cluster id.
+    """Tree edges on the path from leaf(u) up to the LCA and down to leaf(v), each
+    named by its child cluster id.
 
-    That is every cluster on the path but the LCA, the one of highest level.
+    Every leaf is at level 0 and every parent one level up, so the walks up from
+    the two leaves reach the LCA in the same step.
     """
-    path = tree_path_clusters(h, u, v)
-    top = max(path, key=h.level)
-    return [cid for cid in path if cid != top]
+    a, b = h.leaf_of[u], h.leaf_of[v]
+    up: List[int] = []
+    down: List[int] = []
+    while a != b:
+        up.append(a)
+        down.append(b)
+        a, b = h.clusters[a].parent, h.clusters[b].parent
+    return up + down[::-1]
 
 
 def tree_distance(h: Hst, u: int, v: int) -> int:
@@ -161,15 +125,11 @@ def tree_distance(h: Hst, u: int, v: int) -> int:
     return sum(h.edge_length(cid) for cid in tree_path_edges(h, u, v))
 
 
-def center_walk(h: Hst, cid_a: int, cid_b: int, graph: Graph) -> List[Tuple[int, int]]:
-    """Graph edges of the shortest path between two clusters' centers."""
-    a, b = h.center(cid_a), h.center(cid_b)
+def edge_realization(h: Hst, child_cid: int, graph: Graph) -> List[Tuple[int, int]]:
+    """Graph edges standing in for one tree edge: the shortest path from the child
+    cluster's center to its parent's."""
+    a, b = h.center(child_cid), h.center(h.clusters[child_cid].parent)
     if a == b:
         return []
     path = shortest_path(graph, a, b)
     return list(zip(path, path[1:]))
-
-
-def edge_realization(h: Hst, child_cid: int, graph: Graph) -> List[Tuple[int, int]]:
-    """Graph edges standing in for one tree edge (child cluster to its parent)."""
-    return center_walk(h, child_cid, h.clusters[child_cid].parent, graph)

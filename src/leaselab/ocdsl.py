@@ -127,11 +127,10 @@ class OcdslState:
 
     def select_representatives(
         self, s_t: Sequence[Triplet], d_t: Sequence[int], t: int
-    ) -> Tuple[List[Triplet], Dict[Triplet, Triplet]]:
+    ) -> List[Triplet]:
         """Greedy cover of the chosen dominators by cheapest-lease request nodes."""
         uncovered: Set[Triplet] = set(s_t)
         reps: List[Triplet] = []
-        assignment: Dict[Triplet, Triplet] = {}
         while uncovered:
             uncovered_nodes = {tr.node for tr in uncovered}
             best_u, best_count = -1, 0
@@ -146,11 +145,8 @@ class OcdslState:
                 self._buy(rep, t, 1)
             reps.append(rep)
             reach = set(self.graph.closed_neighborhood(best_u))
-            for tr in sorted(uncovered):
-                if tr.node in reach:
-                    assignment[tr] = rep
-                    uncovered.discard(tr)
-        return reps, assignment
+            uncovered = {tr for tr in uncovered if tr.node not in reach}
+        return reps
 
     # ------------------------------------------------------------------ driver
 
@@ -186,7 +182,7 @@ class OcdslState:
         root: Optional[Triplet] = None
         r_nodes: List[int] = []
         if self.osfl is not None:
-            reps, _ = self.select_representatives(s_t, requested, t)
+            reps = self.select_representatives(s_t, requested, t)
             root = min(reps, key=lambda tr: tr.node)
             active_now = self.ledger.active_nodes(self.catalog, t)
             root_comp = connected_component(self.graph, root.node, active_now)

@@ -3,7 +3,10 @@
 A request set is served at time t iff some whole connected component of the
 subgraph induced by the active nodes dominates it: any connected dominating
 subset sits inside one component, and the component itself is a connected
-dominating superset. That makes the per-step check polynomial. The offline
+dominating superset. Such a component dominates the first requested node u0,
+so it holds an active node of u0's closed neighbourhood N[u0]; trying the
+components of those few nodes is enough, and requests are never empty by the
+request rule. That makes the per-step check polynomial. The offline
 optimum is branch and bound over the candidate triplet universe, exact and
 deliberately capped at desk scale.
 """
@@ -11,10 +14,10 @@ deliberately capped at desk scale.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from .errors import LeaselabError
-from .graphs import Graph, components
+from .graphs import Graph, connected_component
 from .instances import Instance, PurchaseLedger
 from .leases import Triplet
 
@@ -27,17 +30,24 @@ class TooLarge(LeaselabError, ValueError):
 
 def check_feasible_step(
     graph: Graph, active_nodes: Set[int], request_nodes: Sequence[int]
-) -> Tuple[bool, Optional[Set[int]]]:
-    """True plus a witness component iff one active component dominates all requests."""
-    targets = set(request_nodes)
-    if not targets:
-        return True, set()
-    for comp in components(graph, set(active_nodes)):
+) -> bool:
+    """True iff one connected component of the active nodes dominates every request.
+
+    A dominating component holds an active node of N[u0] for the first requested
+    node u0 (requests are non-empty by the request rule), so only the components
+    of those nodes are tried, each once.
+    """
+    tried: Set[int] = set()
+    for x in graph.closed_neighborhood(request_nodes[0]):
+        if x in tried or x not in active_nodes:
+            continue
+        comp = connected_component(graph, x, active_nodes)
         if all(
-            u in comp or any(v in comp for v in graph.neighbors(u)) for u in targets
+            u in comp or any(v in comp for v in graph.neighbors(u)) for u in request_nodes
         ):
-            return True, comp
-    return False, None
+            return True
+        tried |= comp
+    return False
 
 
 def check_domination_step(
@@ -57,7 +67,7 @@ def check_solution(
     for t, nodes in inst.requests:
         active = ledger.active_nodes(inst.catalog, t)
         if require_connected:
-            ok, _ = check_feasible_step(inst.graph, active, nodes)
+            ok = check_feasible_step(inst.graph, active, nodes)
         else:
             ok = check_domination_step(inst.graph, active, nodes)
         if not ok:
@@ -111,7 +121,7 @@ def _offline(inst: Instance, require_connected: bool) -> Tuple[Fraction, Purchas
         for step, (t, nodes) in enumerate(inst.requests):
             active = {cands[i].node for i in step_active[step] if i in chosen}
             if require_connected:
-                ok, _ = check_feasible_step(graph, active, nodes)
+                ok = check_feasible_step(graph, active, nodes)
             else:
                 ok = check_domination_step(graph, active, nodes)
             if not ok:

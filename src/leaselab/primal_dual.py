@@ -21,7 +21,7 @@ class DualState:
     def __init__(self, graph: Graph, catalog: LeaseCatalog):
         self.graph = graph
         self.catalog = catalog
-        self.y: Dict[Tuple[int, int], Fraction] = {}  # (node, step) -> dual value
+        self.dual = Fraction(0)  # sum of every occurrence's dual variable
         self.slack: Dict[Triplet, Fraction] = {}  # c_l minus dual mass charged in
         self.ledger = PurchaseLedger()
         self.last_time: int | None = None
@@ -30,13 +30,12 @@ class DualState:
         """Serve one request occurrence; returns (purchases, dual raise)."""
         doms = dominators(self.graph, u, t, self.catalog)
         if any(tr in self.ledger for tr in doms):
-            self.y.setdefault((u, t), Fraction(0))
             return [], Fraction(0)
         for tr in doms:
             if tr not in self.slack:
                 self.slack[tr] = self.catalog.cost(tr.lease)
         raise_by = min(self.slack[tr] for tr in doms)
-        self.y[(u, t)] = self.y.get((u, t), Fraction(0)) + raise_by
+        self.dual += raise_by
         bought: List[Triplet] = []
         for tr in doms:
             self.slack[tr] -= raise_by
@@ -59,4 +58,4 @@ class DualState:
 
     def totals(self) -> Tuple[Fraction, Fraction]:
         """(primal purchase cost, dual objective value)."""
-        return self.ledger.total_cost(), sum(self.y.values(), Fraction(0))
+        return self.ledger.total_cost(), self.dual

@@ -58,7 +58,3 @@ class OsflState:
                         self.ledger[key] = t
                         new_entries.append(key)
         return new_entries
-
-    def cost(self) -> Fraction:
-        """Total leasing cost of the graph-edge ledger (unit edge weights)."""
-        return sum((self.catalog.cost(e.lease) for e in self.ledger), Fraction(0))

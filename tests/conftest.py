@@ -1,13 +1,15 @@
 import random
+from fractions import Fraction
 from typing import List, Tuple
 
 import hypothesis
 import pytest
 from hypothesis import strategies as st
 
-from leaselab.graphs import Graph, build_graph
-from leaselab.hst import Hst, center_walk, tree_path_clusters
+from leaselab.graphs import Graph, build_graph, shortest_path
+from leaselab.hst import Hst
 from leaselab.leases import LeaseCatalog
+from leaselab.steiner import OsflState
 
 hypothesis.settings.register_profile("fast", max_examples=20)
 hypothesis.settings.register_profile("thorough", max_examples=200)
@@ -60,13 +62,34 @@ def catalogs(draw, max_types: int = 3) -> LeaseCatalog:
     return LeaseCatalog.from_pairs(pairs)
 
 
+def tree_path_clusters(h: Hst, u: int, v: int) -> List[int]:
+    """Reference walk: cluster ids along the tree path leaf(u) .. LCA .. leaf(v),
+    found by listing leaf(u)'s ancestors and climbing from leaf(v) until one is hit."""
+    up = [h.leaf_of[u]]
+    while h.clusters[up[-1]].parent >= 0:
+        up.append(h.clusters[up[-1]].parent)
+    seen = {cid: i for i, cid in enumerate(up)}
+    down = []
+    cur = h.leaf_of[v]
+    while cur not in seen:
+        down.append(cur)
+        cur = h.clusters[cur].parent
+    return up[: seen[cur] + 1] + list(reversed(down))
+
+
 def realize_tree_path(h: Hst, u: int, v: int, graph: Graph) -> List[Tuple[int, int]]:
     """Map the tree path to a walk in the graph through consecutive cluster centers."""
     edges: List[Tuple[int, int]] = []
     path = tree_path_clusters(h, u, v)
     for a, b in zip(path, path[1:]):
-        edges.extend(center_walk(h, a, b, graph))
+        walk = shortest_path(graph, h.center(a), h.center(b))
+        edges.extend(zip(walk, walk[1:]))
     return edges
+
+
+def edge_ledger_cost(osfl: OsflState) -> Fraction:
+    """Total leasing cost of the graph-edge ledger (unit edge weights)."""
+    return sum((osfl.catalog.cost(e.lease) for e in osfl.ledger), Fraction(0))
 
 
 @pytest.fixture

@@ -12,7 +12,6 @@ from leaselab.graphs import (
     DuplicateEdge,
     SelfLoop,
     build_graph,
-    components,
     dominators,
     max_degree,
     shortest_path,
@@ -102,12 +101,6 @@ def test_max_degree_examples(star4, path3):
     assert max_degree(star4) == 3
     assert max_degree(build_graph(1, [])) == 0
     assert max_degree(build_graph(3, [(0, 1), (1, 2), (0, 2)])) == 2
-
-
-def test_components_ordering():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    comps = components(g, {0, 1, 3})
-    assert comps == [{0, 1}, {3}]
 
 
 @given(g=connected_graphs(), cat=catalogs(), t=st.integers(min_value=0, max_value=64))

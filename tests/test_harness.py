@@ -197,6 +197,12 @@ def test_cli_gen_run_verify_roundtrip(tmp_path):
     assert header.startswith("instance_id,algorithm,seed,online_cost,c1,c2,opt_cost,ratio")
 
 
+def test_cli_gen_without_out_writes_the_instance_to_stdout(capsys):
+    assert main(["gen", "--kind", "star", "--params", "n=4", "T=2", "--seed", "3"]) == 0
+    inst = Instance.from_json(json.loads(capsys.readouterr().out))
+    assert inst == gen_instance("star", {"n": 4, "T": 2}, random.Random("3:inst"))
+
+
 def test_cli_run_byte_identical(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
@@ -341,6 +347,7 @@ BROKEN_INSTANCES = {
     # JSON reads 1e400 as inf, which json.dumps writes as Infinity
     "t-overflows": {**INSTANCE, "requests": [{"t": 1e400, "nodes": [0]}]},
     "n-not-whole": {**INSTANCE, "n": 3.5},
+    "no-requests": {**INSTANCE, "requests": []},
 }
 HEADER = ",".join(CSV_COLUMNS)
 # name -> (argv, files to write first)
@@ -368,6 +375,18 @@ CLI_ERRORS = {
     "params-not-whole": (["run", "--kind", "star", "--params", "n=3.5"], {}),
     "params-unknown-name": (["run", "--kind", "star", "--params", "n=4", "t=50"], {}),
     "run-without-source": (["run"], {}),
+    "run-instance-and-kind": (
+        ["run", "--instance", "i.json", "--kind", "grid", "--params", "rows=5", "cols=5", "T=9"],
+        {"i.json": json.dumps(INSTANCE)},
+    ),
+    "run-params-without-kind": (
+        ["run", "--instance", "i.json", "--params", "n=4"], {"i.json": json.dumps(INSTANCE)}
+    ),
+    "gen-too-many-lease-types": (["gen", "--kind", "star", "--params", "L=5"], {}),
+    "gen-pp-adversary-one-node": (["gen", "--kind", "pp-adversary", "--params", "n=1"], {}),
+    "gen-gnp-never-connected": (
+        ["gen", "--kind", "random-gnp-connected", "--params", "n=6", "p=0"], {}
+    ),
     "missing-records": (["report", "--records", "nope.csv"], {}),
     "missing-instance": (["run", "--instance", "nope.json"], {}),
     "missing-ledger": (
@@ -503,6 +522,25 @@ GOLDEN_CLI = {
         "cfa3788318a55e784c30e627cbe3005f4e2038c8e4b7995ee7e5f86eaa164993",
     ),
 }
+
+
+# sha256 of `run --dump-tree` stdout for ocdsl on the GOLDEN_CLI grid, frozen from
+# the tree walk that listed every leaf's ancestors
+DUMP_TREE_DIGEST = "163bbfac30eb912760fb3623434fc5c1befef28c1d8c9788566d7d91fd53c789"
+
+
+@pytest.mark.parametrize("algorithm", ["ocdsl", "odsl-pd"])
+def test_cli_dump_tree_is_frozen(tmp_path, monkeypatch, capsys, algorithm):
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "run", "--kind", "grid", "--params", "rows=6", "cols=6", "T=30", "k=4", "L=3",
+        "--seed", "5", "--algorithm", algorithm, "--out", "records.csv", "--dump-tree",
+    ]) == 0
+    out = capsys.readouterr().out
+    if algorithm == "ocdsl":
+        assert hashlib.sha256(out.encode()).hexdigest() == DUMP_TREE_DIGEST
+    else:
+        assert out == ""  # only ocdsl embeds the graph in a tree
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN_CLI.values(), ids=list(GOLDEN_CLI))

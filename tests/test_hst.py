@@ -3,9 +3,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graphs, realize_tree_path
+from conftest import connected_graphs, realize_tree_path, tree_path_clusters
 from leaselab.graphs import all_pairs_distances, build_graph, shortest_path
-from leaselab.hst import build_hst, edge_realization, tree_distance, tree_path_clusters
+from leaselab.hst import build_hst, edge_realization, tree_distance, tree_path_edges
 
 
 def path_graph(n):
@@ -122,6 +122,19 @@ def test_realized_walk_connects_endpoints(g, seed):
         assert b in g.neighbors(a)
         cur = b
     assert cur == v
+
+
+@given(g=connected_graphs(), seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60)
+def test_tree_path_edges_match_the_reference_walk(g, seed):
+    h = build_hst(g, random.Random(seed))
+    for u in g.nodes():
+        for v in g.nodes():
+            path = tree_path_clusters(h, u, v)
+            lca = max(path, key=lambda cid: h.clusters[cid].level)
+            reference = [cid for cid in path if cid != lca]
+            assert tree_path_edges(h, u, v) == reference
+            assert tree_distance(h, u, v) == sum(h.edge_length(cid) for cid in reference)
 
 
 def test_edge_realization_joins_child_and_parent_centers():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import edge_ledger_cost
 from leaselab import ocdsl
 from leaselab.errors import EmptyRequest, NonMonotonicTime
 from leaselab.generators import gen_instance
@@ -118,16 +119,21 @@ def test_select_representatives_self_domination():
     g = build_graph(1, [])
     state = OcdslState(g, UNIT, seed=0)
     s_t = [Triplet(0, 1, 0)]
-    reps, assignment = state.select_representatives(s_t, [0], 0)
+    reps = state.select_representatives(s_t, [0], 0)
     assert reps == [Triplet(0, 1, 0)]
-    assert assignment == {Triplet(0, 1, 0): Triplet(0, 1, 0)}
+    assert covered_by(g, reps) >= {tr.node for tr in s_t}
 
 
 def test_select_representatives_star_picks_smallest_leaf(star4):
     state = OcdslState(star4, UNIT, seed=0)
     s_t = [Triplet(0, 1, 2)]  # the center dominates every leaf
-    reps, _ = state.select_representatives(s_t, [1, 2, 3], 2)
+    reps = state.select_representatives(s_t, [1, 2, 3], 2)
     assert reps == [Triplet(1, 1, 2)]
+
+
+def covered_by(graph, reps):
+    """Nodes within one hop of some representative."""
+    return {x for tr in reps for x in graph.closed_neighborhood(tr.node)}
 
 
 def naive_greedy(graph, s_nodes, d_t):
@@ -149,10 +155,10 @@ def test_select_representatives_shared_node_first():
     g = build_graph(5, [(0, 2), (1, 2), (0, 3), (1, 4)])
     state = OcdslState(g, UNIT, seed=0)
     s_t = [Triplet(0, 1, 0), Triplet(1, 1, 0)]
-    reps, assignment = state.select_representatives(s_t, [2, 3, 4], 0)
+    reps = state.select_representatives(s_t, [2, 3, 4], 0)
     assert [tr.node for tr in reps] == naive_greedy(g, {0, 1}, [2, 3, 4]) == [2]
-    assert assignment[Triplet(0, 1, 0)] == Triplet(2, 1, 0)
-    assert assignment[Triplet(1, 1, 0)] == Triplet(2, 1, 0)
+    assert reps == [Triplet(2, 1, 0)]
+    assert covered_by(g, reps) >= {0, 1}
 
 
 @pytest.mark.parametrize("connect", [True, False], ids=["ocdsl", "odsl-rr"])
@@ -278,7 +284,7 @@ def test_weight_sum_guard_and_monotonicity(seed):
 def test_phase2_cost_at_most_twice_edge_cost(seed):
     _, state, _ = run_random_instance(seed, connect=True)
     assert state.osfl is not None
-    assert state.c2 <= 2 * state.osfl.cost()
+    assert state.c2 <= 2 * edge_ledger_cost(state.osfl)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import connected_graphs
 from leaselab.graphs import build_graph
 from leaselab.instances import PurchaseLedger, make_instance
 from leaselab.leases import LeaseCatalog, Triplet
@@ -27,18 +28,15 @@ def path(n):
 
 def test_feasible_step_triangle_witness():
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    ok, witness = check_feasible_step(g, {0}, [1, 2])
-    assert ok and witness == {0}
+    assert check_feasible_step(g, {0}, [1, 2]) is True
 
 
 def test_feasible_step_component_choice():
-    ok, witness = check_feasible_step(path(3), {0, 2}, [1])
-    assert ok and witness in ({0}, {2})
+    assert check_feasible_step(path(3), {0, 2}, [1]) is True
 
 
 def test_feasible_step_no_single_component_dominates():
-    ok, witness = check_feasible_step(path(4), {0, 3}, [0, 3])
-    assert not ok and witness is None
+    assert check_feasible_step(path(4), {0, 3}, [0, 3]) is False
 
 
 def test_feasible_step_monotone_in_active_nodes():
@@ -47,10 +45,39 @@ def test_feasible_step_monotone_in_active_nodes():
     for _ in range(200):
         active = {u for u in range(4) if rng.random() < 0.5}
         request = [u for u in range(4) if rng.random() < 0.5] or [0]
-        ok, _ = check_feasible_step(g, active, request)
-        if ok:
+        if check_feasible_step(g, active, request):
             extra = set(active) | {rng.randrange(4)}
-            assert check_feasible_step(g, extra, request)[0]
+            assert check_feasible_step(g, extra, request)
+
+
+def served_by_definition(g, active, request):
+    """Some connected set of active nodes dominates every requested node, by brute force."""
+
+    def connected(nodes):
+        start = min(nodes)
+        seen, stack = {start}, [start]
+        while stack:
+            for y in g.neighbors(stack.pop()):
+                if y in nodes and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen == nodes
+
+    return any(
+        connected(sub)
+        and all(u in sub or any(v in sub for v in g.neighbors(u)) for u in request)
+        for size in range(1, len(active) + 1)
+        for sub in map(set, combinations(sorted(active), size))
+    )
+
+
+@given(g=connected_graphs(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_feasible_step_matches_the_definition(g, data):
+    node = st.integers(min_value=0, max_value=g.node_count - 1)
+    active = data.draw(st.sets(node))
+    request = data.draw(st.lists(node, min_size=1, unique=True))
+    assert check_feasible_step(g, active, request) == served_by_definition(g, active, request)
 
 
 def test_check_solution_empty_ledger_fails():
@@ -171,3 +198,20 @@ def test_oracle_lower_bounds_any_feasible_ledger(seed):
         ledger.add(tr, 0, inst.catalog.cost(tr.lease))
     assert check_solution(inst, ledger)
     assert opt <= ledger.total_cost()
+
+
+@given(seed=st.integers(min_value=0, max_value=5_000), perm_seed=st.integers(min_value=0))
+@settings(max_examples=30, deadline=None)
+def test_relabelling_the_nodes_keeps_the_optima(seed, perm_seed):
+    inst = _random_instance(seed)
+    if len(candidate_universe(inst)) > 24:
+        return
+    label = list(inst.graph.nodes())
+    random.Random(perm_seed).shuffle(label)
+    moved = make_instance(
+        build_graph(len(label), [(label[u], label[v]) for u, v in inst.graph.edges()]),
+        inst.catalog,
+        [(t, sorted(label[u] for u in nodes)) for t, nodes in inst.requests],
+    )
+    assert offline_opt(moved)[0] == offline_opt(inst)[0]
+    assert offline_opt_ds(moved)[0] == offline_opt_ds(inst)[0]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graphs, realize_tree_path
+from conftest import connected_graphs, edge_ledger_cost, realize_tree_path
 from leaselab.errors import NonMonotonicTime
 from leaselab.graphs import build_graph
 from leaselab.hst import edge_realization, tree_path_edges
@@ -22,7 +22,7 @@ ESCALATING = LeaseCatalog.from_pairs([(1, 1), (2, Fraction(3, 2))])
 def test_init_empty_ledger(path3):
     st_ = OsflState(path3, UNIT, random.Random(0))
     assert st_.ledger == {}
-    assert st_.cost() == 0
+    assert edge_ledger_cost(st_) == 0
 
 
 def test_init_same_seed_same_tree(path3):
@@ -36,7 +36,7 @@ def test_single_node_connects_are_noops():
     st_ = OsflState(g, UNIT, random.Random(0))
     assert st_.connect([0], 0, 0) == []
     assert st_.connect([0], 0, 5) == []
-    assert st_.cost() == 0
+    assert edge_ledger_cost(st_) == 0
 
 
 def test_terminal_equal_root_buys_nothing(path3):
@@ -50,7 +50,7 @@ def test_two_node_graph_leases_the_edge():
     new = st_.connect([1], 0, 3)
     assert [e.edge for e in new] == [(0, 1)]
     assert all(e.start == 3 for e in new)  # unit leases align to t itself
-    assert st_.cost() == len(new)
+    assert edge_ledger_cost(st_) == len(new)
 
 
 def test_escalation_matches_per_edge_permit_replay():
@@ -82,7 +82,7 @@ def test_escalation_matches_per_edge_permit_replay():
             for lease, start in day:
                 expected_keys.update((edge, lease, start) for edge in walk)
     assert {(e.edge, e.lease, e.start) for e in st_.ledger} == expected_keys
-    assert st_.cost() == sum(
+    assert edge_ledger_cost(st_) == sum(
         (ESCALATING.cost(lease) for _, lease, _ in expected_keys), Fraction(0)
     )
 
@@ -162,5 +162,5 @@ def test_eternal_lease_on_trees_costs_the_realized_union():
                     union.update(
                         tuple(sorted(e)) for e in realize_tree_path(st_.hst, r, 0, g)
                     )
-            assert st_.cost() == 2 * len(union)
+            assert edge_ledger_cost(st_) == 2 * len(union)
             assert {e.edge for e in st_.ledger} == union
