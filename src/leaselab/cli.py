@@ -75,27 +75,30 @@ def _read_ledger_csv(path: str, inst: Instance) -> PurchaseLedger:
     earlier row."""
     catalog = inst.catalog
     ledger = PurchaseLedger()
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            where = f"{path} line {reader.line_num}"
-            try:
-                tr = Triplet(int(row["node"]), int(row["lease"]), int(row["start"]))
-                step, cost = int(row["step"]), Fraction(row["cost"])
-            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-                raise LedgerError(
-                    f"{where}: want integer node, lease, start, step and a cost ({exc})"
-                ) from None
-            if not 0 <= tr.node < inst.graph.node_count:
-                raise LedgerError(f"{where}: node {tr.node} is not in the graph")
-            if not 1 <= tr.lease <= len(catalog) or tr.start % catalog.duration(tr.lease):
-                raise LedgerError(
-                    f"{where}: lease {tr.lease} from {tr.start} is "
-                    f"not an aligned slot of a lease type in 1..{len(catalog)}"
-                )
-            if tr in ledger:
-                raise LedgerError(f"{where}: repeats the purchase of {tr}")
-            ledger.add(tr, step=step, cost=cost)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            for row in reader:
+                where = f"{path} line {reader.line_num}"
+                try:
+                    tr = Triplet(int(row["node"]), int(row["lease"]), int(row["start"]))
+                    step, cost = int(row["step"]), Fraction(row["cost"])
+                except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                    raise LedgerError(
+                        f"{where}: want integer node, lease, start, step and a cost ({exc})"
+                    ) from None
+                if not 0 <= tr.node < inst.graph.node_count:
+                    raise LedgerError(f"{where}: node {tr.node} is not in the graph")
+                if not 1 <= tr.lease <= len(catalog) or tr.start % catalog.duration(tr.lease):
+                    raise LedgerError(
+                        f"{where}: lease {tr.lease} from {tr.start} is "
+                        f"not an aligned slot of a lease type in 1..{len(catalog)}"
+                    )
+                if tr in ledger:
+                    raise LedgerError(f"{where}: repeats the purchase of {tr}")
+                ledger.add(tr, step=step, cost=cost)
+    except UnicodeDecodeError as exc:
+        raise LedgerError(f"{path} is not UTF-8 text ({exc})") from None
     return ledger
 
 

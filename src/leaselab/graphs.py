@@ -103,10 +103,6 @@ def bfs_distances(graph: Graph, source: int) -> List[int]:
     return dist
 
 
-def all_pairs_distances(graph: Graph) -> List[List[int]]:
-    return [bfs_distances(graph, u) for u in graph.nodes()]
-
-
 def shortest_path(graph: Graph, u: int, v: int) -> List[int]:
     """Minimum-hop path from u to v, ties broken toward the smallest next node id."""
     dist_to_v = bfs_distances(graph, v)

@@ -226,17 +226,20 @@ def _field_parsers(cls: type) -> Dict[str, Callable[[str], Any]]:
 def read_records_csv(path: str) -> List[RunRecord]:
     parsers = _field_parsers(RunRecord)
     records = []
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [name for name in CSV_COLUMNS if name not in (reader.fieldnames or ())]
-        if missing:
-            raise RecordsError(f"{path}: missing column(s) {', '.join(missing)}")
-        for row in reader:
-            try:
-                values = {name: parse(row[name]) for name, parse in parsers.items() if name in row}
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise RecordsError(f"{path} line {reader.line_num}: {exc}") from None
-            records.append(RunRecord(**values))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [name for name in CSV_COLUMNS if name not in (reader.fieldnames or ())]
+            if missing:
+                raise RecordsError(f"{path}: missing column(s) {', '.join(missing)}")
+            for row in reader:
+                try:
+                    values = {name: parse(row[name]) for name, parse in parsers.items() if name in row}
+                except (TypeError, ValueError, ZeroDivisionError) as exc:
+                    raise RecordsError(f"{path} line {reader.line_num}: {exc}") from None
+                records.append(RunRecord(**values))
+    except UnicodeDecodeError as exc:
+        raise RecordsError(f"{path} is not UTF-8 text ({exc})") from None
     return records
 
 

@@ -12,6 +12,11 @@ series 2^0 + ... + 2^delta.
 Because the graph metric is integral, a pair sharing a cluster at level j is
 at graph distance at most 2*(2^j - 1), which is exactly the leaf-to-leaf tree
 distance through a level-j meeting point: the tree never contracts distances.
+
+Per level, BFS from the nodes of pi in turn, truncated at the whole radius
+floor(beta * 2^(i-1)), claim the unclaimed nodes of their balls. Distance is
+symmetric, so u's claimer is the first node of pi within the radius of u, as
+the definition asks, without a distance matrix; delta is exact from a few BFS.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .graphs import Graph, all_pairs_distances, shortest_path
+from .graphs import Graph, bfs_distances, shortest_path
 
 
 @dataclass(frozen=True)
@@ -61,35 +66,53 @@ class Hst:
         return "\n".join(lines)
 
 
+def _ceil_log2_diameter(graph: Graph) -> int:
+    """Exact for n >= 2: a BFS from v, of eccentricity e, bounds each node at distance d
+    by max(d, e - d) <= ecc <= e + d (Takes and Kosters' bounding diameters)."""
+    n = graph.node_count
+    ecc_lo, ecc_hi, lo, high = [0] * n, [n - 1] * n, 1, True  # lo: bound on the diameter
+    while (lo - 1).bit_length() != (max(ecc_hi) - 1).bit_length():
+        live = [w for w in range(n) if ecc_hi[w] > lo]  # the rest cannot raise lo
+        # sources alternate: the largest upper bound, then the smallest lower bound
+        pick, bound = (max, ecc_hi) if high else (min, ecc_lo)
+        dist = bfs_distances(graph, pick(live, key=bound.__getitem__))
+        high, e = not high, max(dist)
+        for w, d in enumerate(dist):
+            ecc_lo[w] = max(ecc_lo[w], d, e - d)
+            ecc_hi[w] = min(ecc_hi[w], e + d)
+        lo = max(lo, e)
+    return (lo - 1).bit_length()
+
+
 def build_hst(graph: Graph, rng: random.Random) -> Hst:
     """Sample one embedding; deterministic for a given seeded rng."""
     n = graph.node_count
     if n == 1:
         return Hst(delta=0, clusters=(Cluster(level=0, center=0, parent=-1),), leaf_of=(0,))
-    dist = all_pairs_distances(graph)
-    diameter = max(max(row) for row in dist)
-    delta = (diameter - 1).bit_length()  # ceil(log2(diameter))
+    delta = _ceil_log2_diameter(graph)
     order = list(range(n))
     rng.shuffle(order)
     beta = 1 + Fraction(rng.getrandbits(32), 2**32)
-
-    # center at level i: first node in pi within distance beta * 2^(i-1)
-    def center_at(u: int, level: int) -> int:
-        radius = beta * Fraction(1 << level, 2)
-        for v in order:
-            if dist[u][v] <= radius:
-                return v
-        raise AssertionError("a node is always within radius of itself")
 
     clusters: List[Cluster] = [Cluster(level=delta + 1, center=order[0], parent=-1)]
     member_lists: List[List[int]] = [sorted(range(n))]
     level_cids = [0]
     for level in range(delta, -1, -1):
+        radius, claimer = beta * (1 << level) // 2, {}  # node -> first node of pi within radius
+        for v in order:
+            ball, frontier = {v}, {v}
+            for _ in range(radius):
+                frontier = {y for x in frontier for y in graph.adjacency[x]} - ball
+                ball |= frontier
+            for u in ball:
+                claimer.setdefault(u, v)
+            if len(claimer) == n:
+                break
         next_cids: List[int] = []
         for cid in level_cids:
             groups: Dict[int, List[int]] = {}
             for u in member_lists[cid]:
-                groups.setdefault(center_at(u, level), []).append(u)
+                groups.setdefault(claimer[u], []).append(u)
             # iterate groups in first-member order (deterministic)
             for center, members in groups.items():
                 clusters.append(Cluster(level=level, center=center, parent=cid))

@@ -64,13 +64,9 @@ def check_solution(
     inst: Instance, ledger: PurchaseLedger, require_connected: bool = True
 ) -> bool:
     """Verify the ledger against every request step of the instance."""
+    check = check_feasible_step if require_connected else check_domination_step
     for t, nodes in inst.requests:
-        active = ledger.active_nodes(inst.catalog, t)
-        if require_connected:
-            ok = check_feasible_step(inst.graph, active, nodes)
-        else:
-            ok = check_domination_step(inst.graph, active, nodes)
-        if not ok:
+        if not check(inst.graph, ledger.active_nodes(inst.catalog, t), nodes):
             return False
     return True
 
@@ -116,15 +112,12 @@ def _offline(inst: Instance, require_connected: bool) -> Tuple[Fraction, Purchas
                 if tr.start <= t < tr.start + catalog.duration(tr.lease)
             ]
         )
+    check = check_feasible_step if require_connected else check_domination_step
 
     def feasible(chosen: Set[int]) -> bool:
         for step, (t, nodes) in enumerate(inst.requests):
             active = {cands[i].node for i in step_active[step] if i in chosen}
-            if require_connected:
-                ok = check_feasible_step(graph, active, nodes)
-            else:
-                ok = check_domination_step(graph, active, nodes)
-            if not ok:
+            if not check(graph, active, nodes):
                 return False
         return True
 

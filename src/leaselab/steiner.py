@@ -6,7 +6,7 @@ path. A tree edge of length w behaves like w parallel unit permit instances
 charged together, so decisions follow the unit instance and the tree-side
 cost scales by w. Every permit purchase is realized once as graph-edge leases
 along the shortest path between the endpoint cluster centers, deduplicated by
-(edge, lease, start).
+(edge, lease, start). The tree is fixed, so each tree edge's path is found once.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ class OsflState:
         self.catalog = catalog
         self.hst: Hst = build_hst(graph, rng)
         self.edge_permits: Dict[int, PermitState] = {}  # child cluster id -> permit instance
+        self.realized: Dict[int, List[Tuple[int, int]]] = {}  # child cluster id -> graph edges
         self.ledger: Dict[EdgeLease, int] = {}  # -> request time bought, in purchase order
         self.tree_cost = Fraction(0)  # length-weighted permit cost, diagnostic
 
@@ -48,11 +49,11 @@ class OsflState:
         for cid in sorted(needed):
             permit = self.edge_permits.get(cid)
             if permit is None:
-                permit = PermitState(self.catalog)
-                self.edge_permits[cid] = permit
+                permit = self.edge_permits[cid] = PermitState(self.catalog)
+                self.realized[cid] = edge_realization(self.hst, cid, self.graph)
             for lease, start in permit.request(t):
                 self.tree_cost += self.hst.edge_length(cid) * self.catalog.cost(lease)
-                for a, b in edge_realization(self.hst, cid, self.graph):
+                for a, b in self.realized[cid]:
                     key = EdgeLease((a, b) if a < b else (b, a), lease, start)
                     if key not in self.ledger:
                         self.ledger[key] = t

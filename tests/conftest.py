@@ -1,18 +1,20 @@
+import os
 import random
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import hypothesis
 import pytest
 from hypothesis import strategies as st
 
-from leaselab.graphs import Graph, build_graph, shortest_path
-from leaselab.hst import Hst
+from leaselab.graphs import Graph, bfs_distances, build_graph, shortest_path
+from leaselab.hst import Cluster, Hst
 from leaselab.leases import LeaseCatalog
 from leaselab.steiner import OsflState
 
 hypothesis.settings.register_profile("fast", max_examples=20)
 hypothesis.settings.register_profile("thorough", max_examples=200)
+hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @st.composite
@@ -60,6 +62,53 @@ def catalogs(draw, max_types: int = 3) -> LeaseCatalog:
         pairs.append((d, cost))
         prev_d = d
     return LeaseCatalog.from_pairs(pairs)
+
+
+def all_pairs_distances(graph: Graph) -> List[List[int]]:
+    return [bfs_distances(graph, u) for u in graph.nodes()]
+
+
+def reference_build_hst(graph: Graph, rng: random.Random) -> Hst:
+    """The embedding by its definition: an all-pairs BFS for the diameter, and for
+    every node and level a scan of pi for the first node within the radius."""
+    n = graph.node_count
+    if n == 1:
+        return Hst(delta=0, clusters=(Cluster(level=0, center=0, parent=-1),), leaf_of=(0,))
+    dist = all_pairs_distances(graph)
+    diameter = max(max(row) for row in dist)
+    delta = (diameter - 1).bit_length()  # ceil(log2(diameter))
+    order = list(range(n))
+    rng.shuffle(order)
+    beta = 1 + Fraction(rng.getrandbits(32), 2**32)
+
+    # center at level i: first node in pi within distance beta * 2^(i-1)
+    def center_at(u: int, level: int) -> int:
+        radius = beta * Fraction(1 << level, 2)
+        for v in order:
+            if dist[u][v] <= radius:
+                return v
+        raise AssertionError("a node is always within radius of itself")
+
+    clusters: List[Cluster] = [Cluster(level=delta + 1, center=order[0], parent=-1)]
+    member_lists: List[List[int]] = [sorted(range(n))]
+    level_cids = [0]
+    for level in range(delta, -1, -1):
+        next_cids: List[int] = []
+        for cid in level_cids:
+            groups: Dict[int, List[int]] = {}
+            for u in member_lists[cid]:
+                groups.setdefault(center_at(u, level), []).append(u)
+            # iterate groups in first-member order (deterministic)
+            for center, members in groups.items():
+                clusters.append(Cluster(level=level, center=center, parent=cid))
+                member_lists.append(members)
+                next_cids.append(len(clusters) - 1)
+        level_cids = next_cids
+    leaf_of = [-1] * n
+    for cid in level_cids:
+        (node,) = member_lists[cid]  # level-0 radius < 1 forces singletons
+        leaf_of[node] = cid
+    return Hst(delta=delta, clusters=tuple(clusters), leaf_of=tuple(leaf_of))
 
 
 def tree_path_clusters(h: Hst, u: int, v: int) -> List[int]:

@@ -11,8 +11,9 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
+from conftest import all_pairs_distances
 from leaselab.generators import gen_instance
-from leaselab.graphs import all_pairs_distances, build_graph, max_degree
+from leaselab.graphs import build_graph, max_degree
 from leaselab.harness import report
 from leaselab.hst import build_hst, tree_distance
 from leaselab.leases import LeaseCatalog, Triplet

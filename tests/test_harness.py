@@ -6,9 +6,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from leaselab.cli import _ledger_csv, main
-from leaselab.errors import EmptyRequest, InstanceError, NonMonotonicTime
+from leaselab.cli import _ledger_csv, _read_ledger_csv, main
+from leaselab.errors import EmptyRequest, InstanceError, LeaselabError, NonMonotonicTime
 from leaselab.generators import BadParams, burst_times, canonical_catalog, gen_instance
 from leaselab.graphs import build_graph
 from leaselab.harness import (
@@ -392,6 +394,11 @@ CLI_ERRORS = {
     "missing-ledger": (
         ["verify", "--instance", "i.json", "--ledger", "nope.csv"], {"i.json": json.dumps(INSTANCE)}
     ),
+    "records-not-utf8": (["report", "--records", "r.csv"], {"r.csv": b"\xff\xfe"}),
+    "ledger-not-utf8": (
+        ["verify", "--instance", "i.json", "--ledger", "l.csv"],
+        {"i.json": json.dumps(INSTANCE), "l.csv": b"\xff\xfe"},
+    ),
 }
 
 
@@ -411,13 +418,58 @@ def test_cli_reports_a_library_error_in_one_line(tmp_path, capsys):
 def test_cli_reports_each_bad_input_in_one_line(tmp_path, monkeypatch, capsys, argv, files):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     code = main(argv + (["--out", "out.csv"] if argv[0] in ("run", "pp") else []))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"leaselab {argv[0]}: ")
     assert captured.err.count("\n") == 1
+
+
+CELLS = st.sampled_from(["", "0", "1", "-1", "2/4", "1/0", "1e3", "nan", "x#0"]) | st.text(max_size=4)
+LEDGER_ROW = {"node": "0", "lease": "1", "start": "1", "step": "1", "cost": "1"}
+RECORD_ROW = dict(zip(CSV_COLUMNS, "x#0,ocdsl,1,3,1,2,,,3,1,2,1".split(",")))
+
+
+@st.composite
+def csv_files(draw, valid_row):
+    """Bytes of a CSV file: under a header of some of the row's columns in any order,
+    copies of ``valid_row`` with up to two cells fuzzed, sometimes with undecodable
+    bytes after them; or random bytes alone."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=24))
+    columns = list(valid_row)
+    header = draw(st.permutations(columns) | st.lists(st.sampled_from(columns), unique=True))
+    lines = [header]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        fuzzed = draw(st.sets(st.sampled_from(header), max_size=2)) if header else set()
+        row = [draw(CELLS) if name in fuzzed else valid_row[name] for name in header]
+        lines.append(row + draw(st.lists(CELLS, max_size=1)))
+    text = "".join(",".join(line) + "\n" for line in lines)
+    return text.encode() + draw(st.just(b"") | st.sampled_from([b"\xff", b"\xc3", b"\x00"]))
+
+
+@given(data=csv_files(LEDGER_ROW))
+@settings(max_examples=300, deadline=None)
+def test_ledger_reader_parses_or_raises_a_library_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz-ledger.csv"
+    path.write_bytes(data)
+    try:
+        _read_ledger_csv(str(path), Instance.from_json(INSTANCE))
+    except LeaselabError:
+        pass
+
+
+@given(data=csv_files(RECORD_ROW))
+@settings(max_examples=300, deadline=None)
+def test_records_reader_parses_or_raises_a_library_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz-records.csv"
+    path.write_bytes(data)
+    try:
+        read_records_csv(str(path))
+    except LeaselabError:
+        pass
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):

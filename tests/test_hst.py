@@ -1,15 +1,107 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graphs, realize_tree_path, tree_path_clusters
-from leaselab.graphs import all_pairs_distances, build_graph, shortest_path
+import leaselab.hst
+from conftest import (
+    all_pairs_distances,
+    connected_graphs,
+    realize_tree_path,
+    reference_build_hst,
+    tree_path_clusters,
+)
+from leaselab.generators import gen_instance
+from leaselab.graphs import build_graph, shortest_path
 from leaselab.hst import build_hst, edge_realization, tree_distance, tree_path_edges
 
 
 def path_graph(n):
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle_graph(n):
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def star_graph(n):
+    return build_graph(n, [(0, i) for i in range(1, n)])
+
+
+def grid_graph(rows, cols):
+    return gen_instance("grid", {"rows": rows, "cols": cols, "T": 1}, random.Random(0)).graph
+
+
+# ---------------------------------------------------------------- equal to the definition
+
+
+@given(g=connected_graphs(max_nodes=16), seed=st.integers(min_value=0, max_value=2**32))
+@settings(deadline=None)  # the number of examples comes from the loaded profile
+def test_build_equals_the_reference_build(g, seed):
+    assert build_hst(g, random.Random(seed)) == reference_build_hst(g, random.Random(seed))
+
+
+# name -> (generator kind, params, seeds); the 30x30 grid is the wide-sparse benchmark's
+SWEEP = {
+    "grid14x14": ("grid", {"rows": 14, "cols": 14}, 3),
+    "grid30x30": ("grid", {"rows": 30, "cols": 30}, 2),
+    "gnp40": ("random-gnp-connected", {"n": 40, "p": 0.08}, 3),
+    "gnp80": ("random-gnp-connected", {"n": 80, "p": 0.05}, 3),
+    "gnp120": ("random-gnp-connected", {"n": 120, "p": 0.03}, 3),
+}
+
+
+@pytest.mark.parametrize("kind, params, seeds", SWEEP.values(), ids=list(SWEEP))
+def test_build_equals_the_reference_build_on_generated_graphs(kind, params, seeds):
+    g = gen_instance(kind, {**params, "T": 1}, random.Random(0)).graph
+    for seed in range(seeds):
+        assert build_hst(g, random.Random(seed)) == reference_build_hst(g, random.Random(seed))
+
+
+# ---------------------------------------------------------------- delta is exact
+
+
+def _bucket_edge_graphs():
+    """Paths and cycles of diameter 2^k - 1, 2^k and 2^k + 1 for k = 1..5, and stars."""
+    for k in range(1, 6):
+        for diameter in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+            yield f"path-d{diameter}", (path_graph(diameter + 1), diameter)
+            for n in (2 * diameter, 2 * diameter + 1):
+                if n >= 3:  # C_n has diameter n // 2
+                    yield f"cycle{n}-d{diameter}", (cycle_graph(n), diameter)
+    for n in (3, 4, 9):
+        yield f"star{n}", (star_graph(n), 2)
+
+
+BUCKET_EDGES = dict(_bucket_edge_graphs())
+
+
+@pytest.mark.parametrize("g, diameter", BUCKET_EDGES.values(), ids=list(BUCKET_EDGES))
+def test_delta_is_exact_on_the_bucket_edges(g, diameter):
+    assert build_hst(g, random.Random(0)).delta == (diameter - 1).bit_length()
+
+
+@given(g=connected_graphs(max_nodes=16))
+@settings(max_examples=100, deadline=None)
+def test_delta_is_ceil_log2_of_the_brute_force_diameter(g):
+    diameter = max(max(row) for row in all_pairs_distances(g))
+    expected = (diameter - 1).bit_length() if g.node_count > 1 else 0
+    assert build_hst(g, random.Random(0)).delta == expected
+
+
+def test_build_on_the_30x30_grid_runs_at_most_8_bfs(monkeypatch):
+    # an all-pairs pass would run 900; the diameter bracket draws nothing from the rng
+    calls = []
+    original = leaselab.hst.bfs_distances
+
+    def counted(graph, source):
+        calls.append(source)
+        return original(graph, source)
+
+    monkeypatch.setattr(leaselab.hst, "bfs_distances", counted)
+    assert build_hst(grid_graph(30, 30), random.Random(0)).delta == 6  # diameter 58
+    assert len(calls) <= 8
 
 
 def test_single_node_tree():

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leaselab.steiner as steiner
 from conftest import connected_graphs, edge_ledger_cost, realize_tree_path
 from leaselab.errors import NonMonotonicTime
+from leaselab.generators import gen_instance
 from leaselab.graphs import build_graph
 from leaselab.hst import edge_realization, tree_path_edges
 from leaselab.leases import LeaseCatalog
 from leaselab.ocdsl import OcdslState
 from leaselab.permits import PermitState
-from leaselab.steiner import OsflState
+from leaselab.steiner import EdgeLease, OsflState
 
 UNIT = LeaseCatalog.from_pairs([(1, 1)])
 ESCALATING = LeaseCatalog.from_pairs([(1, 1), (2, Fraction(3, 2))])
@@ -164,3 +166,53 @@ def test_eternal_lease_on_trees_costs_the_realized_union():
                     )
             assert edge_ledger_cost(st_) == 2 * len(union)
             assert {e.edge for e in st_.ledger} == union
+
+
+def _reference_connect(osfl, terminals, root, t):
+    """OsflState.connect as it ran before tree edges were memoized: one
+    edge_realization per permit purchase."""
+    needed = set()
+    for r in set(terminals):
+        needed.update(tree_path_edges(osfl.hst, r, root))
+    for cid in sorted(needed):
+        permit = osfl.edge_permits.get(cid)
+        if permit is None:
+            permit = osfl.edge_permits[cid] = PermitState(osfl.catalog)
+        for lease, start in permit.request(t):
+            osfl.tree_cost += osfl.hst.edge_length(cid) * osfl.catalog.cost(lease)
+            for a, b in edge_realization(osfl.hst, cid, osfl.graph):
+                key = EdgeLease((a, b) if a < b else (b, a), lease, start)
+                osfl.ledger.setdefault(key, t)
+
+
+def test_each_tree_edge_is_realized_once_and_the_ledger_matches_a_replay(monkeypatch):
+    inst = gen_instance(
+        "grid", {"rows": 10, "cols": 10, "T": 60, "k": 4, "L": 3}, random.Random(5)
+    )
+    realized, connects = [], []
+    original_realization, original_connect = steiner.edge_realization, OsflState.connect
+
+    def counted_realization(h, cid, graph):
+        realized.append(cid)
+        return original_realization(h, cid, graph)
+
+    def recorded_connect(self, terminals, root, t):
+        connects.append((list(terminals), root, t))
+        return original_connect(self, terminals, root, t)
+
+    monkeypatch.setattr(steiner, "edge_realization", counted_realization)
+    monkeypatch.setattr(OsflState, "connect", recorded_connect)
+    state = OcdslState(inst.graph, inst.catalog, seed=3)
+    for t, nodes in inst.requests:
+        state.serve_request(nodes, t)
+    monkeypatch.undo()
+
+    assert len(realized) > 20  # the stream crossed many tree edges
+    assert len(realized) == len(set(realized)) == len(state.osfl.realized)  # once per cluster
+    # an un-memoized replay over an equal tree buys the same edge leases in the same order
+    replay = OsflState(inst.graph, inst.catalog, random.Random("3:hst"))
+    assert replay.hst == state.osfl.hst
+    for terminals, root, t in connects:
+        _reference_connect(replay, terminals, root, t)
+    assert list(replay.ledger.items()) == list(state.osfl.ledger.items())
+    assert replay.tree_cost == state.osfl.tree_cost
