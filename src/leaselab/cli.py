@@ -97,8 +97,8 @@ def _read_ledger_csv(path: str, inst: Instance) -> PurchaseLedger:
                 if tr in ledger:
                     raise LedgerError(f"{where}: repeats the purchase of {tr}")
                 ledger.add(tr, step=step, cost=cost)
-    except UnicodeDecodeError as exc:
-        raise LedgerError(f"{path} is not UTF-8 text ({exc})") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise LedgerError(f"{path} is not UTF-8 CSV text ({exc})") from None
     return ledger
 
 

@@ -238,8 +238,8 @@ def read_records_csv(path: str) -> List[RunRecord]:
                 except (TypeError, ValueError, ZeroDivisionError) as exc:
                     raise RecordsError(f"{path} line {reader.line_num}: {exc}") from None
                 records.append(RunRecord(**values))
-    except UnicodeDecodeError as exc:
-        raise RecordsError(f"{path} is not UTF-8 text ({exc})") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise RecordsError(f"{path} is not UTF-8 CSV text ({exc})") from None
     return records
 
 

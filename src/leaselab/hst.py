@@ -3,20 +3,16 @@
 The construction follows the usual permutation-and-radius scheme: one random
 permutation pi of the nodes, one random beta uniform in [1, 2). The cluster
 containing u at level i is determined by the first node in pi within graph
-distance beta * 2^(i-1) of u, refined inside u's level-(i+1) cluster. Level-0
-clusters are singletons (the leaves); the root at level delta+1 is all of V,
-where delta = ceil(log2(diameter)). The edge from a level-i cluster to its
-parent has length 2^i, so every leaf-to-root path sums the full geometric
-series 2^0 + ... + 2^delta.
+distance beta * 2^(i-1) of u (distance is symmetric, so BFS balls grown from
+the nodes of pi in turn claim u for it), refined inside u's level-(i+1)
+cluster. Level-0 clusters are singletons (the leaves); the root at level
+delta+1 is all of V, where delta = ceil(log2(diameter)). The edge from a
+level-i cluster to its parent has length 2^i, so every leaf-to-root path sums
+the full geometric series 2^0 + ... + 2^delta.
 
 Because the graph metric is integral, a pair sharing a cluster at level j is
 at graph distance at most 2*(2^j - 1), which is exactly the leaf-to-leaf tree
 distance through a level-j meeting point: the tree never contracts distances.
-
-Per level, BFS from the nodes of pi in turn, truncated at the whole radius
-floor(beta * 2^(i-1)), claim the unclaimed nodes of their balls. Distance is
-symmetric, so u's claimer is the first node of pi within the radius of u, as
-the definition asks, without a distance matrix; delta is exact from a few BFS.
 """
 
 from __future__ import annotations
@@ -70,13 +66,13 @@ def _ceil_log2_diameter(graph: Graph) -> int:
     """Exact for n >= 2: a BFS from v, of eccentricity e, bounds each node at distance d
     by max(d, e - d) <= ecc <= e + d (Takes and Kosters' bounding diameters)."""
     n = graph.node_count
-    ecc_lo, ecc_hi, lo, high = [0] * n, [n - 1] * n, 1, True  # lo: bound on the diameter
+    ecc_lo, ecc_hi, lo, by_upper = [0] * n, [n - 1] * n, 1, True  # lo: lower bound on the diameter
     while (lo - 1).bit_length() != (max(ecc_hi) - 1).bit_length():
         live = [w for w in range(n) if ecc_hi[w] > lo]  # the rest cannot raise lo
         # sources alternate: the largest upper bound, then the smallest lower bound
-        pick, bound = (max, ecc_hi) if high else (min, ecc_lo)
+        pick, bound = (max, ecc_hi) if by_upper else (min, ecc_lo)
         dist = bfs_distances(graph, pick(live, key=bound.__getitem__))
-        high, e = not high, max(dist)
+        by_upper, e = not by_upper, max(dist)
         for w, d in enumerate(dist):
             ecc_lo[w] = max(ecc_lo[w], d, e - d)
             ecc_hi[w] = min(ecc_hi[w], e + d)

@@ -352,6 +352,7 @@ BROKEN_INSTANCES = {
     "no-requests": {**INSTANCE, "requests": []},
 }
 HEADER = ",".join(CSV_COLUMNS)
+LEDGER_HEADER = "node,lease,start,step,cost"
 # name -> (argv, files to write first)
 CLI_ERRORS = {
     "trials-0": (["run", "--kind", "star", "--trials", "0"], {}),
@@ -398,6 +399,19 @@ CLI_ERRORS = {
     "ledger-not-utf8": (
         ["verify", "--instance", "i.json", "--ledger", "l.csv"],
         {"i.json": json.dumps(INSTANCE), "l.csv": b"\xff\xfe"},
+    ),
+    # the csv module rejects a NUL byte before Python 3.11 and a cell over its field limit always
+    "records-nul-byte": (["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx\x00\n"}),
+    "ledger-nul-byte": (
+        ["verify", "--instance", "i.json", "--ledger", "l.csv"],
+        {"i.json": json.dumps(INSTANCE), "l.csv": LEDGER_HEADER + "\n0,1,1,1,\x00\n"},
+    ),
+    "records-cell-over-field-limit": (
+        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\n" + "x" * 200_000 + "\n"}
+    ),
+    "ledger-cell-over-field-limit": (
+        ["verify", "--instance", "i.json", "--ledger", "l.csv"],
+        {"i.json": json.dumps(INSTANCE), "l.csv": f"{LEDGER_HEADER}\n0,1,1,1,{'1' * 200_000}\n"},
     ),
 }
 

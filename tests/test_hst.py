@@ -82,12 +82,24 @@ def test_delta_is_exact_on_the_bucket_edges(g, diameter):
     assert build_hst(g, random.Random(0)).delta == (diameter - 1).bit_length()
 
 
-@given(g=connected_graphs(max_nodes=16))
-@settings(max_examples=100, deadline=None)
+@st.composite
+def sparse_graphs(draw, max_nodes=80):
+    """A random spanning tree whose node i hangs off one of the three before it, plus
+    up to three random edges: long diameters of every size, unlike connected_graphs."""
+    n = draw(st.integers(min_value=2, max_value=max_nodes))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    edges = {(rng.randrange(max(0, i - 3), i), i) for i in range(1, n)}
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return build_graph(n, sorted(edges))
+
+
+@given(g=sparse_graphs())
+@settings(deadline=None)
 def test_delta_is_ceil_log2_of_the_brute_force_diameter(g):
     diameter = max(max(row) for row in all_pairs_distances(g))
-    expected = (diameter - 1).bit_length() if g.node_count > 1 else 0
-    assert build_hst(g, random.Random(0)).delta == expected
+    assert build_hst(g, random.Random(0)).delta == (diameter - 1).bit_length()
 
 
 def test_build_on_the_30x30_grid_runs_at_most_8_bfs(monkeypatch):
