@@ -7,7 +7,6 @@ import csv
 import json
 import random
 import sys
-from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
 from .errors import ConfigError, InstanceError, LeaselabError, LedgerError
@@ -82,7 +81,7 @@ def _read_ledger_csv(path: str, inst: Instance) -> PurchaseLedger:
                 where = f"{path} line {reader.line_num}"
                 try:
                     tr = Triplet(int(row["node"]), int(row["lease"]), int(row["start"]))
-                    step, cost = int(row["step"]), Fraction(row["cost"])
+                    step, cost = int(row["step"]), as_cost(row["cost"])
                 except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                     raise LedgerError(
                         f"{where}: want integer node, lease, start, step and a cost ({exc})"

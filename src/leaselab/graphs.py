@@ -7,7 +7,7 @@ reproducible from its seed alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import LeaselabError
 from .leases import LeaseCatalog, Triplet
@@ -88,11 +88,12 @@ def max_degree(graph: Graph) -> int:
     return max(len(nb) for nb in graph.adjacency)
 
 
-def bfs_distances(graph: Graph, source: int) -> List[int]:
+def bfs_distances(graph: Graph, source: int, stop: Optional[int] = None) -> List[int]:
+    """Hop distances from ``source``, -1 if unlabelled; ``stop`` ends it with its own layer."""
     dist = [-1] * graph.node_count
     dist[source] = 0
     frontier = [source]
-    while frontier:
+    while frontier and (stop is None or dist[stop] < 0):
         nxt = []
         for u in frontier:
             for v in graph.adjacency[u]:
@@ -105,7 +106,8 @@ def bfs_distances(graph: Graph, source: int) -> List[int]:
 
 def shortest_path(graph: Graph, u: int, v: int) -> List[int]:
     """Minimum-hop path from u to v, ties broken toward the smallest next node id."""
-    dist_to_v = bfs_distances(graph, v)
+    # every node nearer to v than u is labelled, which is all the walk reads
+    dist_to_v = bfs_distances(graph, v, stop=u)
     path = [u]
     cur = u
     while cur != v:

@@ -36,6 +36,7 @@ from .errors import ConfigError, InfeasibleOutput, RecordsError
 from .generators import gen_instance
 from .graphs import max_degree
 from .instances import Instance, PurchaseLedger, StepReport
+from .leases import as_cost
 from .ocdsl import OcdslState
 from .oracle import check_solution, offline_opt, offline_opt_ds
 from .permits import PermitLeaser, pp_offline_opt
@@ -219,7 +220,9 @@ def _field_parsers(cls: type) -> Dict[str, Callable[[str], Any]]:
     parsers: Dict[str, Callable[[str], Any]] = {}
     for name, hint in get_type_hints(cls).items():
         inner = [arg for arg in get_args(hint) if arg is not type(None)]
-        parsers[name] = (lambda text, x=inner[0]: x(text) if text else None) if inner else hint
+        kind = inner[0] if inner else hint
+        parse = as_cost if kind is Fraction else kind
+        parsers[name] = (lambda text, x=parse: x(text) if text else None) if inner else parse
     return parsers
 
 

@@ -8,6 +8,7 @@ triplet (node, lease index, aligned start) active on the half-open window
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Tuple, Union
@@ -15,6 +16,7 @@ from typing import Iterable, Iterator, NamedTuple, Tuple, Union
 from .errors import LeaselabError
 
 CostLike = Union[int, str, float, Fraction]
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 class CatalogError(LeaselabError, ValueError):
@@ -49,11 +51,14 @@ def as_cost(value: CostLike) -> Fraction:
     """Parse a cost into an exact rational.
 
     Floats are read through their decimal repr, so 1.5 from a JSON file
-    means exactly 3/2.
+    means exactly 3/2. Text with an exponent past CPython's 4300-digit int/str
+    limit raises ValueError: Fraction would build that power of ten in full.
     """
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+    text = str(value) if isinstance(value, float) else value
+    exponent = _EXPONENT.search(text) if isinstance(text, str) else None
+    if exponent and abs(int(exponent[1])) > 4300:
+        raise ValueError(f"cost exponent {exponent[1]} is past 4300 digits")
+    return Fraction(text)
 
 
 def as_whole(value: object) -> int:

@@ -16,6 +16,7 @@ randomized rounding algorithm for the domination-only problem.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -43,7 +44,7 @@ class OcdslState:
         self.graph = graph
         self.catalog = catalog
         self.weights: Dict[Triplet, Fraction] = {}
-        self.thresholds: Dict[Triplet, float] = {}
+        self.thresholds: Dict[Triplet, Fraction] = {}
         self.ledger = PurchaseLedger()
         self._mu_rng = random.Random(f"{seed}:mu")
         self.osfl = (
@@ -64,11 +65,12 @@ class OcdslState:
         """True iff the ledger holds one of ``doms``, however long the ledger's history."""
         return any(tr in self.ledger.entries for tr in doms)
 
-    def threshold(self, tr: Triplet) -> float:
-        """Per-triplet rounding threshold, sampled once on first touch."""
+    def threshold(self, tr: Triplet) -> Fraction:
+        """Per-triplet rounding threshold, sampled once on first touch and kept exact,
+        so that comparing it with a weight converts nothing."""
         mu = self.thresholds.get(tr)
         if mu is None:
-            mu = min(self._mu_rng.random() for _ in range(self.mu_draws))
+            mu = Fraction.from_float(min(self._mu_rng.random() for _ in range(self.mu_draws)))
             self.thresholds[tr] = mu
         return mu
 
@@ -83,27 +85,36 @@ class OcdslState:
     # ------------------------------------------------------------------ phase 1
 
     def grow_fractional(self, doms: Sequence[Triplet]) -> int:
-        """Multiplicative weight growth until ``doms`` carry total mass >= 1."""
-        w_count, lease_count = len(doms), len(self.catalog)
-        # per lease type: new = old * (1 + 1/c) + 1/(|W||L|c)
-        growth = {
-            lt.index: (1 + 1 / lt.cost, 1 / (w_count * lease_count * lt.cost))
-            for lt in self.catalog
-        }
-        weights, zero, per_round = self.weights, Fraction(0), Fraction(1, lease_count)
-        total = sum((weights.get(tr, zero) for tr in doms), zero)
-        rounds = 0
-        while total < 1:
-            rounds += 1
-            # c * (new - old) = old + 1/(|W||L|), so a round costs total + 1/|L|
-            self.fractional_cost += total + per_round
-            total = zero
+        """Multiplicative weight growth until ``doms`` carry total mass >= 1.
+
+        A round maps w to w·f + b/c with f = 1 + 1/c and b = 1/(|W||L|), so r rounds give
+        w + b = (w_0 + b)·f^r and a total Σ_l A_l·f_l^r − 1/|L|, A_l summing w_0 + b over
+        lease l. Galloping and bisection over exact totals find the least r reaching one."""
+        lease_count, weights, cost = len(self.catalog), self.weights, self.catalog.cost
+        b = Fraction(1, len(doms) * lease_count)
+        mass = {lease: k * b for lease, k in Counter(tr.lease for tr in doms).items()}
+        for tr in filter(weights.__contains__, doms):
+            mass[tr.lease] += weights[tr]
+        growth = [(lease, cost(lease), 1 + 1 / cost(lease), a) for lease, a in mass.items()]
+        goal = 1 + Fraction(1, lease_count)
+        lo, hi = -1, None  # lo rounds fall short of one, hi rounds reach it: gallop, then bisect
+        while hi is None or hi - lo > 1:
+            r = max(2 * lo + 1, 0) if hi is None else (lo + hi) // 2
+            if sum(a * f**r for _, _, f, a in growth) < goal:
+                lo = r
+            else:
+                hi = r
+        rounds = hi
+        power = {lease: f**rounds for lease, _, f, _ in growth}
+        if rounds:
+            bump = {lease: b * (p - 1) for lease, p in power.items()}  # what w_0 = 0 grows to
             for tr in doms:
-                factor, bump = growth[tr.lease]
-                new = weights.get(tr, zero) * factor + bump
-                weights[tr] = new
-                total += new
-        self.max_dominator_count = max(self.max_dominator_count, w_count)
+                w = weights.get(tr)
+                weights[tr] = bump[tr.lease] if w is None else w * power[tr.lease] + bump[tr.lease]
+        # round k charged Σ c·(new − old) = Σ (old + b) = Σ_l A_l·f_l^k: A_l·c_l·(f_l^r − 1) in all
+        self.fractional_cost += sum(a * c * (power[lease] - 1) for lease, c, _, a in growth)
+        total = sum(a * power[lease] for lease, _, _, a in growth) - Fraction(1, lease_count)
+        self.max_dominator_count = max(self.max_dominator_count, len(doms))
         if self.min_guard_sum is None or total < self.min_guard_sum:
             self.min_guard_sum = total
         return rounds

@@ -1,7 +1,7 @@
 import os
 import random
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import hypothesis
 import pytest
@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from leaselab.graphs import Graph, bfs_distances, build_graph, shortest_path
 from leaselab.hst import Cluster, Hst
-from leaselab.leases import LeaseCatalog
+from leaselab.leases import LeaseCatalog, Triplet
+from leaselab.ocdsl import OcdslState
 from leaselab.steiner import OsflState
 
 hypothesis.settings.register_profile("fast", max_examples=20)
@@ -51,14 +52,15 @@ def catalogs(draw, max_types: int = 3) -> LeaseCatalog:
     )
     exponents.sort()
     pairs = []
-    cost = draw(st.integers(min_value=1, max_value=4))
+    # quarters from 1/4 to 4, so that costs such as 3/2 and 7/4 occur
+    cost = Fraction(draw(st.integers(min_value=1, max_value=16)), 4)
     prev_d = None
     for e in exponents:
         d = 1 << e
         if prev_d is not None:
             # keep cost non-decreasing and per-unit cost non-increasing
-            lo, hi = cost, cost * d // prev_d
-            cost = draw(st.integers(min_value=lo, max_value=max(lo, hi)))
+            lo, hi = cost, cost * d / prev_d
+            cost = lo + (hi - lo) * Fraction(draw(st.integers(min_value=0, max_value=4)), 4)
         pairs.append((d, cost))
         prev_d = d
     return LeaseCatalog.from_pairs(pairs)
@@ -109,6 +111,33 @@ def reference_build_hst(graph: Graph, rng: random.Random) -> Hst:
         (node,) = member_lists[cid]  # level-0 radius < 1 forces singletons
         leaf_of[node] = cid
     return Hst(delta=delta, clusters=tuple(clusters), leaf_of=tuple(leaf_of))
+
+
+def reference_grow(state: OcdslState, doms: Sequence[Triplet]) -> int:
+    """The weight growth by its definition, one round at a time: every round raises each
+    dominator's weight w to w(1 + 1/c) + 1/(|W||L|c) and charges the cost of the raise."""
+    w_count, lease_count = len(doms), len(state.catalog)
+    growth = {
+        lt.index: (1 + 1 / lt.cost, 1 / (w_count * lease_count * lt.cost))
+        for lt in state.catalog
+    }
+    weights, zero, per_round = state.weights, Fraction(0), Fraction(1, lease_count)
+    total = sum((weights.get(tr, zero) for tr in doms), zero)
+    rounds = 0
+    while total < 1:
+        rounds += 1
+        # c * (new - old) = old + 1/(|W||L|), so a round costs total + 1/|L|
+        state.fractional_cost += total + per_round
+        total = zero
+        for tr in doms:
+            factor, bump = growth[tr.lease]
+            new = weights.get(tr, zero) * factor + bump
+            weights[tr] = new
+            total += new
+    state.max_dominator_count = max(state.max_dominator_count, w_count)
+    if state.min_guard_sum is None or total < state.min_guard_sum:
+        state.min_guard_sum = total
+    return rounds
 
 
 def tree_path_clusters(h: Hst, u: int, v: int) -> List[int]:

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -5,12 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import catalogs, connected_graphs
-from leaselab.generators import canonical_catalog
+from leaselab.generators import canonical_catalog, gen_instance
 from leaselab.graphs import (
     BadNodeId,
     Disconnected,
     DuplicateEdge,
     SelfLoop,
+    bfs_distances,
     build_graph,
     dominators,
     max_degree,
@@ -124,15 +126,47 @@ def test_dominators_come_out_sorted(g, lease_count, t):
         assert dom == tuple(sorted(dom))
 
 
+def full_bfs_path(g, u, v):
+    """Reference: the smallest-id walk from u down a full BFS from v."""
+    dist_to_v = bfs_distances(g, v)
+    path = [u]
+    while path[-1] != v:
+        cur = path[-1]
+        path.append(min(w for w in g.neighbors(cur) if dist_to_v[w] == dist_to_v[cur] - 1))
+    return path
+
+
 @given(g=connected_graphs())
 def test_shortest_path_is_minimal_and_valid(g):
-    from leaselab.graphs import bfs_distances
-
     for u in g.nodes():
         dist = bfs_distances(g, u)
         for v in g.nodes():
             path = shortest_path(g, u, v)
+            assert path == full_bfs_path(g, u, v)
             assert path[0] == u and path[-1] == v
             assert len(path) == dist[v] + 1
             for a, b in zip(path, path[1:]):
                 assert b in g.neighbors(a)
+
+
+@given(g=connected_graphs())
+def test_bfs_with_a_stop_labels_every_nearer_node_and_no_farther_one(g):
+    for v in g.nodes():
+        full = bfs_distances(g, v)
+        for u in g.nodes():
+            part = bfs_distances(g, v, stop=u)
+            assert part[u] == full[u]
+            for d, p in zip(full, part):
+                if d < full[u]:
+                    assert p == d  # the smallest-id walk from u reads these
+                elif d > full[u]:
+                    assert p == -1
+                else:
+                    assert p in (d, -1)
+
+
+def test_bfs_between_grid_neighbours_labels_at_most_five_nodes():
+    g = gen_instance("grid", {"rows": 30, "cols": 30, "T": 1}, random.Random(0)).graph
+    for u, v in g.edges():
+        for a, b in ((u, v), (v, u)):
+            assert sum(d >= 0 for d in bfs_distances(g, a, stop=b)) <= 5

@@ -349,6 +349,7 @@ BROKEN_INSTANCES = {
     # JSON reads 1e400 as inf, which json.dumps writes as Infinity
     "t-overflows": {**INSTANCE, "requests": [{"t": 1e400, "nodes": [0]}]},
     "n-not-whole": {**INSTANCE, "n": 3.5},
+    "cost-huge-exponent": {**INSTANCE, "leases": [{"duration": 1, "cost": "1e300000000"}]},
     "no-requests": {**INSTANCE, "requests": []},
 }
 HEADER = ",".join(CSV_COLUMNS)
@@ -359,6 +360,7 @@ CLI_ERRORS = {
     "pp-rainy-x": (["pp", "--rainy", "0,x", "--leases", "1:1"], {}),
     "pp-lease-without-cost": (["pp", "--rainy", "0", "--leases", "1:1,4"], {}),
     "pp-negative-day": (["pp", "--rainy", "0,-3", "--leases", "1:1"], {}),
+    "pp-lease-huge-exponent": (["pp", "--rainy", "0", "--leases", "1:1e300000000"], {}),
     **{
         name: (["run", "--instance", "i.json"], {"i.json": json.dumps(data)})
         for name, data in BROKEN_INSTANCES.items()
@@ -369,6 +371,14 @@ CLI_ERRORS = {
     ),
     "records-bad-cell": (
         ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,x,,,3,1,2,1\n"}
+    ),
+    # Fraction("1e300000000") would build 10**300000000 and never return
+    "records-huge-exponent": (
+        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,1e300000000,,3,1,2,1\n"}
+    ),
+    "ledger-huge-exponent": (
+        ["verify", "--instance", "i.json", "--ledger", "l.csv"],
+        {"i.json": json.dumps(INSTANCE), "l.csv": LEDGER_HEADER + "\n0,1,1,1,1e300000000\n"},
     ),
     "records-broken-split": (
         ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,1,,,3,1,2,1\n"}

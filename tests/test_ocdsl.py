@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import edge_ledger_cost
+from conftest import catalogs, connected_graphs, edge_ledger_cost, reference_grow
 from leaselab import ocdsl
 from leaselab.errors import EmptyRequest, NonMonotonicTime
 from leaselab.generators import gen_instance
@@ -68,6 +68,53 @@ def test_grow_tracks_fractional_cost(path3):
         TWO.cost(tr.lease) * w for tr, w in state.weights.items()
     )
     assert state.fractional_cost == total
+
+
+@given(
+    g=connected_graphs(max_nodes=5),
+    cat=catalogs(),
+    events=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=8)),
+        min_size=1,
+        max_size=5,
+    ),
+    data=st.data(),
+)
+@settings(deadline=None)
+def test_grow_equals_the_reference_round_loop(g, cat, events, data):
+    fast, slow = OcdslState(g, cat, seed=0), OcdslState(g, cat, seed=0)
+    doms_seq = [dominators(g, u % g.node_count, t, cat) for u, t in events]
+    for tr in sorted(set().union(*doms_seq)):
+        if data.draw(st.booleans()):
+            w = data.draw(st.fractions(min_value=0, max_value=Fraction(3, 2), max_denominator=16))
+            fast.weights[tr] = slow.weights[tr] = w
+    for doms in doms_seq:
+        assert fast.grow_fractional(doms) == reference_grow(slow, doms)
+        assert list(fast.weights.items()) == list(slow.weights.items())
+        assert fast.fractional_cost == slow.fractional_cost
+        assert fast.min_guard_sum == slow.min_guard_sum
+        assert fast.max_dominator_count == slow.max_dominator_count
+
+
+def test_grow_stops_when_the_total_is_exactly_one():
+    # (1/8 + b)(1 + 1/3)^2 - b = 1 with b = 1: two rounds, found by bisection after
+    # galloping past it to three
+    g = build_graph(1, [])
+    cat = LeaseCatalog.from_pairs([(1, 3)])
+    state = OcdslState(g, cat, seed=0)
+    state.weights[Triplet(0, 1, 0)] = Fraction(1, 8)
+    assert state.grow_fractional(dominators(g, 0, 0, cat)) == 2
+    assert state.weights[Triplet(0, 1, 0)] == 1
+
+
+def test_a_lease_of_cost_20000_grows_in_closed_form():
+    # one dominator starting at 0 with b = 1 reaches weight 1 once (1 + 1/20000)^r >= 2
+    f = 1 + Fraction(1, 20000)
+    assert f**13863 < 2 <= f**13864
+    g = build_graph(1, [])
+    state = OcdslState(g, LeaseCatalog.from_pairs([(1, 20000)]), seed=0)
+    for t in range(3):
+        assert state.serve_request([0], t).growth_rounds == 13864
 
 
 def test_round_purchases_weight_one_always_buys():
