@@ -8,6 +8,7 @@ triplet (node, lease index, aligned start) active on the half-open window
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +18,9 @@ from .errors import LeaselabError
 
 CostLike = Union[int, str, float, Fraction]
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+# a cost's numerator and denominator stay under 10^1000, so that sums of costs
+# still print within CPython's 4300-digit int/str limit
+COST_BITS = math.ceil(1000 * math.log2(10))
 
 
 class CatalogError(LeaselabError, ValueError):
@@ -53,12 +57,16 @@ def as_cost(value: CostLike) -> Fraction:
     Floats are read through their decimal repr, so 1.5 from a JSON file
     means exactly 3/2. Text with an exponent past CPython's 4300-digit int/str
     limit raises ValueError: Fraction would build that power of ten in full.
+    So does a numerator or denominator past COST_BITS bits (about 1000 digits).
     """
     text = str(value) if isinstance(value, float) else value
     exponent = _EXPONENT.search(text) if isinstance(text, str) else None
     if exponent and abs(int(exponent[1])) > 4300:
         raise ValueError(f"cost exponent {exponent[1]} is past 4300 digits")
-    return Fraction(text)
+    cost = Fraction(text)
+    if max(cost.numerator.bit_length(), cost.denominator.bit_length()) > COST_BITS:
+        raise ValueError(f"a cost's numerator or denominator is past {COST_BITS} bits")
+    return cost
 
 
 def as_whole(value: object) -> int:

@@ -57,6 +57,8 @@ class OcdslState:
         self.fractional_cost = Fraction(0)
         self.max_dominator_count = 0  # over growth events
         self.min_guard_sum: Optional[Fraction] = None  # min post-growth dominator mass
+        # (rounds, f_l^r, charge, total) of the growth from all-zero weights
+        self._zero_start: Optional[Tuple[int, Dict[int, Fraction], Fraction, Fraction]] = None
         self.last_time: int | None = None
 
     # ------------------------------------------------------------------ helpers
@@ -89,12 +91,39 @@ class OcdslState:
 
         A round maps w to w·f + b/c with f = 1 + 1/c and b = 1/(|W||L|), so r rounds give
         w + b = (w_0 + b)·f^r and a total Σ_l A_l·f_l^r − 1/|L|, A_l summing w_0 + b over
-        lease l. Galloping and bisection over exact totals find the least r reaching one."""
-        lease_count, weights, cost = len(self.catalog), self.weights, self.catalog.cost
+        lease l. When no dominator holds a weight and every lease has k of them, each
+        A_l = k·b = 1/|L|², so that search depends on the catalog alone and is kept."""
+        lease_count, weights = len(self.catalog), self.weights
         b = Fraction(1, len(doms) * lease_count)
-        mass = {lease: k * b for lease, k in Counter(tr.lease for tr in doms).items()}
-        for tr in filter(weights.__contains__, doms):
-            mass[tr.lease] += weights[tr]
+        per_lease = Counter(tr.lease for tr in doms)
+        held = [tr for tr in doms if tr in weights]
+        if held or len(per_lease) < lease_count or len(set(per_lease.values())) > 1:
+            mass = {lease: k * b for lease, k in per_lease.items()}
+            for tr in held:
+                mass[tr.lease] += weights[tr]
+            rounds, power, charge, total = self._growth_search(mass)
+        else:
+            if self._zero_start is None:
+                share = Fraction(1, lease_count**2)
+                self._zero_start = self._growth_search({lt.index: share for lt in self.catalog})
+            rounds, power, charge, total = self._zero_start
+        if rounds:
+            bump = {lease: b * (p - 1) for lease, p in power.items()}  # what w_0 = 0 grows to
+            for tr in doms:
+                w = weights.get(tr)
+                weights[tr] = bump[tr.lease] if w is None else w * power[tr.lease] + bump[tr.lease]
+        self.fractional_cost += charge
+        self.max_dominator_count = max(self.max_dominator_count, len(doms))
+        if self.min_guard_sum is None or total < self.min_guard_sum:
+            self.min_guard_sum = total
+        return rounds
+
+    def _growth_search(
+        self, mass: Dict[int, Fraction]
+    ) -> Tuple[int, Dict[int, Fraction], Fraction, Fraction]:
+        """The least r whose total Σ_l A_l·f_l^r − 1/|L| reaches one, by galloping and
+        bisection over exact totals, with each lease's f_l^r, the cost charged and the total."""
+        cost, lease_count = self.catalog.cost, len(self.catalog)
         growth = [(lease, cost(lease), 1 + 1 / cost(lease), a) for lease, a in mass.items()]
         goal = 1 + Fraction(1, lease_count)
         lo, hi = -1, None  # lo rounds fall short of one, hi rounds reach it: gallop, then bisect
@@ -104,20 +133,11 @@ class OcdslState:
                 lo = r
             else:
                 hi = r
-        rounds = hi
-        power = {lease: f**rounds for lease, _, f, _ in growth}
-        if rounds:
-            bump = {lease: b * (p - 1) for lease, p in power.items()}  # what w_0 = 0 grows to
-            for tr in doms:
-                w = weights.get(tr)
-                weights[tr] = bump[tr.lease] if w is None else w * power[tr.lease] + bump[tr.lease]
+        power = {lease: f**hi for lease, _, f, _ in growth}
         # round k charged Σ c·(new − old) = Σ (old + b) = Σ_l A_l·f_l^k: A_l·c_l·(f_l^r − 1) in all
-        self.fractional_cost += sum(a * c * (power[lease] - 1) for lease, c, _, a in growth)
+        charge = sum(a * c * (power[lease] - 1) for lease, c, _, a in growth)
         total = sum(a * power[lease] for lease, _, _, a in growth) - Fraction(1, lease_count)
-        self.max_dominator_count = max(self.max_dominator_count, len(doms))
-        if self.min_guard_sum is None or total < self.min_guard_sum:
-            self.min_guard_sum = total
-        return rounds
+        return hi, power, charge, total
 
     def round_purchases(self, doms: Sequence[Triplet], t: int) -> List[Triplet]:
         """Buy every dominator whose weight beats its frozen threshold."""

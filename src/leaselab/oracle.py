@@ -8,13 +8,15 @@ so it holds an active node of u0's closed neighbourhood N[u0]; trying the
 components of those few nodes is enough, and requests are never empty by the
 request rule. That makes the per-step check polynomial. The offline
 optimum is branch and bound over the candidate triplet universe, exact and
-deliberately capped at desk scale.
+deliberately capped at desk scale; each step's verdict is memoized by the
+mask of its active candidates, so the search checks each such mask once.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .errors import LeaselabError
 from .graphs import Graph, connected_component
@@ -100,57 +102,62 @@ def _offline(inst: Instance, require_connected: bool) -> Tuple[Fraction, Purchas
     # expensive decisions first prunes best
     cands.sort(key=lambda tr: (-inst.catalog.cost(tr.lease), tr))
     costs = [inst.catalog.cost(tr.lease) for tr in cands]
+    # the search adds integers: every cost times the lcm of the denominators
+    scale = math.lcm(*(c.denominator for c in costs))
+    units = [c.numerator * (scale // c.denominator) for c in costs]
     graph, catalog = inst.graph, inst.catalog
-
-    # per request step, which candidates are active and which nodes they activate
-    step_active: List[List[int]] = []
-    for t, _ in inst.requests:
-        step_active.append(
-            [
-                i
-                for i, tr in enumerate(cands)
-                if tr.start <= t < tr.start + catalog.duration(tr.lease)
-            ]
-        )
     check = check_feasible_step if require_connected else check_domination_step
 
-    def feasible(chosen: Set[int]) -> bool:
-        for step, (t, nodes) in enumerate(inst.requests):
-            active = {cands[i].node for i in step_active[step] if i in chosen}
-            if not check(graph, active, nodes):
+    # per request step: the bit and node of each candidate active then, their mask,
+    # the step's nodes, and its verdicts so far, keyed by the chosen bits of that mask
+    steps: List[Tuple[List[Tuple[int, int]], int, Sequence[int], Dict[int, bool]]] = []
+    for t, nodes in inst.requests:
+        members = [
+            (1 << i, tr.node)
+            for i, tr in enumerate(cands)
+            if tr.start <= t < tr.start + catalog.duration(tr.lease)
+        ]
+        steps.append((members, sum(bit for bit, _ in members), nodes, {}))
+
+    def feasible(mask: int) -> bool:
+        for members, bits, nodes, verdicts in steps:
+            key = mask & bits
+            ok = verdicts.get(key)
+            if ok is None:
+                active = {node for bit, node in members if key & bit}
+                ok = verdicts[key] = check(graph, active, nodes)
+            if not ok:
                 return False
         return True
 
-    everything = set(range(len(cands)))
+    everything = (1 << len(cands)) - 1
     assert feasible(everything)  # leasing every candidate is always feasible
-    best_cost = sum(costs, Fraction(0))
-    best_set = set(everything)
+    best_cost = sum(units)
+    best_set = everything
 
-    chosen: Set[int] = set()
-
-    def dfs(idx: int, cost: Fraction, available: Set[int]) -> None:
+    def dfs(idx: int, cost: int, chosen: int, available: int) -> None:
+        # on entry idx < len(cands), cost < best_cost, chosen is infeasible and available
+        # is feasible, so the take branch keeps a feasible available and the skip branch
+        # an infeasible chosen
         nonlocal best_cost, best_set
-        if cost >= best_cost:
-            return
-        if feasible(chosen):
-            best_cost = cost
-            best_set = set(chosen)
-            return  # any superset only costs more
-        if idx == len(cands):
-            return
-        if not feasible(available):
-            return  # even taking every remaining candidate cannot recover
-        chosen.add(idx)
-        dfs(idx + 1, cost + costs[idx], available)
-        chosen.remove(idx)
-        available.remove(idx)
-        dfs(idx + 1, cost, available)
-        available.add(idx)
+        bit, more = 1 << idx, idx + 1 < len(cands)
+        take = cost + units[idx]
+        if take < best_cost:
+            if feasible(chosen | bit):
+                best_cost, best_set = take, chosen | bit  # any superset only costs more
+            elif more:
+                dfs(idx + 1, take, chosen | bit, available)
+        # skip, unless even taking every remaining candidate cannot recover
+        if cost < best_cost and more and feasible(available ^ bit):
+            dfs(idx + 1, cost, chosen, available ^ bit)
 
-    dfs(0, Fraction(0), set(everything))
+    if feasible(0):
+        best_cost, best_set = 0, 0
+    else:
+        dfs(0, 0, 0, everything)
 
     ledger = PurchaseLedger()
-    for i in sorted(best_set, key=lambda j: cands[j]):
-        tr = cands[i]
-        ledger.add(tr, step=tr.start, cost=costs[i])
-    return best_cost, ledger
+    best = sorted((tr, c) for i, (tr, c) in enumerate(zip(cands, costs)) if best_set >> i & 1)
+    for tr, cost in best:
+        ledger.add(tr, step=tr.start, cost=cost)
+    return Fraction(best_cost, scale), ledger

@@ -1,7 +1,7 @@
 import os
 import random
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import hypothesis
 import pytest
@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from leaselab.graphs import Graph, bfs_distances, build_graph, shortest_path
 from leaselab.hst import Cluster, Hst
+from leaselab.instances import Instance, PurchaseLedger
 from leaselab.leases import LeaseCatalog, Triplet
 from leaselab.ocdsl import OcdslState
+from leaselab.oracle import candidate_universe, check_domination_step, check_feasible_step
 from leaselab.steiner import OsflState
 
 hypothesis.settings.register_profile("fast", max_examples=20)
@@ -138,6 +140,54 @@ def reference_grow(state: OcdslState, doms: Sequence[Triplet]) -> int:
     if state.min_guard_sum is None or total < state.min_guard_sum:
         state.min_guard_sum = total
     return rounds
+
+
+def reference_offline(inst: Instance, require_connected: bool) -> Tuple[Fraction, PurchaseLedger]:
+    """The exact optimum by the plain branch and bound over sets: candidates by cost
+    descending, take before skip, and every search node re-checks every request step."""
+    cands = sorted(candidate_universe(inst), key=lambda tr: (-inst.catalog.cost(tr.lease), tr))
+    costs = [inst.catalog.cost(tr.lease) for tr in cands]
+    graph, catalog = inst.graph, inst.catalog
+    step_active: List[List[int]] = [
+        [i for i, tr in enumerate(cands) if tr.start <= t < tr.start + catalog.duration(tr.lease)]
+        for t, _ in inst.requests
+    ]
+    check = check_feasible_step if require_connected else check_domination_step
+
+    def feasible(chosen: Set[int]) -> bool:
+        for step, (t, nodes) in enumerate(inst.requests):
+            active = {cands[i].node for i in step_active[step] if i in chosen}
+            if not check(graph, active, nodes):
+                return False
+        return True
+
+    everything = set(range(len(cands)))
+    best_cost = sum(costs, Fraction(0))
+    best_set = set(everything)
+    chosen: Set[int] = set()
+
+    def dfs(idx: int, cost: Fraction, available: Set[int]) -> None:
+        nonlocal best_cost, best_set
+        if cost >= best_cost:
+            return
+        if feasible(chosen):
+            best_cost = cost
+            best_set = set(chosen)
+            return
+        if idx == len(cands) or not feasible(available):
+            return
+        chosen.add(idx)
+        dfs(idx + 1, cost + costs[idx], available)
+        chosen.remove(idx)
+        available.remove(idx)
+        dfs(idx + 1, cost, available)
+        available.add(idx)
+
+    dfs(0, Fraction(0), set(everything))
+    ledger = PurchaseLedger()
+    for i in sorted(best_set, key=lambda j: cands[j]):
+        ledger.add(cands[i], step=cands[i].start, cost=costs[i])
+    return best_cost, ledger
 
 
 def tree_path_clusters(h: Hst, u: int, v: int) -> List[int]:

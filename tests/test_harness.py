@@ -361,6 +361,7 @@ CLI_ERRORS = {
     "pp-lease-without-cost": (["pp", "--rainy", "0", "--leases", "1:1,4"], {}),
     "pp-negative-day": (["pp", "--rainy", "0,-3", "--leases", "1:1"], {}),
     "pp-lease-huge-exponent": (["pp", "--rainy", "0", "--leases", "1:1e300000000"], {}),
+    "pp-lease-cost-past-digit-bound": (["pp", "--rainy", "0", "--leases", "1:1e4300"], {}),
     **{
         name: (["run", "--instance", "i.json"], {"i.json": json.dumps(data)})
         for name, data in BROKEN_INSTANCES.items()

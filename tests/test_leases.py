@@ -109,6 +109,14 @@ def test_as_cost_reads_decimals_exactly():
     assert as_cost(3) == Fraction(3)
 
 
+def test_as_cost_refuses_a_numerator_or_denominator_past_1000_digits():
+    assert as_cost("1e1000") == 10**1000
+    assert as_cost("1e-1000") == Fraction(1, 10**1000)
+    for text in ("1e1001", "1e-1001", "1e4300", "3" * 1002, f"1/{'7' * 1002}"):
+        with pytest.raises(ValueError):
+            as_cost(text)
+
+
 @given(t=st.integers(min_value=0, max_value=1_000), cat=catalogs())
 def test_each_node_has_one_candidate_slot_per_type(t, cat):
     # for every t and lease type exactly one aligned start covers t

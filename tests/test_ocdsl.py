@@ -89,11 +89,28 @@ def test_grow_equals_the_reference_round_loop(g, cat, events, data):
             w = data.draw(st.fractions(min_value=0, max_value=Fraction(3, 2), max_denominator=16))
             fast.weights[tr] = slow.weights[tr] = w
     for doms in doms_seq:
-        assert fast.grow_fractional(doms) == reference_grow(slow, doms)
-        assert list(fast.weights.items()) == list(slow.weights.items())
-        assert fast.fractional_cost == slow.fractional_cost
-        assert fast.min_guard_sum == slow.min_guard_sum
-        assert fast.max_dominator_count == slow.max_dominator_count
+        assert_grows_as_the_reference(fast, slow, doms)
+
+
+@given(g=connected_graphs(max_nodes=6), cat=catalogs(), data=st.data())
+@settings(deadline=None)
+def test_zero_start_growth_equals_the_reference_round_loop(g, cat, data):
+    # one state serves every node once, each at its own slot (durations are at most 16),
+    # so every call starts from zero weights, on nodes of every degree the graph has
+    fast, slow = OcdslState(g, cat, seed=0), OcdslState(g, cat, seed=0)
+    order = data.draw(st.permutations(range(g.node_count)))
+    for i, u in enumerate(order):
+        doms = dominators(g, u, 32 * i, cat)
+        assert not any(tr in fast.weights for tr in doms)
+        assert_grows_as_the_reference(fast, slow, doms)
+
+
+def assert_grows_as_the_reference(fast, slow, doms):
+    assert fast.grow_fractional(doms) == reference_grow(slow, doms)
+    assert list(fast.weights.items()) == list(slow.weights.items())
+    assert fast.fractional_cost == slow.fractional_cost
+    assert fast.min_guard_sum == slow.min_guard_sum
+    assert fast.max_dominator_count == slow.max_dominator_count
 
 
 def test_grow_stops_when_the_total_is_exactly_one():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graphs
+from conftest import catalogs, connected_graphs, reference_offline
+from leaselab import oracle
 from leaselab.graphs import build_graph
 from leaselab.instances import PurchaseLedger, make_instance
 from leaselab.leases import LeaseCatalog, Triplet
@@ -215,3 +217,44 @@ def test_relabelling_the_nodes_keeps_the_optima(seed, perm_seed):
     )
     assert offline_opt(moved)[0] == offline_opt(inst)[0]
     assert offline_opt_ds(moved)[0] == offline_opt_ds(inst)[0]
+
+
+@st.composite
+def small_instances(draw):
+    """At most 4 nodes, 2 lease types and 3 request steps: at most 24 candidates."""
+    g = draw(connected_graphs(max_nodes=4))
+    cat = draw(catalogs(max_types=2))
+    node = st.integers(min_value=0, max_value=g.node_count - 1)
+    times = draw(st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=3, unique=True))
+    requests = [(t, draw(st.lists(node, min_size=1, unique=True))) for t in sorted(times)]
+    return make_instance(g, cat, requests)
+
+
+@given(inst=small_instances())
+@settings(deadline=None)
+def test_offline_optima_equal_the_set_based_search(inst):
+    assert len(candidate_universe(inst)) <= 24
+    for require_connected, solve in ((True, offline_opt), (False, offline_opt_ds)):
+        cost, ledger = solve(inst)
+        ref_cost, ref_ledger = reference_offline(inst, require_connected)
+        assert cost == ref_cost
+        assert ledger.rows() == ref_ledger.rows()
+
+
+def test_offline_opt_checks_each_step_mask_once(monkeypatch):
+    # 2x3 grid, one unit lease, T=3: 18 candidates, near the cap. With one lease each
+    # step's active-candidate mask is its set of active nodes, and the requests differ.
+    grid = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
+    inst = make_instance(grid, UNIT, [(0, [0, 5]), (1, [2, 3]), (2, [1, 3, 5])])
+    calls = Counter()
+
+    def counted(graph, active_nodes, request_nodes):
+        calls[tuple(request_nodes), frozenset(active_nodes)] += 1
+        return check_feasible_step(graph, active_nodes, request_nodes)
+
+    monkeypatch.setattr(oracle, "check_feasible_step", counted)
+    cost, ledger = offline_opt(inst)
+    ref_cost, ref_ledger = reference_offline(inst, True)
+    assert cost == ref_cost and ledger.rows() == ref_ledger.rows()
+    assert len(candidate_universe(inst)) == 18
+    assert max(calls.values()) == 1
