@@ -174,12 +174,11 @@ def cmd_pp(args: argparse.Namespace) -> int:
             f"want --rainy day,day,... and --leases duration:cost,... of numbers ({exc})"
         ) from None
     catalog = LeaseCatalog.from_pairs(pairs)
-    horizon = args.horizon if args.horizon is not None else (max(rainy) + 1 if rainy else 1)
     leaser = PermitLeaser(catalog)
     for t in rainy:
         leaser.serve_request([0], t)
     cost, _ = leaser.cost_split()
-    opt = pp_offline_opt(rainy, catalog, horizon)
+    opt = pp_offline_opt(rainy, catalog, args.horizon)
     ratio = float(cost / opt) if opt else 1.0
     rows = [
         ("purchase", t, lease, start, catalog.cost(lease), "", "")

@@ -27,10 +27,11 @@ class Instance:
         return tuple(t for t, _ in self.requests)
 
     def to_json(self) -> dict:
-        leases = []
-        for lt in self.catalog:
-            cost = int(lt.cost) if lt.cost.denominator == 1 else float(lt.cost)
-            leases.append({"duration": lt.duration, "cost": cost})
+        # a cost that is not whole goes out as fraction text ("1/3"), which reads back exactly
+        leases = [
+            {"duration": lt.duration, "cost": int(lt.cost) if lt.cost.denominator == 1 else str(lt.cost)}
+            for lt in self.catalog
+        ]
         return {
             "n": self.graph.node_count,
             "edges": [list(e) for e in self.graph.edges()],

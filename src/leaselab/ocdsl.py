@@ -16,7 +16,6 @@ randomized rounding algorithm for the domination-only problem.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -89,23 +88,22 @@ class OcdslState:
     def grow_fractional(self, doms: Sequence[Triplet]) -> int:
         """Multiplicative weight growth until ``doms`` carry total mass >= 1.
 
+        ``doms`` must be ``dominators(...)``: N[u] × L, k nodes times every lease.
         A round maps w to w·f + b/c with f = 1 + 1/c and b = 1/(|W||L|), so r rounds give
         w + b = (w_0 + b)·f^r and a total Σ_l A_l·f_l^r − 1/|L|, A_l summing w_0 + b over
-        lease l. When no dominator holds a weight and every lease has k of them, each
-        A_l = k·b = 1/|L|², so that search depends on the catalog alone and is kept."""
+        lease l. With |W| = k·|L| every A_l starts at k·b = 1/|L|², so when no dominator
+        holds a weight the search depends on the catalog alone and is kept."""
         lease_count, weights = len(self.catalog), self.weights
         b = Fraction(1, len(doms) * lease_count)
-        per_lease = Counter(tr.lease for tr in doms)
+        mass = {lt.index: Fraction(1, lease_count**2) for lt in self.catalog}
         held = [tr for tr in doms if tr in weights]
-        if held or len(per_lease) < lease_count or len(set(per_lease.values())) > 1:
-            mass = {lease: k * b for lease, k in per_lease.items()}
-            for tr in held:
-                mass[tr.lease] += weights[tr]
+        for tr in held:
+            mass[tr.lease] += weights[tr]
+        if held:
             rounds, power, charge, total = self._growth_search(mass)
         else:
             if self._zero_start is None:
-                share = Fraction(1, lease_count**2)
-                self._zero_start = self._growth_search({lt.index: share for lt in self.catalog})
+                self._zero_start = self._growth_search(mass)
             rounds, power, charge, total = self._zero_start
         if rounds:
             bump = {lease: b * (p - 1) for lease, p in power.items()}  # what w_0 = 0 grows to

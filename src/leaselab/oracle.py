@@ -151,10 +151,9 @@ def _offline(inst: Instance, require_connected: bool) -> Tuple[Fraction, Purchas
         if cost < best_cost and more and feasible(available ^ bit):
             dfs(idx + 1, cost, chosen, available ^ bit)
 
-    if feasible(0):
-        best_cost, best_set = 0, 0
-    else:
-        dfs(0, 0, 0, everything)
+    # the empty set never serves: an instance has a step with a node, and no node is
+    # dominated while nothing is active, so dfs's entry conditions hold at the root
+    dfs(0, 0, 0, everything)
 
     ledger = PurchaseLedger()
     best = sorted((tr, c) for i, (tr, c) in enumerate(zip(cands, costs)) if best_set >> i & 1)

@@ -10,7 +10,6 @@ aligned.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -99,37 +98,23 @@ def pp_offline_opt(
 ) -> Fraction:
     """Exact minimum cover cost for the given rainy days.
 
-    DP over the slot hierarchy: a type-k slot either buys its own permit or
-    decomposes into its nested type-(k-1) slots; the base type pays its cost
-    iff the slot contains a rainy day.
+    DP over the slot hierarchy, bottom-up over the slots that hold a rainy day:
+    each rainy day starts at c_1, then each lease type, smallest first, sums the
+    costs inside each of its slots and keeps min(c_k, sum), so a base slot costs c_1.
     """
-    days = sorted(set(rainy))
-    if not days:
+    cost_of = dict.fromkeys(rainy, catalog.cost(1))
+    if not cost_of:
         return Fraction(0)
+    first, last = min(cost_of), max(cost_of)
     if horizon is None:
-        horizon = max(days) + 1
-    if days[0] < 0 or days[-1] >= horizon:
-        raise RainyDayOutOfHorizon(
-            f"rainy days must lie in [0, {horizon}), got {days[0]}..{days[-1]}"
-        )
-
-    def has_rainy(lo: int, hi: int) -> bool:
-        i = bisect_left(days, lo)
-        return i < len(days) and days[i] < hi
-
-    durations = [lt.duration for lt in catalog]
-    costs = [lt.cost for lt in catalog]
-
-    def opt(k: int, s: int) -> Fraction:
-        d = durations[k - 1]
-        if not has_rainy(s, s + d):
-            return Fraction(0)
-        if k == 1:
-            return costs[0]
-        step = durations[k - 2]
-        split = sum((opt(k - 1, s2) for s2 in range(s, s + d, step)), Fraction(0))
-        return min(costs[k - 1], split)
-
-    # only the top slots holding a rainy day cost anything
-    top_starts = {day - day % durations[-1] for day in days}
-    return sum((opt(len(catalog), s) for s in top_starts), Fraction(0))
+        horizon = last + 1
+    if first < 0 or last >= horizon:
+        raise RainyDayOutOfHorizon(f"rainy days must lie in [0, {horizon}), got {first}..{last}")
+    for lt in catalog:
+        split: Dict[int, Fraction] = {}
+        for s, cost in cost_of.items():
+            top = s - s % lt.duration
+            # most slots hold one nested cost, which is kept as it is rather than added to 0
+            split[top] = split[top] + cost if top in split else cost
+        cost_of = {s: min(lt.cost, cost) for s, cost in split.items()}
+    return sum(cost_of.values(), Fraction(0))

@@ -1,7 +1,8 @@
 import os
 import random
+from bisect import bisect_left
 from fractions import Fraction
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 import hypothesis
 import pytest
@@ -13,6 +14,7 @@ from leaselab.instances import Instance, PurchaseLedger
 from leaselab.leases import LeaseCatalog, Triplet
 from leaselab.ocdsl import OcdslState
 from leaselab.oracle import candidate_universe, check_domination_step, check_feasible_step
+from leaselab.permits import RainyDayOutOfHorizon
 from leaselab.steiner import OsflState
 
 hypothesis.settings.register_profile("fast", max_examples=20)
@@ -188,6 +190,44 @@ def reference_offline(inst: Instance, require_connected: bool) -> Tuple[Fraction
     for i in sorted(best_set, key=lambda j: cands[j]):
         ledger.add(cands[i], step=cands[i].start, cost=costs[i])
     return best_cost, ledger
+
+
+def reference_pp_offline_opt(
+    rainy: Iterable[int], catalog: LeaseCatalog, horizon: int | None = None
+) -> Fraction:
+    """The exact permit optimum by the top-down DP over the slot hierarchy: a type-k
+    slot either buys its own permit or decomposes into its nested type-(k-1) slots;
+    the base type pays its cost iff the slot contains a rainy day."""
+    days = sorted(set(rainy))
+    if not days:
+        return Fraction(0)
+    if horizon is None:
+        horizon = max(days) + 1
+    if days[0] < 0 or days[-1] >= horizon:
+        raise RainyDayOutOfHorizon(
+            f"rainy days must lie in [0, {horizon}), got {days[0]}..{days[-1]}"
+        )
+
+    def has_rainy(lo: int, hi: int) -> bool:
+        i = bisect_left(days, lo)
+        return i < len(days) and days[i] < hi
+
+    durations = [lt.duration for lt in catalog]
+    costs = [lt.cost for lt in catalog]
+
+    def opt(k: int, s: int) -> Fraction:
+        d = durations[k - 1]
+        if not has_rainy(s, s + d):
+            return Fraction(0)
+        if k == 1:
+            return costs[0]
+        step = durations[k - 2]
+        split = sum((opt(k - 1, s2) for s2 in range(s, s + d, step)), Fraction(0))
+        return min(costs[k - 1], split)
+
+    # only the top slots holding a rainy day cost anything
+    top_starts = {day - day % durations[-1] for day in days}
+    return sum((opt(len(catalog), s) for s in top_starts), Fraction(0))
 
 
 def tree_path_clusters(h: Hst, u: int, v: int) -> List[int]:

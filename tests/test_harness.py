@@ -28,6 +28,7 @@ from leaselab.harness import (
     trial_seed,
 )
 from leaselab.instances import Instance, make_instance
+from leaselab.leases import LeaseCatalog
 
 
 def test_gen_star_instance():
@@ -73,6 +74,14 @@ def test_instance_json_roundtrip():
     inst = gen_instance("star", {"n": 4, "T": 2, "L": 3}, random.Random(1))
     again = Instance.from_json(json.loads(json.dumps(inst.to_json())))
     assert again == inst
+
+
+def test_instance_json_roundtrip_keeps_fractional_costs_exact():
+    catalog = LeaseCatalog.from_pairs([(1, Fraction(1, 3)), (8, Fraction(3, 2))])
+    inst = make_instance(build_graph(2, [(0, 1)]), catalog, [(0, [0]), (3, [1])])
+    data = json.loads(json.dumps(inst.to_json()))
+    assert [lease["cost"] for lease in data["leases"]] == ["1/3", "3/2"]
+    assert Instance.from_json(data) == inst
 
 
 def test_trial_seed_is_stable():

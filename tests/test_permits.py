@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import catalogs, reference_pp_offline_opt
 from leaselab.errors import NonMonotonicTime
 from leaselab.leases import LeaseCatalog, slot_start
 from leaselab.permits import PermitLeaser, PermitState, RainyDayOutOfHorizon, pp_offline_opt
@@ -104,6 +105,13 @@ def test_offline_opt_matches_brute_force_exhaustively():
 @settings(max_examples=60, deadline=None)
 def test_offline_opt_matches_brute_force_three_types(days):
     assert pp_offline_opt(days, THREE, horizon=16) == pp_brute_force_opt(days, THREE)
+
+
+@given(cat=catalogs(), days=st.sets(st.integers(min_value=0, max_value=511), max_size=60))
+@settings(deadline=None)
+def test_offline_opt_equals_the_top_down_dp(cat, days):
+    # quarter costs and durations up to 16 with gaps, past what the brute force enumerates
+    assert pp_offline_opt(days, cat, 512) == reference_pp_offline_opt(days, cat, 512)
 
 
 @given(days=st.lists(st.integers(min_value=0, max_value=15), max_size=10))
