@@ -134,8 +134,9 @@ def connected_component(graph: Graph, start: int, allowed: Set[int]) -> Set[int]
 def dominators(graph: Graph, u: int, t: int, catalog: LeaseCatalog) -> Tuple[Triplet, ...]:
     """The (deg(u)+1)·|L| candidate t-triplets on u's closed neighborhood, sorted as built:
     the neighborhood is sorted by node, the catalog by lease index, and a lease fixes its start."""
+    slots = catalog.slots(t)
     return tuple(
-        Triplet(i, lt.index, t - t % lt.duration)
+        Triplet(i, lease, start)
         for i in graph.closed_neighborhood(u)
-        for lt in catalog
+        for lease, start in slots
     )

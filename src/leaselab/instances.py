@@ -124,11 +124,7 @@ class PurchaseLedger:
         return sum((cost for _, cost in self.entries.values()), Fraction(0))
 
     def active_triplets(self, catalog: LeaseCatalog, t: int) -> List[Triplet]:
-        return [
-            tr
-            for lt in catalog
-            for tr in self._slots.get((lt.index, t - t % lt.duration), ())
-        ]
+        return [tr for key in catalog.slots(t) for tr in self._slots.get(key, ())]
 
     def active_nodes(self, catalog: LeaseCatalog, t: int) -> Set[int]:
         return {tr.node for tr in self.active_triplets(catalog, t)}

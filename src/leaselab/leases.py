@@ -124,19 +124,19 @@ class LeaseCatalog:
     def max_duration(self) -> int:
         return self.types[-1].duration
 
-    def slot(self, t: int, index: int) -> int:
-        return slot_start(t, self.types[index - 1].duration)
+    def slots(self, t: int) -> Tuple[Tuple[int, int], ...]:
+        """In lease order, the (lease index, start) of the one window per lease type
+        that holds ``t``: the largest start s <= t with s ≡ 0 (mod duration)."""
+        if t < 0:
+            raise ValueError(f"time must be nonnegative, got {t}")
+        return tuple([(lt.index, t - t % lt.duration) for lt in self.types])
 
     def triplet_at(self, node: int, index: int, t: int) -> Triplet:
-        """The unique triplet of this lease type on ``node`` whose window contains ``t``."""
-        return Triplet(node, index, self.slot(t, index))
-
-
-def slot_start(t: int, duration: int) -> int:
-    """Largest aligned start s <= t with s ≡ 0 (mod duration)."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    return t - t % duration
+        """The unique triplet of this lease type on ``node`` whose window contains ``t``:
+        its start is that of ``slots(t)`` for this one type."""
+        if t < 0:
+            raise ValueError(f"time must be nonnegative, got {t}")
+        return Triplet(node, index, t - t % self.types[index - 1].duration)
 
 
 def validate_catalog(catalog: LeaseCatalog) -> None:

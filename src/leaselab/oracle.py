@@ -77,9 +77,8 @@ def candidate_universe(inst: Instance) -> List[Triplet]:
     """All triplets that can matter: every node x lease x slot hit by a request time."""
     universe = set()
     for t, _ in inst.requests:
-        for node in inst.graph.nodes():
-            for lt in inst.catalog:
-                universe.add(Triplet(node, lt.index, t - t % lt.duration))
+        slots = inst.catalog.slots(t)
+        universe.update(Triplet(node, *slot) for node in inst.graph.nodes() for slot in slots)
     return sorted(universe)
 
 
@@ -105,17 +104,17 @@ def _offline(inst: Instance, require_connected: bool) -> Tuple[Fraction, Purchas
     # the search adds integers: every cost times the lcm of the denominators
     scale = math.lcm(*(c.denominator for c in costs))
     units = [c.numerator * (scale // c.denominator) for c in costs]
-    graph, catalog = inst.graph, inst.catalog
+    graph = inst.graph
     check = check_feasible_step if require_connected else check_domination_step
 
     # per request step: the bit and node of each candidate active then, their mask,
     # the step's nodes, and its verdicts so far, keyed by the chosen bits of that mask
     steps: List[Tuple[List[Tuple[int, int]], int, Sequence[int], Dict[int, bool]]] = []
+    # every candidate starts on its lease's grid, so it is live at t iff its slot holds t
     for t, nodes in inst.requests:
+        live = set(inst.catalog.slots(t))
         members = [
-            (1 << i, tr.node)
-            for i, tr in enumerate(cands)
-            if tr.start <= t < tr.start + catalog.duration(tr.lease)
+            (1 << i, tr.node) for i, tr in enumerate(cands) if (tr.lease, tr.start) in live
         ]
         steps.append((members, sum(bit for bit, _ in members), nodes, {}))
 

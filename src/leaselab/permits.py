@@ -31,41 +31,31 @@ class PermitState:
         self.owned: Dict[Tuple[int, int], int] = {}
         self.spend: Dict[Tuple[int, int], Fraction] = {}  # (lease index, slot) -> cost of smaller types inside
 
-    def covered(self, t: int) -> bool:
-        """True iff an owned permit holds t: one aligned slot per lease type."""
-        return any((lt.index, t - t % lt.duration) in self.owned for lt in self.catalog)
-
     def total_cost(self) -> Fraction:
         return sum((self.catalog.cost(k) for k, _ in self.owned), Fraction(0))
 
-    def _buy(self, k: int, t: int) -> Tuple[int, int]:
-        start = self.catalog.slot(t, k)
-        cost = self.catalog.cost(k)
-        self.owned[(k, start)] = t
-        # charge into every strictly larger enclosing slot
-        for bigger in range(k + 1, len(self.catalog) + 1):
-            key = (bigger, self.catalog.slot(t, bigger))
-            self.spend[key] = self.spend.get(key, Fraction(0)) + cost
-        return (k, start)
-
     def request(self, t: int) -> List[Tuple[int, int]]:
         """Serve a rainy day; returns the (lease, start) pairs bought, if any."""
-        if self.covered(t):
+        slots = self.catalog.slots(t)  # one per lease type; slots[k] is type k + 1's
+        owned, spend = self.owned, self.spend
+        if not owned.keys().isdisjoint(slots):
             return []
-        bought = [self._buy(1, t)]
+        bought = []
+        k = 0  # an uncovered day buys the smallest type first
         while True:
-            fired = None
-            for k in range(len(self.catalog), 1, -1):
-                key = (k, self.catalog.slot(t, k))
-                if key in self.owned:
-                    continue
-                if self.spend.get(key, Fraction(0)) >= self.catalog.cost(k):
-                    fired = k
+            owned[slots[k]] = t
+            bought.append(slots[k])
+            cost = self.catalog.types[k].cost
+            # charge into every strictly larger enclosing slot
+            for key in slots[k + 1 :]:
+                spend[key] = spend.get(key, 0) + cost
+            # then the largest unowned type whose slot's spend has reached its cost fires
+            for k in range(len(slots) - 1, 0, -1):
+                key = slots[k]
+                if key not in owned and spend.get(key, 0) >= self.catalog.types[k].cost:
                     break
-            if fired is None:
-                break
-            bought.append(self._buy(fired, t))
-        return bought
+            else:
+                return bought
 
 
 class PermitLeaser:

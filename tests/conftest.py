@@ -14,7 +14,7 @@ from leaselab.instances import Instance, PurchaseLedger
 from leaselab.leases import LeaseCatalog, Triplet
 from leaselab.ocdsl import OcdslState
 from leaselab.oracle import candidate_universe, check_domination_step, check_feasible_step
-from leaselab.permits import RainyDayOutOfHorizon
+from leaselab.permits import PermitState, RainyDayOutOfHorizon
 from leaselab.steiner import OsflState
 
 hypothesis.settings.register_profile("fast", max_examples=20)
@@ -228,6 +228,45 @@ def reference_pp_offline_opt(
     # only the top slots holding a rainy day cost anything
     top_starts = {day - day % durations[-1] for day in days}
     return sum((opt(len(catalog), s) for s in top_starts), Fraction(0))
+
+
+class ReferencePermitState(PermitState):
+    """The online permit rule as first written: a coverage scan of the owned permits, then
+    one purchase at a time, restarting the search from the largest type after each."""
+
+    def slot(self, t: int, k: int) -> int:
+        return t - t % self.catalog.duration(k)
+
+    def covered(self, t: int) -> bool:
+        return any((lt.index, t - t % lt.duration) in self.owned for lt in self.catalog)
+
+    def _buy(self, k: int, t: int) -> Tuple[int, int]:
+        start = self.slot(t, k)
+        cost = self.catalog.cost(k)
+        self.owned[(k, start)] = t
+        # charge into every strictly larger enclosing slot
+        for bigger in range(k + 1, len(self.catalog) + 1):
+            key = (bigger, self.slot(t, bigger))
+            self.spend[key] = self.spend.get(key, Fraction(0)) + cost
+        return (k, start)
+
+    def request(self, t: int) -> List[Tuple[int, int]]:
+        if self.covered(t):
+            return []
+        bought = [self._buy(1, t)]
+        while True:
+            fired = None
+            for k in range(len(self.catalog), 1, -1):
+                key = (k, self.slot(t, k))
+                if key in self.owned:
+                    continue
+                if self.spend.get(key, Fraction(0)) >= self.catalog.cost(k):
+                    fired = k
+                    break
+            if fired is None:
+                break
+            bought.append(self._buy(fired, t))
+        return bought
 
 
 def tree_path_clusters(h: Hst, u: int, v: int) -> List[int]:

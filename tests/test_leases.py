@@ -15,7 +15,6 @@ from leaselab.leases import (
     NonPowerOfTwoDuration,
     Triplet,
     as_cost,
-    slot_start,
     validate_catalog,
 )
 
@@ -25,15 +24,19 @@ def is_active(tr: Triplet, t: int, catalog: LeaseCatalog) -> bool:
     return tr.start <= t < tr.start + catalog.duration(tr.lease)
 
 
-def test_slot_start_examples():
-    assert slot_start(5, 4) == 4
-    assert slot_start(0, 8) == 0
-    assert slot_start(7, 1) == 7
+def test_slots_examples():
+    cat = LeaseCatalog.from_pairs([(1, 1), (4, 2), (8, 3)])
+    assert cat.slots(5) == ((1, 5), (2, 4), (3, 0))
+    assert cat.slots(0) == ((1, 0), (2, 0), (3, 0))
+    assert cat.slots(7) == ((1, 7), (2, 4), (3, 0))
 
 
-def test_slot_start_rejects_negative_time():
+def test_slots_reject_negative_time():
+    cat = LeaseCatalog.from_pairs([(2, 1)])
     with pytest.raises(ValueError):
-        slot_start(-1, 2)
+        cat.slots(-1)
+    with pytest.raises(ValueError):
+        cat.triplet_at(0, 1, -1)
 
 
 def test_is_active_examples():
@@ -45,11 +48,11 @@ def test_is_active_examples():
 
 @given(t=st.integers(min_value=0, max_value=10_000), cat=catalogs())
 def test_is_active_iff_slot_matches(t, cat):
-    for lt in cat:
+    for lt, slot in zip(cat, cat.slots(t), strict=True):
         tr = cat.triplet_at(0, lt.index, t)
         assert is_active(tr, t, cat)
-        assert slot_start(t, lt.duration) == tr.start
-        # the only aligned start active at t is slot_start itself
+        assert slot == (tr.lease, tr.start)
+        # the only aligned start active at t is the slot's own
         other = Triplet(0, lt.index, tr.start + lt.duration)
         assert not is_active(other, t, cat)
 
@@ -120,10 +123,10 @@ def test_as_cost_refuses_a_numerator_or_denominator_past_1000_digits():
 @given(t=st.integers(min_value=0, max_value=1_000), cat=catalogs())
 def test_each_node_has_one_candidate_slot_per_type(t, cat):
     # for every t and lease type exactly one aligned start covers t
-    for lt in cat:
+    for lt, (lease, start) in zip(cat, cat.slots(t), strict=True):
         starts = [
             s
             for s in range(0, t + lt.duration, lt.duration)
             if s <= t < s + lt.duration
         ]
-        assert starts == [slot_start(t, lt.duration)]
+        assert (lease, starts) == (lt.index, [start])

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import catalogs, reference_pp_offline_opt
+from conftest import ReferencePermitState, catalogs, reference_pp_offline_opt
 from leaselab.errors import NonMonotonicTime
-from leaselab.leases import LeaseCatalog, slot_start
+from leaselab.leases import LeaseCatalog
 from leaselab.permits import PermitLeaser, PermitState, RainyDayOutOfHorizon, pp_offline_opt
 
 SINGLE = LeaseCatalog.from_pairs([(1, 1)])
@@ -22,7 +22,7 @@ def pp_brute_force_opt(rainy: Iterable[int], catalog: LeaseCatalog) -> Fraction:
     candidates = [  # (start, duration, cost)
         (s, lt.duration, lt.cost)
         for lt in catalog
-        for s in sorted({slot_start(t, lt.duration) for t in days})
+        for s in sorted({t - t % lt.duration for t in days})
     ]
     assert len(candidates) <= 16, "too many candidate permits to enumerate"
     best = None
@@ -114,12 +114,22 @@ def test_offline_opt_equals_the_top_down_dp(cat, days):
     assert pp_offline_opt(days, cat, 512) == reference_pp_offline_opt(days, cat, 512)
 
 
+@given(cat=catalogs(), days=st.sets(st.integers(min_value=0, max_value=511), max_size=60))
+@settings(deadline=None)
+def test_request_buys_as_the_restart_loop(cat, days):
+    state, reference = PermitState(cat), ReferencePermitState(cat)
+    for t in sorted(days):
+        assert state.request(t) == reference.request(t), t
+    assert list(state.owned.items()) == list(reference.owned.items())
+    assert state.spend == reference.spend
+
+
 @given(days=st.lists(st.integers(min_value=0, max_value=15), max_size=10))
 def test_feasibility_after_each_request(days):
     state = PermitState(THREE)
     for t in sorted(days):
         state.request(t)
-        assert state.covered(t)
+        assert any(s <= t < s + THREE.duration(k) for k, s in state.owned)
 
 
 def test_single_type_cost_equals_optimum_exhaustively():
