@@ -177,12 +177,12 @@ def cmd_pp(args: argparse.Namespace) -> int:
     leaser = PermitLeaser(catalog)
     for t in rainy:
         leaser.serve_request([0], t)
-    cost, _ = leaser.cost_split()
+    cost = leaser.ledger.total_cost()
     opt = pp_offline_opt(rainy, catalog, args.horizon)
     ratio = float(cost / opt) if opt else 1.0
     rows = [
-        ("purchase", t, lease, start, catalog.cost(lease), "", "")
-        for (lease, start), t in leaser.permit.owned.items()
+        ("purchase", t, lease, start, cost_paid, "", "")
+        for _, lease, start, t, cost_paid in leaser.ledger.rows()
     ]
     rows.append(("summary", "", "", "", cost, opt, repr(ratio)))
     _write(csv_text(["row", "t", "lease", "start", "cost", "opt", "ratio"], rows), args.out)

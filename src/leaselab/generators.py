@@ -6,7 +6,7 @@ import random
 from typing import Dict, List, Tuple
 
 from .errors import LeaselabError
-from .graphs import Graph, build_graph
+from .graphs import Disconnected, Graph, build_graph
 from .instances import Instance, make_instance
 from .leases import LeaseCatalog, as_whole
 
@@ -18,6 +18,7 @@ class BadParams(LeaselabError, ValueError):
 GENERATOR_KINDS = ("path", "star", "grid", "random-gnp-connected", "pp-adversary")
 # every parameter name some kind reads; one params dict may serve every kind
 PARAM_NAMES = ("n", "p", "rows", "cols", "horizon", "T", "k", "L")
+GNP_TRIES = 500  # G(n, p) samples drawn before giving up on a connected one
 
 # canonical catalogs by lease count; durations powers of two, dyadic costs
 _CANONICAL = {
@@ -68,20 +69,19 @@ def _grid_edges(rows: int, cols: int) -> List[Tuple[int, int]]:
     return edges
 
 
-def _gnp_connected(n: int, p: float, rng: random.Random, max_tries: int = 500) -> Graph:
+def _gnp_connected(n: int, p: float, rng: random.Random) -> Graph:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for _ in range(max_tries):
+    for _ in range(GNP_TRIES):
         edges = [e for e in pairs if rng.random() < p]
         try:
             return build_graph(n, edges)
-        except ValueError:
+        except Disconnected:
             continue
-    raise BadParams(f"no connected G({n}, {p}) sample after {max_tries} tries")
+    raise BadParams(f"no connected G({n}, {p}) sample after {GNP_TRIES} tries")
 
 
 def _uniform_requests(n: int, steps: int, size: int, rng: random.Random) -> List[Tuple[int, List[int]]]:
-    size = max(1, min(size, n))
-    return [(t, sorted(rng.sample(range(n), size))) for t in range(1, steps + 1)]
+    return [(t, sorted(rng.sample(range(n), min(size, n)))) for t in range(1, steps + 1)]
 
 
 def _param(params: Dict, key: str, default, kind=as_whole):
@@ -99,6 +99,9 @@ def gen_instance(kind: str, params: Dict, rng: random.Random) -> Instance:
     unknown = sorted(set(params) - set(PARAM_NAMES))
     if unknown:
         raise BadParams(f"no generator reads parameter {', '.join(unknown)}")
+    for key in ("rows", "cols", "k"):  # sizes; n has its own checks
+        if _param(params, key, 1) < 1:
+            raise BadParams(f"parameter {key}={params[key]} must be at least 1")
     lease_count = _param(params, "L", 1)
     catalog = canonical_catalog(lease_count)
     steps = _param(params, "T", 2)

@@ -44,13 +44,12 @@ from .primal_dual import DualState
 
 
 class OnlineLeaser(Protocol):
-    """What every online algorithm offers: one request step at a time, then its costs."""
+    """What every online algorithm offers: one request step at a time, each purchase a
+    ledger row. A step report's C1 and C2 increments are the costs of its rows."""
 
     ledger: PurchaseLedger
 
     def serve_request(self, nodes: Sequence[int], t: int) -> StepReport: ...
-
-    def cost_split(self) -> Tuple[Fraction, Fraction]: ...
 
 
 # algorithm name -> factory (instance, seed) -> a fresh leaser
@@ -64,7 +63,8 @@ ALGORITHMS = tuple(FACTORIES)
 
 
 class Run(NamedTuple):
-    """One served instance; cost == c1 + c2 == ledger.total_cost()."""
+    """One served instance. c1 and c2 sum the steps' increments, read from the ledger
+    rows, so cost == c1 + c2 == ledger.total_cost()."""
 
     cost: Fraction
     c1: Fraction
@@ -134,7 +134,8 @@ def run_algorithm(algorithm: str, inst: Instance, seed: int) -> Run:
     """Serve the instance's requests in order with a fresh leaser."""
     state = FACTORIES[algorithm](inst, seed)
     steps = [state.serve_request(nodes, t) for t, nodes in inst.requests]
-    c1, c2 = state.cost_split()
+    c1 = sum((step.c1_increment for step in steps), Fraction(0))
+    c2 = sum((step.c2_increment for step in steps), Fraction(0))
     return Run(c1 + c2, c1, c2, state.ledger, steps, state)
 
 

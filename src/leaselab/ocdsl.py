@@ -51,8 +51,6 @@ class OcdslState:
         )
         # threshold = min of 2*ceil(log2(n+1)) uniforms; n.bit_length() is that ceiling
         self.mu_draws = 2 * graph.node_count.bit_length()
-        self.c1 = Fraction(0)
-        self.c2 = Fraction(0)
         self.fractional_cost = Fraction(0)
         self.max_dominator_count = 0  # over growth events
         self.min_guard_sum: Optional[Fraction] = None  # min post-growth dominator mass
@@ -74,14 +72,6 @@ class OcdslState:
             mu = Fraction.from_float(min(self._mu_rng.random() for _ in range(self.mu_draws)))
             self.thresholds[tr] = mu
         return mu
-
-    def _buy(self, tr: Triplet, t: int, phase: int) -> None:
-        cost = self.catalog.cost(tr.lease)
-        self.ledger.add(tr, step=t, cost=cost)
-        if phase == 1:
-            self.c1 += cost
-        else:
-            self.c2 += cost
 
     # ------------------------------------------------------------------ phase 1
 
@@ -142,7 +132,7 @@ class OcdslState:
         bought = []
         for tr in doms:
             if self.weights.get(tr, 0) > self.threshold(tr) and tr not in self.ledger:
-                self._buy(tr, t, 1)
+                self.ledger.add(tr, step=t, cost=self.catalog.cost(tr.lease))
                 bought.append(tr)
         return bought
 
@@ -151,7 +141,7 @@ class OcdslState:
         if self.has_active_dominator(doms):
             return None
         tr = self.catalog.triplet_at(u, 1, t)
-        self._buy(tr, t, 1)
+        self.ledger.add(tr, step=t, cost=self.catalog.cost(tr.lease))
         return tr
 
     def select_representatives(
@@ -171,7 +161,7 @@ class OcdslState:
                 raise UncoveredDominator(f"no request node covers {sorted(uncovered)}")
             rep = self.catalog.triplet_at(best_u, 1, t)
             if rep not in self.ledger:
-                self._buy(rep, t, 1)
+                self.ledger.add(rep, step=t, cost=self.catalog.cost(rep.lease))
             reps.append(rep)
             reach = set(self.graph.closed_neighborhood(best_u))
             uncovered = {tr for tr in uncovered if tr.node not in reach}
@@ -183,7 +173,7 @@ class OcdslState:
         """Run both phases for one request step."""
         requested = request_nodes(self.last_time, nodes, t)
         self.last_time = t
-        c1_before, c2_before = self.c1, self.c2
+        step_start = len(self.ledger)
         rounds = 0
 
         # each requested node's dominators, built once for both steps of Phase 1
@@ -210,8 +200,10 @@ class OcdslState:
         reps: List[Triplet] = []
         root: Optional[Triplet] = None
         r_nodes: List[int] = []
+        phase2_start = len(self.ledger)  # C2 rows start here, after the representatives (C1)
         if self.osfl is not None:
             reps = self.select_representatives(s_t, requested, t)
+            phase2_start = len(self.ledger)
             root = min(reps, key=lambda tr: tr.node)
             active_now = self.ledger.active_nodes(self.catalog, t)
             root_comp = connected_component(self.graph, root.node, active_now)
@@ -221,24 +213,22 @@ class OcdslState:
                 for node in entry.edge:
                     tr = Triplet(node, entry.lease, entry.start)
                     if tr not in self.ledger:
-                        self._buy(tr, t, 2)
+                        self.ledger.add(tr, step=t, cost=self.catalog.cost(tr.lease))
 
+        purchases = self.ledger.bought_at(t)
+        c1_rows = phase2_start - step_start
         return StepReport(
             t=t,
             requested=requested,
-            purchases=self.ledger.bought_at(t),
+            purchases=purchases,
             s_t=s_t,
             representatives=reps,
             root=root,
             r_t=r_nodes,
-            c1_increment=self.c1 - c1_before,
-            c2_increment=self.c2 - c2_before,
+            c1_increment=sum((p[3] for p in purchases[:c1_rows]), Fraction(0)),
+            c2_increment=sum((p[3] for p in purchases[c1_rows:]), Fraction(0)),
             growth_rounds=rounds,
         )
 
     def total_cost(self) -> Fraction:
-        return self.c1 + self.c2
-
-    def cost_split(self) -> Tuple[Fraction, Fraction]:
-        """(C1, C2): Phase-1 domination cost and Phase-2 connection cost."""
-        return self.c1, self.c2
+        return self.ledger.total_cost()

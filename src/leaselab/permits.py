@@ -79,9 +79,6 @@ class PermitLeaser:
             self.ledger.add(self.catalog.triplet_at(0, lease, start), t, self.catalog.cost(lease))
         return StepReport.purchases_only(t, requested, self.ledger)
 
-    def cost_split(self) -> Tuple[Fraction, Fraction]:
-        return self.permit.total_cost(), Fraction(0)
-
 
 def pp_offline_opt(
     rainy: Iterable[int], catalog: LeaseCatalog, horizon: int | None = None

@@ -52,10 +52,6 @@ class DualState:
             self.serve(u, t)
         return StepReport.purchases_only(t, requested, self.ledger)
 
-    def cost_split(self) -> Tuple[Fraction, Fraction]:
-        """(C1, C2): every purchase dominates, none connects."""
-        return self.ledger.total_cost(), Fraction(0)
-
     def totals(self) -> Tuple[Fraction, Fraction]:
         """(primal purchase cost, dual objective value)."""
         return self.ledger.total_cost(), self.dual

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from leaselab.cli import _ledger_csv, _read_ledger_csv, main
 from leaselab.errors import EmptyRequest, InstanceError, LeaselabError, NonMonotonicTime
 from leaselab.generators import BadParams, burst_times, canonical_catalog, gen_instance
-from leaselab.graphs import build_graph
+from leaselab.graphs import BadNodeId, build_graph
 from leaselab.harness import (
     ALGORITHMS,
     CSV_COLUMNS,
@@ -64,6 +64,11 @@ def test_gen_pp_adversary_single_node_dominatable():
 def test_gen_rejects_unknown_kind():
     with pytest.raises(BadParams):
         gen_instance("nope", {}, random.Random(0))
+
+
+def test_gen_gnp_without_nodes_fails_at_once():
+    with pytest.raises(BadNodeId):
+        gen_instance("random-gnp-connected", {"n": 0}, random.Random(0))
 
 
 def test_burst_times_nested():
@@ -313,7 +318,7 @@ def test_every_algorithm_serves_through_one_contract(algorithm):
     assert [step.t for step in run.steps] == list(inst.times)
     c1 = sum((step.c1_increment for step in run.steps), Fraction(0))
     c2 = sum((step.c2_increment for step in run.steps), Fraction(0))
-    assert (c1, c2) == run.state.cost_split() == (run.c1, run.c2)
+    assert (c1, c2) == (run.c1, run.c2)
     assert run.c1 + run.c2 == run.cost == run.ledger.total_cost()
     assert run.ledger is run.state.ledger
     # a step's purchases are the ledger rows of that step, in purchase order
@@ -407,6 +412,10 @@ CLI_ERRORS = {
     ),
     "gen-too-many-lease-types": (["gen", "--kind", "star", "--params", "L=5"], {}),
     "gen-pp-adversary-one-node": (["gen", "--kind", "pp-adversary", "--params", "n=1"], {}),
+    "grid-negative-dimensions": (
+        ["gen", "--kind", "grid", "--params", "rows=-1", "cols=-1", "T=1"], {}
+    ),
+    "k-not-positive": (["gen", "--kind", "star", "--params", "k=0"], {}),
     "gen-gnp-never-connected": (
         ["gen", "--kind", "random-gnp-connected", "--params", "n=6", "p=0"], {}
     ),

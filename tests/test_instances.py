@@ -1,6 +1,7 @@
 import copy
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +9,7 @@ from conftest import connected_graphs
 from leaselab.errors import LeaselabError
 from leaselab.generators import canonical_catalog
 from leaselab.graphs import dominators
-from leaselab.instances import Instance, PurchaseLedger
+from leaselab.instances import DuplicatePurchase, Instance, PurchaseLedger
 from leaselab.leases import Triplet
 from leaselab.ocdsl import OcdslState
 
@@ -51,6 +52,14 @@ def test_ledger_equality_and_repr_ignore_the_slot_index():
             ledger.add(tr, 0, Fraction(2))
     assert a == b
     assert repr(PurchaseLedger()) == "PurchaseLedger(entries={})"
+
+
+def test_ledger_refuses_a_second_purchase_of_one_triplet():
+    ledger = PurchaseLedger()
+    ledger.add(Triplet(0, 1, 3), 3, Fraction(1))
+    with pytest.raises(DuplicatePurchase):
+        ledger.add(Triplet(0, 1, 3), 5, Fraction(2))
+    assert ledger.rows() == [(0, 1, 3, 3, Fraction(1))]
 
 
 VALID_INSTANCE = {

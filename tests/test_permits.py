@@ -65,7 +65,7 @@ def test_rejects_decreasing_time():
     leaser.serve_request([0], 4)
     with pytest.raises(NonMonotonicTime):
         leaser.serve_request([0], 3)
-    assert leaser.cost_split() == (1, 0)
+    assert leaser.ledger.total_cost() == 1
 
 
 def test_covered_day_buys_nothing():
