@@ -99,7 +99,7 @@ def gen_instance(kind: str, params: Dict, rng: random.Random) -> Instance:
     unknown = sorted(set(params) - set(PARAM_NAMES))
     if unknown:
         raise BadParams(f"no generator reads parameter {', '.join(unknown)}")
-    for key in ("rows", "cols", "k"):  # sizes; n has its own checks
+    for key in ("rows", "cols", "k", "horizon"):  # sizes; n has its own checks
         if _param(params, key, 1) < 1:
             raise BadParams(f"parameter {key}={params[key]} must be at least 1")
     lease_count = _param(params, "L", 1)
@@ -132,6 +132,8 @@ def gen_instance(kind: str, params: Dict, rng: random.Random) -> Instance:
     else:  # random-gnp-connected
         n = _param(params, "n", 6)
         p = _param(params, "p", 0.4, float)
+        if not 0 <= p <= 1:  # NaN fails this too
+            raise BadParams(f"parameter p={p} is not a probability in [0, 1]")
         graph = _gnp_connected(n, p, rng)
 
     requests = _uniform_requests(graph.node_count, steps, size, rng)

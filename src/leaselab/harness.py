@@ -36,7 +36,7 @@ from .errors import ConfigError, InfeasibleOutput, RecordsError
 from .generators import gen_instance
 from .graphs import max_degree
 from .instances import Instance, PurchaseLedger, StepReport
-from .leases import as_cost
+from .leases import as_cost, cost_sum
 from .ocdsl import OcdslState
 from .oracle import check_solution, offline_opt, offline_opt_ds
 from .permits import PermitLeaser, pp_offline_opt
@@ -134,8 +134,8 @@ def run_algorithm(algorithm: str, inst: Instance, seed: int) -> Run:
     """Serve the instance's requests in order with a fresh leaser."""
     state = FACTORIES[algorithm](inst, seed)
     steps = [state.serve_request(nodes, t) for t, nodes in inst.requests]
-    c1 = sum((step.c1_increment for step in steps), Fraction(0))
-    c2 = sum((step.c2_increment for step in steps), Fraction(0))
+    c1 = cost_sum(step.c1_increment for step in steps)
+    c2 = cost_sum(step.c2_increment for step in steps)
     return Run(c1 + c2, c1, c2, state.ledger, steps, state)
 
 
@@ -284,9 +284,9 @@ def report(records: Sequence[RunRecord]) -> List[SummaryRow]:
                 mean_ratio=statistics.fmean(ratios) if ratios else None,
                 median_ratio=statistics.median(ratios) if ratios else None,
                 max_ratio=max(ratios) if ratios else None,
-                total_cost=sum((r.online_cost for r in members), Fraction(0)),
-                total_c1=sum((r.c1 for r in members), Fraction(0)),
-                total_c2=sum((r.c2 for r in members), Fraction(0)),
+                total_cost=cost_sum(r.online_cost for r in members),
+                total_c1=cost_sum(r.c1 for r in members),
+                total_c2=cost_sum(r.c2 for r in members),
             )
         )
     return rows

@@ -8,7 +8,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from .errors import EmptyRequest, InstanceError, LeaselabError, NonMonotonicTime
 from .graphs import Graph, build_graph
-from .leases import LeaseCatalog, Triplet, as_whole
+from .leases import LeaseCatalog, Triplet, as_whole, cost_sum
 
 
 class DuplicatePurchase(LeaselabError, ValueError):
@@ -121,7 +121,7 @@ class PurchaseLedger:
         return iter(self.entries)
 
     def total_cost(self) -> Fraction:
-        return sum((cost for _, cost in self.entries.values()), Fraction(0))
+        return cost_sum(cost for _, cost in self.entries.values())
 
     def active_triplets(self, catalog: LeaseCatalog, t: int) -> List[Triplet]:
         return [tr for key in catalog.slots(t) for tr in self._slots.get(key, ())]
@@ -177,7 +177,7 @@ class StepReport:
     ) -> "StepReport":
         """A step whose purchases, the ledger's entries bought at t, all count as C1."""
         purchases = ledger.bought_at(t)
-        return cls(t, requested, purchases, sum((p[3] for p in purchases), Fraction(0)))
+        return cls(t, requested, purchases, cost_sum(p[3] for p in purchases))
 
     def to_json(self) -> dict:
         return {

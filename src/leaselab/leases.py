@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Tuple, Union
 
 from .errors import LeaselabError
@@ -69,6 +70,19 @@ def as_cost(value: CostLike) -> Fraction:
     return cost
 
 
+def cost_sum(costs: Iterable[Fraction]) -> Fraction:
+    """The exact sum as one Fraction: numerator·(lcm // denominator) added over the running lcm."""
+    total, scale = 0, 1
+    for cost in costs:
+        d = cost.denominator
+        if scale % d:
+            grown = math.lcm(scale, d)
+            total *= grown // scale
+            scale = grown
+        total += cost.numerator * (scale // d)
+    return Fraction(total, scale)
+
+
 def as_whole(value: object) -> int:
     """Read an integer field: an int, or a float with no fractional part (inf % 1 is nan).
     A bool, text or anything else raises ValueError, so 2.7 and 1e400 are never truncated."""
@@ -108,6 +122,16 @@ class LeaseCatalog:
         )
         validate_catalog(catalog)
         return catalog
+
+    @cached_property
+    def scale(self) -> int:
+        """The lcm of the cost denominators: a sum of catalog costs is a whole number of 1/scale."""
+        return math.lcm(*(lt.cost.denominator for lt in self.types))
+
+    @cached_property
+    def units(self) -> Tuple[int, ...]:
+        """In lease order, each cost c_l·scale as an int; units[k] is type k + 1's."""
+        return tuple(lt.cost.numerator * (self.scale // lt.cost.denominator) for lt in self.types)
 
     def __len__(self) -> int:
         return len(self.types)

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .errors import LeaselabError
 from .graphs import Graph, connected_component, dominators
 from .instances import PurchaseLedger, StepReport, request_nodes
-from .leases import LeaseCatalog, Triplet
+from .leases import LeaseCatalog, Triplet, cost_sum
 from .steiner import OsflState
 
 
@@ -225,8 +225,8 @@ class OcdslState:
             representatives=reps,
             root=root,
             r_t=r_nodes,
-            c1_increment=sum((p[3] for p in purchases[:c1_rows]), Fraction(0)),
-            c2_increment=sum((p[3] for p in purchases[c1_rows:]), Fraction(0)),
+            c1_increment=cost_sum(p[3] for p in purchases[:c1_rows]),
+            c2_increment=cost_sum(p[3] for p in purchases[c1_rows:]),
             growth_rounds=rounds,
         )
 

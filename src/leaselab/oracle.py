@@ -14,7 +14,6 @@ mask of its active candidates, so the search checks each such mask once.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Set, Tuple
 
@@ -100,10 +99,7 @@ def _offline(inst: Instance, require_connected: bool) -> Tuple[Fraction, Purchas
         )
     # expensive decisions first prunes best
     cands.sort(key=lambda tr: (-inst.catalog.cost(tr.lease), tr))
-    costs = [inst.catalog.cost(tr.lease) for tr in cands]
-    # the search adds integers: every cost times the lcm of the denominators
-    scale = math.lcm(*(c.denominator for c in costs))
-    units = [c.numerator * (scale // c.denominator) for c in costs]
+    units = [inst.catalog.units[tr.lease - 1] for tr in cands]  # the search adds integers
     graph = inst.graph
     check = check_feasible_step if require_connected else check_domination_step
 
@@ -155,7 +151,6 @@ def _offline(inst: Instance, require_connected: bool) -> Tuple[Fraction, Purchas
     dfs(0, 0, 0, everything)
 
     ledger = PurchaseLedger()
-    best = sorted((tr, c) for i, (tr, c) in enumerate(zip(cands, costs)) if best_set >> i & 1)
-    for tr, cost in best:
-        ledger.add(tr, step=tr.start, cost=cost)
-    return Fraction(best_cost, scale), ledger
+    for tr in sorted(tr for i, tr in enumerate(cands) if best_set >> i & 1):
+        ledger.add(tr, step=tr.start, cost=inst.catalog.cost(tr.lease))
+    return Fraction(best_cost, inst.catalog.scale), ledger

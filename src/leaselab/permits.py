@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import LeaselabError
 from .instances import PurchaseLedger, StepReport, request_nodes
-from .leases import LeaseCatalog
+from .leases import LeaseCatalog, cost_sum
 
 
 class RainyDayOutOfHorizon(LeaselabError, ValueError):
@@ -29,15 +29,16 @@ class PermitState:
         self.catalog = catalog
         # (lease index, start) -> day bought, in purchase order
         self.owned: Dict[Tuple[int, int], int] = {}
-        self.spend: Dict[Tuple[int, int], Fraction] = {}  # (lease index, slot) -> cost of smaller types inside
+        # (lease index, start) -> cost of smaller types inside, in units of 1/catalog.scale
+        self.spend: Dict[Tuple[int, int], int] = {}
 
     def total_cost(self) -> Fraction:
-        return sum((self.catalog.cost(k) for k, _ in self.owned), Fraction(0))
+        return cost_sum(self.catalog.cost(k) for k, _ in self.owned)
 
     def request(self, t: int) -> List[Tuple[int, int]]:
         """Serve a rainy day; returns the (lease, start) pairs bought, if any."""
         slots = self.catalog.slots(t)  # one per lease type; slots[k] is type k + 1's
-        owned, spend = self.owned, self.spend
+        owned, spend, units = self.owned, self.spend, self.catalog.units
         if not owned.keys().isdisjoint(slots):
             return []
         bought = []
@@ -45,14 +46,13 @@ class PermitState:
         while True:
             owned[slots[k]] = t
             bought.append(slots[k])
-            cost = self.catalog.types[k].cost
             # charge into every strictly larger enclosing slot
             for key in slots[k + 1 :]:
-                spend[key] = spend.get(key, 0) + cost
+                spend[key] = spend.get(key, 0) + units[k]
             # then the largest unowned type whose slot's spend has reached its cost fires
             for k in range(len(slots) - 1, 0, -1):
                 key = slots[k]
-                if key not in owned and spend.get(key, 0) >= self.catalog.types[k].cost:
+                if key not in owned and spend.get(key, 0) >= units[k]:
                     break
             else:
                 return bought
@@ -85,11 +85,11 @@ def pp_offline_opt(
 ) -> Fraction:
     """Exact minimum cover cost for the given rainy days.
 
-    DP over the slot hierarchy, bottom-up over the slots that hold a rainy day:
+    DP in units of 1/catalog.scale, bottom-up over the slots that hold a rainy day:
     each rainy day starts at c_1, then each lease type, smallest first, sums the
     costs inside each of its slots and keeps min(c_k, sum), so a base slot costs c_1.
     """
-    cost_of = dict.fromkeys(rainy, catalog.cost(1))
+    cost_of = dict.fromkeys(rainy, catalog.units[0])
     if not cost_of:
         return Fraction(0)
     first, last = min(cost_of), max(cost_of)
@@ -97,11 +97,10 @@ def pp_offline_opt(
         horizon = last + 1
     if first < 0 or last >= horizon:
         raise RainyDayOutOfHorizon(f"rainy days must lie in [0, {horizon}), got {first}..{last}")
-    for lt in catalog:
-        split: Dict[int, Fraction] = {}
+    for lt, unit in zip(catalog, catalog.units):
+        split: Dict[int, int] = {}
         for s, cost in cost_of.items():
             top = s - s % lt.duration
-            # most slots hold one nested cost, which is kept as it is rather than added to 0
-            split[top] = split[top] + cost if top in split else cost
-        cost_of = {s: min(lt.cost, cost) for s, cost in split.items()}
-    return sum(cost_of.values(), Fraction(0))
+            split[top] = split.get(top, 0) + cost
+        cost_of = {s: min(unit, cost) for s, cost in split.items()}
+    return Fraction(sum(cost_of.values()), catalog.scale)

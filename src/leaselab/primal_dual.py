@@ -18,11 +18,13 @@ from .leases import LeaseCatalog, Triplet
 
 
 class DualState:
+    """One primal-dual run; ``dual`` and ``slack`` are ints in units of 1/catalog.scale."""
+
     def __init__(self, graph: Graph, catalog: LeaseCatalog):
         self.graph = graph
         self.catalog = catalog
-        self.dual = Fraction(0)  # sum of every occurrence's dual variable
-        self.slack: Dict[Triplet, Fraction] = {}  # c_l minus dual mass charged in
+        self.dual = 0  # sum of every occurrence's dual variable
+        self.slack: Dict[Triplet, int] = {}  # c_l minus dual mass charged in
         self.ledger = PurchaseLedger()
         self.last_time: int | None = None
 
@@ -31,18 +33,18 @@ class DualState:
         doms = dominators(self.graph, u, t, self.catalog)
         if any(tr in self.ledger for tr in doms):
             return [], Fraction(0)
+        slack, units = self.slack, self.catalog.units
         for tr in doms:
-            if tr not in self.slack:
-                self.slack[tr] = self.catalog.cost(tr.lease)
-        raise_by = min(self.slack[tr] for tr in doms)
+            slack.setdefault(tr, units[tr.lease - 1])
+        raise_by = min(slack[tr] for tr in doms)
         self.dual += raise_by
         bought: List[Triplet] = []
         for tr in doms:
-            self.slack[tr] -= raise_by
-            if self.slack[tr] == 0:
+            slack[tr] -= raise_by
+            if slack[tr] == 0:
                 self.ledger.add(tr, step=t, cost=self.catalog.cost(tr.lease))
                 bought.append(tr)
-        return bought, raise_by
+        return bought, Fraction(raise_by, self.catalog.scale)
 
     def serve_request(self, nodes: Sequence[int], t: int) -> StepReport:
         """Serve every occurrence of one request step; its purchases all count as C1."""
@@ -54,4 +56,4 @@ class DualState:
 
     def totals(self) -> Tuple[Fraction, Fraction]:
         """(primal purchase cost, dual objective value)."""
-        return self.ledger.total_cost(), self.dual
+        return self.ledger.total_cost(), Fraction(self.dual, self.catalog.scale)

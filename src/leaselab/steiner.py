@@ -12,7 +12,6 @@ along the shortest path between the endpoint cluster centers, deduplicated by
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Set, Tuple
 
 from .graphs import Graph
@@ -37,7 +36,7 @@ class OsflState:
         self.edge_permits: Dict[int, PermitState] = {}  # child cluster id -> permit instance
         self.realized: Dict[int, List[Tuple[int, int]]] = {}  # child cluster id -> graph edges
         self.ledger: Dict[EdgeLease, int] = {}  # -> request time bought, in purchase order
-        self.tree_cost = Fraction(0)  # length-weighted permit cost, diagnostic
+        self.tree_cost = 0  # length-weighted permit cost in units of 1/catalog.scale, diagnostic
 
     def connect(self, terminals, root: int, t: int) -> List[EdgeLease]:
         """Lease enough graph edges that every terminal reaches the root at time t;
@@ -52,7 +51,7 @@ class OsflState:
                 permit = self.edge_permits[cid] = PermitState(self.catalog)
                 self.realized[cid] = edge_realization(self.hst, cid, self.graph)
             for lease, start in permit.request(t):
-                self.tree_cost += self.hst.edge_length(cid) * self.catalog.cost(lease)
+                self.tree_cost += self.hst.edge_length(cid) * self.catalog.units[lease - 1]
                 for a, b in self.realized[cid]:
                     key = EdgeLease((a, b) if a < b else (b, a), lease, start)
                     if key not in self.ledger:

@@ -8,13 +8,14 @@ import hypothesis
 import pytest
 from hypothesis import strategies as st
 
-from leaselab.graphs import Graph, bfs_distances, build_graph, shortest_path
+from leaselab.graphs import Graph, bfs_distances, build_graph, dominators, shortest_path
 from leaselab.hst import Cluster, Hst
 from leaselab.instances import Instance, PurchaseLedger
 from leaselab.leases import LeaseCatalog, Triplet
 from leaselab.ocdsl import OcdslState
 from leaselab.oracle import candidate_universe, check_domination_step, check_feasible_step
 from leaselab.permits import PermitState, RainyDayOutOfHorizon
+from leaselab.primal_dual import DualState
 from leaselab.steiner import OsflState
 
 hypothesis.settings.register_profile("fast", max_examples=20)
@@ -267,6 +268,34 @@ class ReferencePermitState(PermitState):
                 break
             bought.append(self._buy(fired, t))
         return bought
+
+
+class ReferenceDualState(DualState):
+    """The primal-dual rule as first written: the dual and every slack a Fraction."""
+
+    def __init__(self, graph: Graph, catalog: LeaseCatalog):
+        super().__init__(graph, catalog)
+        self.dual = Fraction(0)
+
+    def serve(self, u: int, t: int) -> Tuple[List[Triplet], Fraction]:
+        doms = dominators(self.graph, u, t, self.catalog)
+        if any(tr in self.ledger for tr in doms):
+            return [], Fraction(0)
+        for tr in doms:
+            if tr not in self.slack:
+                self.slack[tr] = self.catalog.cost(tr.lease)
+        raise_by = min(self.slack[tr] for tr in doms)
+        self.dual += raise_by
+        bought: List[Triplet] = []
+        for tr in doms:
+            self.slack[tr] -= raise_by
+            if self.slack[tr] == 0:
+                self.ledger.add(tr, step=t, cost=self.catalog.cost(tr.lease))
+                bought.append(tr)
+        return bought, raise_by
+
+    def totals(self) -> Tuple[Fraction, Fraction]:
+        return sum((cost for _, cost in self.ledger.entries.values()), Fraction(0)), self.dual
 
 
 def tree_path_clusters(h: Hst, u: int, v: int) -> List[int]:

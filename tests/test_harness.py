@@ -71,6 +71,21 @@ def test_gen_gnp_without_nodes_fails_at_once():
         gen_instance("random-gnp-connected", {"n": 0}, random.Random(0))
 
 
+@pytest.mark.parametrize("p", [7, -3, float("nan")])
+def test_gen_gnp_rejects_a_p_outside_the_unit_interval_before_sampling(p):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(BadParams):
+        gen_instance("random-gnp-connected", {"n": 5, "p": p}, rng)
+    assert rng.getstate() == state  # no sample was drawn
+
+
+@pytest.mark.parametrize("horizon", [0, -5])
+def test_gen_pp_adversary_rejects_a_horizon_below_one(horizon):
+    with pytest.raises(BadParams):
+        gen_instance("pp-adversary", {"horizon": horizon}, random.Random(0))
+
+
 def test_burst_times_nested():
     assert burst_times(16) == [0, 1, 3, 7, 15]
 
@@ -416,6 +431,11 @@ CLI_ERRORS = {
         ["gen", "--kind", "grid", "--params", "rows=-1", "cols=-1", "T=1"], {}
     ),
     "k-not-positive": (["gen", "--kind", "star", "--params", "k=0"], {}),
+    "gen-pp-adversary-horizon-not-positive": (
+        ["gen", "--kind", "pp-adversary", "--params", "horizon=-5"], {}
+    ),
+    "gen-gnp-p-above-one": (["gen", "--kind", "random-gnp-connected", "--params", "n=5", "p=7"], {}),
+    "gen-gnp-p-negative": (["gen", "--kind", "random-gnp-connected", "--params", "n=5", "p=-3"], {}),
     "gen-gnp-never-connected": (
         ["gen", "--kind", "random-gnp-connected", "--params", "n=6", "p=0"], {}
     ),

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import catalogs
+from leaselab.generators import canonical_catalog, gen_instance
 from leaselab.leases import (
     DuplicateDuration,
     EconomyOfScaleViolated,
@@ -15,8 +18,11 @@ from leaselab.leases import (
     NonPowerOfTwoDuration,
     Triplet,
     as_cost,
+    cost_sum,
     validate_catalog,
 )
+from leaselab.permits import PermitState
+from leaselab.primal_dual import DualState
 
 
 def is_active(tr: Triplet, t: int, catalog: LeaseCatalog) -> bool:
@@ -130,3 +136,58 @@ def test_each_node_has_one_candidate_slot_per_type(t, cat):
             if s <= t < s + lt.duration
         ]
         assert (lease, starts) == (lt.index, [start])
+
+
+@given(
+    costs=st.lists(
+        st.one_of(st.fractions(max_denominator=10**6), st.integers(-100, 100).map(Fraction)),
+        max_size=30,
+    )
+)
+def test_cost_sum_equals_the_fraction_sum(costs):
+    # empty input, whole costs and mixed denominators alike
+    total = cost_sum(iter(costs))
+    assert total == sum(costs, Fraction(0)) and type(total) is Fraction
+
+
+@given(cat=catalogs())
+def test_catalog_units_are_its_costs_over_the_lcm_of_denominators(cat):
+    assert all(cat.scale % lt.cost.denominator == 0 for lt in cat)
+    assert cat.units == tuple(int(lt.cost * cat.scale) for lt in cat)
+    # the least common scale: no prime factor can be divided out of every unit and the scale
+    assert math.gcd(cat.scale, *cat.units) == 1
+
+
+FRACTION_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__",
+    "__divmod__", "__rdivmod__", "__pow__", "__rpow__", "__neg__", "__pos__", "__abs__",
+    "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+)
+
+
+def count_fraction_operators(monkeypatch) -> list:
+    """Patch every Fraction arithmetic and comparison operator to note its name on call."""
+    calls: list = []
+    for name in FRACTION_OPERATORS:
+        def counted(*args, _name=name, _original=getattr(Fraction, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    return calls
+
+
+def test_dual_raises_and_permit_requests_run_no_fraction_operator(monkeypatch):
+    inst = gen_instance("grid", {"rows": 6, "cols": 6, "T": 30, "k": 3, "L": 3}, random.Random(0))
+    dual = DualState(inst.graph, inst.catalog)
+    permit = PermitState(canonical_catalog(4))
+    days = sorted(random.Random(0).sample(range(4000), 1000))
+    calls = count_fraction_operators(monkeypatch)
+    bought = 0
+    for t, nodes in inst.requests:
+        for u in nodes:
+            bought += len(dual.serve(u, t)[0])
+    assert bought and calls == []
+    bought = sum(len(permit.request(t)) for t in days)
+    assert bought and calls == []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ReferenceDualState, catalogs, connected_graphs
 from leaselab.errors import NonMonotonicTime
 from leaselab.graphs import build_graph, max_degree
 from leaselab.instances import make_instance
@@ -153,3 +154,22 @@ def test_weak_duality_against_oracle(seed):
     _, dual = state.totals()
     opt, _ = offline_opt_ds(inst)
     assert dual <= opt
+
+
+@given(
+    g=connected_graphs(max_nodes=6),
+    cat=catalogs(),
+    data=st.data(),
+)
+@settings(deadline=None)
+def test_integer_units_serve_as_the_fraction_reference(g, cat, data):
+    # catalogs() draws costs in quarters and finer, so the unit 1/cat.scale is mostly below 1
+    state, reference = DualState(g, cat), ReferenceDualState(g, cat)
+    times = data.draw(st.sets(st.integers(min_value=0, max_value=40), min_size=1, max_size=8))
+    for t in sorted(times):
+        for u in data.draw(st.lists(st.sampled_from(g.nodes()), min_size=1, max_size=4)):
+            got, want = state.serve(u, t), reference.serve(u, t)
+            assert got == want and type(got[1]) is Fraction, (u, t)
+    assert state.ledger.rows() == reference.ledger.rows()
+    assert state.totals() == reference.totals()
+    assert {tr: Fraction(units, cat.scale) for tr, units in state.slack.items()} == reference.slack

@@ -215,4 +215,5 @@ def test_each_tree_edge_is_realized_once_and_the_ledger_matches_a_replay(monkeyp
     for terminals, root, t in connects:
         _reference_connect(replay, terminals, root, t)
     assert list(replay.ledger.items()) == list(state.osfl.ledger.items())
-    assert replay.tree_cost == state.osfl.tree_cost
+    # the replay adds Fractions; tree_cost is kept in units of 1/catalog.scale
+    assert replay.tree_cost == Fraction(state.osfl.tree_cost, inst.catalog.scale)
