@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import repeat, starmap
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import LeaselabError
@@ -43,7 +44,7 @@ class OcdslState:
         self.graph = graph
         self.catalog = catalog
         self.weights: Dict[Triplet, Fraction] = {}
-        self.thresholds: Dict[Triplet, Fraction] = {}
+        self.thresholds: Dict[Triplet, int] = {}  # mu in units of 2^-53
         self.ledger = PurchaseLedger()
         self._mu_rng = random.Random(f"{seed}:mu")
         self.osfl = (
@@ -64,14 +65,14 @@ class OcdslState:
         """True iff the ledger holds one of ``doms``, however long the ledger's history."""
         return any(tr in self.ledger.entries for tr in doms)
 
-    def threshold(self, tr: Triplet) -> Fraction:
-        """Per-triplet rounding threshold, sampled once on first touch and kept exact,
-        so that comparing it with a weight converts nothing."""
-        mu = self.thresholds.get(tr)
-        if mu is None:
-            mu = Fraction.from_float(min(self._mu_rng.random() for _ in range(self.mu_draws)))
-            self.thresholds[tr] = mu
-        return mu
+    def threshold(self, tr: Triplet) -> int:
+        """Per-triplet rounding threshold mu·2^53, sampled once on first touch. Every
+        random() is a multiple of 2^-53, so the int is exact: mu = Fraction(m, 2**53)."""
+        m = self.thresholds.get(tr)
+        if m is None:
+            m = int(min(starmap(self._mu_rng.random, repeat((), self.mu_draws))) * 2**53)
+            self.thresholds[tr] = m
+        return m
 
     # ------------------------------------------------------------------ phase 1
 
@@ -128,10 +129,11 @@ class OcdslState:
         return hi, power, charge, total
 
     def round_purchases(self, doms: Sequence[Triplet], t: int) -> List[Triplet]:
-        """Buy every dominator whose weight beats its frozen threshold."""
-        bought = []
+        """Buy every dominator whose weight w beats its frozen threshold: w > m/2^53."""
+        bought, weights, threshold = [], self.weights, self.threshold
         for tr in doms:
-            if self.weights.get(tr, 0) > self.threshold(tr) and tr not in self.ledger:
+            m, w = threshold(tr), weights.get(tr)  # drawn on first touch, even with no weight
+            if w is not None and w.numerator << 53 > m * w.denominator and tr not in self.ledger:
                 self.ledger.add(tr, step=t, cost=self.catalog.cost(tr.lease))
                 bought.append(tr)
         return bought

@@ -298,6 +298,46 @@ class ReferenceDualState(DualState):
         return sum((cost for _, cost in self.ledger.entries.values()), Fraction(0)), self.dual
 
 
+class ReferenceOcdslState(OcdslState):
+    """Phase 1 rounding as first written: each threshold a Fraction, each test one
+    Fraction comparison of a weight with it."""
+
+    def threshold(self, tr: Triplet) -> Fraction:
+        mu = self.thresholds.get(tr)
+        if mu is None:
+            mu = Fraction.from_float(min(self._mu_rng.random() for _ in range(self.mu_draws)))
+            self.thresholds[tr] = mu
+        return mu
+
+    def round_purchases(self, doms: Sequence[Triplet], t: int) -> List[Triplet]:
+        bought = []
+        for tr in doms:
+            if self.weights.get(tr, 0) > self.threshold(tr) and tr not in self.ledger:
+                self.ledger.add(tr, step=t, cost=self.catalog.cost(tr.lease))
+                bought.append(tr)
+        return bought
+
+
+FRACTION_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__",
+    "__divmod__", "__rdivmod__", "__pow__", "__rpow__", "__neg__", "__pos__", "__abs__",
+    "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+)
+
+
+def count_fraction_operators(monkeypatch) -> list:
+    """Patch every Fraction arithmetic and comparison operator to note its name on call."""
+    calls: list = []
+    for name in FRACTION_OPERATORS:
+        def counted(*args, _name=name, _original=getattr(Fraction, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    return calls
+
+
 def tree_path_clusters(h: Hst, u: int, v: int) -> List[int]:
     """Reference walk: cluster ids along the tree path leaf(u) .. LCA .. leaf(v),
     found by listing leaf(u)'s ancestors and climbing from leaf(v) until one is hit."""

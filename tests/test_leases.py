@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import catalogs
+from conftest import catalogs, count_fraction_operators
 from leaselab.generators import canonical_catalog, gen_instance
 from leaselab.leases import (
     DuplicateDuration,
@@ -156,26 +156,6 @@ def test_catalog_units_are_its_costs_over_the_lcm_of_denominators(cat):
     assert cat.units == tuple(int(lt.cost * cat.scale) for lt in cat)
     # the least common scale: no prime factor can be divided out of every unit and the scale
     assert math.gcd(cat.scale, *cat.units) == 1
-
-
-FRACTION_OPERATORS = (
-    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__",
-    "__divmod__", "__rdivmod__", "__pow__", "__rpow__", "__neg__", "__pos__", "__abs__",
-    "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
-)
-
-
-def count_fraction_operators(monkeypatch) -> list:
-    """Patch every Fraction arithmetic and comparison operator to note its name on call."""
-    calls: list = []
-    for name in FRACTION_OPERATORS:
-        def counted(*args, _name=name, _original=getattr(Fraction, name)):
-            calls.append(_name)
-            return _original(*args)
-
-        monkeypatch.setattr(Fraction, name, counted)
-    return calls
 
 
 def test_dual_raises_and_permit_requests_run_no_fraction_operator(monkeypatch):

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import catalogs, connected_graphs, edge_ledger_cost, reference_grow
+from conftest import (
+    ReferenceOcdslState,
+    catalogs,
+    connected_graphs,
+    count_fraction_operators,
+    edge_ledger_cost,
+    reference_grow,
+)
 from leaselab import ocdsl
 from leaselab.errors import EmptyRequest, NonMonotonicTime
 from leaselab.generators import gen_instance
@@ -147,6 +154,91 @@ def test_round_purchases_weight_zero_never_buys():
     for seed in range(50):
         state = OcdslState(g, UNIT, seed=seed)
         assert state.round_purchases(dominators(g, 0, 0, UNIT), 0) == []
+
+
+def test_round_purchases_needs_a_weight_strictly_above_the_threshold():
+    # m/2^53 + 2^-80 rounds to the float m/2^53, so a float comparison would not buy it
+    g = build_graph(1, [])
+    tr = Triplet(0, 1, 0)
+    for seed in range(20):
+        m = OcdslState(g, UNIT, seed=seed).threshold(tr)
+        mu = Fraction(m, 2**53)
+        for weight, buys in (
+            (mu, False),
+            (mu - Fraction(1, 2**80), False),
+            (mu + Fraction(1, 2**80), True),
+            (Fraction(m + 1, 2**53), True),
+        ):
+            state = OcdslState(g, UNIT, seed=seed)
+            state.weights[tr] = weight
+            assert state.round_purchases([tr], 0) == ([tr] if buys else []), (seed, weight)
+
+
+@given(
+    g=connected_graphs(max_nodes=6),
+    cat=catalogs(),
+    seed=st.integers(min_value=0, max_value=2**16),
+    data=st.data(),
+)
+@settings(deadline=None)
+def test_integer_rounding_buys_as_the_fraction_reference(g, cat, seed, data):
+    state = OcdslState(g, cat, seed=seed, connect=False)
+    reference = ReferenceOcdslState(g, cat, seed=seed, connect=False)
+    near = st.builds(
+        Fraction, st.integers(min_value=-2, max_value=2), st.sampled_from([2**53, 2**60, 2**80])
+    )
+    fresh = st.none() | st.builds(Fraction, st.integers(min_value=0, max_value=16), st.just(16))
+    times = data.draw(st.sets(st.integers(min_value=0, max_value=12), min_size=1, max_size=6))
+    for t in sorted(times):
+        for u in data.draw(st.lists(st.sampled_from(g.nodes()), min_size=1, max_size=3)):
+            doms = dominators(g, u, t, cat)
+            for tr in doms:
+                # a touched threshold, or one drawn here on request, gets a weight next to it
+                if tr in reference.thresholds or data.draw(st.booleans()):
+                    m = state.threshold(tr)
+                    assert Fraction(m, 2**53) == reference.threshold(tr)
+                    weight = Fraction(m, 2**53) + data.draw(near)
+                else:
+                    weight = data.draw(fresh)
+                for s in (state, reference):
+                    s.weights.pop(tr, None)
+                    if weight is not None:
+                        s.weights[tr] = weight
+            assert state.round_purchases(doms, t) == reference.round_purchases(doms, t)
+            assert state.ledger.rows() == reference.ledger.rows()
+            assert {tr: Fraction(m, 2**53) for tr, m in state.thresholds.items()} == (
+                reference.thresholds
+            )
+            assert state._mu_rng.getstate() == reference._mu_rng.getstate()
+
+
+def test_round_purchases_runs_no_fraction_operator_and_draws_q_uniforms_per_triplet(
+    monkeypatch,
+):
+    inst = gen_instance("grid", {"rows": 6, "cols": 6, "T": 30, "k": 3, "L": 3}, random.Random(0))
+    state = OcdslState(inst.graph, inst.catalog, seed=0, connect=False)
+    draw, rounding = state._mu_rng.random, state.round_purchases
+    draws, inside, bought = [0], [], []
+
+    def counted_draw():
+        draws[0] += 1
+        return draw()
+
+    def counted_rounding(doms, t):
+        first_draw, first_call, touched = draws[0], len(calls), len(state.thresholds)
+        got = rounding(doms, t)
+        inside.extend(calls[first_call:])
+        assert draws[0] - first_draw == (len(state.thresholds) - touched) * state.mu_draws
+        bought.extend(got)
+        return got
+
+    monkeypatch.setattr(state._mu_rng, "random", counted_draw)
+    monkeypatch.setattr(state, "round_purchases", counted_rounding)
+    calls = count_fraction_operators(monkeypatch)
+    for t, nodes in inst.requests:
+        state.serve_request(nodes, t)
+    assert bought and inside == []
+    assert draws[0] == len(state.thresholds) * state.mu_draws > 0
 
 
 def test_rounding_probability_matches_min_of_uniforms():
