@@ -136,8 +136,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         _write(_ledger_csv(first.ledger), args.ledger_out)
     if args.edge_ledger_out:
         rows = [
-            (*e.edge, e.lease, e.start, step, osfl.catalog.cost(e.lease))
-            for e, step in (osfl.ledger.items() if osfl is not None else ())
+            (*edge, lease, start, step, osfl.catalog.cost(lease))
+            for (edge, lease, start), step in (osfl.edge_ledger().items() if osfl is not None else ())
         ]
         _write(csv_text(["u", "v", "lease", "start", "step", "cost"], rows), args.edge_ledger_out)
     if args.dump_tree and osfl is not None:

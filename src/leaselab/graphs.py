@@ -7,7 +7,8 @@ reproducible from its seed alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import LeaselabError
 from .leases import LeaseCatalog, Triplet
@@ -44,9 +45,13 @@ class Graph:
     def neighbors(self, u: int) -> Tuple[int, ...]:
         return self.adjacency[u]
 
+    @cached_property
+    def _closed(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(tuple(sorted((u, *nb))) for u, nb in enumerate(self.adjacency))
+
     def closed_neighborhood(self, u: int) -> Tuple[int, ...]:
-        """u together with its neighbors, sorted."""
-        return tuple(sorted((u, *self.adjacency[u])))
+        """u together with its neighbors, sorted; built once per graph."""
+        return self._closed[u]
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         for u in range(self.node_count):
@@ -88,32 +93,23 @@ def max_degree(graph: Graph) -> int:
     return max(len(nb) for nb in graph.adjacency)
 
 
-def bfs_distances(graph: Graph, source: int, stop: Optional[int] = None) -> List[int]:
-    """Hop distances from ``source``, -1 if unlabelled; ``stop`` ends it with its own layer."""
-    dist = [-1] * graph.node_count
-    dist[source] = 0
-    frontier = [source]
-    while frontier and (stop is None or dist[stop] < 0):
+def extend_bfs(graph: Graph, dist: Dict[int, int], layer: List[int], stop: Optional[int] = None) -> None:
+    """Grow a BFS (labels ``dist``, last layer ``layer``) in place until it labels ``stop``."""
+    while layer and stop not in dist:
         nxt = []
-        for u in frontier:
-            for v in graph.adjacency[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+        for x in layer:
+            for y in graph.adjacency[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        layer[:] = nxt
 
 
-def shortest_path(graph: Graph, u: int, v: int) -> List[int]:
-    """Minimum-hop path from u to v, ties broken toward the smallest next node id."""
-    # every node nearer to v than u is labelled, which is all the walk reads
-    dist_to_v = bfs_distances(graph, v, stop=u)
-    path = [u]
-    cur = u
-    while cur != v:
-        cur = min(w for w in graph.adjacency[cur] if dist_to_v[w] == dist_to_v[cur] - 1)
-        path.append(cur)
-    return path
+def bfs_distances(graph: Graph, source: int) -> List[int]:
+    """Hop distances from ``source``."""
+    dist = {source: 0}
+    extend_bfs(graph, dist, [source])
+    return [dist[u] for u in graph.nodes()]
 
 
 def connected_component(graph: Graph, start: int, allowed: Set[int]) -> Set[int]:

@@ -20,9 +20,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Dict, List, Tuple
 
-from .graphs import Graph, bfs_distances, shortest_path
+from .graphs import Graph, bfs_distances, extend_bfs
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,13 @@ def _ceil_log2_diameter(graph: Graph) -> int:
     n = graph.node_count
     ecc_lo, ecc_hi, lo, by_upper = [0] * n, [n - 1] * n, 1, True  # lo: lower bound on the diameter
     while (lo - 1).bit_length() != (max(ecc_hi) - 1).bit_length():
+        if lo == 2:  # 2, or more: is each N[N[u]] every node? bitsets, not a BFS per node
+            masks = [sum(1 << v for v in graph.closed_neighborhood(u)) for u in range(n)]
+            hops2 = (reduce(int.__or__, map(masks.__getitem__, graph.closed_neighborhood(u))) for u in range(n))
+            if all(m == (1 << n) - 1 for m in hops2):
+                return 1
+            lo = 3
+            continue
         live = [w for w in range(n) if ecc_hi[w] > lo]  # the rest cannot raise lo
         # sources alternate: the largest upper bound, then the smallest lower bound
         pick, bound = (max, ecc_hi) if by_upper else (min, ecc_lo)
@@ -95,13 +103,19 @@ def build_hst(graph: Graph, rng: random.Random) -> Hst:
     level_cids = [0]
     for level in range(delta, -1, -1):
         radius, claimer = beta * (1 << level) // 2, {}  # node -> first node of pi within radius
+        near = [radius + 1] * n  # distance to the nearest ball so far: a ball stops where it is no nearer
         for v in order:
-            ball, frontier = {v}, {v}
-            for _ in range(radius):
-                frontier = {y for x in frontier for y in graph.adjacency[x]} - ball
-                ball |= frontier
-            for u in ball:
-                claimer.setdefault(u, v)
+            near[v], layer = 0, [v]
+            claimer.setdefault(v, v)
+            for d in range(1, radius + 1):
+                nxt = []
+                for x in layer:
+                    for y in graph.adjacency[x]:
+                        if d < near[y]:
+                            near[y] = d
+                            claimer.setdefault(y, v)
+                            nxt.append(y)
+                layer = nxt
             if len(claimer) == n:
                 break
         next_cids: List[int] = []
@@ -144,11 +158,15 @@ def tree_distance(h: Hst, u: int, v: int) -> int:
     return sum(h.edge_length(cid) for cid in tree_path_edges(h, u, v))
 
 
-def edge_realization(h: Hst, child_cid: int, graph: Graph) -> List[Tuple[int, int]]:
-    """Graph edges standing in for one tree edge: the shortest path from the child
-    cluster's center to its parent's."""
+def edge_realization(h: Hst, child_cid: int, graph: Graph, searches: dict) -> List[Tuple[int, int]]:
+    """Graph edges standing in for one tree edge: the minimum-hop path from the child
+    cluster's center to its parent's, ties broken toward the smallest next node id.
+    ``searches`` maps each parent center to its BFS, (labels, last layer), grown as needed."""
     a, b = h.center(child_cid), h.center(h.clusters[child_cid].parent)
-    if a == b:
-        return []
-    path = shortest_path(graph, a, b)
+    dist, layer = searches.setdefault(b, ({b: 0}, [b]))
+    extend_bfs(graph, dist, layer, stop=a)
+    path = [a]
+    while path[-1] != b:
+        d = dist[path[-1]] - 1
+        path.append(min(y for y in graph.adjacency[path[-1]] if dist.get(y) == d))
     return list(zip(path, path[1:]))

@@ -149,23 +149,20 @@ class OcdslState:
     def select_representatives(
         self, s_t: Sequence[Triplet], d_t: Sequence[int], t: int
     ) -> List[Triplet]:
-        """Greedy cover of the chosen dominators by cheapest-lease request nodes."""
+        """Greedy cover of the chosen dominators by cheapest-lease request nodes, first on ties."""
         uncovered: Set[Triplet] = set(s_t)
         reps: List[Triplet] = []
+        closed = self.graph.closed_neighborhood
         while uncovered:
             uncovered_nodes = {tr.node for tr in uncovered}
-            best_u, best_count = -1, 0
-            for u in d_t:
-                count = len(uncovered_nodes & set(self.graph.closed_neighborhood(u)))
-                if count > best_count:
-                    best_u, best_count = u, count
-            if best_count == 0:
+            best_u = max(d_t, key=lambda u: len(uncovered_nodes.intersection(closed(u))))
+            reach = set(closed(best_u))
+            if uncovered_nodes.isdisjoint(reach):
                 raise UncoveredDominator(f"no request node covers {sorted(uncovered)}")
             rep = self.catalog.triplet_at(best_u, 1, t)
             if rep not in self.ledger:
                 self.ledger.add(rep, step=t, cost=self.catalog.cost(rep.lease))
             reps.append(rep)
-            reach = set(self.graph.closed_neighborhood(best_u))
             uncovered = {tr for tr in uncovered if tr.node not in reach}
         return reps
 
@@ -210,12 +207,12 @@ class OcdslState:
             active_now = self.ledger.active_nodes(self.catalog, t)
             root_comp = connected_component(self.graph, root.node, active_now)
             r_nodes = sorted({tr.node for tr in reps} - root_comp)
-            new_edges = self.osfl.connect(r_nodes, root.node, t)
-            for entry in new_edges:
-                for node in entry.edge:
-                    tr = Triplet(node, entry.lease, entry.start)
+            # an edge lease bought before has both of its node triplets in the ledger
+            for nodes, lease, start in self.osfl.connect(r_nodes, root.node, t):
+                for node in nodes:
+                    tr = Triplet(node, lease, start)
                     if tr not in self.ledger:
-                        self.ledger.add(tr, step=t, cost=self.catalog.cost(tr.lease))
+                        self.ledger.add(tr, step=t, cost=self.catalog.cost(lease))
 
         purchases = self.ledger.bought_at(t)
         c1_rows = phase2_start - step_start

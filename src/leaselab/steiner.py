@@ -4,26 +4,20 @@ Each edge of the embedded tree runs its own parking-permit instance whose
 rainy days are the steps on which the edge lies on some terminal-to-root tree
 path. A tree edge of length w behaves like w parallel unit permit instances
 charged together, so decisions follow the unit instance and the tree-side
-cost scales by w. Every permit purchase is realized once as graph-edge leases
-along the shortest path between the endpoint cluster centers, deduplicated by
-(edge, lease, start). The tree is fixed, so each tree edge's path is found once.
+cost scales by w. A permit purchase leases the graph edges of the shortest path
+between the endpoint cluster centers, found once per tree edge by one BFS per
+parent center. The edge ledger is derived from the log of permit purchases.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, NamedTuple, Set, Tuple
+from typing import Dict, List, Tuple
 
 from .graphs import Graph
 from .hst import Hst, build_hst, edge_realization, tree_path_edges
 from .leases import LeaseCatalog
 from .permits import PermitState
-
-
-class EdgeLease(NamedTuple):
-    edge: Tuple[int, int]  # normalized (min, max) graph edge
-    lease: int
-    start: int
 
 
 class OsflState:
@@ -34,27 +28,32 @@ class OsflState:
         self.catalog = catalog
         self.hst: Hst = build_hst(graph, rng)
         self.edge_permits: Dict[int, PermitState] = {}  # child cluster id -> permit instance
-        self.realized: Dict[int, List[Tuple[int, int]]] = {}  # child cluster id -> graph edges
-        self.ledger: Dict[EdgeLease, int] = {}  # -> request time bought, in purchase order
+        self.realized: dict = {}  # child cluster id -> (normalized graph edges, their ends in order)
+        self.searches: dict = {}  # parent center -> its BFS, see edge_realization
+        self.purchases: List[Tuple[int, int, int, int]] = []  # (child cluster id, lease, start, t)
         self.tree_cost = 0  # length-weighted permit cost in units of 1/catalog.scale, diagnostic
 
-    def connect(self, terminals, root: int, t: int) -> List[EdgeLease]:
-        """Lease enough graph edges that every terminal reaches the root at time t;
-        returns the edge leases this call bought."""
-        needed: Set[int] = set()
-        for r in set(terminals):
-            needed.update(tree_path_edges(self.hst, r, root))
-        new_entries: List[EdgeLease] = []
+    def connect(self, terminals, root: int, t: int) -> List[Tuple[Tuple[int, ...], int, int]]:
+        """Lease enough graph edges that every terminal reaches the root at time t; returns
+        (nodes, lease, start) per tree-edge permit bought, nodes the ends of its edges."""
+        needed = {cid for r in set(terminals) for cid in tree_path_edges(self.hst, r, root)}
+        bought = []
         for cid in sorted(needed):
-            permit = self.edge_permits.get(cid)
-            if permit is None:
-                permit = self.edge_permits[cid] = PermitState(self.catalog)
-                self.realized[cid] = edge_realization(self.hst, cid, self.graph)
-            for lease, start in permit.request(t):
+            if cid not in self.edge_permits:
+                self.edge_permits[cid] = PermitState(self.catalog)
+                walk = edge_realization(self.hst, cid, self.graph, self.searches)
+                edges = [(a, b) if a < b else (b, a) for a, b in walk]
+                self.realized[cid] = edges, tuple(dict.fromkeys(x for e in edges for x in e))
+            for lease, start in self.edge_permits[cid].request(t):
                 self.tree_cost += self.hst.edge_length(cid) * self.catalog.units[lease - 1]
-                for a, b in self.realized[cid]:
-                    key = EdgeLease((a, b) if a < b else (b, a), lease, start)
-                    if key not in self.ledger:
-                        self.ledger[key] = t
-                        new_entries.append(key)
-        return new_entries
+                self.purchases.append((cid, lease, start, t))
+                bought.append((self.realized[cid][1], lease, start))
+        return bought
+
+    def edge_ledger(self) -> Dict[Tuple[Tuple[int, int], int, int], int]:
+        """(normalized graph edge, lease, start) -> request time first bought, in order."""
+        ledger: Dict[Tuple[Tuple[int, int], int, int], int] = {}
+        for cid, lease, start, t in self.purchases:
+            for edge in self.realized[cid][0]:
+                ledger.setdefault((edge, lease, start), t)
+        return ledger

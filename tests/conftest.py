@@ -2,14 +2,14 @@ import os
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import hypothesis
 import pytest
 from hypothesis import strategies as st
 
-from leaselab.graphs import Graph, bfs_distances, build_graph, dominators, shortest_path
-from leaselab.hst import Cluster, Hst
+from leaselab.graphs import Graph, bfs_distances, build_graph, dominators
+from leaselab.hst import Cluster, Hst, tree_path_edges
 from leaselab.instances import Instance, PurchaseLedger
 from leaselab.leases import LeaseCatalog, Triplet
 from leaselab.ocdsl import OcdslState
@@ -69,6 +69,35 @@ def catalogs(draw, max_types: int = 3) -> LeaseCatalog:
         pairs.append((d, cost))
         prev_d = d
     return LeaseCatalog.from_pairs(pairs)
+
+
+def reference_bfs_distances(graph: Graph, source: int, stop: Optional[int] = None) -> List[int]:
+    """Hop distances from ``source``, -1 if unlabelled; ``stop`` ends it with its own layer."""
+    dist = [-1] * graph.node_count
+    dist[source] = 0
+    frontier = [source]
+    while frontier and (stop is None or dist[stop] < 0):
+        nxt = []
+        for u in frontier:
+            for v in graph.adjacency[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def reference_shortest_path(graph: Graph, u: int, v: int) -> List[int]:
+    """Minimum-hop path from u to v, ties broken toward the smallest next node id, by a
+    BFS of its own from v stopped at u's layer."""
+    # every node nearer to v than u is labelled, which is all the walk reads
+    dist_to_v = reference_bfs_distances(graph, v, stop=u)
+    path = [u]
+    cur = u
+    while cur != v:
+        cur = min(w for w in graph.adjacency[cur] if dist_to_v[w] == dist_to_v[cur] - 1)
+        path.append(cur)
+    return path
 
 
 def all_pairs_distances(graph: Graph) -> List[List[int]]:
@@ -318,6 +347,43 @@ class ReferenceOcdslState(OcdslState):
         return bought
 
 
+class ReferenceOsflState(OsflState):
+    """Phase 2 as first written: every permit purchase runs its own stopped BFS for the
+    tree edge's path and keys each graph edge lease in ``ledger`` as (normalized edge,
+    lease, start); each key new to it is mirrored into ``node_ledger`` as two node
+    triplets, and connect returns nothing more to mirror. ``tree_cost`` adds Fractions."""
+
+    def __init__(self, graph: Graph, catalog: LeaseCatalog, rng, node_ledger: PurchaseLedger):
+        super().__init__(graph, catalog, rng)
+        self.ledger: Dict[Tuple[Tuple[int, int], int, int], int] = {}
+        self.node_ledger = node_ledger
+
+    def connect(self, terminals, root: int, t: int) -> list:
+        needed: Set[int] = set()
+        for r in set(terminals):
+            needed.update(tree_path_edges(self.hst, r, root))
+        new_entries: List[Tuple[Tuple[int, int], int, int]] = []
+        for cid in sorted(needed):
+            permit = self.edge_permits.get(cid)
+            if permit is None:
+                permit = self.edge_permits[cid] = PermitState(self.catalog)
+            for lease, start in permit.request(t):
+                self.tree_cost += self.hst.edge_length(cid) * self.catalog.cost(lease)
+                a, b = self.hst.center(cid), self.hst.center(self.hst.clusters[cid].parent)
+                walk = reference_shortest_path(self.graph, a, b)
+                for a, b in zip(walk, walk[1:]):
+                    key = ((a, b) if a < b else (b, a), lease, start)
+                    if key not in self.ledger:
+                        self.ledger[key] = t
+                        new_entries.append(key)
+        for edge, lease, start in new_entries:
+            for node in edge:
+                tr = Triplet(node, lease, start)
+                if tr not in self.node_ledger:
+                    self.node_ledger.add(tr, step=t, cost=self.catalog.cost(tr.lease))
+        return []
+
+
 FRACTION_OPERATORS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
     "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__",
@@ -358,14 +424,14 @@ def realize_tree_path(h: Hst, u: int, v: int, graph: Graph) -> List[Tuple[int, i
     edges: List[Tuple[int, int]] = []
     path = tree_path_clusters(h, u, v)
     for a, b in zip(path, path[1:]):
-        walk = shortest_path(graph, h.center(a), h.center(b))
+        walk = reference_shortest_path(graph, h.center(a), h.center(b))
         edges.extend(zip(walk, walk[1:]))
     return edges
 
 
 def edge_ledger_cost(osfl: OsflState) -> Fraction:
     """Total leasing cost of the graph-edge ledger (unit edge weights)."""
-    return sum((osfl.catalog.cost(e.lease) for e in osfl.ledger), Fraction(0))
+    return sum((osfl.catalog.cost(lease) for _, lease, _ in osfl.edge_ledger()), Fraction(0))
 
 
 @pytest.fixture

@@ -10,10 +10,11 @@ from conftest import (
     connected_graphs,
     realize_tree_path,
     reference_build_hst,
+    reference_shortest_path,
     tree_path_clusters,
 )
 from leaselab.generators import gen_instance
-from leaselab.graphs import build_graph, shortest_path
+from leaselab.graphs import build_graph
 from leaselab.hst import build_hst, edge_realization, tree_distance, tree_path_edges
 
 
@@ -49,6 +50,7 @@ SWEEP = {
     "gnp40": ("random-gnp-connected", {"n": 40, "p": 0.08}, 3),
     "gnp80": ("random-gnp-connected", {"n": 80, "p": 0.05}, 3),
     "gnp120": ("random-gnp-connected", {"n": 120, "p": 0.03}, 3),
+    "gnp60-dense": ("random-gnp-connected", {"n": 60, "p": 0.3}, 3),
 }
 
 
@@ -95,7 +97,20 @@ def sparse_graphs(draw, max_nodes=80):
     return build_graph(n, sorted(edges))
 
 
-@given(g=sparse_graphs())
+@st.composite
+def dense_graphs(draw, max_nodes=24):
+    """G(n, p) with p at least 0.3, joined up by a path through a random order: diameters
+    of 1 to about 4, where the diameter bracket decides 2 or more than 2."""
+    n = draw(st.integers(min_value=2, max_value=max_nodes))
+    p = draw(st.floats(min_value=0.3, max_value=1.0))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    order = rng.sample(range(n), n)
+    edges = {tuple(sorted(pair)) for pair in zip(order, order[1:])}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    return build_graph(n, sorted(edges))
+
+
+@given(g=sparse_graphs() | dense_graphs())
 @settings(deadline=None)
 def test_delta_is_ceil_log2_of_the_brute_force_diameter(g):
     diameter = max(max(row) for row in all_pairs_distances(g))
@@ -114,6 +129,21 @@ def test_build_on_the_30x30_grid_runs_at_most_8_bfs(monkeypatch):
     monkeypatch.setattr(leaselab.hst, "bfs_distances", counted)
     assert build_hst(grid_graph(30, 30), random.Random(0)).delta == 6  # diameter 58
     assert len(calls) <= 8
+
+
+def test_build_on_a_dense_gnp200_runs_at_most_2_bfs(monkeypatch):
+    # diameter 2: a bitset test of N[N[u]] settles what a BFS per node would
+    g = gen_instance("random-gnp-connected", {"n": 200, "p": 0.3, "T": 1}, random.Random(0)).graph
+    calls = []
+    original = leaselab.hst.bfs_distances
+
+    def counted(graph, source):
+        calls.append(source)
+        return original(graph, source)
+
+    monkeypatch.setattr(leaselab.hst, "bfs_distances", counted)
+    assert build_hst(g, random.Random(0)).delta == 1
+    assert len(calls) <= 2
 
 
 def test_single_node_tree():
@@ -207,7 +237,7 @@ def test_realize_path3_through_center_matches_shortest_paths():
     clusters = tree_path_clusters(h, 0, 2)
     rebuilt = []
     for a, b in zip(clusters, clusters[1:]):
-        p = shortest_path(g, h.center(a), h.center(b))
+        p = reference_shortest_path(g, h.center(a), h.center(b))
         rebuilt.extend(zip(p, p[1:]))
     assert edges == rebuilt
 
@@ -247,7 +277,7 @@ def test_edge_realization_joins_child_and_parent_centers():
     for cid, cl in enumerate(h.clusters):
         if cl.parent < 0:
             continue
-        walk = edge_realization(h, cid, g)
+        walk = edge_realization(h, cid, g, {})
         if h.center(cid) == h.center(cl.parent):
             assert walk == []
         else:

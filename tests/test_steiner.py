@@ -7,15 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leaselab.steiner as steiner
-from conftest import connected_graphs, edge_ledger_cost, realize_tree_path
+from conftest import (
+    ReferenceOsflState,
+    catalogs,
+    connected_graphs,
+    edge_ledger_cost,
+    realize_tree_path,
+    reference_bfs_distances,
+)
 from leaselab.errors import NonMonotonicTime
 from leaselab.generators import gen_instance
 from leaselab.graphs import build_graph
+from leaselab.harness import steps_to_jsonl
 from leaselab.hst import edge_realization, tree_path_edges
+from leaselab.instances import PurchaseLedger
 from leaselab.leases import LeaseCatalog
 from leaselab.ocdsl import OcdslState
 from leaselab.permits import PermitState
-from leaselab.steiner import EdgeLease, OsflState
+from leaselab.steiner import OsflState
 
 UNIT = LeaseCatalog.from_pairs([(1, 1)])
 ESCALATING = LeaseCatalog.from_pairs([(1, 1), (2, Fraction(3, 2))])
@@ -23,7 +32,7 @@ ESCALATING = LeaseCatalog.from_pairs([(1, 1), (2, Fraction(3, 2))])
 
 def test_init_empty_ledger(path3):
     st_ = OsflState(path3, UNIT, random.Random(0))
-    assert st_.ledger == {}
+    assert st_.edge_ledger() == {}
     assert edge_ledger_cost(st_) == 0
 
 
@@ -50,9 +59,11 @@ def test_two_node_graph_leases_the_edge():
     g = build_graph(2, [(0, 1)])
     st_ = OsflState(g, UNIT, random.Random(0))
     new = st_.connect([1], 0, 3)
-    assert [e.edge for e in new] == [(0, 1)]
-    assert all(e.start == 3 for e in new)  # unit leases align to t itself
-    assert edge_ledger_cost(st_) == len(new)
+    # one permit per tree edge; the one whose centers coincide leases no graph edge
+    assert sorted(nodes for nodes, _, _ in new) == [(), (0, 1)]
+    assert all(start == 3 for _, _, start in new)  # unit leases align to t itself
+    assert [edge for edge, _, _ in st_.edge_ledger()] == [(0, 1)]
+    assert edge_ledger_cost(st_) == 1
 
 
 def test_escalation_matches_per_edge_permit_replay():
@@ -78,12 +89,12 @@ def test_escalation_matches_per_edge_permit_replay():
     for cid in needed:
         walk = {
             tuple(sorted(e))
-            for e in edge_realization(st_.hst, cid, g)
+            for e in edge_realization(st_.hst, cid, g, {})
         }
         for day in fired:
             for lease, start in day:
                 expected_keys.update((edge, lease, start) for edge in walk)
-    assert {(e.edge, e.lease, e.start) for e in st_.ledger} == expected_keys
+    assert set(st_.edge_ledger()) == expected_keys
     assert edge_ledger_cost(st_) == sum(
         (ESCALATING.cost(lease) for _, lease, _ in expected_keys), Fraction(0)
     )
@@ -94,17 +105,24 @@ def test_rejects_decreasing_time(path3):
     # request rule before the connection phase touches the edge ledger
     state = OcdslState(path3, UNIT, seed=0)
     state.serve_request([0, 2], 4)
-    edges = dict(state.osfl.ledger)
+    edges = state.osfl.edge_ledger()
     with pytest.raises(NonMonotonicTime):
         state.serve_request([0, 2], 3)
-    assert state.osfl.ledger == edges
+    assert state.osfl.edge_ledger() == edges
 
 
 def test_no_duplicate_ledger_keys(path3):
     st_ = OsflState(path3, ESCALATING, random.Random(3))
-    bought = [e for t in range(4) for e in st_.connect([0, 2], 1, t)]
+    bought, ledger = [], {}
+    for t in range(4):
+        st_.connect([0, 2], 1, t)
+        before, ledger = ledger, st_.edge_ledger()
+        assert list(ledger.items())[: len(before)] == list(before.items())
+        bought += list(ledger)[len(before) :]  # the edge leases this call bought
     assert len(bought) == len(set(bought))
-    assert bought == list(st_.ledger)
+    assert bought == list(st_.edge_ledger())
+    permits = [(cid, lease, start) for cid, lease, start, _ in st_.purchases]
+    assert len(permits) == len(set(permits))  # no tree-edge permit is bought twice
 
 
 @given(g=connected_graphs(max_nodes=7), seed=st.integers(min_value=0, max_value=5_000))
@@ -117,7 +135,9 @@ def test_terminals_connected_through_active_edges(g, seed):
         terminals = sorted(rng.sample(range(g.node_count), rng.randint(1, g.node_count)))
         st_.connect(terminals, root, t)
         active = {
-            e.edge for e in st_.ledger if e.start <= t < e.start + ESCALATING.duration(e.lease)
+            edge
+            for edge, lease, start in st_.edge_ledger()
+            if start <= t < start + ESCALATING.duration(lease)
         }
         # reachability in the subgraph of active leased edges
         adj = {u: set() for u in g.nodes()}
@@ -165,24 +185,7 @@ def test_eternal_lease_on_trees_costs_the_realized_union():
                         tuple(sorted(e)) for e in realize_tree_path(st_.hst, r, 0, g)
                     )
             assert edge_ledger_cost(st_) == 2 * len(union)
-            assert {e.edge for e in st_.ledger} == union
-
-
-def _reference_connect(osfl, terminals, root, t):
-    """OsflState.connect as it ran before tree edges were memoized: one
-    edge_realization per permit purchase."""
-    needed = set()
-    for r in set(terminals):
-        needed.update(tree_path_edges(osfl.hst, r, root))
-    for cid in sorted(needed):
-        permit = osfl.edge_permits.get(cid)
-        if permit is None:
-            permit = osfl.edge_permits[cid] = PermitState(osfl.catalog)
-        for lease, start in permit.request(t):
-            osfl.tree_cost += osfl.hst.edge_length(cid) * osfl.catalog.cost(lease)
-            for a, b in edge_realization(osfl.hst, cid, osfl.graph):
-                key = EdgeLease((a, b) if a < b else (b, a), lease, start)
-                osfl.ledger.setdefault(key, t)
+            assert {edge for edge, _, _ in st_.edge_ledger()} == union
 
 
 def test_each_tree_edge_is_realized_once_and_the_ledger_matches_a_replay(monkeypatch):
@@ -192,9 +195,9 @@ def test_each_tree_edge_is_realized_once_and_the_ledger_matches_a_replay(monkeyp
     realized, connects = [], []
     original_realization, original_connect = steiner.edge_realization, OsflState.connect
 
-    def counted_realization(h, cid, graph):
+    def counted_realization(h, cid, graph, searches):
         realized.append(cid)
-        return original_realization(h, cid, graph)
+        return original_realization(h, cid, graph, searches)
 
     def recorded_connect(self, terminals, root, t):
         connects.append((list(terminals), root, t))
@@ -209,11 +212,70 @@ def test_each_tree_edge_is_realized_once_and_the_ledger_matches_a_replay(monkeyp
 
     assert len(realized) > 20  # the stream crossed many tree edges
     assert len(realized) == len(set(realized)) == len(state.osfl.realized)  # once per cluster
-    # an un-memoized replay over an equal tree buys the same edge leases in the same order
-    replay = OsflState(inst.graph, inst.catalog, random.Random("3:hst"))
+    # a replay with a BFS per permit purchase, over an equal tree, buys the same edge
+    # leases in the same order
+    replay = ReferenceOsflState(
+        inst.graph, inst.catalog, random.Random("3:hst"), PurchaseLedger()
+    )
     assert replay.hst == state.osfl.hst
     for terminals, root, t in connects:
-        _reference_connect(replay, terminals, root, t)
-    assert list(replay.ledger.items()) == list(state.osfl.ledger.items())
+        replay.connect(terminals, root, t)
+    assert list(replay.ledger.items()) == list(state.osfl.edge_ledger().items())
     # the replay adds Fractions; tree_cost is kept in units of 1/catalog.scale
     assert replay.tree_cost == Fraction(state.osfl.tree_cost, inst.catalog.scale)
+
+
+def test_wide_grid_runs_one_bfs_per_parent_center_and_labels_far_fewer_nodes(monkeypatch):
+    # a wide-sparse stream: 30x30, T=40; the tree is large and the streams short
+    inst = gen_instance(
+        "grid", {"rows": 30, "cols": 30, "T": 40, "k": 4, "L": 3}, random.Random(0)
+    )
+    searches_of, stopped = {}, 0
+    original = steiner.edge_realization
+
+    def watched(h, cid, graph, searches):
+        nonlocal stopped
+        walk = original(h, cid, graph, searches)
+        a, b = h.center(cid), h.center(h.clusters[cid].parent)
+        # one search object per parent center, made once and only grown after
+        searches_of.setdefault(b, set()).add(id(searches[b][0]))
+        stopped += sum(d >= 0 for d in reference_bfs_distances(graph, b, stop=a))
+        return walk
+
+    monkeypatch.setattr(steiner, "edge_realization", watched)
+    state = OcdslState(inst.graph, inst.catalog, seed=0)
+    for t, nodes in inst.requests:
+        state.serve_request(nodes, t)
+    monkeypatch.undo()
+
+    searches = state.osfl.searches
+    assert len(searches_of) > 50
+    assert all(len(ids) == 1 for ids in searches_of.values())
+    assert set(searches) == set(searches_of)
+    labelled = sum(len(dist) for dist, _ in searches.values())
+    assert 2 * labelled <= stopped
+
+
+@given(
+    g=connected_graphs(max_nodes=9),
+    cat=catalogs(),
+    seed=st.integers(min_value=0, max_value=2**16),
+    data=st.data(),
+)
+@settings(deadline=None)
+def test_phase2_equals_the_edge_keyed_reference(g, cat, seed, data):
+    # the node ledger, the steps and the edge ledger of an OCDSL run equal those of a run
+    # whose Phase 2 keys edge leases per graph edge and mirrors each new key
+    state = OcdslState(g, cat, seed=seed)
+    reference = OcdslState(g, cat, seed=seed)
+    # an equal tree, whose connect mirrors into the reference's node ledger itself
+    reference.osfl = ReferenceOsflState(g, cat, random.Random(f"{seed}:hst"), reference.ledger)
+    steps, reference_steps = [], []
+    for t in sorted(data.draw(st.sets(st.integers(min_value=0, max_value=12), min_size=1))):
+        nodes = data.draw(st.lists(st.sampled_from(g.nodes()), min_size=1, unique=True))
+        steps.append(state.serve_request(nodes, t))
+        reference_steps.append(reference.serve_request(nodes, t))
+    assert state.ledger.rows() == reference.ledger.rows()
+    assert steps_to_jsonl(steps) == steps_to_jsonl(reference_steps)
+    assert list(state.osfl.edge_ledger().items()) == list(reference.osfl.ledger.items())
+    assert Fraction(state.osfl.tree_cost, cat.scale) == reference.osfl.tree_cost
