@@ -81,6 +81,8 @@ def _ceil_log2_diameter(graph: Graph) -> int:
         pick, bound = (max, ecc_hi) if by_upper else (min, ecc_lo)
         dist = bfs_distances(graph, pick(live, key=bound.__getitem__))
         by_upper, e = not by_upper, max(dist)
+        if e == 1:  # the source is universal: diameter 1 if every node is, else 2
+            return 0 if all(len(adj) == n - 1 for adj in graph.adjacency) else 1
         for w, d in enumerate(dist):
             ecc_lo[w] = max(ecc_lo[w], d, e - d)
             ecc_hi[w] = min(ecc_hi[w], e + d)

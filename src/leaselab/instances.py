@@ -54,11 +54,14 @@ class Instance:
         return make_instance(graph, catalog, requests)
 
 
-def request_nodes(prev_t: Optional[int], nodes: Iterable[int], t: int) -> Tuple[int, ...]:
+def request_nodes(
+    prev_t: Optional[int], nodes: Iterable[int], t: int, node_count: Optional[int] = None
+) -> Tuple[int, ...]:
     """The request rule, for instance files and every online leaser alike.
 
     A step at time t >= 0, strictly after the previous step's ``prev_t`` (None
-    before the first), names a non-empty node set; returns it sorted and distinct.
+    before the first), names a non-empty node set, inside range(node_count) when
+    there is a graph; returns it sorted and distinct.
     """
     if t < 0:
         raise InstanceError(f"request time {t} is negative")
@@ -67,6 +70,8 @@ def request_nodes(prev_t: Optional[int], nodes: Iterable[int], t: int) -> Tuple[
     requested = tuple(sorted(set(nodes)))
     if not requested:
         raise EmptyRequest(f"request at t={t} has no nodes")
+    if node_count is not None and (requested[0] < 0 or requested[-1] >= node_count):
+        raise InstanceError(f"request at t={t} names nodes outside the graph")
     return requested
 
 
@@ -79,10 +84,7 @@ def make_instance(
     cleaned: List[Tuple[int, Tuple[int, ...]]] = []
     prev = None
     for t, nodes in requests:
-        node_tuple = request_nodes(prev, nodes, t)
-        if node_tuple[0] < 0 or node_tuple[-1] >= graph.node_count:
-            raise InstanceError(f"request at t={t} names nodes outside the graph")
-        cleaned.append((t, node_tuple))
+        cleaned.append((t, request_nodes(prev, nodes, t, graph.node_count)))
         prev = t
     if not cleaned:
         raise InstanceError("instance has no requests")

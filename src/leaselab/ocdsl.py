@@ -52,11 +52,9 @@ class OcdslState:
         )
         # threshold = min of 2*ceil(log2(n+1)) uniforms; n.bit_length() is that ceiling
         self.mu_draws = 2 * graph.node_count.bit_length()
-        self.fractional_cost = Fraction(0)
         self.max_dominator_count = 0  # over growth events
-        self.min_guard_sum: Optional[Fraction] = None  # min post-growth dominator mass
-        # (rounds, f_l^r, charge, total) of the growth from all-zero weights
-        self._zero_start: Optional[Tuple[int, Dict[int, Fraction], Fraction, Fraction]] = None
+        # (rounds, f_l^r) of the growth from all-zero weights
+        self._zero_start: Optional[Tuple[int, Dict[int, Fraction]]] = None
         self.last_time: int | None = None
 
     # ------------------------------------------------------------------ helpers
@@ -91,42 +89,33 @@ class OcdslState:
         for tr in held:
             mass[tr.lease] += weights[tr]
         if held:
-            rounds, power, charge, total = self._growth_search(mass)
+            rounds, power = self._growth_search(mass)
         else:
             if self._zero_start is None:
                 self._zero_start = self._growth_search(mass)
-            rounds, power, charge, total = self._zero_start
+            rounds, power = self._zero_start
         if rounds:
             bump = {lease: b * (p - 1) for lease, p in power.items()}  # what w_0 = 0 grows to
             for tr in doms:
                 w = weights.get(tr)
                 weights[tr] = bump[tr.lease] if w is None else w * power[tr.lease] + bump[tr.lease]
-        self.fractional_cost += charge
         self.max_dominator_count = max(self.max_dominator_count, len(doms))
-        if self.min_guard_sum is None or total < self.min_guard_sum:
-            self.min_guard_sum = total
         return rounds
 
-    def _growth_search(
-        self, mass: Dict[int, Fraction]
-    ) -> Tuple[int, Dict[int, Fraction], Fraction, Fraction]:
+    def _growth_search(self, mass: Dict[int, Fraction]) -> Tuple[int, Dict[int, Fraction]]:
         """The least r whose total Σ_l A_l·f_l^r − 1/|L| reaches one, by galloping and
-        bisection over exact totals, with each lease's f_l^r, the cost charged and the total."""
-        cost, lease_count = self.catalog.cost, len(self.catalog)
-        growth = [(lease, cost(lease), 1 + 1 / cost(lease), a) for lease, a in mass.items()]
-        goal = 1 + Fraction(1, lease_count)
+        bisection over exact totals, with each lease's f_l^r."""
+        cost = self.catalog.cost
+        growth = [(lease, 1 + 1 / cost(lease), a) for lease, a in mass.items()]
+        goal = 1 + Fraction(1, len(self.catalog))
         lo, hi = -1, None  # lo rounds fall short of one, hi rounds reach it: gallop, then bisect
         while hi is None or hi - lo > 1:
             r = max(2 * lo + 1, 0) if hi is None else (lo + hi) // 2
-            if sum(a * f**r for _, _, f, a in growth) < goal:
+            if sum(a * f**r for _, f, a in growth) < goal:
                 lo = r
             else:
                 hi = r
-        power = {lease: f**hi for lease, _, f, _ in growth}
-        # round k charged Σ c·(new − old) = Σ (old + b) = Σ_l A_l·f_l^k: A_l·c_l·(f_l^r − 1) in all
-        charge = sum(a * c * (power[lease] - 1) for lease, c, _, a in growth)
-        total = sum(a * power[lease] for lease, _, _, a in growth) - Fraction(1, lease_count)
-        return hi, power, charge, total
+        return hi, {lease: f**hi for lease, f, _ in growth}
 
     def round_purchases(self, doms: Sequence[Triplet], t: int) -> List[Triplet]:
         """Buy every dominator whose weight w beats its frozen threshold: w > m/2^53."""
@@ -170,7 +159,7 @@ class OcdslState:
 
     def serve_request(self, nodes: Sequence[int], t: int) -> StepReport:
         """Run both phases for one request step."""
-        requested = request_nodes(self.last_time, nodes, t)
+        requested = request_nodes(self.last_time, nodes, t, self.graph.node_count)
         self.last_time = t
         step_start = len(self.ledger)
         rounds = 0

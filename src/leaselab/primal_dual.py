@@ -48,7 +48,7 @@ class DualState:
 
     def serve_request(self, nodes: Sequence[int], t: int) -> StepReport:
         """Serve every occurrence of one request step; its purchases all count as C1."""
-        requested = request_nodes(self.last_time, nodes, t)
+        requested = request_nodes(self.last_time, nodes, t, self.graph.node_count)
         self.last_time = t
         for u in requested:
             self.serve(u, t)

@@ -31,7 +31,6 @@ class OsflState:
         self.realized: dict = {}  # child cluster id -> (normalized graph edges, their ends in order)
         self.searches: dict = {}  # parent center -> its BFS, see edge_realization
         self.purchases: List[Tuple[int, int, int, int]] = []  # (child cluster id, lease, start, t)
-        self.tree_cost = 0  # length-weighted permit cost in units of 1/catalog.scale, diagnostic
 
     def connect(self, terminals, root: int, t: int) -> List[Tuple[Tuple[int, ...], int, int]]:
         """Lease enough graph edges that every terminal reaches the root at time t; returns
@@ -45,7 +44,6 @@ class OsflState:
                 edges = [(a, b) if a < b else (b, a) for a, b in walk]
                 self.realized[cid] = edges, tuple(dict.fromkeys(x for e in edges for x in e))
             for lease, start in self.edge_permits[cid].request(t):
-                self.tree_cost += self.hst.edge_length(cid) * self.catalog.units[lease - 1]
                 self.purchases.append((cid, lease, start, t))
                 bought.append((self.realized[cid][1], lease, start))
         return bought

@@ -147,7 +147,7 @@ def reference_build_hst(graph: Graph, rng: random.Random) -> Hst:
     return Hst(delta=delta, clusters=tuple(clusters), leaf_of=tuple(leaf_of))
 
 
-def reference_grow(state: OcdslState, doms: Sequence[Triplet]) -> int:
+def reference_grow(state: "ReferenceGrowthState", doms: Sequence[Triplet]) -> int:
     """The weight growth by its definition, one round at a time: every round raises each
     dominator's weight w to w(1 + 1/c) + 1/(|W||L|c) and charges the cost of the raise."""
     w_count, lease_count = len(doms), len(state.catalog)
@@ -172,6 +172,49 @@ def reference_grow(state: OcdslState, doms: Sequence[Triplet]) -> int:
     if state.min_guard_sum is None or total < state.min_guard_sum:
         state.min_guard_sum = total
     return rounds
+
+
+class ReferenceGrowthState(OcdslState):
+    """Phase 1 growth by its definition, ``reference_grow``, with its round-by-round
+    tallies: the cost charged and the least post-growth dominator mass."""
+
+    grow_fractional = reference_grow
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fractional_cost = Fraction(0)
+        self.min_guard_sum: Optional[Fraction] = None
+
+
+def fractional_cost(state: OcdslState, start: Optional[Dict[Triplet, Fraction]] = None) -> Fraction:
+    """The cost Phase 1's growth charged: Σ c_l·(w − w_0) over the weights, with w_0 read
+    from ``start`` (zero if absent), since every round charges c·(new − old) per weight."""
+    start, cost = start or {}, state.catalog.cost
+    charges = (cost(tr.lease) * (w - start.get(tr, 0)) for tr, w in state.weights.items())
+    return sum(charges, Fraction(0))
+
+
+def spy_guards(monkeypatch) -> Dict[OcdslState, List[Fraction]]:
+    """Patch ``OcdslState.grow_fractional`` to note, per state, the dominators' weight sum
+    after each growth: the mass that the guard of acceptance criterion 3 bounds."""
+    guards: Dict[OcdslState, List[Fraction]] = {}
+    grow = OcdslState.grow_fractional
+
+    def spied(state, doms):
+        rounds = grow(state, doms)
+        mass = sum((state.weights.get(tr, Fraction(0)) for tr in doms), Fraction(0))
+        guards.setdefault(state, []).append(mass)
+        return rounds
+
+    monkeypatch.setattr(OcdslState, "grow_fractional", spied)
+    return guards
+
+
+def tree_cost(osfl: OsflState) -> Fraction:
+    """Phase 2's Steiner tree cost: each tree-edge permit's lease cost times the edge's
+    length, summed over the permit log."""
+    cost, length = osfl.catalog.cost, osfl.hst.edge_length
+    return sum((length(cid) * cost(lease) for cid, lease, _, _ in osfl.purchases), Fraction(0))
 
 
 def reference_offline(inst: Instance, require_connected: bool) -> Tuple[Fraction, PurchaseLedger]:
@@ -351,12 +394,14 @@ class ReferenceOsflState(OsflState):
     """Phase 2 as first written: every permit purchase runs its own stopped BFS for the
     tree edge's path and keys each graph edge lease in ``ledger`` as (normalized edge,
     lease, start); each key new to it is mirrored into ``node_ledger`` as two node
-    triplets, and connect returns nothing more to mirror. ``tree_cost`` adds Fractions."""
+    triplets, and connect returns nothing more to mirror. ``tree_cost`` tallies the
+    length-weighted permit cost, one purchase at a time."""
 
     def __init__(self, graph: Graph, catalog: LeaseCatalog, rng, node_ledger: PurchaseLedger):
         super().__init__(graph, catalog, rng)
         self.ledger: Dict[Tuple[Tuple[int, int], int, int], int] = {}
         self.node_ledger = node_ledger
+        self.tree_cost = Fraction(0)
 
     def connect(self, terminals, root: int, t: int) -> list:
         needed: Set[int] = set()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fractional_cost, spy_guards
 from leaselab.cli import _ledger_csv, _read_ledger_csv, main
 from leaselab.errors import EmptyRequest, InstanceError, LeaselabError, NonMonotonicTime
 from leaselab.generators import BadParams, burst_times, canonical_catalog, gen_instance
@@ -563,6 +564,11 @@ def test_every_algorithm_keeps_the_request_rule(algorithm):
     with pytest.raises(EmptyRequest):
         state.serve_request([], 4)
     assert state.serve_request([1], 4).t == 4  # a rejected step leaves the state as it was
+    for t, outside in ((5, -1), (6, 3)):  # a node outside the 3-node path
+        if algorithm != "pp":  # the permit leaser has no graph to check against
+            with pytest.raises(InstanceError, match="outside the graph"):
+                state.serve_request([outside], t)
+        assert state.serve_request([0], t).t == t
 
 
 # 40 seeded instances, each served by every algorithm at its own times and
@@ -610,18 +616,20 @@ GOLDEN_6X6 = {
 
 
 @pytest.mark.parametrize("algorithm", sorted(GOLDEN_6X6))
-def test_fixed_seed_grid_run_is_frozen(algorithm):
+def test_fixed_seed_grid_run_is_frozen(algorithm, monkeypatch):
     params = {"rows": 6, "cols": 6, "T": 30, "k": 4, "L": 3}
     inst = gen_instance("grid", params, random.Random("golden:inst"))
+    guards = spy_guards(monkeypatch)
     _, _, _, ledger, reports, state = run_algorithm(algorithm, inst, 5)
     text = steps_to_jsonl(reports) + "".join(
         ",".join(map(str, row)) + "\n" for row in ledger.rows()
     )
-    digest, fractional_cost, min_guard_sum = GOLDEN_6X6[algorithm]
+    digest, frozen_cost, min_guard_sum = GOLDEN_6X6[algorithm]
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-    if fractional_cost is not None:
-        assert state.fractional_cost == fractional_cost
-        assert state.min_guard_sum == min_guard_sum
+    if frozen_cost is not None:
+        # the fractional cost is Σ c_l·w over the weights; the guard, the least mass after a growth
+        assert fractional_cost(state) == frozen_cost
+        assert min(guards[state]) == min_guard_sum
 
 
 # name -> (argv writing "out.csv", sha256 of that file), frozen like GOLDEN_6X6

@@ -110,7 +110,20 @@ def dense_graphs(draw, max_nodes=24):
     return build_graph(n, sorted(edges))
 
 
-@given(g=sparse_graphs() | dense_graphs())
+@st.composite
+def universal_node_graphs(draw, max_nodes=24):
+    """Complete graphs, stars and graphs between: one random node adjacent to every other,
+    plus each other pair with probability 0, 1/2 or 1. Diameter 1 or 2."""
+    n = draw(st.integers(min_value=2, max_value=max_nodes))
+    p = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    hub = rng.randrange(n)
+    edges = {tuple(sorted((hub, v))) for v in range(n) if v != hub}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    return build_graph(n, sorted(edges))
+
+
+@given(g=sparse_graphs() | dense_graphs() | universal_node_graphs())
 @settings(deadline=None)
 def test_delta_is_ceil_log2_of_the_brute_force_diameter(g):
     diameter = max(max(row) for row in all_pairs_distances(g))
@@ -144,6 +157,22 @@ def test_build_on_a_dense_gnp200_runs_at_most_2_bfs(monkeypatch):
     monkeypatch.setattr(leaselab.hst, "bfs_distances", counted)
     assert build_hst(g, random.Random(0)).delta == 1
     assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("missing, delta", [([], 0), ([(38, 39)], 1)], ids=["K40", "K40-minus-an-edge"])
+def test_build_with_a_universal_node_first_runs_1_bfs(monkeypatch, missing, delta):
+    # a BFS of eccentricity 1 proves node 0 universal: diameter 1 if every node is, else 2
+    g = build_graph(40, [(u, v) for u in range(40) for v in range(u + 1, 40) if (u, v) not in missing])
+    calls = []
+    original = leaselab.hst.bfs_distances
+
+    def counted(graph, source):
+        calls.append(source)
+        return original(graph, source)
+
+    monkeypatch.setattr(leaselab.hst, "bfs_distances", counted)
+    assert build_hst(g, random.Random(0)).delta == delta
+    assert calls == [0]
 
 
 def test_single_node_tree():
