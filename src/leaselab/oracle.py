@@ -7,20 +7,22 @@ dominating superset. Such a component dominates the first requested node u0,
 so it holds an active node of u0's closed neighbourhood N[u0]; trying the
 components of those few nodes is enough, and requests are never empty by the
 request rule. That makes the per-step check polynomial. The offline
-optimum is branch and bound over the candidate triplet universe, exact and
-deliberately capped at desk scale; each step's verdict is memoized by the
-mask of its active candidates, so the search checks each such mask once.
+optimum is exact branch and bound, one search per top slot (window of the
+longest lease), each deliberately capped at desk scale. A branch is cut once
+even the cheapest remaining lease cannot beat the best cost so far, and each
+step's verdict is memoized by the mask of its active candidates, so the
+search checks each such mask once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from .errors import LeaselabError
 from .graphs import Graph, connected_component
 from .instances import Instance, PurchaseLedger
-from .leases import Triplet
+from .leases import LeaseCatalog, Triplet
 
 ORACLE_UNIVERSE_CAP = 24
 
@@ -92,23 +94,43 @@ def offline_opt_ds(inst: Instance) -> Tuple[Fraction, PurchaseLedger]:
 
 
 def _offline(inst: Instance, require_connected: bool) -> Tuple[Fraction, PurchaseLedger]:
-    cands = candidate_universe(inst)
-    if len(cands) > ORACLE_UNIVERSE_CAP:
-        raise TooLarge(
-            f"candidate universe has {len(cands)} triplets (cap {ORACLE_UNIVERSE_CAP})"
-        )
+    catalog, top = inst.catalog, inst.catalog.max_duration()
+    # every candidate lies in one window of the longest lease, and so do a step and
+    # every candidate live at it: the optimum is the sum of one search per top slot
+    slots: Dict[int, Tuple[List[Triplet], List[Tuple[int, Sequence[int]]]]] = {}
     # expensive decisions first prunes best
-    cands.sort(key=lambda tr: (-inst.catalog.cost(tr.lease), tr))
-    units = [inst.catalog.units[tr.lease - 1] for tr in cands]  # the search adds integers
-    graph = inst.graph
+    for tr in sorted(candidate_universe(inst), key=lambda tr: (-catalog.units[tr.lease - 1], tr)):
+        slots.setdefault(tr.start - tr.start % top, ([], []))[0].append(tr)
+    for t, nodes in inst.requests:
+        slots[t - t % top][1].append((t, nodes))
+    for start, (cands, _) in slots.items():
+        if len(cands) > ORACLE_UNIVERSE_CAP:
+            raise TooLarge(
+                f"candidate universe has {len(cands)} triplets in the top slot "
+                f"[{start}, {start + top}) (cap {ORACLE_UNIVERSE_CAP} per slot)"
+            )
     check = check_feasible_step if require_connected else check_domination_step
+    solved = [_search(inst.graph, catalog, check, *slot) for slot in slots.values()]
+    ledger = PurchaseLedger()
+    for tr in sorted(tr for _, chosen in solved for tr in chosen):
+        ledger.add(tr, step=tr.start, cost=catalog.cost(tr.lease))
+    return Fraction(sum(cost for cost, _ in solved), catalog.scale), ledger
+
+
+def _search(
+    graph: Graph, catalog: LeaseCatalog, check: Callable[[Graph, Set[int], Sequence[int]], bool],
+    cands: List[Triplet], requests: List[Tuple[int, Sequence[int]]],
+) -> Tuple[int, List[Triplet]]:
+    """One top slot's least cost in catalog units, and the first such set its search meets."""
+    units = [catalog.units[tr.lease - 1] for tr in cands]  # the search adds integers
+    cheapest = min(units)  # an infeasible set needs at least one more candidate
 
     # per request step: the bit and node of each candidate active then, their mask,
     # the step's nodes, and its verdicts so far, keyed by the chosen bits of that mask
     steps: List[Tuple[List[Tuple[int, int]], int, Sequence[int], Dict[int, bool]]] = []
     # every candidate starts on its lease's grid, so it is live at t iff its slot holds t
-    for t, nodes in inst.requests:
-        live = set(inst.catalog.slots(t))
+    for t, nodes in requests:
+        live = set(catalog.slots(t))
         members = [
             (1 << i, tr.node) for i, tr in enumerate(cands) if (tr.lease, tr.start) in live
         ]
@@ -140,17 +162,13 @@ def _offline(inst: Instance, require_connected: bool) -> Tuple[Fraction, Purchas
         if take < best_cost:
             if feasible(chosen | bit):
                 best_cost, best_set = take, chosen | bit  # any superset only costs more
-            elif more:
+            elif more and take + cheapest < best_cost:
                 dfs(idx + 1, take, chosen | bit, available)
         # skip, unless even taking every remaining candidate cannot recover
-        if cost < best_cost and more and feasible(available ^ bit):
+        if cost + cheapest < best_cost and more and feasible(available ^ bit):
             dfs(idx + 1, cost, chosen, available ^ bit)
 
-    # the empty set never serves: an instance has a step with a node, and no node is
+    # the empty set never serves: a slot has a step with a node, and no node is
     # dominated while nothing is active, so dfs's entry conditions hold at the root
     dfs(0, 0, 0, everything)
-
-    ledger = PurchaseLedger()
-    for tr in sorted(tr for i, tr in enumerate(cands) if best_set >> i & 1):
-        ledger.add(tr, step=tr.start, cost=inst.catalog.cost(tr.lease))
-    return Fraction(best_cost, inst.catalog.scale), ledger
+    return best_cost, [tr for i, tr in enumerate(cands) if best_set >> i & 1]

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import catalogs, connected_graphs, reference_offline
 from leaselab import oracle
+from leaselab.benchmarks import BENCHMARK_GRID
+from leaselab.generators import gen_instance
 from leaselab.graphs import build_graph
+from leaselab.harness import trial_seed
 from leaselab.instances import PurchaseLedger, make_instance
 from leaselab.leases import LeaseCatalog, Triplet
 from leaselab.oracle import (
@@ -132,7 +135,6 @@ def test_offline_opt_ds_single_request():
 
 
 def test_relaxation_never_costs_more():
-    rng = random.Random(5)
     for seed in range(30):
         inst = _random_instance(seed)
         if len(candidate_universe(inst)) > 24:
@@ -141,9 +143,38 @@ def test_relaxation_never_costs_more():
 
 
 def test_too_large_universe_raises():
-    inst = make_instance(path(9), LeaseCatalog.from_pairs([(1, 1)]), [(t, [0]) for t in range(3)])
-    with pytest.raises(TooLarge):
-        offline_opt(inst)
+    # the one top slot [0, 4) holds 9 nodes x (3 unit windows + 1 four-step window)
+    inst = make_instance(
+        path(9), LeaseCatalog.from_pairs([(1, 1), (4, 2)]), [(t, [0]) for t in range(3)]
+    )
+    assert len(candidate_universe(inst)) == 36
+    for solve in (offline_opt, offline_opt_ds):
+        with pytest.raises(TooLarge, match=r"36 triplets in the top slot \[0, 4\)"):
+            solve(inst)
+
+
+def test_a_universe_past_the_cap_in_small_top_slots_solves():
+    # 27 candidates in all, but each unit top slot holds only its 9 nodes
+    inst = make_instance(path(9), UNIT, [(t, [0]) for t in range(3)])
+    assert len(candidate_universe(inst)) == 27
+    for solve in (offline_opt, offline_opt_ds):
+        cost, ledger = solve(inst)
+        assert cost == 3
+        assert list(ledger) == [Triplet(0, 1, t) for t in range(3)]
+
+
+def test_a_long_unit_lease_stream_solves_slot_by_slot():
+    # 2x3 grid, one unit lease, T=40: 240 candidates, 6 per top slot
+    params = {"rows": 2, "cols": 3, "T": 40, "k": 2, "L": 1}
+    inst = gen_instance("grid", params, random.Random(0))
+    assert len(candidate_universe(inst)) == 240
+    for require_connected, solve in ((True, offline_opt), (False, offline_opt_ds)):
+        cost, ledger = solve(inst)
+        assert check_solution(inst, ledger, require_connected)
+        assert cost == sum(
+            reference_offline(make_instance(inst.graph, inst.catalog, [step]), require_connected)[0]
+            for step in inst.requests
+        )
 
 
 def test_oracle_solution_is_feasible_and_minimal_small():
@@ -239,6 +270,56 @@ def test_offline_optima_equal_the_set_based_search(inst):
         ref_cost, ref_ledger = reference_offline(inst, require_connected)
         assert cost == ref_cost
         assert ledger.rows() == ref_ledger.rows()
+
+
+@st.composite
+def multi_slot_instances(draw):
+    """Requests in two windows of the longest lease, two times at most in each, or in
+    three windows, one time each: with at most 3 nodes and 2 lease types, each top slot
+    holds at most 9 candidates and the whole horizon at most 18."""
+    g = draw(connected_graphs(max_nodes=3))
+    cat = draw(catalogs(max_types=2))
+    top = cat.max_duration()
+    node = st.integers(min_value=0, max_value=g.node_count - 1)
+    windows = draw(st.lists(st.integers(min_value=0, max_value=5), min_size=2, max_size=3, unique=True))
+    offsets = st.lists(
+        st.integers(min_value=0, max_value=top - 1), min_size=1, max_size=4 - len(windows), unique=True
+    )
+    times = sorted(w * top + offset for w in windows for offset in draw(offsets))
+    return make_instance(g, cat, [(t, draw(st.lists(node, min_size=1, unique=True))) for t in times])
+
+
+@given(inst=multi_slot_instances())
+@settings(deadline=None)
+def test_optima_across_top_slots_equal_the_whole_horizon_search(inst):
+    # the first optimum of the whole search is the union of each slot's first optimum
+    for require_connected, solve in ((True, offline_opt), (False, offline_opt_ds)):
+        cost, ledger = solve(inst)
+        ref_cost, ref_ledger = reference_offline(inst, require_connected)
+        assert cost == ref_cost
+        assert ledger.rows() == ref_ledger.rows()
+
+
+def test_benchmark_grid_optima_stay_within_a_step_check_budget(monkeypatch):
+    calls = Counter()
+    for name in ("check_feasible_step", "check_domination_step"):
+
+        def counted(graph, active_nodes, request_nodes, name=name, check=getattr(oracle, name)):
+            calls[name] += 1
+            return check(graph, active_nodes, request_nodes)
+
+        monkeypatch.setattr(oracle, name, counted)
+    solved = 0
+    for _, kind, params, trials, base in BENCHMARK_GRID:
+        for index in range(trials):
+            seed = trial_seed(base, index)
+            inst = gen_instance(kind, params, random.Random(f"{seed}:inst"))
+            offline_opt(inst)
+            offline_opt_ds(inst)
+            solved += 1
+    assert solved == 150
+    # one whole-horizon search pruned on cost alone made 26,873 checks here
+    assert sum(calls.values()) <= 18_000
 
 
 def test_offline_opt_checks_each_step_mask_once(monkeypatch):
