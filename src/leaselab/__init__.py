@@ -2,8 +2,10 @@
 
 Library layout:
 
+- ``errors``       the one exception hierarchy, rooted at ``LeaselabError``
 - ``leases``       lease catalogs, slot alignment, triplets
 - ``graphs``       validated undirected connected graphs
+- ``instances``    instances, purchase ledgers, per-step reports, the request rule
 - ``permits``      deterministic parking-permit algorithm + exact DP oracle
 - ``hst``          random hierarchical tree embedding of the graph metric
 - ``steiner``      online Steiner forest leasing on the embedded tree
@@ -12,6 +14,7 @@ Library layout:
 - ``oracle``       feasibility verifier and exact offline optima (desk scale)
 - ``generators``   instance generators, including adversarial patterns
 - ``harness``      seeded experiment runner, records, reports
+- ``benchmarks``   the frozen ratio-regression grid and its runner
 - ``cli``          the ``leaselab`` command line front end
 """
 

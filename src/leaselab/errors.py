@@ -1,6 +1,6 @@
 """Exception types shared across the library.
 
-Every exception class a ``leaselab`` module defines derives from ``LeaselabError``,
+Every exception class of the library is defined here and derives from ``LeaselabError``,
 so a caller (the CLI among them) can catch every library error in one place.
 Errors about malformed input also keep ``ValueError`` as a base.
 """
@@ -11,7 +11,11 @@ class LeaselabError(Exception):
 
 
 class InstanceError(LeaselabError, ValueError):
-    """An instance file is malformed, or a request step breaks the request rule."""
+    """An instance is malformed: its file; its graph (no nodes, an edge outside the node
+    range, a self loop, a repeated edge); its lease catalog (empty, a duration that is not
+    a power of two, a cost that is not positive, a repeated duration, a longer lease that
+    costs less in total or per unit); a rainy day outside the permit horizon; or a request
+    step that breaks the request rule."""
 
 
 class NonMonotonicTime(InstanceError):
@@ -22,8 +26,13 @@ class EmptyRequest(InstanceError):
     """A request step carried no nodes."""
 
 
+class Disconnected(InstanceError):
+    """A graph's edges leave some node unreachable from node 0."""
+
+
 class ConfigError(LeaselabError, ValueError):
-    """An experiment setting or a command-line value is out of range or unparseable."""
+    """An experiment setting, a generator parameter or kind, or a command-line value is
+    out of range or unparseable, or G(n, p) gave no connected sample."""
 
 
 class RecordsError(LeaselabError, ValueError):
@@ -32,8 +41,14 @@ class RecordsError(LeaselabError, ValueError):
 
 class LedgerError(LeaselabError):
     """A ledger file row is malformed, names a node or lease type the instance lacks,
-    starts off its lease's slot grid, or repeats an earlier row."""
+    starts off its lease's slot grid, or repeats an earlier row; or a ledger is asked
+    to buy one triplet twice."""
 
 
 class InfeasibleOutput(LeaselabError):
-    """An algorithm produced a ledger that fails verification (a bug)."""
+    """An algorithm produced a ledger that fails verification, or OCDSL's representative
+    cover left a dominator uncovered (a bug either way)."""
+
+
+class TooLarge(LeaselabError, ValueError):
+    """An instance is past the exact oracle's desk-scale cap: a refusal, not bad input."""

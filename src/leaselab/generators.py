@@ -5,14 +5,10 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Tuple
 
-from .errors import LeaselabError
-from .graphs import Disconnected, Graph, build_graph
+from .errors import ConfigError, Disconnected
+from .graphs import Graph, build_graph
 from .instances import Instance, make_instance
 from .leases import LeaseCatalog, as_whole
-
-
-class BadParams(LeaselabError, ValueError):
-    pass
 
 
 GENERATOR_KINDS = ("path", "star", "grid", "random-gnp-connected", "pp-adversary")
@@ -31,7 +27,7 @@ _CANONICAL = {
 
 def canonical_catalog(lease_count: int) -> LeaseCatalog:
     if lease_count not in _CANONICAL:
-        raise BadParams(f"no canonical catalog with {lease_count} lease types")
+        raise ConfigError(f"no canonical catalog with {lease_count} lease types")
     return LeaseCatalog.from_pairs(_CANONICAL[lease_count])
 
 
@@ -77,7 +73,7 @@ def _gnp_connected(n: int, p: float, rng: random.Random) -> Graph:
             return build_graph(n, edges)
         except Disconnected:
             continue
-    raise BadParams(f"no connected G({n}, {p}) sample after {GNP_TRIES} tries")
+    raise ConfigError(f"no connected G({n}, {p}) sample after {GNP_TRIES} tries")
 
 
 def _uniform_requests(n: int, steps: int, size: int, rng: random.Random) -> List[Tuple[int, List[int]]]:
@@ -85,23 +81,23 @@ def _uniform_requests(n: int, steps: int, size: int, rng: random.Random) -> List
 
 
 def _param(params: Dict, key: str, default, kind=as_whole):
-    """Generator parameter ``key`` read by ``kind``; a value it rejects raises BadParams."""
+    """Generator parameter ``key`` read by ``kind``; a value it rejects raises ConfigError."""
     try:
         return kind(params.get(key, default))
     except (TypeError, ValueError, OverflowError) as exc:
-        raise BadParams(f"parameter {key}={params[key]!r}: {exc}") from None
+        raise ConfigError(f"parameter {key}={params[key]!r}: {exc}") from None
 
 
 def gen_instance(kind: str, params: Dict, rng: random.Random) -> Instance:
     """Build a validated instance; deterministic for a given seeded rng."""
     if kind not in GENERATOR_KINDS:
-        raise BadParams(f"unknown generator kind {kind!r}")
+        raise ConfigError(f"unknown generator kind {kind!r}")
     unknown = sorted(set(params) - set(PARAM_NAMES))
     if unknown:
-        raise BadParams(f"no generator reads parameter {', '.join(unknown)}")
+        raise ConfigError(f"no generator reads parameter {', '.join(unknown)}")
     for key in ("rows", "cols", "k", "horizon"):  # sizes; n has its own checks
         if _param(params, key, 1) < 1:
-            raise BadParams(f"parameter {key}={params[key]} must be at least 1")
+            raise ConfigError(f"parameter {key}={params[key]} must be at least 1")
     lease_count = _param(params, "L", 1)
     catalog = canonical_catalog(lease_count)
     steps = _param(params, "T", 2)
@@ -110,7 +106,7 @@ def gen_instance(kind: str, params: Dict, rng: random.Random) -> Instance:
     if kind == "pp-adversary":
         n = _param(params, "n", 4)
         if n < 2:
-            raise BadParams("pp-adversary wants a star, n >= 2")
+            raise ConfigError("pp-adversary wants a star, n >= 2")
         graph = build_graph(n, _star_edges(n))
         horizon = _param(params, "horizon", catalog.max_duration())
         leaves = list(range(1, n))
@@ -133,7 +129,7 @@ def gen_instance(kind: str, params: Dict, rng: random.Random) -> Instance:
         n = _param(params, "n", 6)
         p = _param(params, "p", 0.4, float)
         if not 0 <= p <= 1:  # NaN fails this too
-            raise BadParams(f"parameter p={p} is not a probability in [0, 1]")
+            raise ConfigError(f"parameter p={p} is not a probability in [0, 1]")
         graph = _gnp_connected(n, p, rng)
 
     requests = _uniform_requests(graph.node_count, steps, size, rng)

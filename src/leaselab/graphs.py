@@ -10,28 +10,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .errors import LeaselabError
+from .errors import Disconnected, InstanceError
 from .leases import LeaseCatalog, Triplet
-
-
-class GraphError(LeaselabError, ValueError):
-    pass
-
-
-class BadNodeId(GraphError):
-    pass
-
-
-class SelfLoop(GraphError):
-    pass
-
-
-class DuplicateEdge(GraphError):
-    pass
-
-
-class Disconnected(GraphError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -63,16 +43,16 @@ class Graph:
 def build_graph(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
     """Validate and build: simple, undirected, connected; node ids in [0, n)."""
     if n < 1:
-        raise BadNodeId(f"need at least one node, got n={n}")
+        raise InstanceError(f"need at least one node, got n={n}")
     seen = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
-            raise BadNodeId(f"edge ({u}, {v}) outside [0, {n})")
+            raise InstanceError(f"edge ({u}, {v}) outside [0, {n})")
         if u == v:
-            raise SelfLoop(f"self loop at node {u}")
+            raise InstanceError(f"self loop at node {u}")
         key = (min(u, v), max(u, v))
         if key in seen:
-            raise DuplicateEdge(f"edge {key} listed twice")
+            raise InstanceError(f"edge {key} listed twice")
         seen.add(key)
     # checked before any per-node allocation, so a huge n with few edges fails fast
     if len(seen) < n - 1:

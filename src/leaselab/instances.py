@@ -6,13 +6,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .errors import EmptyRequest, InstanceError, LeaselabError, NonMonotonicTime
+from .errors import EmptyRequest, InstanceError, LeaselabError, LedgerError, NonMonotonicTime
 from .graphs import Graph, build_graph
 from .leases import LeaseCatalog, Triplet, as_whole, cost_sum
-
-
-class DuplicatePurchase(LeaselabError, ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -109,7 +105,7 @@ class PurchaseLedger:
 
     def add(self, tr: Triplet, step: int, cost: Fraction) -> None:
         if tr in self.entries:
-            raise DuplicatePurchase(f"triplet {tr} bought twice")
+            raise LedgerError(f"triplet {tr} bought twice")
         self.entries[tr] = (step, cost)
         self._slots.setdefault((tr.lease, tr.start), []).append(tr)
 

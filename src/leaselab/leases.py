@@ -15,41 +15,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Tuple, Union
 
-from .errors import LeaselabError
+from .errors import InstanceError
 
 CostLike = Union[int, str, float, Fraction]
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 # a cost's numerator and denominator stay under 10^1000, so that sums of costs
 # still print within CPython's 4300-digit int/str limit
 COST_BITS = math.ceil(1000 * math.log2(10))
-
-
-class CatalogError(LeaselabError, ValueError):
-    """A lease catalog violates an invariant; ``index`` is the 1-based offender."""
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
-
-
-class EmptyCatalog(CatalogError):
-    pass
-
-
-class NonPowerOfTwoDuration(CatalogError):
-    pass
-
-
-class EconomyOfScaleViolated(CatalogError):
-    pass
-
-
-class DuplicateDuration(CatalogError):
-    pass
-
-
-class NonPositiveCost(CatalogError):
-    pass
 
 
 def as_cost(value: CostLike) -> Fraction:
@@ -164,33 +136,30 @@ class LeaseCatalog:
 
 
 def validate_catalog(catalog: LeaseCatalog) -> None:
-    """Raise a CatalogError naming the first offending 1-based index."""
+    """Raise an InstanceError naming the first offending 1-based index."""
     types = catalog.types
     if not types:
-        raise EmptyCatalog("catalog has no lease types")
+        raise InstanceError("catalog has no lease types")
     for lt in types:
         if lt.duration < 1 or lt.duration & (lt.duration - 1):
-            raise NonPowerOfTwoDuration(
-                f"lease {lt.index} has duration {lt.duration}", index=lt.index
+            raise InstanceError(
+                f"lease {lt.index} has duration {lt.duration}"
             )
         if lt.cost <= 0:
             # the multiplicative weight rule divides by the cost
-            raise NonPositiveCost(
-                f"lease {lt.index} has cost {lt.cost}", index=lt.index
+            raise InstanceError(
+                f"lease {lt.index} has cost {lt.cost}"
             )
     for prev, cur in zip(types, types[1:]):
         if cur.duration == prev.duration:
-            raise DuplicateDuration(
+            raise InstanceError(
                 f"leases {prev.index} and {cur.index} share duration {cur.duration}",
-                index=cur.index,
             )
         if cur.cost < prev.cost:
-            raise EconomyOfScaleViolated(
+            raise InstanceError(
                 f"lease {cur.index} costs less than lease {prev.index}",
-                index=cur.index,
             )
         if cur.cost * prev.duration > prev.cost * cur.duration:
-            raise EconomyOfScaleViolated(
+            raise InstanceError(
                 f"lease {cur.index} has higher per-unit cost than lease {prev.index}",
-                index=cur.index,
             )

@@ -20,15 +20,11 @@ from fractions import Fraction
 from itertools import repeat, starmap
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import LeaselabError
+from .errors import InfeasibleOutput
 from .graphs import Graph, connected_component, dominators
 from .instances import PurchaseLedger, StepReport, request_nodes
 from .leases import LeaseCatalog, Triplet, cost_sum
 from .steiner import OsflState
-
-
-class UncoveredDominator(LeaselabError, RuntimeError):
-    """Greedy representative selection stalled; cannot happen on valid input."""
 
 
 class OcdslState:
@@ -147,7 +143,7 @@ class OcdslState:
             best_u = max(d_t, key=lambda u: len(uncovered_nodes.intersection(closed(u))))
             reach = set(closed(best_u))
             if uncovered_nodes.isdisjoint(reach):
-                raise UncoveredDominator(f"no request node covers {sorted(uncovered)}")
+                raise InfeasibleOutput(f"no request node covers {sorted(uncovered)}")
             rep = self.catalog.triplet_at(best_u, 1, t)
             if rep not in self.ledger:
                 self.ledger.add(rep, step=t, cost=self.catalog.cost(rep.lease))

@@ -19,16 +19,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Set, Tuple
 
-from .errors import LeaselabError
+from .errors import TooLarge
 from .graphs import Graph, connected_component
 from .instances import Instance, PurchaseLedger
 from .leases import LeaseCatalog, Triplet
 
 ORACLE_UNIVERSE_CAP = 24
-
-
-class TooLarge(LeaselabError, ValueError):
-    pass
 
 
 def check_feasible_step(

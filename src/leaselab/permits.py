@@ -13,13 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .errors import LeaselabError
+from .errors import InstanceError
 from .instances import PurchaseLedger, StepReport, request_nodes
 from .leases import LeaseCatalog, cost_sum
-
-
-class RainyDayOutOfHorizon(LeaselabError, ValueError):
-    pass
 
 
 class PermitState:
@@ -96,7 +92,7 @@ def pp_offline_opt(
     if horizon is None:
         horizon = last + 1
     if first < 0 or last >= horizon:
-        raise RainyDayOutOfHorizon(f"rainy days must lie in [0, {horizon}), got {first}..{last}")
+        raise InstanceError(f"rainy days must lie in [0, {horizon}), got {first}..{last}")
     for lt, unit in zip(catalog, catalog.units):
         split: Dict[int, int] = {}
         for s, cost in cost_of.items():

@@ -8,13 +8,14 @@ import hypothesis
 import pytest
 from hypothesis import strategies as st
 
+from leaselab.errors import InstanceError
 from leaselab.graphs import Graph, bfs_distances, build_graph, dominators
 from leaselab.hst import Cluster, Hst, tree_path_edges
 from leaselab.instances import Instance, PurchaseLedger
 from leaselab.leases import LeaseCatalog, Triplet
 from leaselab.ocdsl import OcdslState
 from leaselab.oracle import candidate_universe, check_domination_step, check_feasible_step
-from leaselab.permits import PermitState, RainyDayOutOfHorizon
+from leaselab.permits import PermitState
 from leaselab.primal_dual import DualState
 from leaselab.steiner import OsflState
 
@@ -277,7 +278,7 @@ def reference_pp_offline_opt(
     if horizon is None:
         horizon = max(days) + 1
     if days[0] < 0 or days[-1] >= horizon:
-        raise RainyDayOutOfHorizon(
+        raise InstanceError(
             f"rainy days must lie in [0, {horizon}), got {days[0]}..{days[-1]}"
         )
 

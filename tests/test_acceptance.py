@@ -14,18 +14,14 @@ from itertools import combinations
 import pytest
 
 from conftest import all_pairs_distances, fractional_cost, spy_guards
+from leaselab.errors import TooLarge
 from leaselab.generators import gen_instance
 from leaselab.graphs import build_graph, max_degree
 from leaselab.harness import report
 from leaselab.hst import build_hst, tree_distance
 from leaselab.leases import LeaseCatalog, Triplet
 from leaselab.ocdsl import OcdslState
-from leaselab.oracle import (
-    candidate_universe,
-    check_solution,
-    offline_opt,
-    offline_opt_ds,
-)
+from leaselab.oracle import check_solution, offline_opt, offline_opt_ds
 from leaselab.permits import PermitState, pp_offline_opt
 from leaselab.primal_dual import DualState
 
@@ -134,13 +130,14 @@ def test_criterion_2_lemma1_exact_constant():
     while checked < 200:
         inst = _lemma1_instance(seed)
         seed += 1
-        if len(candidate_universe(inst)) > 24:
+        try:
+            opt, _ = offline_opt(inst)
+        except TooLarge:
             continue
         checked += 1
         state = OcdslState(inst.graph, inst.catalog, seed=seed, connect=True)
         for t, nodes in inst.requests:
             state.serve_request(nodes, t)
-        opt, _ = offline_opt(inst)
         w_max = (max_degree(inst.graph) + 1) * len(inst.catalog)
         lhs = float(fractional_cost(state))  # Σ c_l·w over the weights, grown from zero
         rhs = 2 * float(opt) * math.log2(w_max)
@@ -289,10 +286,13 @@ def test_criterion_7_primal_dual():
         bound = len(inst.catalog) * (max_degree(inst.graph) + 1)
         assert primal <= bound * dual, index
         checked += 1
-        if len(candidate_universe(inst)) <= 24:
+        try:
             opt_ds, _ = offline_opt_ds(inst)
-            assert dual <= opt_ds, index
-            oracle_checked += 1
+        except TooLarge:
+            continue
+        assert dual <= opt_ds, index
+        oracle_checked += 1
+    assert oracle_checked >= 189  # the instances within the per-slot cap, or more if it widens
     print(
         f"[acceptance] criterion 7 (primal-dual): PASS - {checked} runs, "
         f"slack/charging exact; weak duality on {oracle_checked} oracle runs"

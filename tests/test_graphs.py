@@ -6,12 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import catalogs, connected_graphs, reference_bfs_distances, reference_shortest_path
+from leaselab.errors import InstanceError
 from leaselab.generators import canonical_catalog, gen_instance
 from leaselab.graphs import (
-    BadNodeId,
     Disconnected,
-    DuplicateEdge,
-    SelfLoop,
     bfs_distances,
     build_graph,
     dominators,
@@ -49,17 +47,17 @@ def test_build_graph_rejects_too_few_edges_before_allocating_per_node():
 
 
 def test_build_graph_rejects_self_loop():
-    with pytest.raises(SelfLoop):
+    with pytest.raises(InstanceError, match=r"^self loop at node 0$"):
         build_graph(2, [(0, 0), (0, 1)])
 
 
 def test_build_graph_rejects_duplicate_edge():
-    with pytest.raises(DuplicateEdge):
+    with pytest.raises(InstanceError, match=r"^edge \(0, 1\) listed twice$"):
         build_graph(2, [(0, 1), (1, 0)])
 
 
 def test_build_graph_rejects_bad_node_id():
-    with pytest.raises(BadNodeId):
+    with pytest.raises(InstanceError, match=r"^edge \(0, 2\) outside \[0, 2\)$"):
         build_graph(2, [(0, 2)])
 
 

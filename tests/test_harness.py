@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import shlex
 from fractions import Fraction
 from pathlib import Path
@@ -11,15 +12,22 @@ from hypothesis import strategies as st
 
 from conftest import fractional_cost, spy_guards
 from leaselab.cli import _ledger_csv, _read_ledger_csv, main
-from leaselab.errors import EmptyRequest, InstanceError, LeaselabError, NonMonotonicTime
-from leaselab.generators import BadParams, burst_times, canonical_catalog, gen_instance
-from leaselab.graphs import BadNodeId, build_graph
+from leaselab.errors import (
+    ConfigError,
+    EmptyRequest,
+    InstanceError,
+    LeaselabError,
+    NonMonotonicTime,
+)
+from leaselab.generators import burst_times, canonical_catalog, gen_instance
+from leaselab.graphs import build_graph
 from leaselab.harness import (
     ALGORITHMS,
     CSV_COLUMNS,
     FACTORIES,
     ExperimentConfig,
     format_summary_table,
+    oracle_cost,
     read_records_csv,
     records_to_csv,
     report,
@@ -27,9 +35,12 @@ from leaselab.harness import (
     run_experiment,
     steps_to_jsonl,
     trial_seed,
+    verify_run,
 )
-from leaselab.instances import Instance, make_instance
-from leaselab.leases import LeaseCatalog
+from leaselab.instances import Instance, PurchaseLedger, make_instance
+from leaselab.leases import LeaseCatalog, Triplet
+from leaselab.oracle import offline_opt, offline_opt_ds
+from leaselab.permits import pp_offline_opt
 
 
 def test_gen_star_instance():
@@ -63,12 +74,12 @@ def test_gen_pp_adversary_single_node_dominatable():
 
 
 def test_gen_rejects_unknown_kind():
-    with pytest.raises(BadParams):
+    with pytest.raises(ConfigError, match=r"^unknown generator kind 'nope'$"):
         gen_instance("nope", {}, random.Random(0))
 
 
 def test_gen_gnp_without_nodes_fails_at_once():
-    with pytest.raises(BadNodeId):
+    with pytest.raises(InstanceError, match=r"^need at least one node, got n=0$"):
         gen_instance("random-gnp-connected", {"n": 0}, random.Random(0))
 
 
@@ -76,14 +87,15 @@ def test_gen_gnp_without_nodes_fails_at_once():
 def test_gen_gnp_rejects_a_p_outside_the_unit_interval_before_sampling(p):
     rng = random.Random(0)
     state = rng.getstate()
-    with pytest.raises(BadParams):
+    message = re.escape(f"parameter p={float(p)} is not a probability in [0, 1]")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
         gen_instance("random-gnp-connected", {"n": 5, "p": p}, rng)
     assert rng.getstate() == state  # no sample was drawn
 
 
 @pytest.mark.parametrize("horizon", [0, -5])
 def test_gen_pp_adversary_rejects_a_horizon_below_one(horizon):
-    with pytest.raises(BadParams):
+    with pytest.raises(ConfigError, match=rf"^parameter horizon={horizon} must be at least 1$"):
         gen_instance("pp-adversary", {"horizon": horizon}, random.Random(0))
 
 
@@ -152,6 +164,37 @@ def test_run_experiment_all_algorithms():
         for rec in records:
             assert rec.online_cost > 0
             assert rec.ratio >= 1.0
+
+
+def _path_ends_then_middle() -> Instance:
+    """A 5-node path asked for both ends at t=0 and for its middle node at t=1."""
+    return make_instance(
+        build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        LeaseCatalog.from_pairs([(1, 1), (4, 2)]),
+        [(0, [0, 4]), (1, [2])],
+    )
+
+
+def test_verify_run_checks_each_algorithm_against_its_variant():
+    inst = _path_ends_then_middle()
+    # nodes 1 and 3 dominate every request, but they are not adjacent
+    apart = PurchaseLedger()
+    for t in (0, 1):
+        for node in (1, 3):
+            apart.add(Triplet(node, 1, t), t, Fraction(1))
+    assert {alg: verify_run(alg, inst, apart) for alg in ALGORITHMS} == {
+        "ocdsl": False, "odsl-pd": True, "odsl-rr": True, "pp": True,
+    }
+    assert [alg for alg in ALGORITHMS if verify_run(alg, inst, PurchaseLedger())] == []
+
+
+def test_oracle_cost_is_each_variant_s_exact_optimum():
+    inst = _path_ends_then_middle()
+    costs = {alg: oracle_cost(alg, inst) for alg in ALGORITHMS}
+    assert costs == {"ocdsl": 4, "odsl-pd": 3, "odsl-rr": 3, "pp": 2}
+    assert costs["ocdsl"] == offline_opt(inst)[0]
+    assert costs["odsl-pd"] == costs["odsl-rr"] == offline_opt_ds(inst)[0]
+    assert costs["pp"] == pp_offline_opt(inst.times, inst.catalog, inst.horizon)
 
 
 def test_report_accounting_identity_and_max():
@@ -381,6 +424,10 @@ BROKEN_INSTANCES = {
     "n-not-whole": {**INSTANCE, "n": 3.5},
     "cost-huge-exponent": {**INSTANCE, "leases": [{"duration": 1, "cost": "1e300000000"}]},
     "no-requests": {**INSTANCE, "requests": []},
+    "self-loop": {**INSTANCE, "edges": [[0, 1], [1, 2], [2, 2]]},
+    "edge-repeated": {**INSTANCE, "edges": [[0, 1], [1, 2], [1, 0]]},
+    "edge-past-last-node": {**INSTANCE, "edges": [[0, 1], [1, 3]]},
+    "disconnected": {**INSTANCE, "edges": [[0, 1]]},
 }
 HEADER = ",".join(CSV_COLUMNS)
 LEDGER_HEADER = "node,lease,start,step,cost"
@@ -392,6 +439,12 @@ CLI_ERRORS = {
     "pp-negative-day": (["pp", "--rainy", "0,-3", "--leases", "1:1"], {}),
     "pp-lease-huge-exponent": (["pp", "--rainy", "0", "--leases", "1:1e300000000"], {}),
     "pp-lease-cost-past-digit-bound": (["pp", "--rainy", "0", "--leases", "1:1e4300"], {}),
+    "pp-rainy-day-past-horizon": (["pp", "--rainy", "9", "--leases", "1:1", "--horizon", "8"], {}),
+    "pp-duration-not-power-of-two": (["pp", "--rainy", "0", "--leases", "3:1"], {}),
+    "pp-cost-zero": (["pp", "--rainy", "0", "--leases", "1:0"], {}),
+    "pp-duration-repeated": (["pp", "--rainy", "0", "--leases", "1:1,1:2"], {}),
+    "pp-longer-lease-costs-less": (["pp", "--rainy", "0", "--leases", "1:2,2:1"], {}),
+    "pp-longer-lease-costs-more-per-unit": (["pp", "--rainy", "0", "--leases", "1:1,2:3"], {}),
     **{
         name: (["run", "--instance", "i.json"], {"i.json": json.dumps(data)})
         for name, data in BROKEN_INSTANCES.items()

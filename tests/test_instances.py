@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs
-from leaselab.errors import LeaselabError
+from leaselab.errors import LeaselabError, LedgerError
 from leaselab.generators import canonical_catalog
 from leaselab.graphs import dominators
-from leaselab.instances import DuplicatePurchase, Instance, PurchaseLedger
+from leaselab.instances import Instance, PurchaseLedger
 from leaselab.leases import Triplet
 from leaselab.ocdsl import OcdslState
 
@@ -57,7 +57,9 @@ def test_ledger_equality_and_repr_ignore_the_slot_index():
 def test_ledger_refuses_a_second_purchase_of_one_triplet():
     ledger = PurchaseLedger()
     ledger.add(Triplet(0, 1, 3), 3, Fraction(1))
-    with pytest.raises(DuplicatePurchase):
+    with pytest.raises(
+        LedgerError, match=r"^triplet Triplet\(node=0, lease=1, start=3\) bought twice$"
+    ):
         ledger.add(Triplet(0, 1, 3), 5, Fraction(2))
     assert ledger.rows() == [(0, 1, 3, 3, Fraction(1))]
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import ReferencePermitState, catalogs, reference_pp_offline_opt
 from leaselab.errors import NonMonotonicTime
 from leaselab.leases import LeaseCatalog
-from leaselab.permits import PermitLeaser, PermitState, RainyDayOutOfHorizon, pp_offline_opt
+from leaselab.errors import InstanceError
+from leaselab.permits import PermitLeaser, PermitState, pp_offline_opt
 
 SINGLE = LeaseCatalog.from_pairs([(1, 1)])
 TWO = LeaseCatalog.from_pairs([(1, 1), (4, 2)])
@@ -90,7 +91,7 @@ def test_offline_opt_reads_only_slots_holding_a_rainy_day():
 
 
 def test_offline_opt_rejects_day_outside_horizon():
-    with pytest.raises(RainyDayOutOfHorizon):
+    with pytest.raises(InstanceError, match=r"^rainy days must lie in \[0, 8\), got 9\.\.9$"):
         pp_offline_opt([9], TWO, horizon=8)
 
 
