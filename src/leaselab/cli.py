@@ -70,8 +70,8 @@ def _ledger_csv(ledger: PurchaseLedger) -> str:
 
 def _read_ledger_csv(path: str, inst: Instance) -> PurchaseLedger:
     """Each row holds integers and an exact cost, names a node of the graph and a
-    lease in 1..|L| starting on that lease's slot grid, and differs from every
-    earlier row."""
+    lease in 1..|L| starting on that lease's slot grid, has a start and step that
+    are not negative, and differs from every earlier row."""
     catalog = inst.catalog
     ledger = PurchaseLedger()
     try:
@@ -88,6 +88,8 @@ def _read_ledger_csv(path: str, inst: Instance) -> PurchaseLedger:
                     ) from None
                 if not 0 <= tr.node < inst.graph.node_count:
                     raise LedgerError(f"{where}: node {tr.node} is not in the graph")
+                if tr.start < 0 or step < 0:
+                    raise LedgerError(f"{where}: start {tr.start} or step {step} is negative")
                 if not 1 <= tr.lease <= len(catalog) or tr.start % catalog.duration(tr.lease):
                     raise LedgerError(
                         f"{where}: lease {tr.lease} from {tr.start} is "

@@ -110,9 +110,7 @@ def connected_component(graph: Graph, start: int, allowed: Set[int]) -> Set[int]
 def dominators(graph: Graph, u: int, t: int, catalog: LeaseCatalog) -> Tuple[Triplet, ...]:
     """The (deg(u)+1)·|L| candidate t-triplets on u's closed neighborhood, sorted as built:
     the neighborhood is sorted by node, the catalog by lease index, and a lease fixes its start."""
-    slots = catalog.slots(t)
-    return tuple(
-        Triplet(i, lease, start)
-        for i in graph.closed_neighborhood(u)
-        for lease, start in slots
-    )
+    slots, new = catalog.slots(t), tuple.__new__  # a Triplet, skipping its Python-level __new__
+    return tuple([
+        new(Triplet, (i, lease, start)) for i in graph.closed_neighborhood(u) for lease, start in slots
+    ])

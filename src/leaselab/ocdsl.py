@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .errors import InfeasibleOutput
 from .graphs import Graph, connected_component, dominators
 from .instances import PurchaseLedger, StepReport, request_nodes
-from .leases import LeaseCatalog, Triplet, cost_sum
+from .leases import LeaseCatalog, Triplet
 from .steiner import OsflState
 
 
@@ -49,8 +49,13 @@ class OcdslState:
         # threshold = min of 2*ceil(log2(n+1)) uniforms; n.bit_length() is that ceiling
         self.mu_draws = 2 * graph.node_count.bit_length()
         self.max_dominator_count = 0  # over growth events
-        # (rounds, f_l^r) of the growth from all-zero weights
+        # growth constants: f_l = 1 + 1/c_l, each A_l's start 1/|L|², the goal 1 + 1/|L|
+        self._factors = {lt.index: 1 + 1 / lt.cost for lt in catalog}
+        self._start_mass = dict.fromkeys(self._factors, Fraction(1, len(catalog) ** 2))
+        self._goal = 1 + Fraction(1, len(catalog))
+        # (rounds, f_l^r) of the growth from all-zero weights, and per |doms| what w_0 = 0 grows to
         self._zero_start: Optional[Tuple[int, Dict[int, Fraction]]] = None
+        self._zero_bumps: Dict[int, Dict[int, Fraction]] = {}
         self.last_time: int | None = None
 
     # ------------------------------------------------------------------ helpers
@@ -77,50 +82,59 @@ class OcdslState:
         A round maps w to w·f + b/c with f = 1 + 1/c and b = 1/(|W||L|), so r rounds give
         w + b = (w_0 + b)·f^r and a total Σ_l A_l·f_l^r − 1/|L|, A_l summing w_0 + b over
         lease l. With |W| = k·|L| every A_l starts at k·b = 1/|L|², so when no dominator
-        holds a weight the search depends on the catalog alone and is kept."""
-        lease_count, weights = len(self.catalog), self.weights
-        b = Fraction(1, len(doms) * lease_count)
-        mass = {lt.index: Fraction(1, lease_count**2) for lt in self.catalog}
+        holds a weight the search depends on the catalog alone and is kept, and so is the
+        weight b·(f_l^r − 1) it gives each dominator, per |W|."""
+        weights, k = self.weights, len(doms)
         held = [tr for tr in doms if tr in weights]
-        for tr in held:
-            mass[tr.lease] += weights[tr]
         if held:
+            mass = dict(self._start_mass)
+            for tr in held:
+                mass[tr.lease] += weights[tr]
             rounds, power = self._growth_search(mass)
+            bump = None
         else:
             if self._zero_start is None:
-                self._zero_start = self._growth_search(mass)
+                self._zero_start = self._growth_search(self._start_mass)
             rounds, power = self._zero_start
+            bump = self._zero_bumps.get(k)
         if rounds:
-            bump = {lease: b * (p - 1) for lease, p in power.items()}  # what w_0 = 0 grows to
+            if bump is None:  # a growth from held weights, or the first from zero at this |W|
+                b = Fraction(1, k * len(self.catalog))
+                bump = {lease: b * (p - 1) for lease, p in power.items()}  # what w_0 = 0 grows to
+                if not held:
+                    self._zero_bumps[k] = bump
             for tr in doms:
                 w = weights.get(tr)
                 weights[tr] = bump[tr.lease] if w is None else w * power[tr.lease] + bump[tr.lease]
-        self.max_dominator_count = max(self.max_dominator_count, len(doms))
+        self.max_dominator_count = max(self.max_dominator_count, k)
         return rounds
 
     def _growth_search(self, mass: Dict[int, Fraction]) -> Tuple[int, Dict[int, Fraction]]:
         """The least r whose total Σ_l A_l·f_l^r − 1/|L| reaches one, by galloping and
         bisection over exact totals, with each lease's f_l^r."""
-        cost = self.catalog.cost
-        growth = [(lease, 1 + 1 / cost(lease), a) for lease, a in mass.items()]
-        goal = 1 + Fraction(1, len(self.catalog))
+        growth, goal = [(f, mass[lease]) for lease, f in self._factors.items()], self._goal
         lo, hi = -1, None  # lo rounds fall short of one, hi rounds reach it: gallop, then bisect
         while hi is None or hi - lo > 1:
             r = max(2 * lo + 1, 0) if hi is None else (lo + hi) // 2
-            if sum(a * f**r for _, f, a in growth) < goal:
+            if sum(a * f**r for f, a in growth) < goal:
                 lo = r
             else:
                 hi = r
-        return hi, {lease: f**hi for lease, f, _ in growth}
+        return hi, {lease: f**hi for lease, f in self._factors.items()}
 
     def round_purchases(self, doms: Sequence[Triplet], t: int) -> List[Triplet]:
         """Buy every dominator whose weight w beats its frozen threshold: w > m/2^53."""
-        bought, weights, threshold = [], self.weights, self.threshold
+        bought, weights, thresholds = [], self.weights, self.thresholds
         for tr in doms:
-            m, w = threshold(tr), weights.get(tr)  # drawn on first touch, even with no weight
-            if w is not None and w.numerator << 53 > m * w.denominator and tr not in self.ledger:
-                self.ledger.add(tr, step=t, cost=self.catalog.cost(tr.lease))
-                bought.append(tr)
+            m = thresholds.get(tr)
+            if m is None:
+                m = self.threshold(tr)  # drawn on first touch, even with no weight
+            w = weights.get(tr)
+            if w is not None:
+                num, den = w.as_integer_ratio()
+                if num << 53 > m * den and tr not in self.ledger.entries:
+                    self.ledger.add(tr, step=t, cost=self.catalog.cost(tr.lease))
+                    bought.append(tr)
         return bought
 
     def fallback(self, u: int, doms: Sequence[Triplet], t: int) -> Optional[Triplet]:
@@ -172,14 +186,13 @@ class OcdslState:
             self.fallback(u, doms, t)
 
         # Phase 1 step ii: assign dominators and buy representatives
-        entries, cost = self.ledger.entries, self.catalog.cost
-        s_t = sorted({
-            min(
-                (tr for tr in doms if tr in entries),
-                key=lambda tr: (cost(tr.lease), tr.node, tr.start, tr.lease),
-            )
+        # per node, a cheapest held dominator; cost ties go to the least node, then start
+        entries, units = self.ledger.entries, self.catalog.units
+        picks = {
+            min((units[tr.lease - 1], tr.node, tr.start, tr.lease) for tr in doms if tr in entries)
             for doms in doms_of.values()
-        })
+        }
+        s_t = sorted(Triplet(node, lease, start) for _, node, start, lease in picks)
 
         reps: List[Triplet] = []
         root: Optional[Triplet] = None
@@ -199,8 +212,8 @@ class OcdslState:
                     if tr not in self.ledger:
                         self.ledger.add(tr, step=t, cost=self.catalog.cost(lease))
 
-        purchases = self.ledger.bought_at(t)
-        c1_rows = phase2_start - step_start
+        purchases, scale = self.ledger.bought_at(t), self.catalog.scale
+        c1_rows = phase2_start - step_start  # each row's cost is its lease's, units[lease - 1]/scale
         return StepReport(
             t=t,
             requested=requested,
@@ -209,8 +222,8 @@ class OcdslState:
             representatives=reps,
             root=root,
             r_t=r_nodes,
-            c1_increment=cost_sum(p[3] for p in purchases[:c1_rows]),
-            c2_increment=cost_sum(p[3] for p in purchases[c1_rows:]),
+            c1_increment=Fraction(sum(units[p[1] - 1] for p in purchases[:c1_rows]), scale),
+            c2_increment=Fraction(sum(units[p[1] - 1] for p in purchases[c1_rows:]), scale),
             growth_rounds=rounds,
         )
 

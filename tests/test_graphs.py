@@ -15,7 +15,7 @@ from leaselab.graphs import (
     dominators,
     max_degree,
 )
-from leaselab.leases import LeaseCatalog
+from leaselab.leases import LeaseCatalog, Triplet
 
 
 def test_build_graph_path():
@@ -73,6 +73,8 @@ def test_dominators_single_node():
     cat = LeaseCatalog.from_pairs([(1, 1)])
     dom = dominators(g, 0, 5, cat)
     assert [tuple(tr) for tr in dom] == [(0, 1, 5)]
+    # built without Triplet's own __new__, yet a Triplet with its fields and a tuple's hash
+    assert type(dom[0]) is Triplet and dom[0].start == 5 and hash(dom[0]) == hash((0, 1, 5))
 
 
 def test_dominators_triangle():

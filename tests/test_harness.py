@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fractional_cost, spy_guards
+from conftest import count_fraction_operators, fractional_cost, spy_guards
 from leaselab.cli import _ledger_csv, _read_ledger_csv, main
 from leaselab.errors import (
     ConfigError,
@@ -460,6 +460,14 @@ CLI_ERRORS = {
     "records-huge-exponent": (
         ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,1e300000000,,3,1,2,1\n"}
     ),
+    "ledger-negative-start": (
+        ["verify", "--instance", "i.json", "--ledger", "l.csv"],
+        {"i.json": json.dumps(INSTANCE), "l.csv": LEDGER_HEADER + "\n0,1,-4,0,1\n"},
+    ),
+    "ledger-negative-step": (
+        ["verify", "--instance", "i.json", "--ledger", "l.csv"],
+        {"i.json": json.dumps(INSTANCE), "l.csv": LEDGER_HEADER + "\n0,1,1,-3,1\n"},
+    ),
     "ledger-huge-exponent": (
         ["verify", "--instance", "i.json", "--ledger", "l.csv"],
         {"i.json": json.dumps(INSTANCE), "l.csv": LEDGER_HEADER + "\n0,1,1,1,1e300000000\n"},
@@ -668,10 +676,12 @@ GOLDEN_6X6 = {
 }
 
 
+GOLDEN_6X6_PARAMS = {"rows": 6, "cols": 6, "T": 30, "k": 4, "L": 3}
+
+
 @pytest.mark.parametrize("algorithm", sorted(GOLDEN_6X6))
 def test_fixed_seed_grid_run_is_frozen(algorithm, monkeypatch):
-    params = {"rows": 6, "cols": 6, "T": 30, "k": 4, "L": 3}
-    inst = gen_instance("grid", params, random.Random("golden:inst"))
+    inst = gen_instance("grid", GOLDEN_6X6_PARAMS, random.Random("golden:inst"))
     guards = spy_guards(monkeypatch)
     _, _, _, ledger, reports, state = run_algorithm(algorithm, inst, 5)
     text = steps_to_jsonl(reports) + "".join(
@@ -683,6 +693,16 @@ def test_fixed_seed_grid_run_is_frozen(algorithm, monkeypatch):
         # the fractional cost is Σ c_l·w over the weights; the guard, the least mass after a growth
         assert fractional_cost(state) == frozen_cost
         assert min(guards[state]) == min_guard_sum
+
+
+# Fraction operator calls in one GOLDEN_6X6 run, counted at the implementation that built
+# Phase 1's growth constants on every growth: a run may make at most half as many
+@pytest.mark.parametrize("algorithm, before", [("odsl-rr", 989), ("ocdsl", 1135)])
+def test_golden_grid_run_makes_at_most_half_the_fraction_operator_calls(algorithm, before, monkeypatch):
+    inst = gen_instance("grid", GOLDEN_6X6_PARAMS, random.Random("golden:inst"))
+    calls = count_fraction_operators(monkeypatch)
+    run_algorithm(algorithm, inst, 5)
+    assert len(calls) <= before // 2
 
 
 # name -> (argv writing "out.csv", sha256 of that file), frozen like GOLDEN_6X6

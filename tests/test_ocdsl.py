@@ -23,7 +23,7 @@ from leaselab.errors import EmptyRequest, NonMonotonicTime
 from leaselab.generators import gen_instance
 from leaselab.graphs import build_graph, dominators
 from leaselab.instances import make_instance
-from leaselab.leases import LeaseCatalog, Triplet
+from leaselab.leases import LeaseCatalog, Triplet, cost_sum
 from leaselab.ocdsl import OcdslState
 from leaselab.oracle import check_solution
 
@@ -91,6 +91,7 @@ def test_zero_start_growth_after_the_first_makes_no_fraction_comparison(monkeypa
     calls = count_fraction_operators(monkeypatch)
     assert state.grow_fractional(doms) > 0
     assert not {"__eq__", "__lt__", "__le__", "__gt__", "__ge__"} & set(calls)
+    assert calls == []  # both |doms| are 4: the weights it gives were kept from the first
 
 
 @given(
@@ -293,6 +294,50 @@ def test_round_purchases_runs_no_fraction_operator_and_draws_q_uniforms_per_trip
         state.serve_request(nodes, t)
     assert bought and inside == []
     assert draws[0] == len(state.thresholds) * state.mu_draws > 0
+
+
+def test_step_choice_breaks_a_cost_tie_by_the_earlier_start(path3):
+    # both held dominators of node 1 cost 1: the key is (cost, node, start, lease)
+    cat = LeaseCatalog.from_pairs([(1, 1), (2, 1)])
+    state = OcdslState(path3, cat, seed=0, connect=False)
+    state.ledger.add(Triplet(1, 1, 1), step=0, cost=Fraction(1))
+    state.ledger.add(Triplet(1, 2, 0), step=0, cost=Fraction(1))
+    s_t = state.serve_request([1], 1).s_t
+    assert s_t == [Triplet(1, 2, 0)] and type(s_t[0]) is Triplet
+
+
+@given(g=connected_graphs(max_nodes=6), cat=catalogs(), connect=st.booleans(), data=st.data())
+@settings(deadline=None)
+def test_step_choice_and_cost_split_equal_the_key_callback_and_cost_sum(g, cat, connect, data):
+    # catalogs() draws leases of equal cost too, so cost ties in the choice occur; each step
+    # is recomputed from the ledger as step ii read it, and from the costs in its rows
+    state, cost = OcdslState(g, cat, seed=data.draw(st.integers(0, 9)), connect=connect), cat.cost
+    held, c1_ends, choose = [], [], OcdslState.select_representatives
+
+    def spied(self, s_t, d_t, t):
+        held.append(set(self.ledger.entries))
+        reps = choose(self, s_t, d_t, t)
+        c1_ends.append(len(self.ledger))
+        return reps
+
+    gaps = data.draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=6))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(OcdslState, "select_representatives", spied)
+        for t in [sum(gaps[:i]) for i in range(len(gaps))]:
+            nodes = data.draw(st.lists(st.integers(0, g.node_count - 1), min_size=1, max_size=3))
+            start = len(state.ledger)
+            report = state.serve_request(nodes, t)
+            entries = held.pop() if connect else state.ledger.entries
+            c1_rows = (c1_ends.pop() if connect else len(state.ledger)) - start
+            assert report.s_t == sorted({
+                min(
+                    (tr for tr in dominators(g, u, t, cat) if tr in entries),
+                    key=lambda tr: (cost(tr.lease), tr.node, tr.start, tr.lease),
+                )
+                for u in report.requested
+            })
+            assert report.c1_increment == cost_sum(p[3] for p in report.purchases[:c1_rows])
+            assert report.c2_increment == cost_sum(p[3] for p in report.purchases[c1_rows:])
 
 
 def test_rounding_probability_matches_min_of_uniforms():
