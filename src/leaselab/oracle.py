@@ -11,7 +11,11 @@ optimum is exact branch and bound, one search per top slot (window of the
 longest lease), each deliberately capped at desk scale. A branch is cut once
 even the cheapest remaining lease cannot beat the best cost so far, and each
 step's verdict is memoized by the mask of its active candidates, so the
-search checks each such mask once.
+search checks each such mask once. Each search starts from the cost UB of a
+feasible set that reverse-delete leaves minimal, with its bound at UB + 1:
+as OPT <= UB, the bound then cuts only subtrees that hold no optimum, so the
+first optimum the search meets, and so the ledger, is the one that an
+unbounded start meets.
 """
 
 from __future__ import annotations
@@ -71,12 +75,10 @@ def check_solution(
 
 
 def candidate_universe(inst: Instance) -> List[Triplet]:
-    """All triplets that can matter: every node x lease x slot hit by a request time."""
-    universe = set()
-    for t, _ in inst.requests:
-        slots = inst.catalog.slots(t)
-        universe.update(Triplet(node, *slot) for node in inst.graph.nodes() for slot in slots)
-    return sorted(universe)
+    """All triplets that can matter: every node x lease x slot hit by a request time.
+    Node-major over the sorted (lease, start) slots, which is the sorted Triplet order."""
+    slots = sorted({slot for t, _ in inst.requests for slot in inst.catalog.slots(t)})
+    return [Triplet(node, lease, start) for node in inst.graph.nodes() for lease, start in slots]
 
 
 def offline_opt(inst: Instance) -> Tuple[Fraction, PurchaseLedger]:
@@ -94,8 +96,8 @@ def _offline(inst: Instance, require_connected: bool) -> Tuple[Fraction, Purchas
     # every candidate lies in one window of the longest lease, and so do a step and
     # every candidate live at it: the optimum is the sum of one search per top slot
     slots: Dict[int, Tuple[List[Triplet], List[Tuple[int, Sequence[int]]]]] = {}
-    # expensive decisions first prunes best
-    for tr in sorted(candidate_universe(inst), key=lambda tr: (-catalog.units[tr.lease - 1], tr)):
+    # expensive decisions first prunes best; the universe comes sorted and the sort is stable
+    for tr in sorted(candidate_universe(inst), key=lambda tr: -catalog.units[tr.lease - 1]):
         slots.setdefault(tr.start - tr.start % top, ([], []))[0].append(tr)
     for t, nodes in inst.requests:
         slots[t - t % top][1].append((t, nodes))
@@ -117,7 +119,16 @@ def _search(
     graph: Graph, catalog: LeaseCatalog, check: Callable[[Graph, Set[int], Sequence[int]], bool],
     cands: List[Triplet], requests: List[Tuple[int, Sequence[int]]],
 ) -> Tuple[int, List[Triplet]]:
-    """One top slot's least cost in catalog units, and the first such set its search meets."""
+    """One top slot's least cost in catalog units, and the first such set its search meets.
+
+    Before the search, reverse-delete drops each candidate, in search order, whose
+    removal leaves the rest feasible, through the same memoized verdicts. The
+    bound starts one unit above that set's cost UB, not at UB: the search keeps
+    only sets cheaper than the bound, so at UB it would record no optimum when
+    OPT == UB and return the reverse-deleted set, which need not be the first
+    optimum. With UB + 1 > UB >= OPT every optimum stays inside the bound, so
+    the search still meets and keeps the same first optimum.
+    """
     units = [catalog.units[tr.lease - 1] for tr in cands]  # the search adds integers
     cheapest = min(units)  # an infeasible set needs at least one more candidate
 
@@ -145,7 +156,12 @@ def _search(
 
     everything = (1 << len(cands)) - 1
     assert feasible(everything)  # leasing every candidate is always feasible
-    best_cost = sum(units)
+    # warm start: reverse-delete in search order down to a minimal feasible set
+    warm = everything
+    for i in range(len(cands)):
+        if feasible(warm ^ 1 << i):
+            warm ^= 1 << i
+    best_cost = sum(u for i, u in enumerate(units) if warm >> i & 1) + 1
     best_set = everything
 
     def dfs(idx: int, cost: int, chosen: int, available: int) -> None:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from leaselab.errors import InstanceError
 from leaselab.graphs import Graph, bfs_distances, build_graph, dominators
 from leaselab.hst import Cluster, Hst, tree_path_edges
-from leaselab.instances import Instance, PurchaseLedger
+from leaselab.instances import Instance, PurchaseLedger, make_instance
 from leaselab.leases import LeaseCatalog, Triplet
 from leaselab.ocdsl import OcdslState
 from leaselab.oracle import candidate_universe, check_domination_step, check_feasible_step
@@ -70,6 +70,17 @@ def catalogs(draw, max_types: int = 3) -> LeaseCatalog:
         pairs.append((d, cost))
         prev_d = d
     return LeaseCatalog.from_pairs(pairs)
+
+
+@st.composite
+def request_streams(draw, max_nodes: int = 6, max_steps: int = 6) -> Instance:
+    """A connected graph, a catalog, and strictly increasing request times, each step a
+    non-empty set of nodes."""
+    g = draw(connected_graphs(max_nodes=max_nodes))
+    cat = draw(catalogs())
+    node = st.integers(min_value=0, max_value=g.node_count - 1)
+    times = draw(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=max_steps, unique=True))
+    return make_instance(g, cat, [(t, draw(st.lists(node, min_size=1, unique=True))) for t in sorted(times)])
 
 
 def reference_bfs_distances(graph: Graph, source: int, stop: Optional[int] = None) -> List[int]:

@@ -305,7 +305,19 @@ def test_optima_across_top_slots_equal_the_whole_horizon_search(inst):
         assert ledger.rows() == ref_ledger.rows()
 
 
-def test_benchmark_grid_optima_stay_within_a_step_check_budget(monkeypatch):
+def benchmark_grid_instances():
+    """The 150 instances of the frozen benchmark grid, as its trials draw them."""
+    instances = [
+        gen_instance(kind, params, random.Random(f"{trial_seed(base, index)}:inst"))
+        for _, kind, params, trials, base in BENCHMARK_GRID
+        for index in range(trials)
+    ]
+    assert len(instances) == 150
+    return instances
+
+
+def benchmark_grid_step_checks(monkeypatch):
+    """Step checks made by the 300 exact solves (both variants) of the benchmark grid."""
     calls = Counter()
     for name in ("check_feasible_step", "check_domination_step"):
 
@@ -314,17 +326,31 @@ def test_benchmark_grid_optima_stay_within_a_step_check_budget(monkeypatch):
             return check(graph, active_nodes, request_nodes)
 
         monkeypatch.setattr(oracle, name, counted)
-    solved = 0
-    for _, kind, params, trials, base in BENCHMARK_GRID:
-        for index in range(trials):
-            seed = trial_seed(base, index)
-            inst = gen_instance(kind, params, random.Random(f"{seed}:inst"))
-            offline_opt(inst)
-            offline_opt_ds(inst)
-            solved += 1
-    assert solved == 150
+    for inst in benchmark_grid_instances():
+        offline_opt(inst)
+        offline_opt_ds(inst)
+    return sum(calls.values())
+
+
+def test_benchmark_grid_optima_stay_within_a_step_check_budget(monkeypatch):
     # one whole-horizon search pruned on cost alone made 26,873 checks here
-    assert sum(calls.values()) <= 18_000
+    assert benchmark_grid_step_checks(monkeypatch) <= 18_000
+
+
+def test_warm_started_benchmark_grid_optima_stay_within_a_tighter_budget(monkeypatch):
+    # per top slot, the search bounded by leasing every candidate made 15,571 checks
+    # here; bounded by a reverse-deleted feasible set it makes 10,896
+    assert benchmark_grid_step_checks(monkeypatch) <= 12_000
+
+
+def test_benchmark_grid_optima_and_ledgers_equal_the_set_based_search():
+    # the warm start's bound only cuts subtrees without an optimum: same first optimum
+    for inst in benchmark_grid_instances():
+        for require_connected, solve in ((True, offline_opt), (False, offline_opt_ds)):
+            cost, ledger = solve(inst)
+            ref_cost, ref_ledger = reference_offline(inst, require_connected)
+            assert cost == ref_cost
+            assert ledger.rows() == ref_ledger.rows()
 
 
 def test_offline_opt_checks_each_step_mask_once(monkeypatch):
