@@ -14,7 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from leaselab.benchmarks import run_benchmark
-from leaselab.harness import write_records_csv
+from leaselab.harness import records_to_csv
 
 
 def main() -> int:
@@ -26,7 +26,7 @@ def main() -> int:
     for label, mean_ratio in means.items():
         print(f'    "{label}": {mean_ratio:.6f},')
     if args.csv:
-        write_records_csv(records, args.csv)
+        Path(args.csv).write_text(records_to_csv(records), encoding="utf-8")
         print(f"records written to {args.csv}")
     return 0
 

@@ -16,22 +16,16 @@ from .leases import LeaseCatalog, Triplet
 
 @dataclass(frozen=True)
 class Graph:
+    """Nodes 0..node_count-1, read through two per-node tables: ``adjacency[u]`` is
+    N(u) and ``closed_neighborhoods[u]`` is N[u] = N(u) + u, each sorted by node id."""
+
     node_count: int
-    adjacency: Tuple[Tuple[int, ...], ...]  # sorted neighbor list per node
-
-    def nodes(self) -> range:
-        return range(self.node_count)
-
-    def neighbors(self, u: int) -> Tuple[int, ...]:
-        return self.adjacency[u]
+    adjacency: Tuple[Tuple[int, ...], ...]
 
     @cached_property
-    def _closed(self) -> Tuple[Tuple[int, ...], ...]:
+    def closed_neighborhoods(self) -> Tuple[Tuple[int, ...], ...]:
+        """Built once per graph: u dominates exactly the nodes of N[u]."""
         return tuple(tuple(sorted((u, *nb))) for u, nb in enumerate(self.adjacency))
-
-    def closed_neighborhood(self, u: int) -> Tuple[int, ...]:
-        """u together with its neighbors, sorted; built once per graph."""
-        return self._closed[u]
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         for u in range(self.node_count):
@@ -89,7 +83,7 @@ def bfs_distances(graph: Graph, source: int) -> List[int]:
     """Hop distances from ``source``."""
     dist = {source: 0}
     extend_bfs(graph, dist, [source])
-    return [dist[u] for u in graph.nodes()]
+    return [dist[u] for u in range(graph.node_count)]
 
 
 def connected_component(graph: Graph, start: int, allowed: Set[int]) -> Set[int]:
@@ -112,5 +106,5 @@ def dominators(graph: Graph, u: int, t: int, catalog: LeaseCatalog) -> Tuple[Tri
     the neighborhood is sorted by node, the catalog by lease index, and a lease fixes its start."""
     slots, new = catalog.slots(t), tuple.__new__  # a Triplet, skipping its Python-level __new__
     return tuple([
-        new(Triplet, (i, lease, start)) for i in graph.closed_neighborhood(u) for lease, start in slots
+        new(Triplet, (i, lease, start)) for i in graph.closed_neighborhoods[u] for lease, start in slots
     ])

@@ -211,11 +211,6 @@ def records_to_csv(records: Sequence[RunRecord], timing: bool = False) -> str:
     return csv_text(header, (rec.to_row(timing) for rec in records))
 
 
-def write_records_csv(records: Sequence[RunRecord], path: str, timing: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(records_to_csv(records, timing))
-
-
 def _field_parsers(cls: type) -> Dict[str, Callable[[str], Any]]:
     """Field name -> parser from its annotation; an empty cell reads as None for Optional[X]."""
     parsers: Dict[str, Callable[[str], Any]] = {}

@@ -39,9 +39,6 @@ class Hst:
     clusters: Tuple[Cluster, ...]  # cluster 0 is the root
     leaf_of: Tuple[int, ...]  # graph node -> leaf cluster id
 
-    def center(self, cid: int) -> int:
-        return self.clusters[cid].center
-
     def edge_length(self, child_cid: int) -> int:
         """Length of the tree edge from a child cluster to its parent."""
         return 1 << self.clusters[child_cid].level
@@ -70,8 +67,8 @@ def _ceil_log2_diameter(graph: Graph) -> int:
     ecc_lo, ecc_hi, lo, by_upper = [0] * n, [n - 1] * n, 1, True  # lo: lower bound on the diameter
     while (lo - 1).bit_length() != (max(ecc_hi) - 1).bit_length():
         if lo == 2:  # 2, or more: is each N[N[u]] every node? bitsets, not a BFS per node
-            masks = [sum(1 << v for v in graph.closed_neighborhood(u)) for u in range(n)]
-            hops2 = (reduce(int.__or__, map(masks.__getitem__, graph.closed_neighborhood(u))) for u in range(n))
+            masks = [sum(1 << v for v in ball) for ball in graph.closed_neighborhoods]
+            hops2 = (reduce(int.__or__, map(masks.__getitem__, ball)) for ball in graph.closed_neighborhoods)
             if all(m == (1 << n) - 1 for m in hops2):
                 return 1
             lo = 3
@@ -164,7 +161,7 @@ def edge_realization(h: Hst, child_cid: int, graph: Graph, searches: dict) -> Li
     """Graph edges standing in for one tree edge: the minimum-hop path from the child
     cluster's center to its parent's, ties broken toward the smallest next node id.
     ``searches`` maps each parent center to its BFS, (labels, last layer), grown as needed."""
-    a, b = h.center(child_cid), h.center(h.clusters[child_cid].parent)
+    a, b = h.clusters[child_cid].center, h.clusters[h.clusters[child_cid].parent].center
     dist, layer = searches.setdefault(b, ({b: 0}, [b]))
     extend_bfs(graph, dist, layer, stop=a)
     path = [a]

@@ -151,11 +151,11 @@ class OcdslState:
         """Greedy cover of the chosen dominators by cheapest-lease request nodes, first on ties."""
         uncovered: Set[Triplet] = set(s_t)
         reps: List[Triplet] = []
-        closed = self.graph.closed_neighborhood
+        closed = self.graph.closed_neighborhoods
         while uncovered:
             uncovered_nodes = {tr.node for tr in uncovered}
-            best_u = max(d_t, key=lambda u: len(uncovered_nodes.intersection(closed(u))))
-            reach = set(closed(best_u))
+            best_u = max(d_t, key=lambda u: len(uncovered_nodes.intersection(closed[u])))
+            reach = set(closed[best_u])
             if uncovered_nodes.isdisjoint(reach):
                 raise InfeasibleOutput(f"no request node covers {sorted(uncovered)}")
             rep = self.catalog.triplet_at(best_u, 1, t)

@@ -40,14 +40,13 @@ def check_feasible_step(
     node u0 (requests are non-empty by the request rule), so only the components
     of those nodes are tried, each once.
     """
+    closed = graph.closed_neighborhoods
     tried: Set[int] = set()
-    for x in graph.closed_neighborhood(request_nodes[0]):
+    for x in closed[request_nodes[0]]:
         if x in tried or x not in active_nodes:
             continue
         comp = connected_component(graph, x, active_nodes)
-        if all(
-            u in comp or any(v in comp for v in graph.neighbors(u)) for u in request_nodes
-        ):
+        if all(not comp.isdisjoint(closed[u]) for u in request_nodes):
             return True
         tried |= comp
     return False
@@ -56,11 +55,9 @@ def check_feasible_step(
 def check_domination_step(
     graph: Graph, active_nodes: Set[int], request_nodes: Sequence[int]
 ) -> bool:
-    """Domination only: every requested node is active or has an active neighbor."""
-    return all(
-        u in active_nodes or any(v in active_nodes for v in graph.neighbors(u))
-        for u in request_nodes
-    )
+    """Domination only: N[u] ∩ active ≠ ∅ for every requested node u."""
+    closed = graph.closed_neighborhoods
+    return all(not active_nodes.isdisjoint(closed[u]) for u in request_nodes)
 
 
 def check_solution(
@@ -78,7 +75,7 @@ def candidate_universe(inst: Instance) -> List[Triplet]:
     """All triplets that can matter: every node x lease x slot hit by a request time.
     Node-major over the sorted (lease, start) slots, which is the sorted Triplet order."""
     slots = sorted({slot for t, _ in inst.requests for slot in inst.catalog.slots(t)})
-    return [Triplet(node, lease, start) for node in inst.graph.nodes() for lease, start in slots]
+    return [Triplet(node, lease, start) for node in range(inst.graph.node_count) for lease, start in slots]
 
 
 def offline_opt(inst: Instance) -> Tuple[Fraction, PurchaseLedger]:

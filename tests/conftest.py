@@ -113,7 +113,7 @@ def reference_shortest_path(graph: Graph, u: int, v: int) -> List[int]:
 
 
 def all_pairs_distances(graph: Graph) -> List[List[int]]:
-    return [bfs_distances(graph, u) for u in graph.nodes()]
+    return [bfs_distances(graph, u) for u in range(graph.node_count)]
 
 
 def reference_build_hst(graph: Graph, rng: random.Random) -> Hst:
@@ -426,8 +426,9 @@ class ReferenceOsflState(OsflState):
                 permit = self.edge_permits[cid] = PermitState(self.catalog)
             for lease, start in permit.request(t):
                 self.tree_cost += self.hst.edge_length(cid) * self.catalog.cost(lease)
-                a, b = self.hst.center(cid), self.hst.center(self.hst.clusters[cid].parent)
-                walk = reference_shortest_path(self.graph, a, b)
+                child = self.hst.clusters[cid]
+                parent = self.hst.clusters[child.parent]
+                walk = reference_shortest_path(self.graph, child.center, parent.center)
                 for a, b in zip(walk, walk[1:]):
                     key = ((a, b) if a < b else (b, a), lease, start)
                     if key not in self.ledger:
@@ -481,7 +482,7 @@ def realize_tree_path(h: Hst, u: int, v: int, graph: Graph) -> List[Tuple[int, i
     edges: List[Tuple[int, int]] = []
     path = tree_path_clusters(h, u, v)
     for a, b in zip(path, path[1:]):
-        walk = reference_shortest_path(graph, h.center(a), h.center(b))
+        walk = reference_shortest_path(graph, h.clusters[a].center, h.clusters[b].center)
         edges.extend(zip(walk, walk[1:]))
     return edges
 

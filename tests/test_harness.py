@@ -15,6 +15,7 @@ from leaselab.cli import _ledger_csv, _read_ledger_csv, main
 from leaselab.errors import (
     ConfigError,
     EmptyRequest,
+    InfeasibleOutput,
     InstanceError,
     LeaselabError,
     NonMonotonicTime,
@@ -33,11 +34,12 @@ from leaselab.harness import (
     report,
     run_algorithm,
     run_experiment,
+    run_trial,
     steps_to_jsonl,
     trial_seed,
     verify_run,
 )
-from leaselab.instances import Instance, PurchaseLedger, make_instance
+from leaselab.instances import Instance, PurchaseLedger, StepReport, make_instance
 from leaselab.leases import LeaseCatalog, Triplet
 from leaselab.oracle import offline_opt, offline_opt_ds
 from leaselab.permits import pp_offline_opt
@@ -69,7 +71,7 @@ def test_gen_grid():
 
 def test_gen_pp_adversary_single_node_dominatable():
     inst = gen_instance("pp-adversary", {"n": 5, "L": 2, "horizon": 8}, random.Random(0))
-    assert len(inst.graph.neighbors(0)) == 4  # the center dominates everything
+    assert len(inst.graph.adjacency[0]) == 4  # the center dominates everything
     assert [t for t, _ in inst.requests] == burst_times(8) == [0, 1, 3, 7]
 
 
@@ -186,6 +188,28 @@ def test_verify_run_checks_each_algorithm_against_its_variant():
         "ocdsl": False, "odsl-pd": True, "odsl-rr": True, "pp": True,
     }
     assert [alg for alg in ALGORITHMS if verify_run(alg, inst, PurchaseLedger())] == []
+
+
+def test_an_unknown_algorithm_is_refused():
+    with pytest.raises(ConfigError, match=r"^unknown algorithm 'nope'$"):
+        ExperimentConfig(algorithm="nope", instance=_path_ends_then_middle())
+
+
+class IdleLeaser:
+    """Buys nothing, so its ledger serves no request."""
+
+    def __init__(self, inst: Instance, seed: int):
+        self.ledger = PurchaseLedger()
+
+    def serve_request(self, nodes, t: int) -> StepReport:
+        return StepReport(t=t, requested=tuple(nodes), purchases=[], c1_increment=Fraction(0))
+
+
+def test_run_trial_refuses_a_ledger_that_fails_verification(monkeypatch):
+    monkeypatch.setitem(FACTORIES, "odsl-pd", IdleLeaser)
+    cfg = ExperimentConfig(algorithm="odsl-pd", instance=_path_ends_then_middle())
+    with pytest.raises(InfeasibleOutput, match=r"^odsl-pd produced an infeasible ledger on trial 0$"):
+        run_trial(cfg, 0)
 
 
 def test_oracle_cost_is_each_variant_s_exact_optimum():

@@ -195,7 +195,7 @@ def test_sibling_leaves_distance_two():
     # path a-b-c often puts all three under one level-1 cluster; siblings pay 2
     g = path_graph(3)
     h = build_hst(g, random.Random(1))
-    centers = [h.center(c) for c in tree_path_clusters(h, 0, 2)]
+    centers = [h.clusters[c].center for c in tree_path_clusters(h, 0, 2)]
     assert centers == [0, 1, 2]
     assert tree_distance(h, 0, 2) == 2
 
@@ -240,8 +240,8 @@ def test_distance_upper_bound():
 def test_non_contraction_all_pairs(g, seed):
     h = build_hst(g, random.Random(seed))
     dist = all_pairs_distances(g)
-    for u in g.nodes():
-        for v in g.nodes():
+    for u in range(g.node_count):
+        for v in range(g.node_count):
             assert tree_distance(h, u, v) >= dist[u][v]
 
 
@@ -266,7 +266,7 @@ def test_realize_path3_through_center_matches_shortest_paths():
     clusters = tree_path_clusters(h, 0, 2)
     rebuilt = []
     for a, b in zip(clusters, clusters[1:]):
-        p = reference_shortest_path(g, h.center(a), h.center(b))
+        p = reference_shortest_path(g, h.clusters[a].center, h.clusters[b].center)
         rebuilt.extend(zip(p, p[1:]))
     assert edges == rebuilt
 
@@ -282,7 +282,7 @@ def test_realized_walk_connects_endpoints(g, seed):
     cur = u
     for a, b in walk:
         assert a == cur
-        assert b in g.neighbors(a)
+        assert b in g.adjacency[a]
         cur = b
     assert cur == v
 
@@ -291,8 +291,8 @@ def test_realized_walk_connects_endpoints(g, seed):
 @settings(max_examples=60)
 def test_tree_path_edges_match_the_reference_walk(g, seed):
     h = build_hst(g, random.Random(seed))
-    for u in g.nodes():
-        for v in g.nodes():
+    for u in range(g.node_count):
+        for v in range(g.node_count):
             path = tree_path_clusters(h, u, v)
             lca = max(path, key=lambda cid: h.clusters[cid].level)
             reference = [cid for cid in path if cid != lca]
@@ -307,11 +307,11 @@ def test_edge_realization_joins_child_and_parent_centers():
         if cl.parent < 0:
             continue
         walk = edge_realization(h, cid, g, {})
-        if h.center(cid) == h.center(cl.parent):
+        if h.clusters[cid].center == h.clusters[cl.parent].center:
             assert walk == []
         else:
-            assert walk[0][0] == h.center(cid)
-            assert walk[-1][1] == h.center(cl.parent)
+            assert walk[0][0] == h.clusters[cid].center
+            assert walk[-1][1] == h.clusters[cl.parent].center
 
 
 def test_format_tree_mentions_every_cluster():

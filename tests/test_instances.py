@@ -39,8 +39,8 @@ def test_slot_index_matches_window_scan(data, g):
         assert sorted(found) == sorted(scan)
         nodes = {tr.node for tr in scan}
         assert state.ledger.active_nodes(CAT3, t) == nodes
-        for u in g.nodes():
-            dominated = u in nodes or any(v in nodes for v in g.neighbors(u))
+        for u in range(g.node_count):
+            dominated = u in nodes or any(v in nodes for v in g.adjacency[u])
             assert state.has_active_dominator(dominators(g, u, t, CAT3)) == dominated
 
 

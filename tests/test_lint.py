@@ -1,4 +1,5 @@
-"""Source checks that need no linter: every import in the library is used."""
+"""Source checks that need no linter: every import in the library is used, and no
+method only reads a field that callers can read themselves."""
 
 import ast
 from pathlib import Path
@@ -43,4 +44,75 @@ def test_unused_imports_finds_only_the_unread_name():
 def test_library_has_no_unused_import():
     assert SOURCES
     found = [f"{path.name}:{entry}" for path in SOURCES for entry in unused_imports(path.read_text())]
+    assert found == []
+
+
+def _reads_self_field(expr: ast.expr, params: Set[str]) -> bool:
+    """self.f, self.f[param] or self.f[param].g."""
+    if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Subscript):
+        expr = expr.value
+    if isinstance(expr, ast.Subscript):
+        if not (isinstance(expr.slice, ast.Name) and expr.slice.id in params):
+            return False
+        expr = expr.value
+    return isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name) and expr.value.id == "self"
+
+
+def field_wrappers(source: str) -> List[str]:
+    """'Class.method' for each method whose body, docstring aside, returns self.f,
+    self.f[param], self.f[param].g or range(self.f); dunders and properties are exempt."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("__"):
+                continue
+            decorators = {getattr(d, "id", getattr(d, "attr", None)) for d in fn.decorator_list}
+            body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+            if decorators & {"property", "cached_property"} or len(body) != 1:
+                continue
+            if not isinstance(body[0], ast.Return):
+                continue
+            value, params = body[0].value, {a.arg for a in fn.args.args[1:]}
+            is_range = isinstance(value, ast.Call) and getattr(value.func, "id", None) == "range"
+            if is_range and len(value.args) == 1:
+                value, params = value.args[0], set()
+            if _reads_self_field(value, params):
+                found.append(f"{cls.name}.{fn.name}")
+    return found
+
+
+def test_field_wrappers_finds_only_the_plain_reads():
+    source = """
+class A:
+    def a(self):
+        \"\"\"Doc.\"\"\"
+        return self.x
+    def b(self, i):
+        return self.x[i]
+    def c(self, i):
+        return self.x[i].y
+    def d(self):
+        return range(self.n)
+    def e(self, i):
+        return self.x[i + 1]
+    def f(self):
+        return self.x.total()
+    def g(self):
+        return self.x[0]
+    def __len__(self):
+        return self.n
+    @property
+    def h(self):
+        return self.x
+    @cached_property
+    def k(self):
+        return self.x
+"""
+    assert field_wrappers(source) == ["A.a", "A.b", "A.c", "A.d"]
+
+
+def test_library_has_no_field_wrapper():
+    found = [f"{path.name}:{entry}" for path in SOURCES for entry in field_wrappers(path.read_text())]
     assert found == []

@@ -245,7 +245,7 @@ def test_integer_rounding_buys_as_the_fraction_reference(g, cat, seed, data):
     fresh = st.none() | st.builds(Fraction, st.integers(min_value=0, max_value=16), st.just(16))
     times = data.draw(st.sets(st.integers(min_value=0, max_value=12), min_size=1, max_size=6))
     for t in sorted(times):
-        for u in data.draw(st.lists(st.sampled_from(g.nodes()), min_size=1, max_size=3)):
+        for u in data.draw(st.lists(st.sampled_from(range(g.node_count)), min_size=1, max_size=3)):
             doms = dominators(g, u, t, cat)
             for tr in doms:
                 # a touched threshold, or one drawn here on request, gets a weight next to it
@@ -388,7 +388,7 @@ def test_select_representatives_star_picks_smallest_leaf(star4):
 
 def covered_by(graph, reps):
     """Nodes within one hop of some representative."""
-    return {x for tr in reps for x in graph.closed_neighborhood(tr.node)}
+    return {x for tr in reps for x in graph.closed_neighborhoods[tr.node]}
 
 
 def naive_greedy(graph, s_nodes, d_t):
@@ -398,10 +398,10 @@ def naive_greedy(graph, s_nodes, d_t):
     while uncovered:
         best = min(
             d_t,
-            key=lambda u: (-len(uncovered & set(graph.closed_neighborhood(u))), u),
+            key=lambda u: (-len(uncovered & set(graph.closed_neighborhoods[u])), u),
         )
         picks.append(best)
-        uncovered -= set(graph.closed_neighborhood(best))
+        uncovered -= set(graph.closed_neighborhoods[best])
     return picks
 
 

@@ -62,7 +62,7 @@ def served_by_definition(g, active, request):
         start = min(nodes)
         seen, stack = {start}, [start]
         while stack:
-            for y in g.neighbors(stack.pop()):
+            for y in g.adjacency[stack.pop()]:
                 if y in nodes and y not in seen:
                     seen.add(y)
                     stack.append(y)
@@ -70,7 +70,7 @@ def served_by_definition(g, active, request):
 
     return any(
         connected(sub)
-        and all(u in sub or any(v in sub for v in g.neighbors(u)) for u in request)
+        and all(u in sub or any(v in sub for v in g.adjacency[u]) for u in request)
         for size in range(1, len(active) + 1)
         for sub in map(set, combinations(sorted(active), size))
     )
@@ -244,7 +244,7 @@ def test_relabelling_the_nodes_keeps_the_optima(seed, perm_seed):
         opt, opt_ds = offline_opt(inst)[0], offline_opt_ds(inst)[0]
     except TooLarge:
         return
-    label = list(inst.graph.nodes())
+    label = list(range(inst.graph.node_count))
     random.Random(perm_seed).shuffle(label)
     moved = make_instance(
         build_graph(len(label), [(label[u], label[v]) for u, v in inst.graph.edges()]),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import ReferencePermitState, catalogs, reference_pp_offline_opt
 from leaselab.errors import NonMonotonicTime
+from leaselab.generators import canonical_catalog
 from leaselab.leases import LeaseCatalog
 from leaselab.errors import InstanceError
 from leaselab.permits import PermitLeaser, PermitState, pp_offline_opt
@@ -171,3 +172,17 @@ def test_cascading_escalation_can_overshoot_on_tight_catalogs():
     ]
     assert state.total_cost() == Fraction(13, 2)
     assert pp_offline_opt([0, 1], THREE) == Fraction(3, 2)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="request charges the permits its own cascade fires into the larger slots, "
+    "so days 0 and 1 fire every level: cost 13 against OPT 2",
+)
+def test_two_rainy_days_cost_at_most_lease_count_plus_one_times_opt():
+    cat = canonical_catalog(4)
+    leaser = PermitLeaser(cat)
+    for t in (0, 1):
+        leaser.serve_request([0], t)
+    assert leaser.ledger.total_cost() <= (len(cat) + 1) * pp_offline_opt([0, 1], cat)

@@ -128,7 +128,7 @@ def test_dual_feasibility_and_coverage(seed):
             assert all(s >= 0 for s in state.slack.values())
             active = state.ledger.active_nodes(inst.catalog, t)
             assert u in active or any(
-                v in active for v in inst.graph.neighbors(u)
+                v in active for v in inst.graph.adjacency[u]
             )
 
 
@@ -166,7 +166,7 @@ def test_integer_units_serve_as_the_fraction_reference(g, cat, data):
     state, reference = DualState(g, cat), ReferenceDualState(g, cat)
     times = data.draw(st.sets(st.integers(min_value=0, max_value=40), min_size=1, max_size=8))
     for t in sorted(times):
-        for u in data.draw(st.lists(st.sampled_from(g.nodes()), min_size=1, max_size=4)):
+        for u in data.draw(st.lists(st.sampled_from(range(g.node_count)), min_size=1, max_size=4)):
             got, want = state.serve(u, t), reference.serve(u, t)
             assert got == want and type(got[1]) is Fraction, (u, t)
     assert state.ledger.rows() == reference.ledger.rows()

@@ -141,7 +141,7 @@ def test_terminals_connected_through_active_edges(g, seed):
             if start <= t < start + ESCALATING.duration(lease)
         }
         # reachability in the subgraph of active leased edges
-        adj = {u: set() for u in g.nodes()}
+        adj = {u: set() for u in range(g.node_count)}
         for a, b in active:
             adj[a].add(b)
             adj[b].add(a)
@@ -237,7 +237,7 @@ def test_wide_grid_runs_one_bfs_per_parent_center_and_labels_far_fewer_nodes(mon
     def watched(h, cid, graph, searches):
         nonlocal stopped
         walk = original(h, cid, graph, searches)
-        a, b = h.center(cid), h.center(h.clusters[cid].parent)
+        a, b = h.clusters[cid].center, h.clusters[h.clusters[cid].parent].center
         # one search object per parent center, made once and only grown after
         searches_of.setdefault(b, set()).add(id(searches[b][0]))
         stopped += sum(d >= 0 for d in reference_bfs_distances(graph, b, stop=a))
@@ -273,7 +273,7 @@ def test_phase2_equals_the_edge_keyed_reference(g, cat, seed, data):
     reference.osfl = ReferenceOsflState(g, cat, random.Random(f"{seed}:hst"), reference.ledger)
     steps, reference_steps = [], []
     for t in sorted(data.draw(st.sets(st.integers(min_value=0, max_value=12), min_size=1))):
-        nodes = data.draw(st.lists(st.sampled_from(g.nodes()), min_size=1, unique=True))
+        nodes = data.draw(st.lists(st.sampled_from(range(g.node_count)), min_size=1, unique=True))
         steps.append(state.serve_request(nodes, t))
         reference_steps.append(reference.serve_request(nodes, t))
     assert state.ledger.rows() == reference.ledger.rows()
