@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import random
 import sys
@@ -14,6 +13,7 @@ from .generators import GENERATOR_KINDS, gen_instance
 from .harness import (
     ALGORITHMS,
     ExperimentConfig,
+    csv_rows,
     csv_text,
     format_summary_table,
     read_records_csv,
@@ -64,8 +64,11 @@ def _write(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+LEDGER_COLUMNS = ["node", "lease", "start", "step", "cost"]
+
+
 def _ledger_csv(ledger: PurchaseLedger) -> str:
-    return csv_text(["node", "lease", "start", "step", "cost"], ledger.rows())
+    return csv_text(LEDGER_COLUMNS, ledger.rows())
 
 
 def _read_ledger_csv(path: str, inst: Instance) -> PurchaseLedger:
@@ -74,32 +77,26 @@ def _read_ledger_csv(path: str, inst: Instance) -> PurchaseLedger:
     are not negative, and differs from every earlier row."""
     catalog = inst.catalog
     ledger = PurchaseLedger()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                where = f"{path} line {reader.line_num}"
-                try:
-                    tr = Triplet(int(row["node"]), int(row["lease"]), int(row["start"]))
-                    step, cost = int(row["step"]), as_cost(row["cost"])
-                except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-                    raise LedgerError(
-                        f"{where}: want integer node, lease, start, step and a cost ({exc})"
-                    ) from None
-                if not 0 <= tr.node < inst.graph.node_count:
-                    raise LedgerError(f"{where}: node {tr.node} is not in the graph")
-                if tr.start < 0 or step < 0:
-                    raise LedgerError(f"{where}: start {tr.start} or step {step} is negative")
-                if not 1 <= tr.lease <= len(catalog) or tr.start % catalog.duration(tr.lease):
-                    raise LedgerError(
-                        f"{where}: lease {tr.lease} from {tr.start} is "
-                        f"not an aligned slot of a lease type in 1..{len(catalog)}"
-                    )
-                if tr in ledger:
-                    raise LedgerError(f"{where}: repeats the purchase of {tr}")
-                ledger.add(tr, step=step, cost=cost)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise LedgerError(f"{path} is not UTF-8 CSV text ({exc})") from None
+    for where, row in csv_rows(path, LEDGER_COLUMNS, LedgerError):
+        try:
+            tr = Triplet(int(row["node"]), int(row["lease"]), int(row["start"]))
+            step, cost = int(row["step"]), as_cost(row["cost"])
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise LedgerError(
+                f"{where}: want integer node, lease, start, step and a cost ({exc})"
+            ) from None
+        if not 0 <= tr.node < inst.graph.node_count:
+            raise LedgerError(f"{where}: node {tr.node} is not in the graph")
+        if tr.start < 0 or step < 0:
+            raise LedgerError(f"{where}: start {tr.start} or step {step} is negative")
+        if not 1 <= tr.lease <= len(catalog) or tr.start % catalog.duration(tr.lease):
+            raise LedgerError(
+                f"{where}: lease {tr.lease} from {tr.start} is "
+                f"not an aligned slot of a lease type in 1..{len(catalog)}"
+            )
+        if tr in ledger:
+            raise LedgerError(f"{where}: repeats the purchase of {tr}")
+        ledger.add(tr, step=step, cost=cost)
     return ledger
 
 

@@ -95,7 +95,7 @@ def gen_instance(kind: str, params: Dict, rng: random.Random) -> Instance:
     unknown = sorted(set(params) - set(PARAM_NAMES))
     if unknown:
         raise ConfigError(f"no generator reads parameter {', '.join(unknown)}")
-    for key in ("rows", "cols", "k", "horizon"):  # sizes; n has its own checks
+    for key in ("rows", "cols", "k", "horizon", "T"):  # sizes; n has its own checks
         if _param(params, key, 1) < 1:
             raise ConfigError(f"parameter {key}={params[key]} must be at least 1")
     lease_count = _param(params, "L", 1)

@@ -22,6 +22,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -108,12 +109,6 @@ class RunRecord:
     max_degree: int
     steps: int
     wall_time_s: float = 0.0
-
-    def to_row(self, timing: bool = False) -> List[str]:
-        row = _cells(self, CSV_COLUMNS)
-        if timing:
-            row.append(f"{self.wall_time_s:.6f}")
-        return row
 
 
 # the records CSV columns are RunRecord's fields; wall_time_s is written only with --timing
@@ -206,9 +201,26 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
+def csv_rows(
+    path: str, columns: Sequence[str], error: Callable[[str], Exception]
+) -> Iterator[Tuple[str, Dict[str, str]]]:
+    """Each row of the UTF-8 CSV file at ``path`` as ("<path> line <n>", {column: cell}); a header
+    without one of ``columns``, text that is not UTF-8 or a CSV syntax error raises ``error``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [name for name in columns if name not in (reader.fieldnames or ())]
+            if missing:
+                raise error(f"{path}: missing column(s) {', '.join(missing)}")
+            for row in reader:
+                yield f"{path} line {reader.line_num}", row
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise error(f"{path} is not UTF-8 CSV text ({exc})") from None
+
+
 def records_to_csv(records: Sequence[RunRecord], timing: bool = False) -> str:
-    header = list(CSV_COLUMNS) + (["wall_time_s"] if timing else [])
-    return csv_text(header, (rec.to_row(timing) for rec in records))
+    rows = (_cells(rec, CSV_COLUMNS) + [f"{rec.wall_time_s:.6f}"] * timing for rec in records)
+    return csv_text(CSV_COLUMNS + ["wall_time_s"] * timing, rows)
 
 
 def _field_parsers(cls: type) -> Dict[str, Callable[[str], Any]]:
@@ -225,20 +237,12 @@ def _field_parsers(cls: type) -> Dict[str, Callable[[str], Any]]:
 def read_records_csv(path: str) -> List[RunRecord]:
     parsers = _field_parsers(RunRecord)
     records = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            missing = [name for name in CSV_COLUMNS if name not in (reader.fieldnames or ())]
-            if missing:
-                raise RecordsError(f"{path}: missing column(s) {', '.join(missing)}")
-            for row in reader:
-                try:
-                    values = {name: parse(row[name]) for name, parse in parsers.items() if name in row}
-                except (TypeError, ValueError, ZeroDivisionError) as exc:
-                    raise RecordsError(f"{path} line {reader.line_num}: {exc}") from None
-                records.append(RunRecord(**values))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise RecordsError(f"{path} is not UTF-8 CSV text ({exc})") from None
+    for where, row in csv_rows(path, CSV_COLUMNS, RecordsError):
+        try:
+            values = {name: parse(row[name]) for name, parse in parsers.items() if name in row}
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise RecordsError(f"{where}: {exc}") from None
+        records.append(RunRecord(**values))
     return records
 
 

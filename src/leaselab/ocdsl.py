@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import repeat, starmap
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InfeasibleOutput
 from .graphs import Graph, connected_component, dominators
@@ -149,20 +149,18 @@ class OcdslState:
         self, s_t: Sequence[Triplet], d_t: Sequence[int], t: int
     ) -> List[Triplet]:
         """Greedy cover of the chosen dominators by cheapest-lease request nodes, first on ties."""
-        uncovered: Set[Triplet] = set(s_t)
+        uncovered = {tr.node for tr in s_t}
         reps: List[Triplet] = []
         closed = self.graph.closed_neighborhoods
         while uncovered:
-            uncovered_nodes = {tr.node for tr in uncovered}
-            best_u = max(d_t, key=lambda u: len(uncovered_nodes.intersection(closed[u])))
-            reach = set(closed[best_u])
-            if uncovered_nodes.isdisjoint(reach):
-                raise InfeasibleOutput(f"no request node covers {sorted(uncovered)}")
+            best_u = max(d_t, key=lambda u: len(uncovered.intersection(closed[u])))
+            if uncovered.isdisjoint(closed[best_u]):
+                raise InfeasibleOutput(f"no request node covers nodes {sorted(uncovered)}")
             rep = self.catalog.triplet_at(best_u, 1, t)
             if rep not in self.ledger:
                 self.ledger.add(rep, step=t, cost=self.catalog.cost(rep.lease))
             reps.append(rep)
-            uncovered = {tr for tr in uncovered if tr.node not in reach}
+            uncovered.difference_update(closed[best_u])
         return reps
 
     # ------------------------------------------------------------------ driver

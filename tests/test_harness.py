@@ -101,6 +101,12 @@ def test_gen_pp_adversary_rejects_a_horizon_below_one(horizon):
         gen_instance("pp-adversary", {"horizon": horizon}, random.Random(0))
 
 
+@pytest.mark.parametrize("steps", [0, -2])
+def test_gen_rejects_a_request_count_below_one(steps):
+    with pytest.raises(ConfigError, match=rf"^parameter T={steps} must be at least 1$"):
+        gen_instance("star", {"T": steps}, random.Random(0))
+
+
 def test_burst_times_nested():
     assert burst_times(16) == [0, 1, 3, 7, 15]
 
@@ -455,6 +461,12 @@ BROKEN_INSTANCES = {
 }
 HEADER = ",".join(CSV_COLUMNS)
 LEDGER_HEADER = "node,lease,start,step,cost"
+# name -> (ledger file text, the columns its header lacks)
+LEDGER_HEADERS_MISSING_COLUMNS = {
+    "empty-file": ("", "node, lease, start, step, cost"),
+    "foreign-header": ("a,b\n", "node, lease, start, step, cost"),
+    "missing-columns": ("node,lease\n", "start, step, cost"),
+}
 # name -> (argv, files to write first)
 CLI_ERRORS = {
     "trials-0": (["run", "--kind", "star", "--trials", "0"], {}),
@@ -517,6 +529,7 @@ CLI_ERRORS = {
         ["gen", "--kind", "grid", "--params", "rows=-1", "cols=-1", "T=1"], {}
     ),
     "k-not-positive": (["gen", "--kind", "star", "--params", "k=0"], {}),
+    "T-not-positive": (["gen", "--kind", "star", "--params", "T=0"], {}),
     "gen-pp-adversary-horizon-not-positive": (
         ["gen", "--kind", "pp-adversary", "--params", "horizon=-5"], {}
     ),
@@ -548,6 +561,13 @@ CLI_ERRORS = {
         ["verify", "--instance", "i.json", "--ledger", "l.csv"],
         {"i.json": json.dumps(INSTANCE), "l.csv": f"{LEDGER_HEADER}\n0,1,1,1,{'1' * 200_000}\n"},
     ),
+    **{
+        f"ledger-{name}": (
+            ["verify", "--instance", "i.json", "--ledger", "l.csv"],
+            {"i.json": json.dumps(INSTANCE), "l.csv": text},
+        )
+        for name, (text, _) in LEDGER_HEADERS_MISSING_COLUMNS.items()
+    },
 }
 
 
@@ -574,6 +594,25 @@ def test_cli_reports_each_bad_input_in_one_line(tmp_path, monkeypatch, capsys, a
     assert captured.out == ""
     assert captured.err.startswith(f"leaselab {argv[0]}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, missing", LEDGER_HEADERS_MISSING_COLUMNS.values(), ids=list(LEDGER_HEADERS_MISSING_COLUMNS)
+)
+def test_cli_verify_names_the_columns_a_ledger_header_lacks(tmp_path, capsys, text, missing):
+    (tmp_path / "i.json").write_text(json.dumps(INSTANCE), encoding="utf-8")
+    (tmp_path / "l.csv").write_text(text, encoding="utf-8")
+    ledger = str(tmp_path / "l.csv")
+    assert main(["verify", "--instance", str(tmp_path / "i.json"), "--ledger", ledger]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"leaselab verify: {ledger}: missing column(s) {missing}\n"
+
+
+def test_a_header_only_ledger_reads_as_an_empty_ledger(tmp_path):
+    path = tmp_path / "l.csv"
+    path.write_text(LEDGER_HEADER + "\n", encoding="utf-8")
+    assert len(_read_ledger_csv(str(path), Instance.from_json(INSTANCE))) == 0
 
 
 CELLS = st.sampled_from(["", "0", "1", "-1", "2/4", "1/0", "1e3", "nan", "x#0"]) | st.text(max_size=4)
@@ -740,6 +779,11 @@ GOLDEN_CLI = {
         ["pp", "--rainy", "0,1,2,3,5,8,13,21,34,55,89", "--leases", "1:1,4:2,16:5",
          "--out", "out.csv"],
         "cfa3788318a55e784c30e627cbe3005f4e2038c8e4b7995ee7e5f86eaa164993",
+    ),
+    "ocdsl-records-oracle": (
+        ["run", "--kind", "star", "--params", "n=5", "T=3", "k=2", "L=2",
+         "--trials", "3", "--seed", "2", "--oracle", "--out", "out.csv"],
+        "2590d0b38810ef4f77713a7da6ea52ff0a8d99a9bfa3a9e24b01a921a80cad08",
     ),
 }
 

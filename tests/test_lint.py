@@ -1,5 +1,6 @@
-"""Source checks that need no linter: every import in the library is used, and no
-method only reads a field that callers can read themselves."""
+"""Source checks that need no linter: every import in the library is used, no
+method only reads a field that callers can read themselves, and every file the
+library and scripts open as text is opened with an explicit encoding."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ from typing import List, Set
 import leaselab
 
 SOURCES = sorted(Path(leaselab.__file__).parent.glob("*.py"))
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
 
 def read_names(tree: ast.AST) -> Set[str]:
@@ -43,7 +45,7 @@ def test_unused_imports_finds_only_the_unread_name():
 
 def test_library_has_no_unused_import():
     assert SOURCES
-    found = [f"{path.name}:{entry}" for path in SOURCES for entry in unused_imports(path.read_text())]
+    found = [f"{path.name}:{entry}" for path in SOURCES for entry in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == []
 
 
@@ -114,5 +116,48 @@ class A:
 
 
 def test_library_has_no_field_wrapper():
-    found = [f"{path.name}:{entry}" for path in SOURCES for entry in field_wrappers(path.read_text())]
+    found = [f"{path.name}:{entry}" for path in SOURCES for entry in field_wrappers(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+TEXT_OPENERS = ("open", "read_text", "write_text")
+
+
+def calls_without_encoding(source: str) -> List[str]:
+    """'line: name' for each open(), .open(), .read_text() or .write_text() call that
+    passes no encoding=, so the text's encoding would follow the locale. Binary files
+    go through read_bytes() and write_bytes()."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in TEXT_OPENERS and "encoding" not in {kw.arg for kw in node.keywords}:
+                found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def test_calls_without_encoding_finds_only_the_locale_dependent_calls():
+    source = """
+open(a)
+open(a, "w", encoding="utf-8")
+p.open()
+p.open(encoding="utf-8")
+p.read_text()
+p.read_text(encoding="utf-8")
+p.write_text(s)
+p.write_text(s, encoding="utf-8")
+p.read_bytes()
+p.write_bytes(b)
+reopen(a)
+"""
+    assert calls_without_encoding(source) == ["2: open", "4: open", "6: read_text", "8: write_text"]
+
+
+def test_library_and_scripts_open_text_with_an_explicit_encoding():
+    assert SCRIPTS
+    found = [
+        f"{path.name}:{entry}"
+        for path in SOURCES + SCRIPTS
+        for entry in calls_without_encoding(path.read_text(encoding="utf-8"))
+    ]
     assert found == []
