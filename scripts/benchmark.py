@@ -2,7 +2,8 @@
 """Fixed desk-scale benchmark: mean competitive ratios per configuration.
 
 Runs the connected-dominating-set leaser over the frozen benchmark grid with
-the exact oracle enabled and prints one mean-ratio line per configuration.
+the exact oracle enabled and prints one mean-ratio line per configuration,
+the means of ``leaselab report``, sorted by configuration name.
 Those values are frozen into tests/test_acceptance.py as the regression
 baseline (15% band). Pass --csv to also dump the raw records.
 """

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .harness import ExperimentConfig, RunRecord, run_experiment
+from .harness import ExperimentConfig, RunRecord, report, run_experiment
 
 # (label, generator kind, params, trials, base seed) — frozen; changing any row
 # invalidates the baselines recorded in tests/test_acceptance.py
@@ -18,21 +18,14 @@ BENCHMARK_GRID = [
 ]
 
 
-def run_benchmark() -> Tuple[Dict[str, float], List[RunRecord]]:
-    """Mean oracle ratio per configuration, plus the raw records."""
-    means: Dict[str, float] = {}
-    all_records: List[RunRecord] = []
-    for label, kind, params, trials, seed in BENCHMARK_GRID:
-        cfg = ExperimentConfig(
-            algorithm="ocdsl",
-            trials=trials,
-            base_seed=seed,
-            oracle=True,
-            generator=(kind, params),
-            instance_id=label,
-        )
-        records = run_experiment(cfg)
-        all_records.extend(records)
-        ratios = [r.ratio for r in records if r.ratio is not None]
-        means[label] = sum(ratios) / len(ratios)
-    return means, all_records
+def run_benchmark() -> Tuple[Dict[str, Optional[float]], List[RunRecord]]:
+    """``report``'s mean oracle ratio per configuration, plus the raw records."""
+    records = [
+        rec
+        for label, kind, params, trials, seed in BENCHMARK_GRID
+        for rec in run_experiment(ExperimentConfig(
+            algorithm="ocdsl", trials=trials, base_seed=seed, oracle=True,
+            generator=(kind, params), instance_id=label,
+        ))
+    ]
+    return {row.group: row.mean_ratio for row in report(records)}, records

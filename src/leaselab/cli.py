@@ -73,8 +73,8 @@ def _ledger_csv(ledger: PurchaseLedger) -> str:
 
 def _read_ledger_csv(path: str, inst: Instance) -> PurchaseLedger:
     """Each row holds integers and an exact cost, names a node of the graph and a
-    lease in 1..|L| starting on that lease's slot grid, has a start and step that
-    are not negative, and differs from every earlier row."""
+    lease in 1..|L| starting on that lease's slot grid, pays that lease's cost, has a
+    start and step that are not negative, and differs from every earlier row."""
     catalog = inst.catalog
     ledger = PurchaseLedger()
     for where, row in csv_rows(path, LEDGER_COLUMNS, LedgerError):
@@ -94,6 +94,9 @@ def _read_ledger_csv(path: str, inst: Instance) -> PurchaseLedger:
                 f"{where}: lease {tr.lease} from {tr.start} is "
                 f"not an aligned slot of a lease type in 1..{len(catalog)}"
             )
+        # only after the range check: catalog.cost(0) would read the last lease's cost
+        if cost != (lease_cost := catalog.cost(tr.lease)):
+            raise LedgerError(f"{where}: cost {cost} is not lease {tr.lease}'s cost {lease_cost}")
         if tr in ledger:
             raise LedgerError(f"{where}: repeats the purchase of {tr}")
         ledger.add(tr, step=step, cost=cost)

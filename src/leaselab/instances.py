@@ -134,21 +134,6 @@ class PurchaseLedger:
             for tr, (step, cost) in self.entries.items()
         ]
 
-    def bought_at(self, step: int) -> List[Tuple[int, int, int, Fraction]]:
-        """(node, lease, start, cost) of the purchases made at ``step``, in purchase order.
-
-        Reads back from the newest entry while the step matches, so it costs
-        O(purchases at step); sound because the request rule makes the steps
-        of an online run strictly increase.
-        """
-        bought = []
-        for tr, (bought_step, cost) in reversed(self.entries.items()):
-            if bought_step != step:
-                break
-            bought.append((tr.node, tr.lease, tr.start, cost))
-        bought.reverse()
-        return bought
-
 
 @dataclass
 class StepReport:
@@ -170,12 +155,27 @@ class StepReport:
     growth_rounds: int = 0
 
     @classmethod
-    def purchases_only(
-        cls, t: int, requested: Tuple[int, ...], ledger: PurchaseLedger
+    def from_ledger(
+        cls, t: int, requested: Tuple[int, ...], ledger: PurchaseLedger, catalog: LeaseCatalog,
+        c2_rows: int = 0, **fields,
     ) -> "StepReport":
-        """A step whose purchases, the ledger's entries bought at t, all count as C1."""
-        purchases = ledger.bought_at(t)
-        return cls(t, requested, purchases, cost_sum(p[3] for p in purchases))
+        """Step t's report: its purchases are the ledger's rows bought at t, in purchase
+        order, of which the last ``c2_rows`` count as C2 and the rest as C1.
+
+        Reads back from the newest row while the step is t, so it costs O(purchases at t);
+        sound because the request rule makes the steps of an online run strictly increase.
+        Each row of an online ledger pays its lease's cost, so both parts add catalog units.
+        """
+        purchases = []
+        for tr, (step, cost) in reversed(ledger.entries.items()):
+            if step != t:
+                break
+            purchases.append((tr.node, tr.lease, tr.start, cost))
+        purchases.reverse()
+        units, scale, c1_rows = catalog.units, catalog.scale, len(purchases) - c2_rows
+        c1 = Fraction(sum(units[p[1] - 1] for p in purchases[:c1_rows]), scale)
+        c2 = Fraction(sum(units[p[1] - 1] for p in purchases[c1_rows:]), scale)
+        return cls(t, requested, purchases, c1, c2_increment=c2, **fields)
 
     def to_json(self) -> dict:
         return {

@@ -169,7 +169,6 @@ class OcdslState:
         """Run both phases for one request step."""
         requested = request_nodes(self.last_time, nodes, t, self.graph.node_count)
         self.last_time = t
-        step_start = len(self.ledger)
         rounds = 0
 
         # each requested node's dominators, built once for both steps of Phase 1
@@ -192,13 +191,11 @@ class OcdslState:
         }
         s_t = sorted(Triplet(node, lease, start) for _, node, start, lease in picks)
 
-        reps: List[Triplet] = []
         root: Optional[Triplet] = None
         r_nodes: List[int] = []
+        reps = self.select_representatives(s_t, requested, t) if self.osfl is not None else []
         phase2_start = len(self.ledger)  # C2 rows start here, after the representatives (C1)
         if self.osfl is not None:
-            reps = self.select_representatives(s_t, requested, t)
-            phase2_start = len(self.ledger)
             root = min(reps, key=lambda tr: tr.node)
             active_now = self.ledger.active_nodes(self.catalog, t)
             root_comp = connected_component(self.graph, root.node, active_now)
@@ -210,19 +207,9 @@ class OcdslState:
                     if tr not in self.ledger:
                         self.ledger.add(tr, step=t, cost=self.catalog.cost(lease))
 
-        purchases, scale = self.ledger.bought_at(t), self.catalog.scale
-        c1_rows = phase2_start - step_start  # each row's cost is its lease's, units[lease - 1]/scale
-        return StepReport(
-            t=t,
-            requested=requested,
-            purchases=purchases,
-            s_t=s_t,
-            representatives=reps,
-            root=root,
-            r_t=r_nodes,
-            c1_increment=Fraction(sum(units[p[1] - 1] for p in purchases[:c1_rows]), scale),
-            c2_increment=Fraction(sum(units[p[1] - 1] for p in purchases[c1_rows:]), scale),
-            growth_rounds=rounds,
+        return StepReport.from_ledger(
+            t, requested, self.ledger, self.catalog, len(self.ledger) - phase2_start,
+            s_t=s_t, representatives=reps, root=root, r_t=r_nodes, growth_rounds=rounds,
         )
 
     def total_cost(self) -> Fraction:

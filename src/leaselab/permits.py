@@ -73,7 +73,7 @@ class PermitLeaser:
         self.last_time = t
         for lease, start in self.permit.request(t):
             self.ledger.add(self.catalog.triplet_at(0, lease, start), t, self.catalog.cost(lease))
-        return StepReport.purchases_only(t, requested, self.ledger)
+        return StepReport.from_ledger(t, requested, self.ledger, self.catalog)
 
 
 def pp_offline_opt(

@@ -52,7 +52,7 @@ class DualState:
         self.last_time = t
         for u in requested:
             self.serve(u, t)
-        return StepReport.purchases_only(t, requested, self.ledger)
+        return StepReport.from_ledger(t, requested, self.ledger, self.catalog)
 
     def totals(self) -> Tuple[Fraction, Fraction]:
         """(primal purchase cost, dual objective value)."""

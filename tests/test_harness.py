@@ -274,7 +274,7 @@ def test_records_csv_roundtrip(tmp_path):
     records = run_experiment(cfg)
     out = tmp_path / "records.csv"
     for timing in (False, True):
-        out.write_text(records_to_csv(records, timing))
+        out.write_text(records_to_csv(records, timing), encoding="utf-8")
         again = read_records_csv(str(out))
         assert records_to_csv(again, timing) == records_to_csv(records, timing)
 
@@ -298,7 +298,7 @@ def test_cli_gen_run_verify_roundtrip(tmp_path):
     assert main([
         "verify", "--instance", str(inst_path), "--ledger", str(ledger_path),
     ]) == 0
-    header = records_path.read_text().splitlines()[0]
+    header = records_path.read_text(encoding="utf-8").splitlines()[0]
     assert header.startswith("instance_id,algorithm,seed,online_cost,c1,c2,opt_cost,ratio")
 
 
@@ -340,7 +340,7 @@ def test_cli_pp_subcommand(tmp_path):
     assert main([
         "pp", "--rainy", "0,1", "--leases", "1:1,4:2", "--out", str(out),
     ]) == 0
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "row,t,lease,start,cost,opt,ratio"
     assert lines[-1].startswith("summary,")
     assert lines[-1].endswith("4,2,2.0")
@@ -353,7 +353,7 @@ def test_cli_pd_steps_end_with_primal_dual_pair(tmp_path):
         "--algorithm", "odsl-pd", "--seed", "3",
         "--out", str(tmp_path / "r.csv"), "--steps-out", str(steps),
     ])
-    lines = steps.read_text().splitlines()
+    lines = steps.read_text(encoding="utf-8").splitlines()
     final = json.loads(lines[-1])
     assert set(final) == {"primal", "dual"}
     from fractions import Fraction
@@ -368,7 +368,7 @@ def test_cli_steps_jsonl(tmp_path):
         "--algorithm", "ocdsl", "--seed", "8", "--steps-out", str(steps),
         "--out", str(tmp_path / "r.csv"),
     ])
-    lines = steps.read_text().splitlines()
+    lines = steps.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2
     payload = json.loads(lines[0])
     for key in ("t", "requested", "purchases", "s_t", "representatives", "root", "r_t",
@@ -387,7 +387,7 @@ def test_cli_verify_rejects_a_ledger_row_off_the_slot_grid(tmp_path, capsys, row
     inst_path = tmp_path / "inst.json"
     ledger_path = tmp_path / "ledger.csv"
     main(["gen", "--kind", "star", "--params", "n=4", "T=2", "L=2", "k=2", "--out", str(inst_path)])
-    ledger_path.write_text("node,lease,start,step,cost\n0,1,1,1,1\n" + row + "\n")
+    ledger_path.write_text("node,lease,start,step,cost\n0,1,1,1,1\n" + row + "\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["verify", "--instance", str(inst_path), "--ledger", str(ledger_path)]) == 2
     captured = capsys.readouterr()
@@ -434,7 +434,7 @@ def test_cli_run_exports_trial_0_of_several(tmp_path, algorithm):
     run = run_algorithm(algorithm, inst, seed)
     assert ledger_path.read_bytes() == _ledger_csv(run.ledger).encode()
     trailer = 1 if algorithm == "odsl-pd" else 0  # the primal/dual pair
-    assert len(steps_path.read_text().splitlines()) == len(inst.requests) + trailer
+    assert len(steps_path.read_text(encoding="utf-8").splitlines()) == len(inst.requests) + trailer
 
 
 INSTANCE = {
@@ -507,6 +507,10 @@ CLI_ERRORS = {
     "ledger-huge-exponent": (
         ["verify", "--instance", "i.json", "--ledger", "l.csv"],
         {"i.json": json.dumps(INSTANCE), "l.csv": LEDGER_HEADER + "\n0,1,1,1,1e300000000\n"},
+    ),
+    "ledger-cost-not-the-lease-cost": (
+        ["verify", "--instance", "i.json", "--ledger", "l.csv"],
+        {"i.json": json.dumps(INSTANCE), "l.csv": LEDGER_HEADER + "\n0,1,1,1,2\n"},
     ),
     "records-broken-split": (
         ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,1,,,3,1,2,1\n"}

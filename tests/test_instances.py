@@ -9,8 +9,8 @@ from conftest import connected_graphs
 from leaselab.errors import LeaselabError, LedgerError
 from leaselab.generators import canonical_catalog
 from leaselab.graphs import dominators
-from leaselab.instances import Instance, PurchaseLedger
-from leaselab.leases import Triplet
+from leaselab.instances import Instance, PurchaseLedger, StepReport
+from leaselab.leases import LeaseCatalog, Triplet
 from leaselab.ocdsl import OcdslState
 
 CAT3 = canonical_catalog(3)  # durations 1, 4, 8
@@ -62,6 +62,23 @@ def test_ledger_refuses_a_second_purchase_of_one_triplet():
     ):
         ledger.add(Triplet(0, 1, 3), 5, Fraction(2))
     assert ledger.rows() == [(0, 1, 3, 3, Fraction(1))]
+
+
+def test_step_report_reads_the_rows_of_its_step_and_splits_off_the_last_as_c2():
+    cat = LeaseCatalog.from_pairs([(1, "1/2"), (2, "2/3")])  # units 3 and 4 of 1/6
+    ledger = PurchaseLedger()
+    ledger.add(Triplet(0, 1, 1), 1, Fraction(1, 2))
+    at_2 = [Triplet(0, 1, 2), Triplet(1, 2, 2), Triplet(2, 1, 2)]
+    for tr in at_2:
+        ledger.add(tr, 2, cat.cost(tr.lease))
+    report = StepReport.from_ledger(2, (0, 2), ledger, cat, c2_rows=1, growth_rounds=4)
+    assert report.purchases == [(*tr, cat.cost(tr.lease)) for tr in at_2]
+    assert (report.c1_increment, report.c2_increment) == (Fraction(7, 6), Fraction(1, 2))
+    assert (report.requested, report.growth_rounds) == ((0, 2), 4)
+    c1_only = StepReport.from_ledger(2, (0, 2), ledger, cat)
+    assert (c1_only.c1_increment, c1_only.c2_increment) == (Fraction(5, 3), 0)
+    idle = StepReport.from_ledger(3, (1,), ledger, cat)
+    assert (idle.purchases, idle.c1_increment, idle.c2_increment) == ([], 0, 0)
 
 
 VALID_INSTANCE = {

@@ -1,6 +1,6 @@
 """Source checks that need no linter: every import in the library is used, no
 method only reads a field that callers can read themselves, and every file the
-library and scripts open as text is opened with an explicit encoding."""
+library, scripts and tests open as text is opened with an explicit encoding."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,7 @@ import leaselab
 
 SOURCES = sorted(Path(leaselab.__file__).parent.glob("*.py"))
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def read_names(tree: ast.AST) -> Set[str]:
@@ -154,10 +155,10 @@ reopen(a)
 
 
 def test_library_and_scripts_open_text_with_an_explicit_encoding():
-    assert SCRIPTS
+    assert SCRIPTS and TESTS
     found = [
-        f"{path.name}:{entry}"
-        for path in SOURCES + SCRIPTS
+        f"{path.parent.name}/{path.name}:{entry}"
+        for path in SOURCES + SCRIPTS + TESTS
         for entry in calls_without_encoding(path.read_text(encoding="utf-8"))
     ]
     assert found == []
