@@ -21,13 +21,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .graphs import Graph, bfs_distances, extend_bfs
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     level: int
     center: int
     parent: int  # cluster id, -1 at the root
@@ -162,7 +161,7 @@ def edge_realization(h: Hst, child_cid: int, graph: Graph, searches: dict) -> Li
     cluster's center to its parent's, ties broken toward the smallest next node id.
     ``searches`` maps each parent center to its BFS, (labels, last layer), grown as needed."""
     a, b = h.clusters[child_cid].center, h.clusters[h.clusters[child_cid].parent].center
-    dist, layer = searches.setdefault(b, ({b: 0}, [b]))
+    dist, layer = searches.get(b) or searches.setdefault(b, ({b: 0}, [b]))  # built on a miss only
     extend_bfs(graph, dist, layer, stop=a)
     path = [a]
     while path[-1] != b:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat, starmap
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,6 +26,36 @@ from .graphs import Graph, connected_component, dominators
 from .instances import PurchaseLedger, StepReport, request_nodes
 from .leases import LeaseCatalog, Triplet
 from .steiner import OsflState
+
+
+class GrowthTable:
+    """Phase 1's growth constants, shared by every state on an equal catalog: f_l = 1 + 1/c_l,
+    each A_l's start 1/|L|², the goal 1 + 1/|L|, the (rounds, f_l^r) of the growth from
+    all-zero weights, and per |doms| what w_0 = 0 grows to."""
+
+    def __init__(self, catalog: LeaseCatalog):
+        self.factors = {lt.index: 1 + 1 / lt.cost for lt in catalog}
+        self.start_mass = dict.fromkeys(self.factors, Fraction(1, len(catalog) ** 2))
+        self.goal = 1 + Fraction(1, len(catalog))
+        self.zero_start = self.search(self.start_mass)
+        self.zero_bumps: Dict[int, Dict[int, Fraction]] = {}
+
+    def search(self, mass: Dict[int, Fraction]) -> Tuple[int, Dict[int, Fraction]]:
+        """The least r whose total Σ_l A_l·f_l^r − 1/|L| reaches one, by galloping and
+        bisection over exact totals, with each lease's f_l^r."""
+        growth, goal = [(f, mass[lease]) for lease, f in self.factors.items()], self.goal
+        lo, hi = -1, None  # lo rounds fall short of one, hi rounds reach it: gallop, then bisect
+        while hi is None or hi - lo > 1:
+            r = max(2 * lo + 1, 0) if hi is None else (lo + hi) // 2
+            if sum(a * f**r for f, a in growth) < goal:
+                lo = r
+            else:
+                hi = r
+        return hi, {lease: f**hi for lease, f in self.factors.items()}
+
+
+# one table per catalog value: LeaseCatalog is a frozen dataclass, hashed by value
+growth_table = lru_cache(maxsize=64)(GrowthTable)
 
 
 class OcdslState:
@@ -49,13 +80,7 @@ class OcdslState:
         # threshold = min of 2*ceil(log2(n+1)) uniforms; n.bit_length() is that ceiling
         self.mu_draws = 2 * graph.node_count.bit_length()
         self.max_dominator_count = 0  # over growth events
-        # growth constants: f_l = 1 + 1/c_l, each A_l's start 1/|L|², the goal 1 + 1/|L|
-        self._factors = {lt.index: 1 + 1 / lt.cost for lt in catalog}
-        self._start_mass = dict.fromkeys(self._factors, Fraction(1, len(catalog) ** 2))
-        self._goal = 1 + Fraction(1, len(catalog))
-        # (rounds, f_l^r) of the growth from all-zero weights, and per |doms| what w_0 = 0 grows to
-        self._zero_start: Optional[Tuple[int, Dict[int, Fraction]]] = None
-        self._zero_bumps: Dict[int, Dict[int, Fraction]] = {}
+        self._growth = growth_table(catalog)
         self.last_time: int | None = None
 
     # ------------------------------------------------------------------ helpers
@@ -82,45 +107,30 @@ class OcdslState:
         A round maps w to w·f + b/c with f = 1 + 1/c and b = 1/(|W||L|), so r rounds give
         w + b = (w_0 + b)·f^r and a total Σ_l A_l·f_l^r − 1/|L|, A_l summing w_0 + b over
         lease l. With |W| = k·|L| every A_l starts at k·b = 1/|L|², so when no dominator
-        holds a weight the search depends on the catalog alone and is kept, and so is the
-        weight b·(f_l^r − 1) it gives each dominator, per |W|."""
-        weights, k = self.weights, len(doms)
+        holds a weight the search depends on the catalog alone and is kept in its growth
+        table, and so is the weight b·(f_l^r − 1) it gives each dominator, per |W|."""
+        weights, k, growth = self.weights, len(doms), self._growth
         held = [tr for tr in doms if tr in weights]
         if held:
-            mass = dict(self._start_mass)
+            mass = dict(growth.start_mass)
             for tr in held:
                 mass[tr.lease] += weights[tr]
-            rounds, power = self._growth_search(mass)
+            rounds, power = growth.search(mass)
             bump = None
         else:
-            if self._zero_start is None:
-                self._zero_start = self._growth_search(self._start_mass)
-            rounds, power = self._zero_start
-            bump = self._zero_bumps.get(k)
+            rounds, power = growth.zero_start
+            bump = growth.zero_bumps.get(k)
         if rounds:
             if bump is None:  # a growth from held weights, or the first from zero at this |W|
                 b = Fraction(1, k * len(self.catalog))
                 bump = {lease: b * (p - 1) for lease, p in power.items()}  # what w_0 = 0 grows to
                 if not held:
-                    self._zero_bumps[k] = bump
+                    growth.zero_bumps[k] = bump
             for tr in doms:
                 w = weights.get(tr)
                 weights[tr] = bump[tr.lease] if w is None else w * power[tr.lease] + bump[tr.lease]
         self.max_dominator_count = max(self.max_dominator_count, k)
         return rounds
-
-    def _growth_search(self, mass: Dict[int, Fraction]) -> Tuple[int, Dict[int, Fraction]]:
-        """The least r whose total Σ_l A_l·f_l^r − 1/|L| reaches one, by galloping and
-        bisection over exact totals, with each lease's f_l^r."""
-        growth, goal = [(f, mass[lease]) for lease, f in self._factors.items()], self._goal
-        lo, hi = -1, None  # lo rounds fall short of one, hi rounds reach it: gallop, then bisect
-        while hi is None or hi - lo > 1:
-            r = max(2 * lo + 1, 0) if hi is None else (lo + hi) // 2
-            if sum(a * f**r for f, a in growth) < goal:
-                lo = r
-            else:
-                hi = r
-        return hi, {lease: f**hi for lease, f in self._factors.items()}
 
     def round_purchases(self, doms: Sequence[Triplet], t: int) -> List[Triplet]:
         """Buy every dominator whose weight w beats its frozen threshold: w > m/2^53."""

@@ -6,16 +6,17 @@ subset sits inside one component, and the component itself is a connected
 dominating superset. Such a component dominates the first requested node u0,
 so it holds an active node of u0's closed neighbourhood N[u0]; trying the
 components of those few nodes is enough, and requests are never empty by the
-request rule. That makes the per-step check polynomial. The offline
-optimum is exact branch and bound, one search per top slot (window of the
-longest lease), each deliberately capped at desk scale. A branch is cut once
-even the cheapest remaining lease cannot beat the best cost so far, and each
-step's verdict is memoized by the mask of its active candidates, so the
-search checks each such mask once. Each search starts from the cost UB of a
-feasible set that reverse-delete leaves minimal, with its bound at UB + 1:
-as OPT <= UB, the bound then cuts only subtrees that hold no optimum, so the
-first optimum the search meets, and so the ledger, is the one that an
-unbounded start meets.
+request rule. That makes the per-step check polynomial. The offline optimum is
+exact branch and bound, one search per top slot (window of the longest lease),
+each deliberately capped at desk scale. A branch is cut once even the cheapest
+remaining lease cannot beat the best cost so far, and each step's verdict is
+memoized by its set of active nodes, so the search checks each such set once:
+a mask of active candidates met before is answered by mask, and a new mask
+whose candidates lie on checked nodes by those nodes. Each search starts from
+the cost UB of a feasible set that reverse-delete leaves minimal, with its
+bound at UB + 1: as OPT <= UB, the bound then cuts only subtrees that hold no
+optimum, so the first optimum the search meets, and so the ledger, is the one
+that an unbounded start meets.
 """
 
 from __future__ import annotations
@@ -129,24 +130,27 @@ def _search(
     units = [catalog.units[tr.lease - 1] for tr in cands]  # the search adds integers
     cheapest = min(units)  # an infeasible set needs at least one more candidate
 
-    # per request step: the bit and node of each candidate active then, their mask,
-    # the step's nodes, and its verdicts so far, keyed by the chosen bits of that mask
-    steps: List[Tuple[List[Tuple[int, int]], int, Sequence[int], Dict[int, bool]]] = []
+    # per request step: in node order, each node with the OR of its candidates' bits active
+    # then, their mask, the step's nodes, and its verdicts by chosen bits and by active nodes
+    steps: List[Tuple[List[Tuple[int, int]], int, Sequence[int], Dict[int, bool], dict]] = []
     # every candidate starts on its lease's grid, so it is live at t iff its slot holds t
     for t, nodes in requests:
-        live = set(catalog.slots(t))
-        members = [
-            (1 << i, tr.node) for i, tr in enumerate(cands) if (tr.lease, tr.start) in live
-        ]
-        steps.append((members, sum(bit for bit, _ in members), nodes, {}))
+        live, node_bits = set(catalog.slots(t)), {}
+        for i, tr in enumerate(cands):
+            if (tr.lease, tr.start) in live:
+                node_bits[tr.node] = node_bits.get(tr.node, 0) | 1 << i
+        steps.append((sorted(node_bits.items()), sum(node_bits.values()), nodes, {}, {}))
 
     def feasible(mask: int) -> bool:
-        for members, bits, nodes, verdicts in steps:
+        for members, bits, nodes, verdicts, by_nodes in steps:
             key = mask & bits
             ok = verdicts.get(key)
-            if ok is None:
-                active = {node for bit, node in members if key & bit}
-                ok = verdicts[key] = check(graph, active, nodes)
+            if ok is None:  # other leases on the same nodes may have had them checked
+                active = tuple(node for node, node_mask in members if key & node_mask)
+                ok = by_nodes.get(active)
+                if ok is None:
+                    ok = by_nodes[active] = check(graph, set(active), nodes)
+                verdicts[key] = ok
             if not ok:
                 return False
         return True

@@ -12,6 +12,7 @@ parent center. The edge ledger is derived from the log of permit purchases.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from .graphs import Graph
@@ -21,16 +22,21 @@ from .permits import PermitState
 
 
 class OsflState:
-    """State of one online Steiner-forest-leasing run over a fixed embedding."""
+    """State of one online Steiner-forest-leasing run over a fixed embedding, sampled from
+    ``rng`` on first use (nothing else draws from it): a run with no tree edge builds none."""
 
     def __init__(self, graph: Graph, catalog: LeaseCatalog, rng: random.Random):
         self.graph = graph
         self.catalog = catalog
-        self.hst: Hst = build_hst(graph, rng)
+        self.rng = rng
         self.edge_permits: Dict[int, PermitState] = {}  # child cluster id -> permit instance
         self.realized: dict = {}  # child cluster id -> (normalized graph edges, their ends in order)
         self.searches: dict = {}  # parent center -> its BFS, see edge_realization
         self.purchases: List[Tuple[int, int, int, int]] = []  # (child cluster id, lease, start, t)
+
+    @cached_property
+    def hst(self) -> Hst:
+        return build_hst(self.graph, self.rng)
 
     def connect(self, terminals, root: int, t: int) -> List[Tuple[Tuple[int, ...], int, int]]:
         """Lease enough graph edges that every terminal reaches the root at time t; returns

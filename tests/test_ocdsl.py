@@ -20,7 +20,7 @@ from conftest import (
 )
 from leaselab import ocdsl
 from leaselab.errors import EmptyRequest, NonMonotonicTime
-from leaselab.generators import gen_instance
+from leaselab.generators import canonical_catalog, gen_instance
 from leaselab.graphs import build_graph, dominators
 from leaselab.instances import make_instance
 from leaselab.leases import LeaseCatalog, Triplet, cost_sum
@@ -92,6 +92,20 @@ def test_zero_start_growth_after_the_first_makes_no_fraction_comparison(monkeypa
     assert state.grow_fractional(doms) > 0
     assert not {"__eq__", "__lt__", "__le__", "__gt__", "__ge__"} & set(calls)
     assert calls == []  # both |doms| are 4: the weights it gives were kept from the first
+
+
+def test_states_on_equal_catalogs_share_one_growth_table(monkeypatch, path3):
+    first, second = canonical_catalog(3), canonical_catalog(3)
+    assert first == second and first is not second
+    state = OcdslState(path3, first, seed=0)
+    state.grow_fractional(dominators(path3, 1, 0, first))
+    fresh = OcdslState(path3, second, seed=0)
+    doms = dominators(path3, 1, 0, second)
+    calls = count_fraction_operators(monkeypatch)
+    assert fresh.grow_fractional(doms) > 0
+    assert calls == []  # rounds, f_l^r and the bumps for |doms| = 9 were the first state's
+    monkeypatch.undo()
+    assert fresh.weights == state.weights
 
 
 @given(

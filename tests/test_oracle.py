@@ -343,6 +343,12 @@ def test_warm_started_benchmark_grid_optima_stay_within_a_tighter_budget(monkeyp
     assert benchmark_grid_step_checks(monkeypatch) <= 12_000
 
 
+def test_node_keyed_benchmark_grid_optima_stay_within_a_node_set_budget(monkeypatch):
+    # keyed by the mask of active candidates alone, the checks were 10,896; a new mask
+    # whose active nodes were checked at that step before is answered by them: 6,119
+    assert benchmark_grid_step_checks(monkeypatch) <= 6_500
+
+
 def test_benchmark_grid_optima_and_ledgers_equal_the_set_based_search():
     # the warm start's bound only cuts subtrees without an optimum: same first optimum
     for inst in benchmark_grid_instances():
@@ -368,5 +374,27 @@ def test_offline_opt_checks_each_step_mask_once(monkeypatch):
     cost, ledger = offline_opt(inst)
     ref_cost, ref_ledger = reference_offline(inst, True)
     assert cost == ref_cost and ledger.rows() == ref_ledger.rows()
+    assert len(candidate_universe(inst)) == 18
+    assert max(calls.values()) == 1
+
+
+def test_offline_opt_checks_each_step_node_set_once(monkeypatch):
+    # 2x3 grid, two leases, T=2: 18 candidates, three per node. Masks that differ only in
+    # which lease holds a node active share one check.
+    grid = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
+    two = LeaseCatalog.from_pairs([(1, 1), (2, Fraction(3, 2))])
+    inst = make_instance(grid, two, [(0, [0, 5]), (1, [2, 3])])
+    calls = Counter()
+    for name in ("check_feasible_step", "check_domination_step"):
+
+        def counted(graph, active_nodes, request_nodes, check=getattr(oracle, name)):
+            calls[check, tuple(request_nodes), frozenset(active_nodes)] += 1
+            return check(graph, active_nodes, request_nodes)
+
+        monkeypatch.setattr(oracle, name, counted)
+    for require_connected, solve in ((True, offline_opt), (False, offline_opt_ds)):
+        cost, ledger = solve(inst)
+        ref_cost, ref_ledger = reference_offline(inst, require_connected)
+        assert cost == ref_cost and ledger.rows() == ref_ledger.rows()
     assert len(candidate_universe(inst)) == 18
     assert max(calls.values()) == 1

@@ -20,7 +20,7 @@ from leaselab.errors import NonMonotonicTime
 from leaselab.generators import gen_instance
 from leaselab.graphs import build_graph
 from leaselab.harness import steps_to_jsonl
-from leaselab.hst import edge_realization, tree_path_edges
+from leaselab.hst import build_hst, edge_realization, tree_path_edges
 from leaselab.instances import PurchaseLedger
 from leaselab.leases import LeaseCatalog
 from leaselab.ocdsl import OcdslState
@@ -41,6 +41,34 @@ def test_init_same_seed_same_tree(path3):
     a = OsflState(path3, UNIT, random.Random(9))
     b = OsflState(path3, UNIT, random.Random(9))
     assert a.hst == b.hst
+
+
+def test_a_run_that_leases_no_tree_edge_never_builds_the_embedding(monkeypatch):
+    builds = []
+
+    def counted(graph, rng):
+        builds.append(graph)
+        return build_hst(graph, rng)
+
+    monkeypatch.setattr(steiner, "build_hst", counted)
+    g = gen_instance("grid", {"rows": 3, "cols": 3, "T": 1}, random.Random(0)).graph
+    lone = OcdslState(g, UNIT, seed=0)
+    for t in range(9):  # one node per step is its own root: no terminal to connect
+        assert lone.serve_request([t], t).r_t == []
+    assert builds == []
+    spread = OcdslState(g, UNIT, seed=0)
+    assert spread.serve_request([0, 8], 0).c2_increment > 0  # no one node dominates both corners
+    spread.serve_request([2, 6], 1)
+    assert builds == [g]  # once, on the first tree edge, then kept
+
+
+@pytest.mark.parametrize("seed", [0, 3, "s"])
+def test_the_embedding_is_the_one_sampled_from_the_runs_hst_stream(seed):
+    g = gen_instance("grid", {"rows": 4, "cols": 4, "T": 1}, random.Random(0)).graph
+    state = OcdslState(g, UNIT, seed=seed)
+    state.serve_request([0, 15], 0)
+    assert state.osfl.hst == build_hst(g, random.Random(f"{seed}:hst"))
+    assert OcdslState(g, UNIT, seed=seed).osfl.hst == state.osfl.hst  # built on read, unserved
 
 
 def test_single_node_connects_are_noops():
