@@ -12,6 +12,7 @@ from .errors import ConfigError, InstanceError, LeaselabError, LedgerError
 from .generators import GENERATOR_KINDS, gen_instance
 from .harness import (
     ALGORITHMS,
+    VARIANTS,
     ExperimentConfig,
     csv_rows,
     csv_text,
@@ -25,10 +26,8 @@ from .harness import (
 )
 from .instances import Instance, PurchaseLedger
 from .leases import LeaseCatalog, Triplet, as_cost
-from .ocdsl import OcdslState
-from .oracle import check_solution, offline_opt, offline_opt_ds
+from .oracle import offline_opt, offline_opt_ds
 from .permits import PermitLeaser, pp_offline_opt
-from .primal_dual import DualState
 
 
 def _parse_params(pairs: Sequence[str]) -> Dict:
@@ -127,10 +126,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     record, first = run_trial(cfg, 0)  # trial 0's run also feeds the artifacts below
     records = [record] + [run_trial(cfg, index)[0] for index in range(1, cfg.trials)]
     _write(records_to_csv(records, timing=args.timing), args.out)
-    osfl = first.state.osfl if isinstance(first.state, OcdslState) else None
+    osfl = getattr(first.state, "osfl", None)  # OCDSL's edge leasing, None without Phase 2
     if args.steps_out:
         text = steps_to_jsonl(first.steps)
-        if isinstance(first.state, DualState):
+        if hasattr(first.state, "totals"):  # the primal-dual leaser's primal and dual sums
             primal, dual = first.state.totals()
             text += json.dumps({"primal": str(primal), "dual": str(dual)}) + "\n"
         _write(text, args.steps_out)
@@ -158,8 +157,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    ledger = _read_ledger_csv(args.ledger, inst)
-    ok = check_solution(inst, ledger, require_connected=(args.mode == "cds"))
+    check, _ = VARIANTS[args.mode]
+    ok = check(inst, _read_ledger_csv(args.ledger, inst))
     sys.stdout.write("FEASIBLE\n" if ok else "INFEASIBLE\n")
     return 0 if ok else 1
 
@@ -236,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a ledger against an instance")
     p_verify.add_argument("--instance", required=True)
     p_verify.add_argument("--ledger", required=True)
-    p_verify.add_argument("--mode", choices=("cds", "ds"), default="cds")
+    p_verify.add_argument("--mode", choices=VARIANTS, default="cds")
     p_verify.set_defaults(func=cmd_verify)
 
     p_pp = sub.add_parser("pp", help="run the parking-permit algorithm on rainy days")

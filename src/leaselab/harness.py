@@ -53,14 +53,21 @@ class OnlineLeaser(Protocol):
     def serve_request(self, nodes: Sequence[int], t: int) -> StepReport: ...
 
 
-# algorithm name -> factory (instance, seed) -> a fresh leaser
-FACTORIES: Dict[str, Callable[[Instance, int], OnlineLeaser]] = {
-    "ocdsl": lambda inst, seed: OcdslState(inst.graph, inst.catalog, seed=seed),
-    "odsl-pd": lambda inst, seed: DualState(inst.graph, inst.catalog),
-    "odsl-rr": lambda inst, seed: OcdslState(inst.graph, inst.catalog, seed=seed, connect=False),
-    "pp": lambda inst, seed: PermitLeaser(inst.catalog),
+# problem -> (ledger check, exact OPT cost). Each row looks its oracle up by module name when
+# called, so a wrapper patched onto the module attribute (perfbench's tracer) sees the call.
+VARIANTS: Dict[str, Tuple[Callable[[Instance, PurchaseLedger], bool], Callable[[Instance], Fraction]]] = {
+    "cds": (lambda inst, ledger: check_solution(inst, ledger, True), lambda inst: offline_opt(inst)[0]),
+    "ds": (lambda inst, ledger: check_solution(inst, ledger, False), lambda inst: offline_opt_ds(inst)[0]),
+    "pp": (lambda inst, ledger: all(ledger.active_triplets(inst.catalog, t) for t, _ in inst.requests),
+           lambda inst: pp_offline_opt(inst.times, inst.catalog)),  # one active lease per request time
 }
-ALGORITHMS = tuple(FACTORIES)
+# algorithm name -> (factory (instance, seed) -> a fresh leaser, the VARIANTS key of its problem)
+ALGORITHMS: Dict[str, Tuple[Callable[[Instance, int], OnlineLeaser], str]] = {
+    "ocdsl": (lambda inst, seed: OcdslState(inst.graph, inst.catalog, seed=seed), "cds"),
+    "odsl-pd": (lambda inst, seed: DualState(inst.graph, inst.catalog), "ds"),
+    "odsl-rr": (lambda inst, seed: OcdslState(inst.graph, inst.catalog, seed=seed, connect=False), "ds"),
+    "pp": (lambda inst, seed: PermitLeaser(inst.catalog), "pp"),
+}
 
 
 class Run(NamedTuple):
@@ -127,7 +134,7 @@ def trial_seed(base_seed: int, index: int) -> int:
 
 def run_algorithm(algorithm: str, inst: Instance, seed: int) -> Run:
     """Serve the instance's requests in order with a fresh leaser."""
-    state = FACTORIES[algorithm](inst, seed)
+    state = ALGORITHMS[algorithm][0](inst, seed)
     steps = [state.serve_request(nodes, t) for t, nodes in inst.requests]
     c1 = cost_sum(step.c1_increment for step in steps)
     c2 = cost_sum(step.c2_increment for step in steps)
@@ -135,17 +142,13 @@ def run_algorithm(algorithm: str, inst: Instance, seed: int) -> Run:
 
 
 def verify_run(algorithm: str, inst: Instance, ledger: PurchaseLedger) -> bool:
-    if algorithm == "pp":
-        return all(ledger.active_triplets(inst.catalog, t) for t, _ in inst.requests)
-    return check_solution(inst, ledger, require_connected=(algorithm == "ocdsl"))
+    check, _ = VARIANTS[ALGORITHMS[algorithm][1]]
+    return check(inst, ledger)
 
 
 def oracle_cost(algorithm: str, inst: Instance) -> Fraction:
-    if algorithm == "ocdsl":
-        return offline_opt(inst)[0]
-    if algorithm == "pp":
-        return pp_offline_opt(inst.times, inst.catalog, inst.horizon)
-    return offline_opt_ds(inst)[0]
+    _, opt = VARIANTS[ALGORITHMS[algorithm][1]]
+    return opt(inst)
 
 
 def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[RunRecord, Run]:

@@ -25,7 +25,7 @@ from leaselab.graphs import build_graph
 from leaselab.harness import (
     ALGORITHMS,
     CSV_COLUMNS,
-    FACTORIES,
+    VARIANTS,
     ExperimentConfig,
     format_summary_table,
     oracle_cost,
@@ -183,13 +183,18 @@ def _path_ends_then_middle() -> Instance:
     )
 
 
-def test_verify_run_checks_each_algorithm_against_its_variant():
-    inst = _path_ends_then_middle()
-    # nodes 1 and 3 dominate every request, but they are not adjacent
+def _apart_ledger() -> PurchaseLedger:
+    """Nodes 1 and 3 of _path_ends_then_middle() at both request times: they dominate
+    every request, but they are not adjacent."""
     apart = PurchaseLedger()
     for t in (0, 1):
         for node in (1, 3):
             apart.add(Triplet(node, 1, t), t, Fraction(1))
+    return apart
+
+
+def test_verify_run_checks_each_algorithm_against_its_variant():
+    inst, apart = _path_ends_then_middle(), _apart_ledger()
     assert {alg: verify_run(alg, inst, apart) for alg in ALGORITHMS} == {
         "ocdsl": False, "odsl-pd": True, "odsl-rr": True, "pp": True,
     }
@@ -212,7 +217,7 @@ class IdleLeaser:
 
 
 def test_run_trial_refuses_a_ledger_that_fails_verification(monkeypatch):
-    monkeypatch.setitem(FACTORIES, "odsl-pd", IdleLeaser)
+    monkeypatch.setitem(ALGORITHMS, "odsl-pd", (IdleLeaser, "ds"))
     cfg = ExperimentConfig(algorithm="odsl-pd", instance=_path_ends_then_middle())
     with pytest.raises(InfeasibleOutput, match=r"^odsl-pd produced an infeasible ledger on trial 0$"):
         run_trial(cfg, 0)
@@ -224,7 +229,34 @@ def test_oracle_cost_is_each_variant_s_exact_optimum():
     assert costs == {"ocdsl": 4, "odsl-pd": 3, "odsl-rr": 3, "pp": 2}
     assert costs["ocdsl"] == offline_opt(inst)[0]
     assert costs["odsl-pd"] == costs["odsl-rr"] == offline_opt_ds(inst)[0]
-    assert costs["pp"] == pp_offline_opt(inst.times, inst.catalog, inst.horizon)
+    assert costs["pp"] == pp_offline_opt(inst.times, inst.catalog)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_cli_verify_checks_each_algorithm_s_ledger_under_its_variant(tmp_path, capsys, algorithm):
+    inst = _path_ends_then_middle()
+    inst_path, ledger_path = tmp_path / "inst.json", tmp_path / "ledger.csv"
+    inst_path.write_text(json.dumps(inst.to_json()), encoding="utf-8")
+    assert main([
+        "run", "--instance", str(inst_path), "--algorithm", algorithm,
+        "--out", str(tmp_path / "r.csv"), "--ledger-out", str(ledger_path),
+    ]) == 0
+    _, variant = ALGORITHMS[algorithm]
+    capsys.readouterr()
+    assert main(["verify", "--instance", str(inst_path), "--ledger", str(ledger_path), "--mode", variant]) == 0
+    assert capsys.readouterr().out == "FEASIBLE\n"
+    assert verify_run(algorithm, inst, _read_ledger_csv(str(ledger_path), inst))
+
+
+def test_cli_verify_modes_are_the_variants(tmp_path, capsys):
+    inst_path, ledger_path = tmp_path / "inst.json", tmp_path / "apart.csv"
+    inst_path.write_text(json.dumps(_path_ends_then_middle().to_json()), encoding="utf-8")
+    ledger_path.write_text(_ledger_csv(_apart_ledger()), encoding="utf-8")
+    verdicts = {}
+    for mode in VARIANTS:
+        code = main(["verify", "--instance", str(inst_path), "--ledger", str(ledger_path), "--mode", mode])
+        verdicts[mode] = (code, capsys.readouterr().out)
+    assert verdicts == {"cds": (1, "INFEASIBLE\n"), "ds": (0, "FEASIBLE\n"), "pp": (0, "FEASIBLE\n")}
 
 
 def test_report_accounting_identity_and_max():
@@ -681,7 +713,8 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_every_algorithm_keeps_the_request_rule(algorithm):
     inst = make_instance(build_graph(3, [(0, 1), (1, 2)]), canonical_catalog(2), [(1, [0])])
-    state = FACTORIES[algorithm](inst, 0)
+    factory, variant = ALGORITHMS[algorithm]
+    state = factory(inst, 0)
     with pytest.raises(InstanceError) as negative:
         state.serve_request([0], -1)
     assert negative.type is InstanceError
@@ -693,7 +726,7 @@ def test_every_algorithm_keeps_the_request_rule(algorithm):
         state.serve_request([], 4)
     assert state.serve_request([1], 4).t == 4  # a rejected step leaves the state as it was
     for t, outside in ((5, -1), (6, 3)):  # a node outside the 3-node path
-        if algorithm != "pp":  # the permit leaser has no graph to check against
+        if variant != "pp":  # the permit leaser has no graph to check against
             with pytest.raises(InstanceError, match="outside the graph"):
                 state.serve_request([outside], t)
         assert state.serve_request([0], t).t == t

@@ -1,12 +1,14 @@
 """Source checks that need no linter: every import in the library is used, no
-method only reads a field that callers can read themselves, and every file the
-library, scripts and tests open as text is opened with an explicit encoding."""
+method only reads a field that callers can read themselves, no library code
+branches on an algorithm's name or leaser class, and every file the library,
+scripts and tests open as text is opened with an explicit encoding."""
 
 import ast
 from pathlib import Path
 from typing import List, Set
 
 import leaselab
+from leaselab.harness import ALGORITHMS
 
 SOURCES = sorted(Path(leaselab.__file__).parent.glob("*.py"))
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
@@ -118,6 +120,50 @@ class A:
 
 def test_library_has_no_field_wrapper():
     found = [f"{path.name}:{entry}" for path in SOURCES for entry in field_wrappers(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+LEASER_CLASSES = {"OcdslState", "DualState", "PermitLeaser"}
+
+
+def algorithm_branches(source: str) -> List[str]:
+    """'line: name' for each comparison of a string with an algorithm name, also inside a
+    tuple, list or set it is compared against, and for each isinstance() against a leaser
+    class: the library reads an algorithm's variant and parts from its ALGORITHMS row."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            for operand in [node.left, *node.comparators]:
+                parts = operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set)) else [operand]
+                for part in parts:
+                    if isinstance(part, ast.Constant) and part.value in ALGORITHMS:
+                        found.append(f"{node.lineno}: {part.value}")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            for part in ast.walk(node.args[1]):
+                name = getattr(part, "id", getattr(part, "attr", None))
+                if isinstance(part, (ast.Name, ast.Attribute)) and name in LEASER_CLASSES:
+                    found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def test_algorithm_branches_finds_only_name_tests_and_leaser_class_tests():
+    source = """
+if algorithm == "pp": pass
+if "ocdsl" != name: pass
+if name in ("odsl-rr", "x"): pass
+if mode == "cds": pass
+if isinstance(state, OcdslState): pass
+if isinstance(state, (int, primal_dual.DualState)): pass
+if isinstance(state, PermitState): pass
+row = ALGORITHMS["pp"]
+"""
+    assert algorithm_branches(source) == [
+        "2: pp", "3: ocdsl", "4: odsl-rr", "6: OcdslState", "7: DualState"
+    ]
+
+
+def test_library_has_no_algorithm_branch():
+    found = [f"{path.name}:{entry}" for path in SOURCES for entry in algorithm_branches(path.read_text(encoding="utf-8"))]
     assert found == []
 
 

@@ -19,7 +19,7 @@ seeds = st.integers(min_value=0, max_value=2**32)
 factors = st.sampled_from([Fraction(1, 3), Fraction(3, 4), Fraction(2), Fraction(7, 2)])
 
 
-@given(algorithm=st.sampled_from(ALGORITHMS), inst=request_streams(), seed=seeds, data=st.data())
+@given(algorithm=st.sampled_from(list(ALGORITHMS)), inst=request_streams(), seed=seeds, data=st.data())
 @settings(deadline=None)
 def test_serving_a_prefix_of_the_steps_gives_the_prefix_of_the_run(algorithm, inst, seed, data):
     cut = data.draw(st.integers(min_value=1, max_value=len(inst.requests)))
@@ -32,7 +32,7 @@ def test_serving_a_prefix_of_the_steps_gives_the_prefix_of_the_run(algorithm, in
 
 
 @given(
-    algorithm=st.sampled_from(ALGORITHMS),
+    algorithm=st.sampled_from(list(ALGORITHMS)),
     inst=request_streams(),
     seed=seeds,
     multiple=st.integers(min_value=1, max_value=4),
