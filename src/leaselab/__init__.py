@@ -5,7 +5,8 @@ Library layout:
 - ``errors``       the one exception hierarchy, rooted at ``LeaselabError``
 - ``leases``       lease catalogs, slot alignment, triplets
 - ``graphs``       validated undirected connected graphs
-- ``instances``    instances, purchase ledgers, per-step reports, the request rule
+- ``instances``    instances, purchase ledgers, per-step reports, the request rule and
+                   ``OnlineLeaser``, the base of every online algorithm
 - ``permits``      deterministic parking-permit algorithm + exact DP oracle
 - ``hst``          random hierarchical tree embedding of the graph metric
 - ``steiner``      online Steiner forest leasing on the embedded tree

@@ -26,7 +26,6 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Protocol,
     Sequence,
     Tuple,
     get_args,
@@ -36,21 +35,12 @@ from typing import (
 from .errors import ConfigError, InfeasibleOutput, RecordsError
 from .generators import gen_instance
 from .graphs import max_degree
-from .instances import Instance, PurchaseLedger, StepReport
+from .instances import Instance, OnlineLeaser, PurchaseLedger, StepReport
 from .leases import as_cost, cost_sum
 from .ocdsl import OcdslState
 from .oracle import check_solution, offline_opt, offline_opt_ds
 from .permits import PermitLeaser, pp_offline_opt
 from .primal_dual import DualState
-
-
-class OnlineLeaser(Protocol):
-    """What every online algorithm offers: one request step at a time, each purchase a
-    ledger row. A step report's C1 and C2 increments are the costs of its rows."""
-
-    ledger: PurchaseLedger
-
-    def serve_request(self, nodes: Sequence[int], t: int) -> StepReport: ...
 
 
 # problem -> (ledger check, exact OPT cost). Each row looks its oracle up by module name when
@@ -208,15 +198,20 @@ def csv_rows(
     path: str, columns: Sequence[str], error: Callable[[str], Exception]
 ) -> Iterator[Tuple[str, Dict[str, str]]]:
     """Each row of the UTF-8 CSV file at ``path`` as ("<path> line <n>", {column: cell}); a header
-    without one of ``columns``, text that is not UTF-8 or a CSV syntax error raises ``error``."""
+    without one of ``columns``, a row with more or fewer cells than the header, text that is
+    not UTF-8 or a CSV syntax error raises ``error``. Empty lines are skipped."""
     try:
         with open(path, encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            missing = [name for name in columns if name not in (reader.fieldnames or ())]
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            missing = [name for name in columns if name not in header]
             if missing:
                 raise error(f"{path}: missing column(s) {', '.join(missing)}")
-            for row in reader:
-                yield f"{path} line {reader.line_num}", row
+            for cells in filter(None, reader):
+                where = f"{path} line {reader.line_num}"
+                if len(cells) != len(header):
+                    raise error(f"{where}: {len(cells)} cells, but the header has {len(header)}")
+                yield where, dict(zip(header, cells))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise error(f"{path} is not UTF-8 CSV text ({exc})") from None
 
@@ -263,12 +258,24 @@ class SummaryRow:
 
 
 def report(records: Sequence[RunRecord]) -> List[SummaryRow]:
-    """Aggregate records per (instance family, algorithm); verifies C1+C2 accounting."""
+    """Aggregate records per (instance family, algorithm); verifies C1+C2 accounting, and that
+    ratio is float(online_cost / opt_cost) as ``run`` writes it, empty exactly when opt_cost is."""
     for rec in records:
         if rec.c1 + rec.c2 != rec.online_cost:
             raise RecordsError(
                 f"cost split broken for {rec.instance_id}: "
                 f"{rec.c1} + {rec.c2} != {rec.online_cost}"
+            )
+        if rec.opt_cost is not None and rec.opt_cost <= 0:
+            raise RecordsError(f"opt_cost {rec.opt_cost} of {rec.instance_id} is not positive")
+        try:
+            ratio = None if rec.opt_cost is None else float(rec.online_cost / rec.opt_cost)
+        except OverflowError:  # past the float range, so run cannot have written it
+            ratio = float("nan")  # which no ratio cell equals
+        if rec.ratio != ratio:
+            raise RecordsError(
+                f"ratio {rec.ratio} of {rec.instance_id} is not float(online_cost / opt_cost) "
+                f"with online_cost {rec.online_cost} and opt_cost {rec.opt_cost}"
             )
     groups: Dict[Tuple[str, str], List[RunRecord]] = {}
     for rec in records:

@@ -1,4 +1,4 @@
-"""Problem instances, node-purchase ledgers and per-step reports shared by algorithms and oracle."""
+"""Problem instances, purchase ledgers, step reports and the online-leaser base shared by algorithms."""
 
 from __future__ import annotations
 
@@ -133,6 +133,25 @@ class PurchaseLedger:
             (tr.node, tr.lease, tr.start, step, cost)
             for tr, (step, cost) in self.entries.items()
         ]
+
+
+class OnlineLeaser:
+    """What every online algorithm shares. A subclass's ``serve_request(nodes, t)`` ``begin``s
+    the step, ``buy``s each triplet at its lease's cost and reads its StepReport off the ledger."""
+
+    def __init__(self, catalog: LeaseCatalog, node_count: Optional[int] = None):
+        self.catalog = catalog
+        self.ledger = PurchaseLedger()
+        self.last_time: Optional[int] = None
+        self._node_count = node_count  # None: no graph, so no node range to check
+
+    def begin(self, nodes: Iterable[int], t: int) -> Tuple[int, ...]:
+        requested = request_nodes(self.last_time, nodes, t, self._node_count)  # may refuse the step
+        self.last_time = t
+        return requested
+
+    def buy(self, tr: Triplet, t: int) -> None:
+        self.ledger.add(tr, step=t, cost=self.catalog.cost(tr.lease))
 
 
 @dataclass

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InfeasibleOutput
 from .graphs import Graph, connected_component, dominators
-from .instances import PurchaseLedger, StepReport, request_nodes
+from .instances import OnlineLeaser, StepReport
 from .leases import LeaseCatalog, Triplet
 from .steiner import OsflState
 
@@ -58,7 +58,7 @@ class GrowthTable:
 growth_table = lru_cache(maxsize=64)(GrowthTable)
 
 
-class OcdslState:
+class OcdslState(OnlineLeaser):
     """One online run; serve_request() consumes the request sequence in order."""
 
     def __init__(
@@ -68,11 +68,10 @@ class OcdslState:
         seed: int | str = 0,
         connect: bool = True,
     ):
+        super().__init__(catalog, graph.node_count)
         self.graph = graph
-        self.catalog = catalog
         self.weights: Dict[Triplet, Fraction] = {}
         self.thresholds: Dict[Triplet, int] = {}  # mu in units of 2^-53
-        self.ledger = PurchaseLedger()
         self._mu_rng = random.Random(f"{seed}:mu")
         self.osfl = (
             OsflState(graph, catalog, random.Random(f"{seed}:hst")) if connect else None
@@ -81,7 +80,6 @@ class OcdslState:
         self.mu_draws = 2 * graph.node_count.bit_length()
         self.max_dominator_count = 0  # over growth events
         self._growth = growth_table(catalog)
-        self.last_time: int | None = None
 
     # ------------------------------------------------------------------ helpers
 
@@ -143,7 +141,7 @@ class OcdslState:
             if w is not None:
                 num, den = w.as_integer_ratio()
                 if num << 53 > m * den and tr not in self.ledger.entries:
-                    self.ledger.add(tr, step=t, cost=self.catalog.cost(tr.lease))
+                    self.buy(tr, t)
                     bought.append(tr)
         return bought
 
@@ -152,7 +150,7 @@ class OcdslState:
         if self.has_active_dominator(doms):
             return None
         tr = self.catalog.triplet_at(u, 1, t)
-        self.ledger.add(tr, step=t, cost=self.catalog.cost(tr.lease))
+        self.buy(tr, t)
         return tr
 
     def select_representatives(
@@ -168,7 +166,7 @@ class OcdslState:
                 raise InfeasibleOutput(f"no request node covers nodes {sorted(uncovered)}")
             rep = self.catalog.triplet_at(best_u, 1, t)
             if rep not in self.ledger:
-                self.ledger.add(rep, step=t, cost=self.catalog.cost(rep.lease))
+                self.buy(rep, t)
             reps.append(rep)
             uncovered.difference_update(closed[best_u])
         return reps
@@ -177,8 +175,7 @@ class OcdslState:
 
     def serve_request(self, nodes: Sequence[int], t: int) -> StepReport:
         """Run both phases for one request step."""
-        requested = request_nodes(self.last_time, nodes, t, self.graph.node_count)
-        self.last_time = t
+        requested = self.begin(nodes, t)
         rounds = 0
 
         # each requested node's dominators, built once for both steps of Phase 1
@@ -215,7 +212,7 @@ class OcdslState:
                 for node in nodes:
                     tr = Triplet(node, lease, start)
                     if tr not in self.ledger:
-                        self.ledger.add(tr, step=t, cost=self.catalog.cost(lease))
+                        self.buy(tr, t)
 
         return StepReport.from_ledger(
             t, requested, self.ledger, self.catalog, len(self.ledger) - phase2_start,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import InstanceError
-from .instances import PurchaseLedger, StepReport, request_nodes
+from .instances import OnlineLeaser, StepReport
 from .leases import LeaseCatalog, cost_sum
 
 
@@ -54,7 +54,7 @@ class PermitState:
                 return bought
 
 
-class PermitLeaser:
+class PermitLeaser(OnlineLeaser):
     """The ``pp`` algorithm as an online leaser: one PermitState over the request times.
 
     Permit runs ignore the graph and charge every purchase to node 0 of a
@@ -63,16 +63,13 @@ class PermitLeaser:
     """
 
     def __init__(self, catalog: LeaseCatalog):
-        self.catalog = catalog
+        super().__init__(catalog)
         self.permit = PermitState(catalog)
-        self.ledger = PurchaseLedger()
-        self.last_time: int | None = None
 
     def serve_request(self, nodes: Sequence[int], t: int) -> StepReport:
-        requested = request_nodes(self.last_time, nodes, t)
-        self.last_time = t
+        requested = self.begin(nodes, t)
         for lease, start in self.permit.request(t):
-            self.ledger.add(self.catalog.triplet_at(0, lease, start), t, self.catalog.cost(lease))
+            self.buy(self.catalog.triplet_at(0, lease, start), t)
         return StepReport.from_ledger(t, requested, self.ledger, self.catalog)
 
 

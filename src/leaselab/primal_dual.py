@@ -13,20 +13,18 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .graphs import Graph, dominators
-from .instances import PurchaseLedger, StepReport, request_nodes
+from .instances import OnlineLeaser, StepReport
 from .leases import LeaseCatalog, Triplet
 
 
-class DualState:
+class DualState(OnlineLeaser):
     """One primal-dual run; ``dual`` and ``slack`` are ints in units of 1/catalog.scale."""
 
     def __init__(self, graph: Graph, catalog: LeaseCatalog):
+        super().__init__(catalog, graph.node_count)
         self.graph = graph
-        self.catalog = catalog
         self.dual = 0  # sum of every occurrence's dual variable
         self.slack: Dict[Triplet, int] = {}  # c_l minus dual mass charged in
-        self.ledger = PurchaseLedger()
-        self.last_time: int | None = None
 
     def serve(self, u: int, t: int) -> Tuple[List[Triplet], Fraction]:
         """Serve one request occurrence; returns (purchases, dual raise)."""
@@ -42,14 +40,13 @@ class DualState:
         for tr in doms:
             slack[tr] -= raise_by
             if slack[tr] == 0:
-                self.ledger.add(tr, step=t, cost=self.catalog.cost(tr.lease))
+                self.buy(tr, t)
                 bought.append(tr)
         return bought, Fraction(raise_by, self.catalog.scale)
 
     def serve_request(self, nodes: Sequence[int], t: int) -> StepReport:
         """Serve every occurrence of one request step; its purchases all count as C1."""
-        requested = request_nodes(self.last_time, nodes, t, self.graph.node_count)
-        self.last_time = t
+        requested = self.begin(nodes, t)
         for u in requested:
             self.serve(u, t)
         return StepReport.from_ledger(t, requested, self.ledger, self.catalog)

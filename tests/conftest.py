@@ -315,6 +315,11 @@ def reference_pp_offline_opt(
     return sum((opt(len(catalog), s) for s in top_starts), Fraction(0))
 
 
+def permit_cost(state: PermitState) -> Fraction:
+    """The exact cost of the permits ``state`` owns: each lease type's cost, summed."""
+    return sum((state.catalog.cost(lease) for lease, _ in state.owned), Fraction(0))
+
+
 class ReferencePermitState(PermitState):
     """The online permit rule as first written: a coverage scan of the owned permits, then
     one purchase at a time, restarting the search from the largest type after each."""

@@ -39,7 +39,7 @@ from leaselab.harness import (
     trial_seed,
     verify_run,
 )
-from leaselab.instances import Instance, PurchaseLedger, StepReport, make_instance
+from leaselab.instances import Instance, OnlineLeaser, PurchaseLedger, StepReport, make_instance
 from leaselab.leases import LeaseCatalog, Triplet
 from leaselab.oracle import offline_opt, offline_opt_ds
 from leaselab.permits import pp_offline_opt
@@ -309,6 +309,7 @@ def test_records_csv_roundtrip(tmp_path):
         out.write_text(records_to_csv(records, timing), encoding="utf-8")
         again = read_records_csv(str(out))
         assert records_to_csv(again, timing) == records_to_csv(records, timing)
+        assert report(again) == report(records)  # each ratio read back is the costs' quotient
 
 
 # ------------------------------------------------------------------ CLI
@@ -547,6 +548,38 @@ CLI_ERRORS = {
     "records-broken-split": (
         ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,1,,,3,1,2,1\n"}
     ),
+    # a row must have exactly as many cells as the header
+    "ledger-extra-cell": (
+        ["verify", "--instance", "i.json", "--ledger", "l.csv"],
+        {"i.json": json.dumps(INSTANCE), "l.csv": LEDGER_HEADER + "\n1,1,1,1,1,junk\n"},
+    ),
+    "ledger-short-row": (
+        ["verify", "--instance", "i.json", "--ledger", "l.csv"],
+        {"i.json": json.dumps(INSTANCE), "l.csv": LEDGER_HEADER + "\n1,1,1,1\n"},
+    ),
+    "records-extra-cell": (
+        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,,,3,1,2,1,junk\n"}
+    ),
+    # the ratio cell must be float(online_cost / opt_cost), and empty exactly when opt_cost is
+    "records-ratio-not-the-cost-quotient": (
+        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,2,9.0,3,1,2,1\n"}
+    ),
+    "records-opt-cost-zero": (
+        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,0,1.0,3,1,2,1\n"}
+    ),
+    "records-ratio-inf-without-opt": (
+        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,,inf,3,1,2,1\n"}
+    ),
+    "records-ratio-nan-without-opt": (
+        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,,nan,3,1,2,1\n"}
+    ),
+    "records-opt-without-ratio": (
+        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,2,,3,1,2,1\n"}
+    ),
+    "records-ratio-past-float-range": (
+        ["report", "--records", "r.csv"],
+        {"r.csv": HEADER + "\nx#0,ocdsl,1,1e999,1e999,0,1e-999,inf,3,1,2,1\n"},
+    ),
     "params-not-a-number": (["run", "--kind", "star", "--params", "n=x"], {}),
     "params-without-equals": (["run", "--kind", "star", "--params", "n"], {}),
     "params-not-whole": (["run", "--kind", "star", "--params", "n=3.5"], {}),
@@ -645,6 +678,17 @@ def test_cli_verify_names_the_columns_a_ledger_header_lacks(tmp_path, capsys, te
     assert captured.err == f"leaselab verify: {ledger}: missing column(s) {missing}\n"
 
 
+@pytest.mark.parametrize("row, count", [("1,1,1,1,1,junk", 6), ("1,1,1,1", 4)])
+def test_cli_verify_names_the_header_cell_count_a_row_breaks(tmp_path, capsys, row, count):
+    (tmp_path / "i.json").write_text(json.dumps(INSTANCE), encoding="utf-8")
+    (tmp_path / "l.csv").write_text(f"{LEDGER_HEADER}\n\n1,1,1,1,1\n{row}\n", encoding="utf-8")
+    ledger = str(tmp_path / "l.csv")
+    assert main(["verify", "--instance", str(tmp_path / "i.json"), "--ledger", ledger]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"leaselab verify: {ledger} line 4: {count} cells, but the header has 5\n"
+
+
 def test_a_header_only_ledger_reads_as_an_empty_ledger(tmp_path):
     path = tmp_path / "l.csv"
     path.write_text(LEDGER_HEADER + "\n", encoding="utf-8")
@@ -715,6 +759,7 @@ def test_every_algorithm_keeps_the_request_rule(algorithm):
     inst = make_instance(build_graph(3, [(0, 1), (1, 2)]), canonical_catalog(2), [(1, [0])])
     factory, variant = ALGORITHMS[algorithm]
     state = factory(inst, 0)
+    assert isinstance(state, OnlineLeaser)  # the request rule and the ledger live on the base
     with pytest.raises(InstanceError) as negative:
         state.serve_request([0], -1)
     assert negative.type is InstanceError

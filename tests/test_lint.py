@@ -1,11 +1,13 @@
 """Source checks that need no linter: every import in the library is used, no
 method only reads a field that callers can read themselves, no library code
-branches on an algorithm's name or leaser class, and every file the library,
-scripts and tests open as text is opened with an explicit encoding."""
+branches on an algorithm's name or leaser class, every leaser keeps its ledger,
+request rule and purchase price on the one ``OnlineLeaser`` base, and every
+file the library, scripts and tests open as text is opened with an explicit
+encoding."""
 
 import ast
 from pathlib import Path
-from typing import List, Set
+from typing import Iterator, List, Set, Tuple
 
 import leaselab
 from leaselab.harness import ALGORITHMS
@@ -123,7 +125,7 @@ def test_library_has_no_field_wrapper():
     assert found == []
 
 
-LEASER_CLASSES = {"OcdslState", "DualState", "PermitLeaser"}
+LEASER_CLASSES = {"OnlineLeaser", "OcdslState", "DualState", "PermitLeaser"}
 
 
 def algorithm_branches(source: str) -> List[str]:
@@ -164,6 +166,97 @@ row = ALGORITHMS["pp"]
 
 def test_library_has_no_algorithm_branch():
     found = [f"{path.name}:{entry}" for path in SOURCES for entry in algorithm_branches(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def scoped_nodes(node: ast.AST, scope: str = "") -> Iterator[Tuple[str, ast.AST]]:
+    """Each node below ``node`` with the dotted names of the classes and functions around it."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from scoped_nodes(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+
+# the three places that price a purchase: an online leaser's, the oracle's and the ledger reader's
+PRICE_SITES = {"OnlineLeaser.buy", "_offline", "_read_ledger_csv"}
+
+
+def priced_adds(source: str) -> List[str]:
+    """'line: scope' for each .add() call that passes a cost (three positional arguments or
+    cost=) outside PRICE_SITES: an online leaser buys through OnlineLeaser.buy."""
+    found = []
+    for scope, node in scoped_nodes(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add" and scope not in PRICE_SITES:
+            if len(node.args) == 3 or "cost" in {kw.arg for kw in node.keywords}:
+                found.append(f"{node.lineno}: {scope}")
+    return found
+
+
+def test_priced_adds_finds_only_the_purchases_priced_outside_the_three_sites():
+    source = """
+class OnlineLeaser:
+    def buy(self, tr, t):
+        self.ledger.add(tr, step=t, cost=1)
+class A(OnlineLeaser):
+    def f(self, tr, t):
+        self.ledger.add(tr, t, 1)
+        self.ledger.add(tr, step=t, cost=2)
+        seen.add(tr)
+        self.buy(tr, t)
+def _offline(ledger, tr):
+    ledger.add(tr, step=0, cost=1)
+def _read_ledger_csv(ledger, tr):
+    def inner():
+        ledger.add(tr, 0, 1)
+"""
+    assert priced_adds(source) == ["7: A.f", "8: A.f", "15: _read_ledger_csv.inner"]
+
+
+def test_library_prices_purchases_only_at_the_three_sites():
+    found = [f"{path.name}:{entry}" for path in SOURCES for entry in priced_adds(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+BASE_FIELDS = {"ledger", "last_time"}
+
+
+def base_field_writes(source: str) -> List[str]:
+    """'line: scope' for each store to self.ledger or self.last_time outside OnlineLeaser:
+    the base sets both, so every leaser keeps the request rule and one ledger."""
+    found = []
+    for scope, node in scoped_nodes(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and node.attr in BASE_FIELDS and getattr(node.value, "id", None) == "self"
+            and not scope.startswith("OnlineLeaser.")
+        ):
+            found.append(f"{node.lineno}: {scope}.{node.attr}")
+    return found
+
+
+def test_base_field_writes_finds_only_stores_outside_the_base():
+    source = """
+class OnlineLeaser:
+    def __init__(self):
+        self.ledger = {}
+        self.last_time: int = 0
+class A(OnlineLeaser):
+    def __init__(self):
+        self.ledger = {}
+        self.last_time: int = 0
+    def f(self, t):
+        self.last_time += 1
+        self.ledger[t] = 1
+        other.ledger = self.ledger
+        self.weights = {}
+"""
+    assert base_field_writes(source) == [
+        "8: A.__init__.ledger", "9: A.__init__.last_time", "11: A.f.last_time"
+    ]
+
+
+def test_only_the_leaser_base_sets_a_ledger_or_the_last_request_time():
+    found = [f"{path.name}:{entry}" for path in SOURCES for entry in base_field_writes(path.read_text(encoding="utf-8"))]
     assert found == []
 
 

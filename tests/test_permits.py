@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ReferencePermitState, catalogs, reference_pp_offline_opt
+from conftest import ReferencePermitState, catalogs, permit_cost, reference_pp_offline_opt
 from leaselab.errors import NonMonotonicTime
 from leaselab.generators import canonical_catalog
 from leaselab.leases import LeaseCatalog
@@ -48,8 +48,8 @@ def run_days(catalog, days):
 
 def test_single_type_buys_each_day():
     state = run_days(SINGLE, [0, 1, 2])
-    assert state.total_cost() == 3
-    assert state.total_cost() == pp_offline_opt([0, 1, 2], SINGLE)
+    assert permit_cost(state) == 3
+    assert permit_cost(state) == pp_offline_opt([0, 1, 2], SINGLE)
 
 
 def test_escalation_example():
@@ -57,7 +57,7 @@ def test_escalation_example():
     assert state.request(0) == [(1, 0)]
     # second uncovered day pushes the [0,4) slot's spend to 2 >= c_2
     assert state.request(1) == [(1, 1), (2, 0)]
-    assert state.total_cost() == 4
+    assert permit_cost(state) == 4
     assert pp_offline_opt([0, 1], TWO) == 2
 
 
@@ -139,7 +139,7 @@ def test_single_type_cost_equals_optimum_exhaustively():
     for size in range(1, 9):
         for days in combinations(range(8), size):
             state = run_days(SINGLE, days)
-            assert state.total_cost() == pp_offline_opt(days, SINGLE, horizon=8)
+            assert permit_cost(state) == pp_offline_opt(days, SINGLE, horizon=8)
 
 
 def test_multi_type_ratio_within_bound_exhaustively():
@@ -148,7 +148,7 @@ def test_multi_type_ratio_within_bound_exhaustively():
         for days in combinations(range(8), size):
             state = run_days(TWO, days)
             opt = pp_offline_opt(days, TWO, horizon=8)
-            assert state.total_cost() <= bound * opt, days
+            assert permit_cost(state) <= bound * opt, days
 
 
 def test_spend_only_counts_smaller_types():
@@ -170,7 +170,7 @@ def test_cascading_escalation_can_overshoot_on_tight_catalogs():
         (2, 0),
         (3, 0),
     ]
-    assert state.total_cost() == Fraction(13, 2)
+    assert permit_cost(state) == Fraction(13, 2)
     assert pp_offline_opt([0, 1], THREE) == Fraction(3, 2)
 
 
