@@ -6,15 +6,15 @@ Library layout:
 - ``leases``       lease catalogs, slot alignment, triplets
 - ``graphs``       validated undirected connected graphs
 - ``instances``    instances, purchase ledgers, per-step reports, the request rule and
-                   ``OnlineLeaser``, the base of every online algorithm
-- ``permits``      deterministic parking-permit algorithm + exact DP oracle
+                   ``OnlineLeaser(graph, catalog)``, the base of every online algorithm
+- ``permits``      deterministic parking-permit algorithm on the one-node instance + exact DP oracle
 - ``hst``          random hierarchical tree embedding of the graph metric
 - ``steiner``      online Steiner forest leasing on the embedded tree
 - ``ocdsl``        the two-phase randomized connected-dominating-set leaser
 - ``primal_dual``  deterministic primal-dual dominating-set leaser
 - ``oracle``       feasibility verifier and exact offline optima (desk scale)
 - ``generators``   instance generators, including adversarial patterns
-- ``harness``      seeded experiment runner, records, reports
+- ``harness``      the one serving loop, seeded experiment runner, records, reports
 - ``benchmarks``   the frozen ratio-regression grid and its runner
 - ``cli``          the ``leaselab`` command line front end
 """

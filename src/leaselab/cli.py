@@ -24,10 +24,11 @@ from .harness import (
     steps_to_jsonl,
     summary_to_csv,
 )
-from .instances import Instance, PurchaseLedger
+from .graphs import build_graph
+from .instances import Instance, PurchaseLedger, make_instance
 from .leases import LeaseCatalog, Triplet, as_cost
 from .oracle import offline_opt, offline_opt_ds
-from .permits import PermitLeaser, pp_offline_opt
+from .permits import pp_offline_opt
 
 
 def _parse_params(pairs: Sequence[str]) -> Dict:
@@ -174,18 +175,14 @@ def cmd_pp(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"want --rainy day,day,... and --leases duration:cost,... of numbers ({exc})"
         ) from None
-    catalog = LeaseCatalog.from_pairs(pairs)
-    leaser = PermitLeaser(catalog)
-    for t in rainy:
-        leaser.serve_request([0], t)
-    cost = leaser.ledger.total_cost()
-    opt = pp_offline_opt(rainy, catalog, args.horizon)
-    ratio = float(cost / opt) if opt else 1.0
+    inst = make_instance(build_graph(1, []), LeaseCatalog.from_pairs(pairs), [(t, [0]) for t in rainy])
+    _, run = run_trial(ExperimentConfig("pp", instance=inst), 0)
+    opt = pp_offline_opt(inst.times, inst.catalog, args.horizon)
     rows = [
         ("purchase", t, lease, start, cost_paid, "", "")
-        for _, lease, start, t, cost_paid in leaser.ledger.rows()
+        for _, lease, start, t, cost_paid in run.ledger.rows()
     ]
-    rows.append(("summary", "", "", "", cost, opt, repr(ratio)))
+    rows.append(("summary", "", "", "", run.cost, opt, repr(float(run.cost / opt))))
     _write(csv_text(["row", "t", "lease", "start", "cost", "opt", "ratio"], rows), args.out)
     return 0
 

@@ -36,13 +36,14 @@ class ConfigError(LeaselabError, ValueError):
 
 
 class RecordsError(LeaselabError, ValueError):
-    """A records CSV lacks a column, holds a cell of the wrong type, or breaks C1 + C2 = cost."""
+    """A records CSV lacks a column or names one twice, holds a cell of the wrong type, or
+    holds a record ``run`` cannot write: one that breaks C1 + C2 = cost, for one."""
 
 
 class LedgerError(LeaselabError):
-    """A ledger file row is malformed, names a node or lease type the instance lacks,
-    starts off its lease's slot grid, or repeats an earlier row; or a ledger is asked
-    to buy one triplet twice."""
+    """A ledger file's header lacks a column or names one twice, or a row is malformed,
+    names a node or lease type the instance lacks, starts off its lease's slot grid, or
+    repeats an earlier row; or a ledger is asked to buy one triplet twice."""
 
 
 class InfeasibleOutput(LeaselabError):

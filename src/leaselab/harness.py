@@ -15,6 +15,7 @@ import json
 import random
 import statistics
 import time
+from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import (
@@ -56,7 +57,7 @@ ALGORITHMS: Dict[str, Tuple[Callable[[Instance, int], OnlineLeaser], str]] = {
     "ocdsl": (lambda inst, seed: OcdslState(inst.graph, inst.catalog, seed=seed), "cds"),
     "odsl-pd": (lambda inst, seed: DualState(inst.graph, inst.catalog), "ds"),
     "odsl-rr": (lambda inst, seed: OcdslState(inst.graph, inst.catalog, seed=seed, connect=False), "ds"),
-    "pp": (lambda inst, seed: PermitLeaser(inst.catalog), "pp"),
+    "pp": (lambda inst, seed: PermitLeaser(inst.graph, inst.catalog), "pp"),
 }
 
 
@@ -198,8 +199,9 @@ def csv_rows(
     path: str, columns: Sequence[str], error: Callable[[str], Exception]
 ) -> Iterator[Tuple[str, Dict[str, str]]]:
     """Each row of the UTF-8 CSV file at ``path`` as ("<path> line <n>", {column: cell}); a header
-    without one of ``columns``, a row with more or fewer cells than the header, text that is
-    not UTF-8 or a CSV syntax error raises ``error``. Empty lines are skipped."""
+    without one of ``columns`` or naming a column twice, a row with more or fewer cells than
+    the header, text that is not UTF-8 or a CSV syntax error raises ``error``. Empty lines
+    are skipped."""
     try:
         with open(path, encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -207,6 +209,9 @@ def csv_rows(
             missing = [name for name in columns if name not in header]
             if missing:
                 raise error(f"{path}: missing column(s) {', '.join(missing)}")
+            repeated = [name for name, count in Counter(header).items() if count > 1]
+            if repeated:  # else the last cell of that name would win
+                raise error(f"{path}: column {repeated[0]} appears twice")
             for cells in filter(None, reader):
                 where = f"{path} line {reader.line_num}"
                 if len(cells) != len(header):
@@ -258,13 +263,24 @@ class SummaryRow:
 
 
 def report(records: Sequence[RunRecord]) -> List[SummaryRow]:
-    """Aggregate records per (instance family, algorithm); verifies C1+C2 accounting, and that
-    ratio is float(online_cost / opt_cost) as ``run`` writes it, empty exactly when opt_cost is."""
+    """Aggregate records per (instance family, algorithm); verifies each record as ``run`` writes
+    it: a known algorithm, C1+C2 accounting of parts that are not negative, an instance with
+    nodes, leases and steps and a max degree below n, and a ratio of float(online_cost /
+    opt_cost), empty exactly when opt_cost is."""
     for rec in records:
+        if rec.algorithm not in ALGORITHMS:
+            raise RecordsError(f"algorithm {rec.algorithm!r} of {rec.instance_id} is unknown")
         if rec.c1 + rec.c2 != rec.online_cost:
             raise RecordsError(
                 f"cost split broken for {rec.instance_id}: "
                 f"{rec.c1} + {rec.c2} != {rec.online_cost}"
+            )
+        if rec.c1 < 0 or rec.c2 < 0:
+            raise RecordsError(f"c1 {rec.c1} or c2 {rec.c2} of {rec.instance_id} is negative")
+        if min(rec.n, rec.lease_count, rec.steps) < 1 or not 0 <= rec.max_degree < rec.n:
+            raise RecordsError(
+                f"{rec.instance_id}: n {rec.n}, lease_count {rec.lease_count} and steps {rec.steps} "
+                f"must be at least 1, and max_degree {rec.max_degree} in 0..n-1"
             )
         if rec.opt_cost is not None and rec.opt_cost <= 0:
             raise RecordsError(f"opt_cost {rec.opt_cost} of {rec.instance_id} is not positive")

@@ -51,13 +51,13 @@ class Instance:
 
 
 def request_nodes(
-    prev_t: Optional[int], nodes: Iterable[int], t: int, node_count: Optional[int] = None
+    prev_t: Optional[int], nodes: Iterable[int], t: int, node_count: int
 ) -> Tuple[int, ...]:
     """The request rule, for instance files and every online leaser alike.
 
     A step at time t >= 0, strictly after the previous step's ``prev_t`` (None
-    before the first), names a non-empty node set, inside range(node_count) when
-    there is a graph; returns it sorted and distinct.
+    before the first), names a non-empty node set inside range(node_count);
+    returns it sorted and distinct.
     """
     if t < 0:
         raise InstanceError(f"request time {t} is negative")
@@ -66,7 +66,7 @@ def request_nodes(
     requested = tuple(sorted(set(nodes)))
     if not requested:
         raise EmptyRequest(f"request at t={t} has no nodes")
-    if node_count is not None and (requested[0] < 0 or requested[-1] >= node_count):
+    if requested[0] < 0 or requested[-1] >= node_count:
         raise InstanceError(f"request at t={t} names nodes outside the graph")
     return requested
 
@@ -139,14 +139,14 @@ class OnlineLeaser:
     """What every online algorithm shares. A subclass's ``serve_request(nodes, t)`` ``begin``s
     the step, ``buy``s each triplet at its lease's cost and reads its StepReport off the ledger."""
 
-    def __init__(self, catalog: LeaseCatalog, node_count: Optional[int] = None):
+    def __init__(self, graph: Graph, catalog: LeaseCatalog):
+        self.graph = graph
         self.catalog = catalog
         self.ledger = PurchaseLedger()
         self.last_time: Optional[int] = None
-        self._node_count = node_count  # None: no graph, so no node range to check
 
     def begin(self, nodes: Iterable[int], t: int) -> Tuple[int, ...]:
-        requested = request_nodes(self.last_time, nodes, t, self._node_count)  # may refuse the step
+        requested = request_nodes(self.last_time, nodes, t, self.graph.node_count)  # may refuse the step
         self.last_time = t
         return requested
 

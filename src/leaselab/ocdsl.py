@@ -68,8 +68,7 @@ class OcdslState(OnlineLeaser):
         seed: int | str = 0,
         connect: bool = True,
     ):
-        super().__init__(catalog, graph.node_count)
-        self.graph = graph
+        super().__init__(graph, catalog)
         self.weights: Dict[Triplet, Fraction] = {}
         self.thresholds: Dict[Triplet, int] = {}  # mu in units of 2^-53
         self._mu_rng = random.Random(f"{seed}:mu")

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import InstanceError
+from .graphs import Graph
 from .instances import OnlineLeaser, StepReport
 from .leases import LeaseCatalog, cost_sum
 
@@ -57,13 +58,13 @@ class PermitState:
 class PermitLeaser(OnlineLeaser):
     """The ``pp`` algorithm as an online leaser: one PermitState over the request times.
 
-    Permit runs ignore the graph and charge every purchase to node 0 of a
-    ledger kept here, not on PermitState, because ``OsflState`` runs one
-    bare PermitState per tree edge.
+    The Parking Permit Problem is the one-node instance; a permit run charges
+    every purchase to node 0 of a ledger kept here, not on PermitState, because
+    ``OsflState`` runs one bare PermitState per tree edge.
     """
 
-    def __init__(self, catalog: LeaseCatalog):
-        super().__init__(catalog)
+    def __init__(self, graph: Graph, catalog: LeaseCatalog):
+        super().__init__(graph, catalog)
         self.permit = PermitState(catalog)
 
     def serve_request(self, nodes: Sequence[int], t: int) -> StepReport:

@@ -21,8 +21,7 @@ class DualState(OnlineLeaser):
     """One primal-dual run; ``dual`` and ``slack`` are ints in units of 1/catalog.scale."""
 
     def __init__(self, graph: Graph, catalog: LeaseCatalog):
-        super().__init__(catalog, graph.node_count)
-        self.graph = graph
+        super().__init__(graph, catalog)
         self.dual = 0  # sum of every occurrence's dual variable
         self.slack: Dict[Triplet, int] = {}  # c_l minus dual mass charged in
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import random
@@ -379,6 +380,47 @@ def test_cli_pp_subcommand(tmp_path):
     assert lines[-1].endswith("4,2,2.0")
 
 
+# (--rainy, --leases, --horizon or None): repeated days, fractional and decimal costs
+PP_DIFFERENTIAL_CASES = [
+    ("0,1,5", "1:1,4:2", None),
+    ("0,1,5", "1:1,4:2", 8),
+    ("3,3,4,3", "1:1,4:2", None),
+    ("0,1,2,3,9,17", "1:1/3,2:1/2,8:1", 32),
+    ("0,5,40,41,42,100", "1:2,4:5,16:10", 128),
+    ("7,8", "1:1.5,2:2", None),
+]
+
+
+@pytest.mark.parametrize("rainy, leases, horizon", PP_DIFFERENTIAL_CASES)
+def test_cli_pp_equals_run_on_the_one_node_instance(tmp_path, rainy, leases, horizon):
+    pp_out, ledger_out, records_out = (str(tmp_path / name) for name in ("pp.csv", "l.csv", "r.csv"))
+    argv = ["pp", "--rainy", rainy, "--leases", leases, "--out", pp_out]
+    assert main(argv + ([] if horizon is None else ["--horizon", str(horizon)])) == 0
+    pairs = (pair.split(":") for pair in leases.split(","))
+    instance = {
+        "n": 1,
+        "edges": [],
+        "leases": [{"duration": int(duration), "cost": cost} for duration, cost in pairs],
+        "requests": [{"t": t, "nodes": [0]} for t in sorted({int(day) for day in rainy.split(",")})],
+    }
+    (tmp_path / "i.json").write_text(json.dumps(instance), encoding="utf-8")
+    assert main([
+        "run", "--instance", str(tmp_path / "i.json"), "--algorithm", "pp",
+        "--ledger-out", ledger_out, "--out", records_out,
+    ]) == 0
+    with open(pp_out, encoding="utf-8") as fh:
+        pp_rows = list(csv.DictReader(fh))
+    with open(ledger_out, encoding="utf-8") as fh:
+        ledger_rows = list(csv.DictReader(fh))
+    summary = pp_rows.pop()
+    assert summary["row"] == "summary" and {row["row"] for row in pp_rows} == {"purchase"}
+    assert [(r["t"], r["lease"], r["start"], r["cost"]) for r in pp_rows] == [
+        (r["step"], r["lease"], r["start"], r["cost"]) for r in ledger_rows
+    ]
+    assert {r["node"] for r in ledger_rows} == {"0"}
+    assert Fraction(summary["cost"]) == read_records_csv(records_out)[0].online_cost
+
+
 def test_cli_pd_steps_end_with_primal_dual_pair(tmp_path):
     steps = tmp_path / "pd.jsonl"
     main([
@@ -514,6 +556,8 @@ CLI_ERRORS = {
     "pp-duration-repeated": (["pp", "--rainy", "0", "--leases", "1:1,1:2"], {}),
     "pp-longer-lease-costs-less": (["pp", "--rainy", "0", "--leases", "1:2,2:1"], {}),
     "pp-longer-lease-costs-more-per-unit": (["pp", "--rainy", "0", "--leases", "1:1,2:3"], {}),
+    # the one-node instance of no rainy day has no requests, so pp refuses it as run does
+    "pp-no-rainy-day": (["pp", "--rainy", "", "--leases", "1:1"], {}),
     **{
         name: (["run", "--instance", "i.json"], {"i.json": json.dumps(data)})
         for name, data in BROKEN_INSTANCES.items()
@@ -579,6 +623,36 @@ CLI_ERRORS = {
     "records-ratio-past-float-range": (
         ["report", "--records", "r.csv"],
         {"r.csv": HEADER + "\nx#0,ocdsl,1,1e999,1e999,0,1e-999,inf,3,1,2,1\n"},
+    ),
+    # report checks each record as run writes it
+    "records-c1-negative": (
+        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,-1,4,,,3,1,2,1\n"}
+    ),
+    "records-n-zero": (
+        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,,,0,1,0,1\n"}
+    ),
+    "records-lease-count-zero": (
+        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,,,3,0,2,1\n"}
+    ),
+    "records-max-degree-not-below-n": (
+        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,,,3,1,3,1\n"}
+    ),
+    "records-max-degree-negative": (
+        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,,,3,1,-1,1\n"}
+    ),
+    "records-steps-zero": (
+        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,,,3,1,2,0\n"}
+    ),
+    "records-unknown-algorithm": (
+        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,nope,1,3,1,2,,,3,1,2,1\n"}
+    ),
+    # a header that names a column twice: the last cell of that name would win
+    "records-repeated-column": (
+        ["report", "--records", "r.csv"], {"r.csv": HEADER + ",c1\nx#0,ocdsl,1,3,1,2,,,3,1,2,1,1\n"}
+    ),
+    "ledger-repeated-column": (
+        ["verify", "--instance", "i.json", "--ledger", "l.csv"],
+        {"i.json": json.dumps(INSTANCE), "l.csv": LEDGER_HEADER + ",cost\n0,1,1,1,99,1\n"},
     ),
     "params-not-a-number": (["run", "--kind", "star", "--params", "n=x"], {}),
     "params-without-equals": (["run", "--kind", "star", "--params", "n"], {}),
@@ -663,6 +737,17 @@ def test_cli_reports_each_bad_input_in_one_line(tmp_path, monkeypatch, capsys, a
     assert captured.out == ""
     assert captured.err.startswith(f"leaselab {argv[0]}: ")
     assert captured.err.count("\n") == 1
+
+
+def test_cli_verify_names_a_column_the_ledger_header_repeats(tmp_path, capsys):
+    # with the last cost cell winning, this row would read as lease 1's cost and pass
+    (tmp_path / "i.json").write_text(json.dumps(INSTANCE), encoding="utf-8")
+    (tmp_path / "l.csv").write_text(LEDGER_HEADER + ",cost\n0,1,1,1,99,1\n", encoding="utf-8")
+    ledger = str(tmp_path / "l.csv")
+    assert main(["verify", "--instance", str(tmp_path / "i.json"), "--ledger", ledger]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"leaselab verify: {ledger}: column cost appears twice\n"
 
 
 @pytest.mark.parametrize(
@@ -757,8 +842,7 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_every_algorithm_keeps_the_request_rule(algorithm):
     inst = make_instance(build_graph(3, [(0, 1), (1, 2)]), canonical_catalog(2), [(1, [0])])
-    factory, variant = ALGORITHMS[algorithm]
-    state = factory(inst, 0)
+    state = ALGORITHMS[algorithm][0](inst, 0)
     assert isinstance(state, OnlineLeaser)  # the request rule and the ledger live on the base
     with pytest.raises(InstanceError) as negative:
         state.serve_request([0], -1)
@@ -771,9 +855,8 @@ def test_every_algorithm_keeps_the_request_rule(algorithm):
         state.serve_request([], 4)
     assert state.serve_request([1], 4).t == 4  # a rejected step leaves the state as it was
     for t, outside in ((5, -1), (6, 3)):  # a node outside the 3-node path
-        if variant != "pp":  # the permit leaser has no graph to check against
-            with pytest.raises(InstanceError, match="outside the graph"):
-                state.serve_request([outside], t)
+        with pytest.raises(InstanceError, match="outside the graph"):
+            state.serve_request([outside], t)
         assert state.serve_request([0], t).t == t
 
 

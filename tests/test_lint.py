@@ -1,9 +1,9 @@
 """Source checks that need no linter: every import in the library is used, no
 method only reads a field that callers can read themselves, no library code
-branches on an algorithm's name or leaser class, every leaser keeps its ledger,
-request rule and purchase price on the one ``OnlineLeaser`` base, and every
-file the library, scripts and tests open as text is opened with an explicit
-encoding."""
+branches on an algorithm's name or leaser class, every leaser keeps its graph,
+catalog, ledger, request rule and purchase price on the one ``OnlineLeaser``
+base, only ``harness.run_algorithm`` serves requests, and every file the
+library, scripts and tests open as text is opened with an explicit encoding."""
 
 import ast
 from pathlib import Path
@@ -218,17 +218,25 @@ def test_library_prices_purchases_only_at_the_three_sites():
 
 
 BASE_FIELDS = {"ledger", "last_time"}
+# the base also sets these; classes that are not leasers (OsflState, PermitState) keep their own
+LEASER_FIELDS = {"graph", "catalog"}
 
 
 def base_field_writes(source: str) -> List[str]:
-    """'line: scope' for each store to self.ledger or self.last_time outside OnlineLeaser:
-    the base sets both, so every leaser keeps the request rule and one ledger."""
+    """'line: scope' for each store to self.ledger or self.last_time outside OnlineLeaser,
+    and to self.graph or self.catalog in a class that extends it: the base sets all four,
+    so every leaser keeps the request rule, its node range and one ledger."""
+    tree = ast.parse(source)
+    leasers = {
+        cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        and any(getattr(base, "id", getattr(base, "attr", None)) == "OnlineLeaser" for base in cls.bases)
+    }
     found = []
-    for scope, node in scoped_nodes(ast.parse(source)):
+    for scope, node in scoped_nodes(tree):
         if (
             isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
-            and node.attr in BASE_FIELDS and getattr(node.value, "id", None) == "self"
-            and not scope.startswith("OnlineLeaser.")
+            and getattr(node.value, "id", None) == "self" and not scope.startswith("OnlineLeaser.")
+            and (node.attr in BASE_FIELDS or node.attr in LEASER_FIELDS and scope.split(".")[0] in leasers)
         ):
             found.append(f"{node.lineno}: {scope}.{node.attr}")
     return found
@@ -237,9 +245,10 @@ def base_field_writes(source: str) -> List[str]:
 def test_base_field_writes_finds_only_stores_outside_the_base():
     source = """
 class OnlineLeaser:
-    def __init__(self):
+    def __init__(self, graph):
         self.ledger = {}
         self.last_time: int = 0
+        self.graph = graph
 class A(OnlineLeaser):
     def __init__(self):
         self.ledger = {}
@@ -249,14 +258,64 @@ class A(OnlineLeaser):
         self.ledger[t] = 1
         other.ledger = self.ledger
         self.weights = {}
+        self.graph.x = 1
+class B(instances.OnlineLeaser):
+    def __init__(self, graph, catalog):
+        self.graph = graph
+        self.catalog: object = catalog
+class C:
+    def __init__(self, graph, catalog):
+        self.graph, self.catalog = graph, catalog
+        self.ledger = {}
 """
     assert base_field_writes(source) == [
-        "8: A.__init__.ledger", "9: A.__init__.last_time", "11: A.f.last_time"
+        "9: A.__init__.ledger", "10: A.__init__.last_time", "12: A.f.last_time",
+        "19: B.__init__.graph", "20: B.__init__.catalog", "24: C.__init__.ledger",
     ]
 
 
 def test_only_the_leaser_base_sets_a_ledger_or_the_last_request_time():
     found = [f"{path.name}:{entry}" for path in SOURCES for entry in base_field_writes(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+# the one loop that serves an instance's requests, as "<file>:<scope>"
+SERVING_LOOP = "harness.py:run_algorithm"
+
+
+def serve_request_calls(filename: str, source: str) -> List[str]:
+    """'line: scope' for each .serve_request() call outside harness.run_algorithm: every
+    request the library serves goes through run_trial's one loop, and so is verified."""
+    found = []
+    for scope, node in scoped_nodes(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "serve_request":
+            if f"{filename}:{scope}" != SERVING_LOOP:
+                found.append(f"{node.lineno}: {scope}")
+    return found
+
+
+def test_serve_request_calls_finds_only_the_calls_outside_the_serving_loop():
+    source = """
+def run_algorithm(state, inst):
+    return [state.serve_request(nodes, t) for t, nodes in inst.requests]
+def cmd_pp(leaser, rainy):
+    for t in rainy:
+        leaser.serve_request([0], t)
+class A:
+    def f(self, t):
+        serve = self.serve_request
+        serve_request([0], t)
+        return self.serve_request([0], t)
+"""
+    assert serve_request_calls("harness.py", source) == ["6: cmd_pp", "11: A.f"]
+    assert serve_request_calls("cli.py", source) == ["3: run_algorithm", "6: cmd_pp", "11: A.f"]
+
+
+def test_only_run_algorithm_serves_requests():
+    found = [
+        f"{path.name}:{entry}" for path in SOURCES
+        for entry in serve_request_calls(path.name, path.read_text(encoding="utf-8"))
+    ]
     assert found == []
 
 

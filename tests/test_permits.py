@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import ReferencePermitState, catalogs, permit_cost, reference_pp_offline_opt
 from leaselab.errors import NonMonotonicTime
 from leaselab.generators import canonical_catalog
+from leaselab.graphs import build_graph
 from leaselab.leases import LeaseCatalog
 from leaselab.errors import InstanceError
 from leaselab.permits import PermitLeaser, PermitState, pp_offline_opt
@@ -63,7 +64,7 @@ def test_escalation_example():
 
 def test_rejects_decreasing_time():
     # PermitState.request trusts its caller; the leaser applies the request rule
-    leaser = PermitLeaser(SINGLE)
+    leaser = PermitLeaser(build_graph(1, []), SINGLE)
     leaser.serve_request([0], 4)
     with pytest.raises(NonMonotonicTime):
         leaser.serve_request([0], 3)
@@ -182,7 +183,7 @@ def test_cascading_escalation_can_overshoot_on_tight_catalogs():
 )
 def test_two_rainy_days_cost_at_most_lease_count_plus_one_times_opt():
     cat = canonical_catalog(4)
-    leaser = PermitLeaser(cat)
+    leaser = PermitLeaser(build_graph(1, []), cat)
     for t in (0, 1):
         leaser.serve_request([0], t)
     assert leaser.ledger.total_cost() <= (len(cat) + 1) * pp_offline_opt([0, 1], cat)
