@@ -264,12 +264,15 @@ class SummaryRow:
 
 def report(records: Sequence[RunRecord]) -> List[SummaryRow]:
     """Aggregate records per (instance family, algorithm); verifies each record as ``run`` writes
-    it: a known algorithm, C1+C2 accounting of parts that are not negative, an instance with
-    nodes, leases and steps and a max degree below n, and a ratio of float(online_cost /
-    opt_cost), empty exactly when opt_cost is."""
+    it: a known algorithm with a seed in trial_seed's range, C1+C2 accounting of parts that are
+    not negative and a C2 of 0 unless its variant has Phase 2, an instance with nodes, leases
+    and steps and a max degree below n, and a ratio of float(online_cost / opt_cost), empty
+    exactly when opt_cost is."""
     for rec in records:
         if rec.algorithm not in ALGORITHMS:
             raise RecordsError(f"algorithm {rec.algorithm!r} of {rec.instance_id} is unknown")
+        if not 0 <= rec.seed < 2**64:
+            raise RecordsError(f"seed {rec.seed} of {rec.instance_id} is outside 0..2^64-1")
         if rec.c1 + rec.c2 != rec.online_cost:
             raise RecordsError(
                 f"cost split broken for {rec.instance_id}: "
@@ -277,6 +280,8 @@ def report(records: Sequence[RunRecord]) -> List[SummaryRow]:
             )
         if rec.c1 < 0 or rec.c2 < 0:
             raise RecordsError(f"c1 {rec.c1} or c2 {rec.c2} of {rec.instance_id} is negative")
+        if rec.c2 and ALGORITHMS[rec.algorithm][1] != "cds":  # only OCDSL's variant has a Phase 2
+            raise RecordsError(f"c2 {rec.c2} of {rec.instance_id}: {rec.algorithm} has no Phase 2")
         if min(rec.n, rec.lease_count, rec.steps) < 1 or not 0 <= rec.max_degree < rec.n:
             raise RecordsError(
                 f"{rec.instance_id}: n {rec.n}, lease_count {rec.lease_count} and steps {rec.steps} "

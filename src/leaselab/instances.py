@@ -88,17 +88,19 @@ def make_instance(
     return Instance(graph=graph, catalog=catalog, requests=tuple(cleaned), horizon=horizon)
 
 
-@dataclass
+@dataclass(slots=True)
 class PurchaseLedger:
-    """The online solution: bought triplets with purchase step and cost paid.
+    """The online solution: bought triplets, each with its purchase step.
 
-    ``add`` also files each triplet under its (lease, start) slot, so an
-    activity lookup reads only the |L| slots holding t: O(|L| + output). It
-    therefore sees only starts aligned to their lease's duration, which is how
-    every algorithm and the oracle buy.
+    The first ``add`` of a lease sets its price for the whole ledger; a row pays its lease's
+    price, so ``rows()`` and ``total_cost()`` read the costs back from there. ``add`` also
+    files each triplet under its (lease, start) slot, so an activity lookup reads only the
+    |L| slots holding t: O(|L| + output). It therefore sees only starts aligned to their
+    lease's duration, which is how every algorithm and the oracle buy.
     """
 
-    entries: Dict[Triplet, Tuple[int, Fraction]] = field(default_factory=dict, init=False)
+    entries: Dict[Triplet, int] = field(default_factory=dict, init=False)
+    _prices: Dict[int, Fraction] = field(default_factory=dict, init=False, repr=False)
     _slots: Dict[Tuple[int, int], List[Triplet]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -106,8 +108,12 @@ class PurchaseLedger:
     def add(self, tr: Triplet, step: int, cost: Fraction) -> None:
         if tr in self.entries:
             raise LedgerError(f"triplet {tr} bought twice")
-        self.entries[tr] = (step, cost)
-        self._slots.setdefault((tr.lease, tr.start), []).append(tr)
+        _, lease, start = tr
+        price = self._prices.setdefault(lease, cost)
+        if price is not cost and price != cost:
+            raise LedgerError(f"lease {lease} costs {price} in this ledger, not {cost}")
+        self.entries[tr] = step
+        self._slots.setdefault((lease, start), []).append(tr)
 
     def __contains__(self, tr: Triplet) -> bool:
         return tr in self.entries
@@ -119,7 +125,11 @@ class PurchaseLedger:
         return iter(self.entries)
 
     def total_cost(self) -> Fraction:
-        return cost_sum(cost for _, cost in self.entries.values())
+        """Each lease's price times its row count, counted per slot."""
+        counts = dict.fromkeys(self._prices, 0)
+        for (lease, _), bought in self._slots.items():
+            counts[lease] += len(bought)
+        return cost_sum(Fraction(p.numerator * counts[k], p.denominator) for k, p in self._prices.items())
 
     def active_triplets(self, catalog: LeaseCatalog, t: int) -> List[Triplet]:
         return [tr for key in catalog.slots(t) for tr in self._slots.get(key, ())]
@@ -129,10 +139,8 @@ class PurchaseLedger:
 
     def rows(self) -> List[Tuple[int, int, int, int, Fraction]]:
         """(node, lease, start, step, cost) per entry, in purchase order."""
-        return [
-            (tr.node, tr.lease, tr.start, step, cost)
-            for tr, (step, cost) in self.entries.items()
-        ]
+        prices = self._prices
+        return [(*tr, step, prices[tr.lease]) for tr, step in self.entries.items()]
 
 
 class OnlineLeaser:
@@ -154,18 +162,20 @@ class OnlineLeaser:
         self.ledger.add(tr, step=t, cost=self.catalog.cost(tr.lease))
 
 
-@dataclass
+@dataclass(slots=True)
 class StepReport:
     """What one online algorithm did for one request step; one JSON line in ``--steps-out``.
 
-    The fields after ``c1_increment`` describe OCDSL's dominator choice and
-    Phase 2; the other algorithms leave them empty.
+    ``purchases`` are the ledger's own triplets bought at t; each pays its lease's cost in
+    ``catalog``. The fields after ``catalog`` describe OCDSL's dominator choice and Phase 2;
+    the other algorithms leave them empty.
     """
 
     t: int
     requested: Tuple[int, ...]
-    purchases: List[Tuple[int, int, int, Fraction]]  # (node, lease, start, cost)
+    purchases: List[Triplet]
     c1_increment: Fraction
+    catalog: LeaseCatalog = field(repr=False)
     s_t: List[Triplet] = field(default_factory=list)
     representatives: List[Triplet] = field(default_factory=list)
     root: Optional[Triplet] = None
@@ -178,7 +188,7 @@ class StepReport:
         cls, t: int, requested: Tuple[int, ...], ledger: PurchaseLedger, catalog: LeaseCatalog,
         c2_rows: int = 0, **fields,
     ) -> "StepReport":
-        """Step t's report: its purchases are the ledger's rows bought at t, in purchase
+        """Step t's report: its purchases are the ledger's triplets bought at t, in purchase
         order, of which the last ``c2_rows`` count as C2 and the rest as C1.
 
         Reads back from the newest row while the step is t, so it costs O(purchases at t);
@@ -186,24 +196,22 @@ class StepReport:
         Each row of an online ledger pays its lease's cost, so both parts add catalog units.
         """
         purchases = []
-        for tr, (step, cost) in reversed(ledger.entries.items()):
+        for tr, step in reversed(ledger.entries.items()):
             if step != t:
                 break
-            purchases.append((tr.node, tr.lease, tr.start, cost))
+            purchases.append(tr)
         purchases.reverse()
         units, scale, c1_rows = catalog.units, catalog.scale, len(purchases) - c2_rows
-        c1 = Fraction(sum(units[p[1] - 1] for p in purchases[:c1_rows]), scale)
-        c2 = Fraction(sum(units[p[1] - 1] for p in purchases[c1_rows:]), scale)
-        return cls(t, requested, purchases, c1, c2_increment=c2, **fields)
+        c1 = Fraction(sum(units[tr[1] - 1] for tr in purchases[:c1_rows]), scale)
+        c2 = Fraction(sum(units[tr[1] - 1] for tr in purchases[c1_rows:]), scale)
+        return cls(t, requested, purchases, c1, catalog, c2_increment=c2, **fields)
 
     def to_json(self) -> dict:
+        cost = self.catalog.cost
         return {
             "t": self.t,
             "requested": list(self.requested),
-            "purchases": [
-                [node, lease, start, str(cost)]
-                for node, lease, start, cost in self.purchases
-            ],
+            "purchases": [[*tr, str(cost(tr.lease))] for tr in self.purchases],
             "s_t": [list(tr) for tr in self.s_t],
             "representatives": [list(tr) for tr in self.representatives],
             "root": list(self.root) if self.root else None,

@@ -164,7 +164,7 @@ class OcdslState(OnlineLeaser):
             if uncovered.isdisjoint(closed[best_u]):
                 raise InfeasibleOutput(f"no request node covers nodes {sorted(uncovered)}")
             rep = self.catalog.triplet_at(best_u, 1, t)
-            if rep not in self.ledger:
+            if rep not in self.ledger.entries:
                 self.buy(rep, t)
             reps.append(rep)
             uncovered.difference_update(closed[best_u])
@@ -207,10 +207,11 @@ class OcdslState(OnlineLeaser):
             root_comp = connected_component(self.graph, root.node, active_now)
             r_nodes = sorted({tr.node for tr in reps} - root_comp)
             # an edge lease bought before has both of its node triplets in the ledger
+            entries, new = self.ledger.entries, tuple.__new__  # a Triplet, skipping its __new__
             for nodes, lease, start in self.osfl.connect(r_nodes, root.node, t):
                 for node in nodes:
-                    tr = Triplet(node, lease, start)
-                    if tr not in self.ledger:
+                    tr = new(Triplet, (node, lease, start))
+                    if tr not in entries:
                         self.buy(tr, t)
 
         return StepReport.from_ledger(

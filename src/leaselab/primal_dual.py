@@ -28,7 +28,8 @@ class DualState(OnlineLeaser):
     def serve(self, u: int, t: int) -> Tuple[List[Triplet], Fraction]:
         """Serve one request occurrence; returns (purchases, dual raise)."""
         doms = dominators(self.graph, u, t, self.catalog)
-        if any(tr in self.ledger for tr in doms):
+        entries = self.ledger.entries
+        if any(tr in entries for tr in doms):
             return [], Fraction(0)
         slack, units = self.slack, self.catalog.units
         for tr in doms:

@@ -83,6 +83,17 @@ def request_streams(draw, max_nodes: int = 6, max_steps: int = 6) -> Instance:
     return make_instance(g, cat, [(t, draw(st.lists(node, min_size=1, unique=True))) for t in sorted(times)])
 
 
+@st.composite
+def small_instances(draw):
+    """At most 4 nodes, 2 lease types and 3 request steps: at most 24 candidates."""
+    g = draw(connected_graphs(max_nodes=4))
+    cat = draw(catalogs(max_types=2))
+    node = st.integers(min_value=0, max_value=g.node_count - 1)
+    times = draw(st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=3, unique=True))
+    requests = [(t, draw(st.lists(node, min_size=1, unique=True))) for t in sorted(times)]
+    return make_instance(g, cat, requests)
+
+
 def reference_bfs_distances(graph: Graph, source: int, stop: Optional[int] = None) -> List[int]:
     """Hop distances from ``source``, -1 if unlabelled; ``stop`` ends it with its own layer."""
     dist = [-1] * graph.node_count
@@ -384,7 +395,7 @@ class ReferenceDualState(DualState):
         return bought, raise_by
 
     def totals(self) -> Tuple[Fraction, Fraction]:
-        return sum((cost for _, cost in self.ledger.entries.values()), Fraction(0)), self.dual
+        return sum((row[4] for row in self.ledger.rows()), Fraction(0)), self.dual
 
 
 class ReferenceOcdslState(OcdslState):

@@ -211,10 +211,12 @@ class IdleLeaser:
     """Buys nothing, so its ledger serves no request."""
 
     def __init__(self, inst: Instance, seed: int):
-        self.ledger = PurchaseLedger()
+        self.ledger, self.catalog = PurchaseLedger(), inst.catalog
 
     def serve_request(self, nodes, t: int) -> StepReport:
-        return StepReport(t=t, requested=tuple(nodes), purchases=[], c1_increment=Fraction(0))
+        return StepReport(
+            t=t, requested=tuple(nodes), purchases=[], c1_increment=Fraction(0), catalog=self.catalog
+        )
 
 
 def test_run_trial_refuses_a_ledger_that_fails_verification(monkeypatch):
@@ -485,13 +487,14 @@ def test_every_algorithm_serves_through_one_contract(algorithm):
     assert (c1, c2) == (run.c1, run.c2)
     assert run.c1 + run.c2 == run.cost == run.ledger.total_cost()
     assert run.ledger is run.state.ledger
-    # a step's purchases are the ledger rows of that step, in purchase order
-    bought = [
-        (node, lease, start, step.t, cost)
-        for step in run.steps
-        for node, lease, start, cost in step.purchases
+    # a step's purchases are the ledger's own triplets of that step, in purchase order, and
+    # a ledger row keeps its step alone: no purchase is copied
+    bought = [tr for step in run.steps for tr in step.purchases]
+    assert all(type(value) is int for value in run.ledger.entries.values())
+    assert len(bought) == len(run.ledger) and all(a is b for a, b in zip(bought, run.ledger.entries))
+    assert run.ledger.rows() == [
+        (*tr, step.t, inst.catalog.cost(tr.lease)) for step in run.steps for tr in step.purchases
     ]
-    assert bought == run.ledger.rows()
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -645,6 +648,17 @@ CLI_ERRORS = {
     ),
     "records-unknown-algorithm": (
         ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,nope,1,3,1,2,,,3,1,2,1\n"}
+    ),
+    # pp's variant has no Phase 2, and trial_seed gives 0..2^64-1
+    "records-c2-without-phase-2": (
+        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,pp,1,3,1,2,,,3,1,2,1\n"}
+    ),
+    "records-seed-negative": (
+        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,-5,3,1,2,,,3,1,2,1\n"}
+    ),
+    "records-seed-past-64-bits": (
+        ["report", "--records", "r.csv"],
+        {"r.csv": HEADER + f"\nx#0,ocdsl,{2**64},3,1,2,,,3,1,2,1\n"},
     ),
     # a header that names a column twice: the last cell of that name would win
     "records-repeated-column": (

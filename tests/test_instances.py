@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graphs
+from conftest import connected_graphs, small_instances
 from leaselab.errors import LeaselabError, LedgerError
 from leaselab.generators import canonical_catalog
 from leaselab.graphs import dominators
 from leaselab.instances import Instance, PurchaseLedger, StepReport
 from leaselab.leases import LeaseCatalog, Triplet
 from leaselab.ocdsl import OcdslState
+from leaselab.oracle import offline_opt, offline_opt_ds
 
 CAT3 = canonical_catalog(3)  # durations 1, 4, 8
 
@@ -64,6 +65,55 @@ def test_ledger_refuses_a_second_purchase_of_one_triplet():
     assert ledger.rows() == [(0, 1, 3, 3, Fraction(1))]
 
 
+def test_ledger_refuses_a_second_price_for_one_lease_and_keeps_its_rows():
+    ledger = PurchaseLedger()
+    ledger.add(Triplet(0, 2, 4), 4, Fraction(2))
+    with pytest.raises(LedgerError, match=r"^lease 2 costs 2 in this ledger, not 5/2$"):
+        ledger.add(Triplet(1, 2, 4), 5, Fraction(5, 2))
+    assert ledger.rows() == [(0, 2, 4, 4, Fraction(2))] and ledger.total_cost() == 2
+    assert ledger.active_nodes(CAT3, 4) == {0}
+
+
+def test_ledgers_with_the_same_rows_at_other_prices_differ():
+    a, b = PurchaseLedger(), PurchaseLedger()
+    a.add(Triplet(0, 1, 3), 3, Fraction(1))
+    b.add(Triplet(0, 1, 3), 3, Fraction(2))
+    assert a.entries == b.entries and a != b
+
+
+def spied_adds(build):
+    """The ledger ``build()`` returns, with every PurchaseLedger.add call made meanwhile."""
+    adds, add = [], PurchaseLedger.add
+
+    def spied(self, tr, step, cost):
+        add(self, tr, step, cost)
+        adds.append((tr, step, cost))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PurchaseLedger, "add", spied)
+        return build(), adds
+
+
+def aligned_ledger(bought):
+    ledger = PurchaseLedger()
+    for step, tr in enumerate(bought):
+        ledger.add(tr, step, CAT3.cost(tr.lease))
+    return ledger
+
+
+@given(
+    bought=st.lists(aligned_purchases(5), max_size=25, unique=True),
+    inst=small_instances(),
+    solve=st.sampled_from([None, offline_opt, offline_opt_ds]),
+)
+@settings(deadline=None)
+def test_ledger_rows_and_total_equal_a_replay_of_its_adds(bought, inst, solve):
+    # random aligned ledgers over CAT3, and the exact oracles' ledgers
+    ledger, adds = spied_adds(lambda: aligned_ledger(bought) if solve is None else solve(inst)[1])
+    assert ledger.rows() == [(*tr, step, cost) for tr, step, cost in adds]
+    assert ledger.total_cost() == sum((cost for _, _, cost in adds), Fraction(0))
+
+
 def test_step_report_reads_the_rows_of_its_step_and_splits_off_the_last_as_c2():
     cat = LeaseCatalog.from_pairs([(1, "1/2"), (2, "2/3")])  # units 3 and 4 of 1/6
     ledger = PurchaseLedger()
@@ -72,7 +122,8 @@ def test_step_report_reads_the_rows_of_its_step_and_splits_off_the_last_as_c2():
     for tr in at_2:
         ledger.add(tr, 2, cat.cost(tr.lease))
     report = StepReport.from_ledger(2, (0, 2), ledger, cat, c2_rows=1, growth_rounds=4)
-    assert report.purchases == [(*tr, cat.cost(tr.lease)) for tr in at_2]
+    assert report.purchases == at_2 and all(a is b for a, b in zip(report.purchases, at_2))
+    assert report.to_json()["purchases"] == [[0, 1, 2, "1/2"], [1, 2, 2, "2/3"], [2, 1, 2, "1/2"]]
     assert (report.c1_increment, report.c2_increment) == (Fraction(7, 6), Fraction(1, 2))
     assert (report.requested, report.growth_rounds) == ((0, 2), 4)
     c1_only = StepReport.from_ledger(2, (0, 2), ledger, cat)

@@ -350,8 +350,10 @@ def test_step_choice_and_cost_split_equal_the_key_callback_and_cost_sum(g, cat, 
                 )
                 for u in report.requested
             })
-            assert report.c1_increment == cost_sum(p[3] for p in report.purchases[:c1_rows])
-            assert report.c2_increment == cost_sum(p[3] for p in report.purchases[c1_rows:])
+            rows = state.ledger.rows()[start:]
+            assert report.purchases == [row[:3] for row in rows]
+            assert report.c1_increment == cost_sum(row[4] for row in rows[:c1_rows])
+            assert report.c2_increment == cost_sum(row[4] for row in rows[c1_rows:])
 
 
 def test_rounding_probability_matches_min_of_uniforms():
@@ -449,7 +451,8 @@ def test_serve_single_node_graph():
     report = state.serve_request([0], 3)
     assert state.ledger.total_cost() == 1
     assert report.r_t == []
-    assert report.purchases == [(0, 1, 3, Fraction(1))]
+    assert report.purchases == [Triplet(0, 1, 3)]
+    assert report.to_json()["purchases"] == [[0, 1, 3, "1"]]
 
 
 def test_serve_star_fixed_seed_is_feasible(star4):

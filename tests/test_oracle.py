@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import catalogs, connected_graphs, reference_offline
+from conftest import catalogs, connected_graphs, reference_offline, small_instances
 from leaselab import oracle
 from leaselab.benchmarks import BENCHMARK_GRID
 from leaselab.generators import gen_instance
@@ -253,17 +253,6 @@ def test_relabelling_the_nodes_keeps_the_optima(seed, perm_seed):
     )
     assert offline_opt(moved)[0] == opt
     assert offline_opt_ds(moved)[0] == opt_ds
-
-
-@st.composite
-def small_instances(draw):
-    """At most 4 nodes, 2 lease types and 3 request steps: at most 24 candidates."""
-    g = draw(connected_graphs(max_nodes=4))
-    cat = draw(catalogs(max_types=2))
-    node = st.integers(min_value=0, max_value=g.node_count - 1)
-    times = draw(st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=3, unique=True))
-    requests = [(t, draw(st.lists(node, min_size=1, unique=True))) for t in sorted(times)]
-    return make_instance(g, cat, requests)
 
 
 @given(inst=small_instances())
