@@ -3,7 +3,8 @@
 Library layout:
 
 - ``errors``       the one exception hierarchy, rooted at ``LeaselabError``
-- ``leases``       lease catalogs, slot alignment, triplets
+- ``leases``       lease catalogs, valid by construction, with a lease's index its position;
+                   slot alignment, triplets
 - ``graphs``       validated undirected connected graphs
 - ``instances``    instances, purchase ledgers, per-step reports, the request rule and
                    ``OnlineLeaser(graph, catalog)``, the base of every online algorithm

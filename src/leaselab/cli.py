@@ -48,10 +48,10 @@ def _parse_params(pairs: Sequence[str]) -> Dict:
 
 
 def _load_instance(path: str) -> Instance:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is skipped
         try:
             data = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: arrays nested too deep
             raise InstanceError(f"{path} is not JSON: {exc}") from None
     return Instance.from_json(data)
 

@@ -12,10 +12,10 @@ class LeaselabError(Exception):
 
 class InstanceError(LeaselabError, ValueError):
     """An instance is malformed: its file; its graph (no nodes, an edge outside the node
-    range, a self loop, a repeated edge); its lease catalog (empty, a duration that is not
-    a power of two, a cost that is not positive, a repeated duration, a longer lease that
-    costs less in total or per unit); a rainy day outside the permit horizon; or a request
-    step that breaks the request rule."""
+    range, a self loop, a repeated edge); its lease catalog, whichever way it is built
+    (empty, a duration that is not a power of two, a cost that is not positive, durations
+    that do not ascend, a longer lease that costs less in total or per unit); a rainy day
+    outside the permit horizon; or a request step that breaks the request rule."""
 
 
 class NonMonotonicTime(InstanceError):

@@ -200,10 +200,10 @@ def csv_rows(
 ) -> Iterator[Tuple[str, Dict[str, str]]]:
     """Each row of the UTF-8 CSV file at ``path`` as ("<path> line <n>", {column: cell}); a header
     without one of ``columns`` or naming a column twice, a row with more or fewer cells than
-    the header, text that is not UTF-8 or a CSV syntax error raises ``error``. Empty lines
-    are skipped."""
+    the header, text that is not UTF-8 or a CSV syntax error raises ``error``. A leading
+    byte-order mark and empty lines are skipped."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             missing = [name for name in columns if name not in header]

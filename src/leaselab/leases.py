@@ -28,10 +28,13 @@ def as_cost(value: CostLike) -> Fraction:
     """Parse a cost into an exact rational.
 
     Floats are read through their decimal repr, so 1.5 from a JSON file
-    means exactly 3/2. Text with an exponent past CPython's 4300-digit int/str
-    limit raises ValueError: Fraction would build that power of ten in full.
+    means exactly 3/2. A bool raises ValueError, though Fraction(True) is 1.
+    Text with an exponent past CPython's 4300-digit int/str limit raises
+    ValueError: Fraction would build that power of ten in full.
     So does a numerator or denominator past COST_BITS bits (about 1000 digits).
     """
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a cost")
     text = str(value) if isinstance(value, float) else value
     exponent = _EXPONENT.search(text) if isinstance(text, str) else None
     if exponent and abs(int(exponent[1])) > 4300:
@@ -73,27 +76,43 @@ class Triplet(NamedTuple):
 
 @dataclass(frozen=True)
 class LeaseType:
-    index: int  # 1-based, sorted by duration ascending
     duration: int
     cost: Fraction
 
 
 @dataclass(frozen=True)
 class LeaseCatalog:
+    """Lease types by ascending duration; lease i is ``types[i - 1]``, so its index is its
+    1-based position. Every catalog is valid by construction: a broken rule raises an
+    InstanceError naming the first offending lease."""
+
     types: Tuple[LeaseType, ...]
+
+    def __post_init__(self) -> None:
+        types = self.types
+        if not types:
+            raise InstanceError("catalog has no lease types")
+        for i, lt in enumerate(types, 1):
+            if lt.duration < 1 or lt.duration & (lt.duration - 1):
+                raise InstanceError(f"lease {i} has duration {lt.duration}")
+            if lt.cost <= 0:
+                # the multiplicative weight rule divides by the cost
+                raise InstanceError(f"lease {i} has cost {lt.cost}")
+        for i, (prev, cur) in enumerate(zip(types, types[1:]), 2):
+            if cur.duration == prev.duration:
+                raise InstanceError(f"leases {i - 1} and {i} share duration {cur.duration}")
+            if cur.duration < prev.duration:
+                raise InstanceError(f"lease {i} is shorter than lease {i - 1}")
+            if cur.cost < prev.cost:
+                raise InstanceError(f"lease {i} costs less than lease {i - 1}")
+            if cur.cost * prev.duration > prev.cost * cur.duration:
+                raise InstanceError(f"lease {i} has higher per-unit cost than lease {i - 1}")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[int, CostLike]]) -> "LeaseCatalog":
-        """Build a validated catalog from (duration, cost) pairs, sorted by duration."""
+        """Build a catalog from (duration, cost) pairs, sorted by duration."""
         ordered = sorted(((as_whole(d), as_cost(c)) for d, c in pairs), key=lambda p: p[0])
-        catalog = cls(
-            types=tuple(
-                LeaseType(index=i + 1, duration=d, cost=c)
-                for i, (d, c) in enumerate(ordered)
-            )
-        )
-        validate_catalog(catalog)
-        return catalog
+        return cls(types=tuple(LeaseType(d, c) for d, c in ordered))
 
     @cached_property
     def scale(self) -> int:
@@ -125,7 +144,7 @@ class LeaseCatalog:
         that holds ``t``: the largest start s <= t with s ≡ 0 (mod duration)."""
         if t < 0:
             raise ValueError(f"time must be nonnegative, got {t}")
-        return tuple([(lt.index, t - t % lt.duration) for lt in self.types])
+        return tuple([(i, t - t % lt.duration) for i, lt in enumerate(self.types, 1)])
 
     def triplet_at(self, node: int, index: int, t: int) -> Triplet:
         """The unique triplet of this lease type on ``node`` whose window contains ``t``:
@@ -133,33 +152,3 @@ class LeaseCatalog:
         if t < 0:
             raise ValueError(f"time must be nonnegative, got {t}")
         return Triplet(node, index, t - t % self.types[index - 1].duration)
-
-
-def validate_catalog(catalog: LeaseCatalog) -> None:
-    """Raise an InstanceError naming the first offending 1-based index."""
-    types = catalog.types
-    if not types:
-        raise InstanceError("catalog has no lease types")
-    for lt in types:
-        if lt.duration < 1 or lt.duration & (lt.duration - 1):
-            raise InstanceError(
-                f"lease {lt.index} has duration {lt.duration}"
-            )
-        if lt.cost <= 0:
-            # the multiplicative weight rule divides by the cost
-            raise InstanceError(
-                f"lease {lt.index} has cost {lt.cost}"
-            )
-    for prev, cur in zip(types, types[1:]):
-        if cur.duration == prev.duration:
-            raise InstanceError(
-                f"leases {prev.index} and {cur.index} share duration {cur.duration}",
-            )
-        if cur.cost < prev.cost:
-            raise InstanceError(
-                f"lease {cur.index} costs less than lease {prev.index}",
-            )
-        if cur.cost * prev.duration > prev.cost * cur.duration:
-            raise InstanceError(
-                f"lease {cur.index} has higher per-unit cost than lease {prev.index}",
-            )

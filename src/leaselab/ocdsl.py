@@ -34,7 +34,7 @@ class GrowthTable:
     all-zero weights, and per |doms| what w_0 = 0 grows to."""
 
     def __init__(self, catalog: LeaseCatalog):
-        self.factors = {lt.index: 1 + 1 / lt.cost for lt in catalog}
+        self.factors = {i: 1 + 1 / lt.cost for i, lt in enumerate(catalog, 1)}
         self.start_mass = dict.fromkeys(self.factors, Fraction(1, len(catalog) ** 2))
         self.goal = 1 + Fraction(1, len(catalog))
         self.zero_start = self.search(self.start_mass)

@@ -175,8 +175,8 @@ def reference_grow(state: "ReferenceGrowthState", doms: Sequence[Triplet]) -> in
     dominator's weight w to w(1 + 1/c) + 1/(|W||L|c) and charges the cost of the raise."""
     w_count, lease_count = len(doms), len(state.catalog)
     growth = {
-        lt.index: (1 + 1 / lt.cost, 1 / (w_count * lease_count * lt.cost))
-        for lt in state.catalog
+        i: (1 + 1 / lt.cost, 1 / (w_count * lease_count * lt.cost))
+        for i, lt in enumerate(state.catalog, 1)
     }
     weights, zero, per_round = state.weights, Fraction(0), Fraction(1, lease_count)
     total = sum((weights.get(tr, zero) for tr in doms), zero)
@@ -339,7 +339,9 @@ class ReferencePermitState(PermitState):
         return t - t % self.catalog.duration(k)
 
     def covered(self, t: int) -> bool:
-        return any((lt.index, t - t % lt.duration) in self.owned for lt in self.catalog)
+        return any(
+            (i, t - t % lt.duration) in self.owned for i, lt in enumerate(self.catalog, 1)
+        )
 
     def _buy(self, k: int, t: int) -> Tuple[int, int]:
         start = self.slot(t, k)

@@ -338,6 +338,39 @@ def test_cli_gen_run_verify_roundtrip(tmp_path):
     assert header.startswith("instance_id,algorithm,seed,online_cost,c1,c2,opt_cost,ratio")
 
 
+def test_cli_reads_each_input_file_past_a_byte_order_mark(tmp_path, capsys):
+    # an editor may save UTF-8 with a leading EF BB BF; each reader must skip it
+    plain = {name: tmp_path / f"{name}.{ext}" for name, ext in
+             (("inst", "json"), ("records", "csv"), ("ledger", "csv"))}
+    assert main([
+        "gen", "--kind", "star", "--params", "n=4", "T=3", "L=2", "k=2",
+        "--seed", "3", "--out", str(plain["inst"]),
+    ]) == 0
+    run = ["--algorithm", "ocdsl", "--trials", "2", "--seed", "4", "--oracle"]
+    assert main([
+        "run", "--instance", str(plain["inst"]), *run,
+        "--out", str(plain["records"]), "--ledger-out", str(plain["ledger"]),
+    ]) == 0
+    (tmp_path / "bom").mkdir()  # the same file names, since run names its records by file
+    marked = {name: tmp_path / "bom" / path.name for name, path in plain.items()}
+    for name, path in plain.items():
+        marked[name].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    capsys.readouterr()
+
+    def output(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    for files in (plain, marked):
+        verdict = output(["verify", "--instance", str(plain["inst"]), "--ledger", str(files["ledger"])])
+        assert verdict.startswith("FEASIBLE")
+    table = output(["report", "--records", str(plain["records"])])
+    assert output(["report", "--records", str(marked["records"])]) == table
+    rerun = tmp_path / "rerun.csv"
+    assert main(["run", "--instance", str(marked["inst"]), *run, "--out", str(rerun)]) == 0
+    assert rerun.read_bytes() == plain["records"].read_bytes()
+
+
 def test_cli_gen_without_out_writes_the_instance_to_stdout(capsys):
     assert main(["gen", "--kind", "star", "--params", "n=4", "T=2", "--seed", "3"]) == 0
     inst = Instance.from_json(json.loads(capsys.readouterr().out))
@@ -566,6 +599,18 @@ CLI_ERRORS = {
         for name, data in BROKEN_INSTANCES.items()
     },
     "not-json": (["run", "--instance", "i.json"], {"i.json": "{not json"}),
+    # json.load raises RecursionError, not ValueError, on arrays nested this deep
+    "instance-nested-too-deep": (
+        ["run", "--instance", "i.json"], {"i.json": b"[" * 200_000 + b"]" * 200_000}
+    ),
+    # Fraction(True) == 1, yet the instance format has no boolean numbers
+    "instance-cost-true": (
+        ["run", "--instance", "i.json", "--oracle"],
+        {"i.json": json.dumps({
+            "n": 2, "edges": [[0, 1]], "leases": [{"duration": 1, "cost": True}],
+            "requests": [{"t": 0, "nodes": [0]}],
+        })},
+    ),
     "records-missing-column": (
         ["report", "--records", "r.csv"], {"r.csv": "instance_id,algorithm\nx#0,ocdsl\n"}
     ),

@@ -9,14 +9,7 @@ from hypothesis import strategies as st
 from conftest import catalogs, count_fraction_operators
 from leaselab.errors import InstanceError
 from leaselab.generators import canonical_catalog, gen_instance
-from leaselab.leases import (
-    LeaseCatalog,
-    LeaseType,
-    Triplet,
-    as_cost,
-    cost_sum,
-    validate_catalog,
-)
+from leaselab.leases import LeaseCatalog, LeaseType, Triplet, as_cost, cost_sum
 from leaselab.permits import PermitState
 from leaselab.primal_dual import DualState
 
@@ -50,60 +43,99 @@ def test_is_active_examples():
 
 @given(t=st.integers(min_value=0, max_value=10_000), cat=catalogs())
 def test_is_active_iff_slot_matches(t, cat):
-    for lt, slot in zip(cat, cat.slots(t), strict=True):
-        tr = cat.triplet_at(0, lt.index, t)
+    for i, (lt, slot) in enumerate(zip(cat, cat.slots(t), strict=True), 1):
+        tr = cat.triplet_at(0, i, t)
         assert is_active(tr, t, cat)
         assert slot == (tr.lease, tr.start)
         # the only aligned start active at t is the slot's own
-        other = Triplet(0, lt.index, tr.start + lt.duration)
+        other = Triplet(0, i, tr.start + lt.duration)
         assert not is_active(other, t, cat)
 
 
 def test_validate_catalog_accepts_economy_of_scale():
-    validate_catalog(LeaseCatalog.from_pairs([(1, 1), (4, 2)]))
+    types = (LeaseType(1, Fraction(1)), LeaseType(4, Fraction(2)))
+    assert LeaseCatalog(types=types) == LeaseCatalog.from_pairs([(1, 1), (4, 2)])
 
 
 def test_validate_catalog_rejects_non_power_of_two():
-    bad = LeaseCatalog(types=(LeaseType(1, 3, Fraction(1)),))
     with pytest.raises(InstanceError, match=r"^lease 1 has duration 3$"):
-        validate_catalog(bad)
+        LeaseCatalog(types=(LeaseType(3, Fraction(1)),))
 
 
 def test_validate_catalog_rejects_economy_violation():
-    bad = LeaseCatalog(
-        types=(LeaseType(1, 1, Fraction(1)), LeaseType(2, 2, Fraction(3)))
-    )
     with pytest.raises(InstanceError, match=r"^lease 2 has higher per-unit cost than lease 1$"):
-        validate_catalog(bad)
+        LeaseCatalog(types=(LeaseType(1, Fraction(1)), LeaseType(2, Fraction(3))))
 
 
 def test_validate_catalog_rejects_decreasing_cost():
-    bad = LeaseCatalog(
-        types=(LeaseType(1, 1, Fraction(2)), LeaseType(2, 4, Fraction(1)))
-    )
     with pytest.raises(InstanceError, match=r"^lease 2 costs less than lease 1$"):
-        validate_catalog(bad)
+        LeaseCatalog(types=(LeaseType(1, Fraction(2)), LeaseType(4, Fraction(1))))
 
 
 def test_validate_catalog_rejects_empty():
     with pytest.raises(InstanceError, match=r"^catalog has no lease types$"):
-        validate_catalog(LeaseCatalog(types=()))
+        LeaseCatalog(types=())
+
+
+def test_catalog_rejects_a_shorter_lease_after_a_longer_one():
+    # lease i + 1 must outlast lease i, however the catalog is built
+    with pytest.raises(InstanceError, match=r"^lease 2 is shorter than lease 1$"):
+        LeaseCatalog(types=(LeaseType(4, Fraction(2)), LeaseType(1, Fraction(1))))
+    with pytest.raises(InstanceError, match=r"^lease 3 is shorter than lease 2$"):
+        LeaseCatalog(types=tuple(LeaseType(d, Fraction(2)) for d in (1, 8, 2)))
+
+
+@st.composite
+def lease_type_tuples(draw):
+    """Up to four lease types, each rule broken now and then; half the tuples are sorted
+    by duration, so that the cost rules are reached too."""
+    duration = st.sampled_from([-2, 0, 3, 12] + [1 << e for e in range(6)] * 3)  # mostly 2^e
+    cost = st.integers(-1, 32).map(lambda q: Fraction(q, 4))  # quarters, a few not positive
+    types = draw(st.lists(st.builds(LeaseType, duration, cost), max_size=4))
+    if draw(st.booleans()):
+        types.sort(key=lambda lt: lt.duration)
+    return tuple(types)
+
+
+@given(
+    types=st.one_of(lease_type_tuples(), catalogs().map(lambda cat: cat.types)),
+    t=st.integers(min_value=0, max_value=10_000),
+)
+def test_every_catalog_built_keeps_the_interval_model(types, t):
+    try:
+        cat = LeaseCatalog(types=types)
+    except InstanceError:
+        return
+    assert types and all(lt.duration >= 1 and lt.duration & (lt.duration - 1) == 0 for lt in types)
+    assert all(lt.cost > 0 for lt in types)
+    for a, b in zip(types, types[1:]):
+        assert a.duration < b.duration and a.cost <= b.cost
+        assert b.cost * a.duration <= a.cost * b.duration
+    # a lease's index is its position: its slot and its triplet name the same window
+    for i in range(1, len(cat) + 1):
+        start = cat.triplet_at(0, i, t).start
+        assert cat.slots(t)[i - 1] == (i, start)
+        assert start <= t < start + cat.duration(i)
 
 
 def test_validate_catalog_rejects_duplicate_duration():
     with pytest.raises(InstanceError, match=r"^leases 1 and 2 share duration 2$"):
         LeaseCatalog.from_pairs([(2, 1), (2, 1)])
+    with pytest.raises(InstanceError, match=r"^leases 1 and 2 share duration 2$"):
+        LeaseCatalog(types=(LeaseType(2, Fraction(1)), LeaseType(2, Fraction(1))))
 
 
 def test_validate_catalog_rejects_zero_cost():
     with pytest.raises(InstanceError, match=r"^lease 1 has cost 0$"):
         LeaseCatalog.from_pairs([(1, 0)])
+    with pytest.raises(InstanceError, match=r"^lease 1 has cost 0$"):
+        LeaseCatalog(types=(LeaseType(1, Fraction(0)),))
 
 
 def test_from_pairs_sorts_by_duration():
     cat = LeaseCatalog.from_pairs([(4, 2), (1, 1)])
-    assert [lt.duration for lt in cat] == [1, 4]
-    assert [lt.index for lt in cat] == [1, 2]
+    assert cat.types == (LeaseType(1, Fraction(1)), LeaseType(4, Fraction(2)))
+    assert cat.slots(5) == ((1, 5), (2, 4))
 
 
 def test_as_cost_reads_decimals_exactly():
@@ -123,13 +155,13 @@ def test_as_cost_refuses_a_numerator_or_denominator_past_1000_digits():
 @given(t=st.integers(min_value=0, max_value=1_000), cat=catalogs())
 def test_each_node_has_one_candidate_slot_per_type(t, cat):
     # for every t and lease type exactly one aligned start covers t
-    for lt, (lease, start) in zip(cat, cat.slots(t), strict=True):
+    for i, (lt, (lease, start)) in enumerate(zip(cat, cat.slots(t), strict=True), 1):
         starts = [
             s
             for s in range(0, t + lt.duration, lt.duration)
             if s <= t < s + lt.duration
         ]
-        assert (lease, starts) == (lt.index, [start])
+        assert (lease, starts) == (i, [start])
 
 
 @given(
