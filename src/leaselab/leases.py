@@ -83,18 +83,24 @@ class LeaseType:
 @dataclass(frozen=True)
 class LeaseCatalog:
     """Lease types by ascending duration; lease i is ``types[i - 1]``, so its index is its
-    1-based position. Every catalog is valid by construction: a broken rule raises an
-    InstanceError naming the first offending lease."""
+    1-based position. Every catalog is valid by construction: a broken rule or field type
+    (an int duration, a Fraction cost) raises an InstanceError naming the first bad lease."""
 
     types: Tuple[LeaseType, ...]
 
     def __post_init__(self) -> None:
         types = self.types
+        if not isinstance(types, tuple):  # a list would leave the catalog unhashable
+            raise InstanceError(f"lease types are a {type(types).__name__}, not a tuple")
         if not types:
             raise InstanceError("catalog has no lease types")
         for i, lt in enumerate(types, 1):
-            if lt.duration < 1 or lt.duration & (lt.duration - 1):
-                raise InstanceError(f"lease {i} has duration {lt.duration}")
+            if not isinstance(lt, LeaseType):
+                raise InstanceError(f"lease {i} is a {type(lt).__name__}, not a LeaseType")
+            if type(lt.duration) is not int or lt.duration < 1 or lt.duration & (lt.duration - 1):
+                raise InstanceError(f"lease {i} has duration {lt.duration!r}")
+            if not isinstance(lt.cost, Fraction):  # exact costs only: an int or float is refused
+                raise InstanceError(f"lease {i} has cost {lt.cost!r}, not a Fraction")
             if lt.cost <= 0:
                 # the multiplicative weight rule divides by the cost
                 raise InstanceError(f"lease {i} has cost {lt.cost}")

@@ -6,7 +6,7 @@ path. A tree edge of length w behaves like w parallel unit permit instances
 charged together, so decisions follow the unit instance and the tree-side
 cost scales by w. A permit purchase leases the graph edges of the shortest path
 between the endpoint cluster centers, found once per tree edge by one BFS per
-parent center. The edge ledger is derived from the log of permit purchases.
+parent center. The edge ledger and the tree cost are read from each edge's permits.
 """
 
 from __future__ import annotations
@@ -23,16 +23,13 @@ from .permits import PermitState
 
 class OsflState:
     """State of one online Steiner-forest-leasing run over a fixed embedding, sampled from
-    ``rng`` on first use (nothing else draws from it): a run with no tree edge builds none."""
+    ``rng`` on first use (nothing else draws from it): a run with no tree edge builds none.
+    One record per tree edge met: child cluster id -> (permit, normalized graph edges, ends)."""
 
     def __init__(self, graph: Graph, catalog: LeaseCatalog, rng: random.Random):
-        self.graph = graph
-        self.catalog = catalog
-        self.rng = rng
-        self.edge_permits: Dict[int, PermitState] = {}  # child cluster id -> permit instance
-        self.realized: dict = {}  # child cluster id -> (normalized graph edges, their ends in order)
+        self.graph, self.catalog, self.rng = graph, catalog, rng
+        self.tree_edges: Dict[int, Tuple[PermitState, List[Tuple[int, int]], tuple]] = {}
         self.searches: dict = {}  # parent center -> its BFS, see edge_realization
-        self.purchases: List[Tuple[int, int, int, int]] = []  # (child cluster id, lease, start, t)
 
     @cached_property
     def hst(self) -> Hst:
@@ -44,20 +41,22 @@ class OsflState:
         needed = {cid for r in set(terminals) for cid in tree_path_edges(self.hst, r, root)}
         bought = []
         for cid in sorted(needed):
-            if cid not in self.edge_permits:
-                self.edge_permits[cid] = PermitState(self.catalog)
+            if cid not in self.tree_edges:
                 walk = edge_realization(self.hst, cid, self.graph, self.searches)
                 edges = [(a, b) if a < b else (b, a) for a, b in walk]
-                self.realized[cid] = edges, tuple(dict.fromkeys(x for e in edges for x in e))
-            for lease, start in self.edge_permits[cid].request(t):
-                self.purchases.append((cid, lease, start, t))
-                bought.append((self.realized[cid][1], lease, start))
+                ends = tuple(dict.fromkeys(x for e in edges for x in e))
+                self.tree_edges[cid] = PermitState(self.catalog), edges, ends
+            permit, _, ends = self.tree_edges[cid]
+            bought += [(ends, lease, start) for lease, start in permit.request(t)]
         return bought
 
     def edge_ledger(self) -> Dict[Tuple[Tuple[int, int], int, int], int]:
-        """(normalized graph edge, lease, start) -> request time first bought, in order."""
-        ledger: Dict[Tuple[Tuple[int, int], int, int], int] = {}
-        for cid, lease, start, t in self.purchases:
-            for edge in self.realized[cid][0]:
+        """(normalized graph edge, lease, start) -> request time first bought, in order: each
+        permit's ``owned`` (slot -> day) replayed in a stable sort by (day, cluster id), which is
+        connect's buying order as long as it runs once per request time (OCDSL's request rule)."""
+        owned = [(t, cid, s) for cid, e in self.tree_edges.items() for s, t in e[0].owned.items()]
+        ledger: dict = {}
+        for t, cid, (lease, start) in sorted(owned, key=lambda p: p[:2]):
+            for edge in self.tree_edges[cid][1]:
                 ledger.setdefault((edge, lease, start), t)
         return ledger

@@ -234,10 +234,9 @@ def spy_guards(monkeypatch) -> Dict[OcdslState, List[Fraction]]:
 
 
 def tree_cost(osfl: OsflState) -> Fraction:
-    """Phase 2's Steiner tree cost: each tree-edge permit's lease cost times the edge's
-    length, summed over the permit log."""
-    cost, length = osfl.catalog.cost, osfl.hst.edge_length
-    return sum((length(cid) * cost(lease) for cid, lease, _, _ in osfl.purchases), Fraction(0))
+    """Phase 2's Steiner tree cost: each tree edge's length times its permit's total cost."""
+    length = osfl.hst.edge_length
+    return sum((length(cid) * e[0].total_cost() for cid, e in osfl.tree_edges.items()), Fraction(0))
 
 
 def reference_offline(inst: Instance, require_connected: bool) -> Tuple[Fraction, PurchaseLedger]:
@@ -429,6 +428,7 @@ class ReferenceOsflState(OsflState):
 
     def __init__(self, graph: Graph, catalog: LeaseCatalog, rng, node_ledger: PurchaseLedger):
         super().__init__(graph, catalog, rng)
+        self.edge_permits: Dict[int, PermitState] = {}
         self.ledger: Dict[Tuple[Tuple[int, int], int, int], int] = {}
         self.node_ledger = node_ledger
         self.tree_cost = Fraction(0)

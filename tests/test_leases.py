@@ -132,6 +132,24 @@ def test_validate_catalog_rejects_zero_cost():
         LeaseCatalog(types=(LeaseType(1, Fraction(0)),))
 
 
+def test_catalog_refuses_fields_of_the_wrong_type():
+    # each would build, or fail later or inexactly, without the type checks: a list leaves
+    # the catalog unhashable, a float cost has no ``numerator`` for ``units``, int costs turn
+    # OCDSL's growth factors and weights into floats, and True passes for the duration 1
+    one, two = LeaseType(1, Fraction(1)), LeaseType(2, Fraction(2))
+    cases = [
+        ([one, two], r"^lease types are a list, not a tuple$"),
+        ((LeaseType(1, 1.5),), r"^lease 1 has cost 1\.5, not a Fraction$"),
+        ((LeaseType(2.0, Fraction(1)),), r"^lease 1 has duration 2\.0$"),
+        ((LeaseType(True, Fraction(1)),), r"^lease 1 has duration True$"),
+        ((LeaseType(1, 1), LeaseType(2, 2)), r"^lease 1 has cost 1, not a Fraction$"),
+        ((one, (2, Fraction(2))), r"^lease 2 is a tuple, not a LeaseType$"),
+    ]
+    for types, message in cases:
+        with pytest.raises(InstanceError, match=message):
+            LeaseCatalog(types=types)
+
+
 def test_from_pairs_sorts_by_duration():
     cat = LeaseCatalog.from_pairs([(4, 2), (1, 1)])
     assert cat.types == (LeaseType(1, Fraction(1)), LeaseType(4, Fraction(2)))

@@ -17,7 +17,7 @@ from conftest import (
     tree_cost,
 )
 from leaselab.errors import NonMonotonicTime
-from leaselab.generators import gen_instance
+from leaselab.generators import canonical_catalog, gen_instance
 from leaselab.graphs import build_graph
 from leaselab.harness import steps_to_jsonl
 from leaselab.hst import build_hst, edge_realization, tree_path_edges
@@ -108,7 +108,7 @@ def test_escalation_matches_per_edge_permit_replay():
     fired = [replay.request(0), replay.request(1)]
     assert fired == [[(1, 0)], [(1, 1), (2, 0)]]  # spend hits 1.5 at the second day
     for cid in needed:
-        assert list(st_.edge_permits[cid].owned) == [
+        assert list(st_.tree_edges[cid][0].owned) == [
             (1, 0),
             (1, 1),
             (2, 0),
@@ -140,18 +140,37 @@ def test_rejects_decreasing_time(path3):
     assert state.osfl.edge_ledger() == edges
 
 
+def test_edge_ledger_keeps_a_cascade_in_its_buying_order():
+    # on the canonical L=4 catalog, rainy days 0, 9, 22 and 23 make day 23's permit
+    # cascade buy leases 1, 2, 4, 3: out of lease order, so a replay sorted by lease fails
+    cat, days = canonical_catalog(4), (0, 9, 22, 23)
+    cascade = [(1, 23), (2, 20), (4, 0), (3, 16)]
+    replay = PermitState(cat)
+    assert [replay.request(t) for t in days][-1] == cascade
+    # the tree edge that realizes graph edge (0, 1) lies on the path from 1 to the root 0
+    st_ = OsflState(build_graph(2, [(0, 1)]), cat, random.Random(0))
+    for t in days:
+        st_.connect([1], 0, t)
+    assert list(st_.edge_ledger().items()) == [
+        (((0, 1), 1, 0), 0),
+        (((0, 1), 1, 9), 9),
+        (((0, 1), 1, 22), 22),
+        *((((0, 1), lease, start), 23) for lease, start in cascade),
+    ]
+
+
 def test_no_duplicate_ledger_keys(path3):
     st_ = OsflState(path3, ESCALATING, random.Random(3))
-    bought, ledger = [], {}
+    bought, ledger, permits = [], {}, 0
     for t in range(4):
-        st_.connect([0, 2], 1, t)
+        permits += len(st_.connect([0, 2], 1, t))
         before, ledger = ledger, st_.edge_ledger()
         assert list(ledger.items())[: len(before)] == list(before.items())
         bought += list(ledger)[len(before) :]  # the edge leases this call bought
     assert len(bought) == len(set(bought))
     assert bought == list(st_.edge_ledger())
-    permits = [(cid, lease, start) for cid, lease, start, _ in st_.purchases]
-    assert len(permits) == len(set(permits))  # no tree-edge permit is bought twice
+    # each permit connect bought is one distinct slot of its tree edge: none is bought twice
+    assert permits == sum(len(e[0].owned) for e in st_.tree_edges.values())
 
 
 @given(g=connected_graphs(max_nodes=7), seed=st.integers(min_value=0, max_value=5_000))
@@ -240,7 +259,7 @@ def test_each_tree_edge_is_realized_once_and_the_ledger_matches_a_replay(monkeyp
     monkeypatch.undo()
 
     assert len(realized) > 20  # the stream crossed many tree edges
-    assert len(realized) == len(set(realized)) == len(state.osfl.realized)  # once per cluster
+    assert len(realized) == len(set(realized)) == len(state.osfl.tree_edges)  # once per cluster
     # a replay with a BFS per permit purchase, over an equal tree, buys the same edge
     # leases in the same order
     replay = ReferenceOsflState(
