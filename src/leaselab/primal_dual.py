@@ -3,14 +3,14 @@
 Each request occurrence (node, step) owns a dual variable. An uncovered
 occurrence raises its dual by the minimum residual slack among its
 dominators, which never violates a dual constraint, and buys every
-dominator driven tight. Weak duality then sandwiches the purchase cost
-between the dual value and |L|*(Delta+1) times it.
+dominator driven tight, closing its constraint. Weak duality then
+sandwiches the purchase cost between the dual value and |L|*(Delta+1) times it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .graphs import Graph, dominators
 from .instances import OnlineLeaser, StepReport
@@ -18,31 +18,30 @@ from .leases import LeaseCatalog, Triplet
 
 
 class DualState(OnlineLeaser):
-    """One primal-dual run; ``dual`` and ``slack`` are ints in units of 1/catalog.scale."""
+    """One primal-dual run; ``dual`` and ``slack`` are ints in units of 1/catalog.scale.
+    ``slack`` holds open constraints only: a dominator driven tight is bought and leaves it."""
 
     def __init__(self, graph: Graph, catalog: LeaseCatalog):
         super().__init__(graph, catalog)
         self.dual = 0  # sum of every occurrence's dual variable
-        self.slack: Dict[Triplet, int] = {}  # c_l minus dual mass charged in
+        self.slack: Dict[Triplet, int] = {}  # open constraints: c_l minus dual mass charged in
 
-    def serve(self, u: int, t: int) -> Tuple[List[Triplet], Fraction]:
-        """Serve one request occurrence; returns (purchases, dual raise)."""
+    def serve(self, u: int, t: int) -> None:
+        """Serve one occurrence; it reports through the ledger and ``dual``, and skips the
+        request rule, which serve_request applies."""
         doms = dominators(self.graph, u, t, self.catalog)
-        entries = self.ledger.entries
+        slack, units, entries = self.slack, self.catalog.units, self.ledger.entries
         if any(tr in entries for tr in doms):
-            return [], Fraction(0)
-        slack, units = self.slack, self.catalog.units
-        for tr in doms:
-            slack.setdefault(tr, units[tr.lease - 1])
-        raise_by = min(slack[tr] for tr in doms)
+            return
+        left = [slack.get(tr, units[tr.lease - 1]) for tr in doms]
+        raise_by = min(left)
         self.dual += raise_by
-        bought: List[Triplet] = []
-        for tr in doms:
-            slack[tr] -= raise_by
-            if slack[tr] == 0:
+        for tr, s in zip(doms, left):
+            if s > raise_by:
+                slack[tr] = s - raise_by
+            else:  # tight: bought, so its constraint closes
+                slack.pop(tr, None)
                 self.buy(tr, t)
-                bought.append(tr)
-        return bought, Fraction(raise_by, self.catalog.scale)
 
     def serve_request(self, nodes: Sequence[int], t: int) -> StepReport:
         """Serve every occurrence of one request step; its purchases all count as C1."""

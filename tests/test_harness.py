@@ -44,6 +44,7 @@ from leaselab.instances import Instance, OnlineLeaser, PurchaseLedger, StepRepor
 from leaselab.leases import LeaseCatalog, Triplet
 from leaselab.oracle import offline_opt, offline_opt_ds
 from leaselab.permits import pp_offline_opt
+from leaselab.primal_dual import DualState
 
 
 def test_gen_star_instance():
@@ -980,6 +981,18 @@ def test_fixed_seed_grid_run_is_frozen(algorithm, monkeypatch):
         # the fractional cost is Σ c_l·w over the weights; the guard, the least mass after a growth
         assert fractional_cost(state) == frozen_cost
         assert min(guards[state]) == min_guard_sum
+
+
+def test_golden_grid_served_per_occurrence_matches_serve_request():
+    # perfbench's lockstep serves odsl-pd one occurrence at a time, in node order
+    inst = gen_instance("grid", GOLDEN_6X6_PARAMS, random.Random("golden:inst"))
+    state = DualState(inst.graph, inst.catalog)
+    for t, nodes in inst.requests:
+        for u in nodes:
+            state.serve(u, t)
+    run = run_algorithm("odsl-pd", inst, 5)
+    assert state.ledger.rows() == run.ledger.rows()
+    assert state.totals() == run.state.totals()
 
 
 # Fraction operator calls in one GOLDEN_6X6 run, counted at the implementation that built

@@ -7,20 +7,30 @@ from hypothesis import strategies as st
 
 from conftest import ReferenceDualState, catalogs, connected_graphs
 from leaselab.errors import NonMonotonicTime, TooLarge
-from leaselab.graphs import build_graph, max_degree
+from leaselab.generators import gen_instance
+from leaselab.graphs import build_graph, dominators, max_degree
+from leaselab.harness import run_algorithm, trial_seed
 from leaselab.instances import make_instance
 from leaselab.leases import LeaseCatalog, Triplet
 from leaselab.oracle import check_solution, offline_opt_ds
 from leaselab.primal_dual import DualState
 
 
+def served(state, u, t):
+    """(the ledger rows serve(u, t) adds, the dual raise it makes)."""
+    rows, dual = len(state.ledger), state.totals()[1]
+    state.serve(u, t)
+    return state.ledger.rows()[rows:], state.totals()[1] - dual
+
+
 def test_min_slack_purchase():
     g = build_graph(1, [])
     cat = LeaseCatalog.from_pairs([(1, 1), (2, 2)])
     state = DualState(g, cat)
-    bought, y = state.serve(0, 0)
+    rows, y = served(state, 0, 0)
     assert y == 1
-    assert bought == [Triplet(0, 1, 0)]
+    assert rows == [(0, 1, 0, 0, 1)]  # Triplet(0, 1, 0) bought at step 0 for 1
+    assert state.slack == {Triplet(0, 2, 0): 1}  # the lease-2 constraint stays open
 
 
 def test_covered_occurrence_pays_nothing():
@@ -28,8 +38,7 @@ def test_covered_occurrence_pays_nothing():
     cat = LeaseCatalog.from_pairs([(2, 1)])
     state = DualState(g, cat)
     state.serve(0, 0)
-    bought, y = state.serve(0, 1)
-    assert (bought, y) == ([], 0)
+    assert served(state, 0, 1) == ([], 0)
 
 
 def test_shared_dominator_example_with_brute_force_dual():
@@ -39,10 +48,10 @@ def test_shared_dominator_example_with_brute_force_dual():
     g = build_graph(1, [])
     cat = LeaseCatalog.from_pairs([(4, 2), (8, 4)])
     state = DualState(g, cat)
-    bought1, y1 = state.serve(0, 1)
-    bought2, y2 = state.serve(0, 2)
-    assert y1 == 2 and bought1 == [Triplet(0, 1, 0)]
-    assert y2 == 0 and bought2 == []
+    rows1, y1 = served(state, 0, 1)
+    rows2, y2 = served(state, 0, 2)
+    assert y1 == 2 and rows1 == [(0, 1, 0, 1, 2)]  # Triplet(0, 1, 0) bought at step 1 for 2
+    assert y2 == 0 and rows2 == []
     primal, dual = state.totals()
     assert (primal, dual) == (2, 2)
     # grid-search dual maximizer over quarter-integer raises:
@@ -64,7 +73,7 @@ def test_serving_an_occurrence_twice_keeps_its_dual():
     g = build_graph(2, [(0, 1)])
     state = DualState(g, LeaseCatalog.from_pairs([(1, 1)]))
     state.serve(0, 3)  # raises y(0, 3) to 1 and buys both dominators
-    assert state.serve(0, 3) == ([], 0)
+    assert served(state, 0, 3) == ([], 0)
     assert state.totals() == (2, 1)
     report = state.serve_request([0, 0], 5)  # one occurrence, served once
     assert report.requested == (0,) and report.c1_increment == 2
@@ -167,8 +176,39 @@ def test_integer_units_serve_as_the_fraction_reference(g, cat, data):
     times = data.draw(st.sets(st.integers(min_value=0, max_value=40), min_size=1, max_size=8))
     for t in sorted(times):
         for u in data.draw(st.lists(st.sampled_from(range(g.node_count)), min_size=1, max_size=4)):
-            got, want = state.serve(u, t), reference.serve(u, t)
-            assert got == want and type(got[1]) is Fraction, (u, t)
-    assert state.ledger.rows() == reference.ledger.rows()
-    assert state.totals() == reference.totals()
-    assert {tr: Fraction(units, cat.scale) for tr, units in state.slack.items()} == reference.slack
+            state.serve(u, t)
+            reference.serve(u, t)
+            assert state.ledger.rows() == reference.ledger.rows(), (u, t)
+            assert state.totals() == reference.totals() and type(state.totals()[1]) is Fraction, (u, t)
+            # the reference keeps a bought dominator's slack at zero; serve drops its entry
+            assert {tr: Fraction(units, cat.scale) for tr, units in state.slack.items()} == {
+                tr: s for tr, s in reference.slack.items() if s
+            }, (u, t)
+
+
+@given(g=connected_graphs(max_nodes=6), cat=catalogs(), data=st.data())
+@settings(deadline=None)
+def test_slack_holds_only_open_constraints(g, cat, data):
+    state, charged = DualState(g, cat), set()
+    times = data.draw(st.sets(st.integers(min_value=0, max_value=40), min_size=1, max_size=8))
+    for t in sorted(times):
+        for u in data.draw(st.lists(st.sampled_from(range(g.node_count)), min_size=1, max_size=4)):
+            doms = dominators(g, u, t, cat)
+            if not any(tr in state.ledger for tr in doms):
+                charged.update(doms)  # an uncovered occurrence charges each of its dominators
+            state.serve(u, t)
+            assert any(tr in state.ledger for tr in doms)
+            assert all(s > 0 for s in state.slack.values())
+            assert not state.slack.keys() & state.ledger.entries.keys()
+            assert charged <= state.slack.keys() | state.ledger.entries.keys()
+
+
+def test_weak_duality_certificate_on_the_benchmark_grid_streams():
+    # perfbench's four grid-stream instances at seed 0: a 14x14 grid, T=100, k=4, |L|=3
+    params = {"rows": 14, "cols": 14, "T": 100, "k": 4, "L": 3}
+    for index in range(4):
+        s = trial_seed(0, index)
+        inst = gen_instance("grid", params, random.Random(f"{s}:inst"))
+        primal, dual = run_algorithm("odsl-pd", inst, s).state.totals()
+        assert 0 < dual, index
+        assert primal <= len(inst.catalog) * (max_degree(inst.graph) + 1) * dual, index
