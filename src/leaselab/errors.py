@@ -36,8 +36,8 @@ class ConfigError(LeaselabError, ValueError):
 
 
 class RecordsError(LeaselabError, ValueError):
-    """A records CSV lacks a column or names one twice, holds a cell of the wrong type, or
-    holds a record ``run`` cannot write: one that breaks C1 + C2 = cost, for one."""
+    """A records CSV lacks a column or names one twice or holds a cell of the wrong type, or a
+    ``RunRecord`` breaks a record rule (C1 + C2 = cost, for one), however it is built."""
 
 
 class LedgerError(LeaselabError):

@@ -66,9 +66,8 @@ def _grid_edges(rows: int, cols: int) -> List[Tuple[int, int]]:
 
 
 def _gnp_connected(n: int, p: float, rng: random.Random) -> Graph:
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for _ in range(GNP_TRIES):
-        edges = [e for e in pairs if rng.random() < p]
+    for _ in range(GNP_TRIES):  # one draw per pair, in pair order, without listing the pairs
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         try:
             return build_graph(n, edges)
         except Disconnected:

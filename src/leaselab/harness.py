@@ -92,8 +92,10 @@ class ExperimentConfig:
             raise ConfigError("provide exactly one of instance or generator")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunRecord:
+    """One trial as ``run`` writes it; a record that breaks a rule below raises RecordsError."""
+
     instance_id: str
     algorithm: str
     seed: int
@@ -107,6 +109,37 @@ class RunRecord:
     max_degree: int
     steps: int
     wall_time_s: float = 0.0
+
+    def __post_init__(self):
+        if self.algorithm not in ALGORITHMS:
+            raise RecordsError(f"algorithm {self.algorithm!r} of {self.instance_id} is unknown")
+        if not 0 <= self.seed < 2**64:
+            raise RecordsError(f"seed {self.seed} of {self.instance_id} is outside 0..2^64-1")
+        if self.c1 + self.c2 != self.online_cost:
+            raise RecordsError(
+                f"cost split broken for {self.instance_id}: "
+                f"{self.c1} + {self.c2} != {self.online_cost}"
+            )
+        if self.c1 < 0 or self.c2 < 0:
+            raise RecordsError(f"c1 {self.c1} or c2 {self.c2} of {self.instance_id} is negative")
+        if self.c2 and ALGORITHMS[self.algorithm][1] != "cds":  # only OCDSL's variant has a Phase 2
+            raise RecordsError(f"c2 {self.c2} of {self.instance_id}: {self.algorithm} has no Phase 2")
+        if min(self.n, self.lease_count, self.steps) < 1 or not 0 <= self.max_degree < self.n:
+            raise RecordsError(
+                f"{self.instance_id}: n {self.n}, lease_count {self.lease_count} and steps {self.steps} "
+                f"must be at least 1, and max_degree {self.max_degree} in 0..n-1"
+            )
+        if self.opt_cost is not None and self.opt_cost <= 0:
+            raise RecordsError(f"opt_cost {self.opt_cost} of {self.instance_id} is not positive")
+        try:
+            ratio = None if self.opt_cost is None else float(self.online_cost / self.opt_cost)
+        except OverflowError:  # past the float range, so run cannot have written it
+            ratio = float("nan")  # which no ratio cell equals
+        if self.ratio != ratio:
+            raise RecordsError(
+                f"ratio {self.ratio} of {self.instance_id} is not float(online_cost / opt_cost) "
+                f"with online_cost {self.online_cost} and opt_cost {self.opt_cost}"
+            )
 
 
 # the records CSV columns are RunRecord's fields; wall_time_s is written only with --timing
@@ -156,11 +189,8 @@ def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[RunRecord, Run]:
     elapsed = time.monotonic() - started
     if not verify_run(cfg.algorithm, inst, run.ledger):
         raise InfeasibleOutput(f"{cfg.algorithm} produced an infeasible ledger on trial {index}")
-    opt: Optional[Fraction] = None
-    ratio: Optional[float] = None
-    if cfg.oracle:
-        opt = oracle_cost(cfg.algorithm, inst)
-        ratio = float(run.cost / opt)
+    opt = oracle_cost(cfg.algorithm, inst) if cfg.oracle else None
+    ratio = None if opt is None else float(run.cost / opt)
     record = RunRecord(
         instance_id=f"{cfg.instance_id}#{index}",
         algorithm=cfg.algorithm,
@@ -241,11 +271,11 @@ def read_records_csv(path: str) -> List[RunRecord]:
     parsers = _field_parsers(RunRecord)
     records = []
     for where, row in csv_rows(path, CSV_COLUMNS, RecordsError):
-        try:
+        try:  # a cell of the wrong type or a record that breaks a rule
             values = {name: parse(row[name]) for name, parse in parsers.items() if name in row}
+            records.append(RunRecord(**values))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise RecordsError(f"{where}: {exc}") from None
-        records.append(RunRecord(**values))
     return records
 
 
@@ -263,41 +293,7 @@ class SummaryRow:
 
 
 def report(records: Sequence[RunRecord]) -> List[SummaryRow]:
-    """Aggregate records per (instance family, algorithm); verifies each record as ``run`` writes
-    it: a known algorithm with a seed in trial_seed's range, C1+C2 accounting of parts that are
-    not negative and a C2 of 0 unless its variant has Phase 2, an instance with nodes, leases
-    and steps and a max degree below n, and a ratio of float(online_cost / opt_cost), empty
-    exactly when opt_cost is."""
-    for rec in records:
-        if rec.algorithm not in ALGORITHMS:
-            raise RecordsError(f"algorithm {rec.algorithm!r} of {rec.instance_id} is unknown")
-        if not 0 <= rec.seed < 2**64:
-            raise RecordsError(f"seed {rec.seed} of {rec.instance_id} is outside 0..2^64-1")
-        if rec.c1 + rec.c2 != rec.online_cost:
-            raise RecordsError(
-                f"cost split broken for {rec.instance_id}: "
-                f"{rec.c1} + {rec.c2} != {rec.online_cost}"
-            )
-        if rec.c1 < 0 or rec.c2 < 0:
-            raise RecordsError(f"c1 {rec.c1} or c2 {rec.c2} of {rec.instance_id} is negative")
-        if rec.c2 and ALGORITHMS[rec.algorithm][1] != "cds":  # only OCDSL's variant has a Phase 2
-            raise RecordsError(f"c2 {rec.c2} of {rec.instance_id}: {rec.algorithm} has no Phase 2")
-        if min(rec.n, rec.lease_count, rec.steps) < 1 or not 0 <= rec.max_degree < rec.n:
-            raise RecordsError(
-                f"{rec.instance_id}: n {rec.n}, lease_count {rec.lease_count} and steps {rec.steps} "
-                f"must be at least 1, and max_degree {rec.max_degree} in 0..n-1"
-            )
-        if rec.opt_cost is not None and rec.opt_cost <= 0:
-            raise RecordsError(f"opt_cost {rec.opt_cost} of {rec.instance_id} is not positive")
-        try:
-            ratio = None if rec.opt_cost is None else float(rec.online_cost / rec.opt_cost)
-        except OverflowError:  # past the float range, so run cannot have written it
-            ratio = float("nan")  # which no ratio cell equals
-        if rec.ratio != ratio:
-            raise RecordsError(
-                f"ratio {rec.ratio} of {rec.instance_id} is not float(online_cost / opt_cost) "
-                f"with online_cost {rec.online_cost} and opt_cost {rec.opt_cost}"
-            )
+    """Aggregate records per (instance family, algorithm)."""
     groups: Dict[Tuple[str, str], List[RunRecord]] = {}
     for rec in records:
         family = rec.instance_id.split("#", 1)[0]

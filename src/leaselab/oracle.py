@@ -94,17 +94,19 @@ def _offline(inst: Instance, require_connected: bool) -> Tuple[Fraction, Purchas
     # every candidate lies in one window of the longest lease, and so do a step and
     # every candidate live at it: the optimum is the sum of one search per top slot
     slots: Dict[int, Tuple[List[Triplet], List[Tuple[int, Sequence[int]]]]] = {}
-    # expensive decisions first prunes best; the universe comes sorted and the sort is stable
-    for tr in sorted(candidate_universe(inst), key=lambda tr: -catalog.units[tr.lease - 1]):
-        slots.setdefault(tr.start - tr.start % top, ([], []))[0].append(tr)
-    for t, nodes in inst.requests:
-        slots[t - t % top][1].append((t, nodes))
-    for start, (cands, _) in slots.items():
-        if len(cands) > ORACLE_UNIVERSE_CAP:
+    for t, nodes in inst.requests:  # times ascend, so the top slots come in order
+        slots.setdefault(t - t % top, ([], []))[1].append((t, nodes))
+    for start, (_, steps) in slots.items():  # refused before any candidate is built
+        # a candidate per node and (lease, start) slot that a step of the top slot hits
+        size = inst.graph.node_count * len({slot for t, _ in steps for slot in catalog.slots(t)})
+        if size > ORACLE_UNIVERSE_CAP:
             raise TooLarge(
-                f"candidate universe has {len(cands)} triplets in the top slot "
+                f"candidate universe has {size} triplets in the top slot "
                 f"[{start}, {start + top}) (cap {ORACLE_UNIVERSE_CAP} per slot)"
             )
+    # expensive decisions first prunes best; the universe comes sorted and the sort is stable
+    for tr in sorted(candidate_universe(inst), key=lambda tr: -catalog.units[tr.lease - 1]):
+        slots[tr.start - tr.start % top][0].append(tr)
     check = check_feasible_step if require_connected else check_domination_step
     solved = [_search(inst.graph, catalog, check, *slot) for slot in slots.values()]
     ledger = PurchaseLedger()

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import random
 import re
 import shlex
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from leaselab.errors import (
     InstanceError,
     LeaselabError,
     NonMonotonicTime,
+    RecordsError,
 )
 from leaselab.generators import burst_times, canonical_catalog, gen_instance
 from leaselab.graphs import build_graph
@@ -28,6 +31,8 @@ from leaselab.harness import (
     CSV_COLUMNS,
     VARIANTS,
     ExperimentConfig,
+    RunRecord,
+    _field_parsers,
     format_summary_table,
     oracle_cost,
     read_records_csv,
@@ -64,6 +69,18 @@ def test_gen_deterministic_under_seed():
     a = gen_instance("random-gnp-connected", {"n": 8, "p": 0.4}, random.Random(7))
     b = gen_instance("random-gnp-connected", {"n": 8, "p": 0.4}, random.Random(7))
     assert a == b
+
+
+def test_gen_gnp_draws_without_listing_every_pair():
+    # the 179,700 pairs of n = 600 alone took about 16 MB when G(n, p) listed them first
+    tracemalloc.start()
+    try:
+        inst = gen_instance("random-gnp-connected", {"n": 600, "p": 8 / 600}, random.Random(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.graph.node_count == 600
+    assert peak < 4 << 20
 
 
 def test_gen_grid():
@@ -293,26 +310,34 @@ def test_report_rejects_broken_split():
         base_seed=0,
         generator=("star", {"n": 3, "T": 2}),
     )
-    records = run_experiment(cfg)
-    records[0].c1 += 1
-    with pytest.raises(ValueError):
-        report(records)
+    record = run_experiment(cfg)[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.c1 += 1
+    with pytest.raises(RecordsError, match="cost split broken for instance#0"):
+        dataclasses.replace(record, c1=record.c1 + 1)
 
 
 def test_records_csv_roundtrip(tmp_path):
-    cfg = ExperimentConfig(
-        algorithm="odsl-pd",
-        trials=2,
-        base_seed=5,
-        oracle=True,
-        generator=("path", {"n": 4, "T": 2, "k": 2}),
-    )
-    records = run_experiment(cfg)
+    records = [
+        rec
+        for algorithm in ALGORITHMS
+        for oracle in (False, True)
+        for rec in run_experiment(ExperimentConfig(
+            algorithm=algorithm, trials=2, base_seed=5, oracle=oracle,
+            generator=("path", {"n": 4, "T": 2, "k": 2, "L": 2}), instance_id=f"{algorithm}-{oracle}",
+        ))
+    ]
+    assert any(rec.c2 for rec in records)  # OCDSL's Phase 2 cost survives the trip
     out = tmp_path / "records.csv"
     for timing in (False, True):
         out.write_text(records_to_csv(records, timing), encoding="utf-8")
         again = read_records_csv(str(out))
-        assert records_to_csv(again, timing) == records_to_csv(records, timing)
+        # the CSV keeps a wall time to the microsecond, and only with --timing
+        written = [
+            dataclasses.replace(rec, wall_time_s=round(rec.wall_time_s, 6) if timing else 0.0)
+            for rec in records
+        ]
+        assert again == written
         assert report(again) == report(records)  # each ratio read back is the costs' quotient
 
 
@@ -579,6 +604,28 @@ LEDGER_HEADERS_MISSING_COLUMNS = {
     "foreign-header": ("a,b\n", "node, lease, start, step, cost"),
     "missing-columns": ("node,lease\n", "start, step, cost"),
 }
+# name -> a records row (under HEADER) whose record breaks one of RunRecord's rules
+RECORDS_BREAKING_A_RULE = {
+    "records-broken-split": "x#0,ocdsl,1,3,1,1,,,3,1,2,1",
+    # the ratio cell must be float(online_cost / opt_cost), and empty exactly when opt_cost is
+    "records-ratio-not-the-cost-quotient": "x#0,ocdsl,1,3,1,2,2,9.0,3,1,2,1",
+    "records-opt-cost-zero": "x#0,ocdsl,1,3,1,2,0,1.0,3,1,2,1",
+    "records-ratio-inf-without-opt": "x#0,ocdsl,1,3,1,2,,inf,3,1,2,1",
+    "records-ratio-nan-without-opt": "x#0,ocdsl,1,3,1,2,,nan,3,1,2,1",
+    "records-opt-without-ratio": "x#0,ocdsl,1,3,1,2,2,,3,1,2,1",
+    "records-ratio-past-float-range": "x#0,ocdsl,1,1e999,1e999,0,1e-999,inf,3,1,2,1",
+    "records-c1-negative": "x#0,ocdsl,1,3,-1,4,,,3,1,2,1",
+    "records-n-zero": "x#0,ocdsl,1,3,1,2,,,0,1,0,1",
+    "records-lease-count-zero": "x#0,ocdsl,1,3,1,2,,,3,0,2,1",
+    "records-max-degree-not-below-n": "x#0,ocdsl,1,3,1,2,,,3,1,3,1",
+    "records-max-degree-negative": "x#0,ocdsl,1,3,1,2,,,3,1,-1,1",
+    "records-steps-zero": "x#0,ocdsl,1,3,1,2,,,3,1,2,0",
+    "records-unknown-algorithm": "x#0,nope,1,3,1,2,,,3,1,2,1",
+    # pp's variant has no Phase 2, and trial_seed gives 0..2^64-1
+    "records-c2-without-phase-2": "x#0,pp,1,3,1,2,,,3,1,2,1",
+    "records-seed-negative": "x#0,ocdsl,-5,3,1,2,,,3,1,2,1",
+    "records-seed-past-64-bits": f"x#0,ocdsl,{2**64},3,1,2,,,3,1,2,1",
+}
 # name -> (argv, files to write first)
 CLI_ERRORS = {
     "trials-0": (["run", "--kind", "star", "--trials", "0"], {}),
@@ -638,9 +685,6 @@ CLI_ERRORS = {
         ["verify", "--instance", "i.json", "--ledger", "l.csv"],
         {"i.json": json.dumps(INSTANCE), "l.csv": LEDGER_HEADER + "\n0,1,1,1,2\n"},
     ),
-    "records-broken-split": (
-        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,1,,,3,1,2,1\n"}
-    ),
     # a row must have exactly as many cells as the header
     "ledger-extra-cell": (
         ["verify", "--instance", "i.json", "--ledger", "l.csv"],
@@ -653,59 +697,10 @@ CLI_ERRORS = {
     "records-extra-cell": (
         ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,,,3,1,2,1,junk\n"}
     ),
-    # the ratio cell must be float(online_cost / opt_cost), and empty exactly when opt_cost is
-    "records-ratio-not-the-cost-quotient": (
-        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,2,9.0,3,1,2,1\n"}
-    ),
-    "records-opt-cost-zero": (
-        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,0,1.0,3,1,2,1\n"}
-    ),
-    "records-ratio-inf-without-opt": (
-        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,,inf,3,1,2,1\n"}
-    ),
-    "records-ratio-nan-without-opt": (
-        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,,nan,3,1,2,1\n"}
-    ),
-    "records-opt-without-ratio": (
-        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,2,,3,1,2,1\n"}
-    ),
-    "records-ratio-past-float-range": (
-        ["report", "--records", "r.csv"],
-        {"r.csv": HEADER + "\nx#0,ocdsl,1,1e999,1e999,0,1e-999,inf,3,1,2,1\n"},
-    ),
-    # report checks each record as run writes it
-    "records-c1-negative": (
-        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,-1,4,,,3,1,2,1\n"}
-    ),
-    "records-n-zero": (
-        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,,,0,1,0,1\n"}
-    ),
-    "records-lease-count-zero": (
-        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,,,3,0,2,1\n"}
-    ),
-    "records-max-degree-not-below-n": (
-        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,,,3,1,3,1\n"}
-    ),
-    "records-max-degree-negative": (
-        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,,,3,1,-1,1\n"}
-    ),
-    "records-steps-zero": (
-        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,1,3,1,2,,,3,1,2,0\n"}
-    ),
-    "records-unknown-algorithm": (
-        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,nope,1,3,1,2,,,3,1,2,1\n"}
-    ),
-    # pp's variant has no Phase 2, and trial_seed gives 0..2^64-1
-    "records-c2-without-phase-2": (
-        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,pp,1,3,1,2,,,3,1,2,1\n"}
-    ),
-    "records-seed-negative": (
-        ["report", "--records", "r.csv"], {"r.csv": HEADER + "\nx#0,ocdsl,-5,3,1,2,,,3,1,2,1\n"}
-    ),
-    "records-seed-past-64-bits": (
-        ["report", "--records", "r.csv"],
-        {"r.csv": HEADER + f"\nx#0,ocdsl,{2**64},3,1,2,,,3,1,2,1\n"},
-    ),
+    **{
+        name: (["report", "--records", "r.csv"], {"r.csv": f"{HEADER}\n{row}\n"})
+        for name, row in RECORDS_BREAKING_A_RULE.items()
+    },
     # a header that names a column twice: the last cell of that name would win
     "records-repeated-column": (
         ["report", "--records", "r.csv"], {"r.csv": HEADER + ",c1\nx#0,ocdsl,1,3,1,2,,,3,1,2,1,1\n"}
@@ -797,6 +792,18 @@ def test_cli_reports_each_bad_input_in_one_line(tmp_path, monkeypatch, capsys, a
     assert captured.out == ""
     assert captured.err.startswith(f"leaselab {argv[0]}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("row", RECORDS_BREAKING_A_RULE.values(), ids=list(RECORDS_BREAKING_A_RULE))
+def test_a_record_that_breaks_a_rule_cannot_be_built(tmp_path, monkeypatch, capsys, row):
+    cells = dict(zip(CSV_COLUMNS, next(csv.reader([row]))))
+    parsers = _field_parsers(RunRecord)
+    with pytest.raises(RecordsError) as refused:
+        RunRecord(**{name: parse(cells[name]) for name, parse in parsers.items() if name in cells})
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.csv").write_text(f"{HEADER}\n{row}\n", encoding="utf-8")
+    assert main(["report", "--records", "r.csv"]) == 2
+    assert capsys.readouterr().err == f"leaselab report: r.csv line 2: {refused.value}\n"
 
 
 def test_cli_verify_names_a_column_the_ledger_header_repeats(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -153,6 +154,21 @@ def test_too_large_universe_raises():
     for solve in (offline_opt, offline_opt_ds):
         with pytest.raises(TooLarge, match=r"36 triplets in the top slot \[0, 4\)"):
             solve(inst)
+
+
+def test_a_universe_past_the_cap_is_refused_before_it_is_built():
+    # 400 nodes x 282 lease slots over 200 steps: listing them took about 11 MB before refusing
+    inst = gen_instance("grid", {"rows": 20, "cols": 20, "T": 200, "k": 4, "L": 4}, random.Random(0))
+    message = r"^candidate universe has 17600 triplets in the top slot \[0, 32\) \(cap 24 per slot\)$"
+    for solve in (offline_opt, offline_opt_ds):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match=message):
+                solve(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_a_universe_past_the_cap_in_small_top_slots_solves():
