@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Dict, List, NamedTuple, Tuple
 
 from .graphs import Graph, bfs_distances, extend_bfs
@@ -59,9 +59,15 @@ class Hst:
         return "\n".join(lines)
 
 
+# Memoized by graph value: Graph is frozen and compares (node_count, adjacency), and the depth
+# depends on the graph alone, never on the rng. Every caller serves its trials one after another,
+# so one slot holds all the hits there are: repeated equal graphs, as the deterministic kinds
+# (grid, path, star) give; a random kind draws a new graph per trial and never hits.
+@lru_cache(maxsize=1)
 def _ceil_log2_diameter(graph: Graph) -> int:
-    """Exact for n >= 2: a BFS from v, of eccentricity e, bounds each node at distance d
-    by max(d, e - d) <= ecc <= e + d (Takes and Kosters' bounding diameters)."""
+    """ceil(log2(diameter)), exact for n >= 2, bracketed once per graph value: a BFS from v,
+    of eccentricity e, bounds each node at distance d by max(d, e - d) <= ecc <= e + d
+    (Takes and Kosters' bounding diameters)."""
     n = graph.node_count
     ecc_lo, ecc_hi, lo, by_upper = [0] * n, [n - 1] * n, 1, True  # lo: lower bound on the diameter
     while (lo - 1).bit_length() != (max(ecc_hi) - 1).bit_length():
@@ -87,12 +93,13 @@ def _ceil_log2_diameter(graph: Graph) -> int:
 
 
 def build_hst(graph: Graph, rng: random.Random) -> Hst:
-    """Sample one embedding; deterministic for a given seeded rng."""
+    """Sample one embedding; deterministic for a given seeded rng. Its depth is the graph's
+    memoized ``_ceil_log2_diameter``, and each ball stops at its first empty layer."""
     n = graph.node_count
     if n == 1:
         return Hst(delta=0, clusters=(Cluster(level=0, center=0, parent=-1),), leaf_of=(0,))
     delta = _ceil_log2_diameter(graph)
-    order = list(range(n))
+    order, adjacency = list(range(n)), graph.adjacency
     rng.shuffle(order)
     beta = 1 + Fraction(rng.getrandbits(32), 2**32)
 
@@ -100,21 +107,23 @@ def build_hst(graph: Graph, rng: random.Random) -> Hst:
     member_lists: List[List[int]] = [sorted(range(n))]
     level_cids = [0]
     for level in range(delta, -1, -1):
-        radius, claimer = beta * (1 << level) // 2, {}  # node -> first node of pi within radius
+        radius, claimer, unclaimed = beta * (1 << level) // 2, [-1] * n, n  # u -> first node of pi within radius
         near = [radius + 1] * n  # distance to the nearest ball so far: a ball stops where it is no nearer
         for v in order:
-            near[v], layer = 0, [v]
-            claimer.setdefault(v, v)
-            for d in range(1, radius + 1):
-                nxt = []
+            near[v], layer, d = 0, [v], 0
+            if claimer[v] < 0:
+                claimer[v], unclaimed = v, unclaimed - 1
+            while layer and d < radius:  # or at its first empty layer
+                d, nxt = d + 1, []
                 for x in layer:
-                    for y in graph.adjacency[x]:
+                    for y in adjacency[x]:
                         if d < near[y]:
                             near[y] = d
-                            claimer.setdefault(y, v)
+                            if claimer[y] < 0:
+                                claimer[y], unclaimed = v, unclaimed - 1
                             nxt.append(y)
                 layer = nxt
-            if len(claimer) == n:
+            if not unclaimed:
                 break
         next_cids: List[int] = []
         for cid in level_cids:
@@ -164,7 +173,10 @@ def edge_realization(h: Hst, child_cid: int, graph: Graph, searches: dict) -> Li
     dist, layer = searches.get(b) or searches.setdefault(b, ({b: 0}, [b]))  # built on a miss only
     extend_bfs(graph, dist, layer, stop=a)
     path = [a]
-    while path[-1] != b:
-        d = dist[path[-1]] - 1
-        path.append(min(y for y in graph.adjacency[path[-1]] if dist.get(y) == d))
+    while a != b:  # adjacency is sorted, so the first neighbour one step nearer is the least
+        d = dist[a] - 1
+        for a in graph.adjacency[a]:
+            if dist.get(a) == d:
+                break
+        path.append(a)
     return list(zip(path, path[1:]))

@@ -51,6 +51,10 @@ SWEEP = {
     "gnp80": ("random-gnp-connected", {"n": 80, "p": 0.05}, 3),
     "gnp120": ("random-gnp-connected", {"n": 120, "p": 0.03}, 3),
     "gnp60-dense": ("random-gnp-connected", {"n": 60, "p": 0.3}, 3),
+    # balls empty out far inside their radius
+    "path200": ("path", {"n": 200}, 3),
+    # at level 1 (radius 1) the hub's ball claims every leaf that is still unclaimed
+    "star60": ("star", {"n": 60}, 3),
 }
 
 
@@ -130,8 +134,10 @@ def test_delta_is_ceil_log2_of_the_brute_force_diameter(g):
     assert build_hst(g, random.Random(0)).delta == (diameter - 1).bit_length()
 
 
-def test_build_on_the_30x30_grid_runs_at_most_8_bfs(monkeypatch):
-    # an all-pairs pass would run 900; the diameter bracket draws nothing from the rng
+@pytest.fixture
+def bfs_calls(monkeypatch):
+    """The source of every ``bfs_distances`` call made in hst, counted from a cold depth memo."""
+    leaselab.hst._ceil_log2_diameter.cache_clear()
     calls = []
     original = leaselab.hst.bfs_distances
 
@@ -140,39 +146,41 @@ def test_build_on_the_30x30_grid_runs_at_most_8_bfs(monkeypatch):
         return original(graph, source)
 
     monkeypatch.setattr(leaselab.hst, "bfs_distances", counted)
+    return calls
+
+
+def test_build_on_the_30x30_grid_runs_at_most_8_bfs(bfs_calls):
+    # an all-pairs pass would run 900; the diameter bracket draws nothing from the rng
     assert build_hst(grid_graph(30, 30), random.Random(0)).delta == 6  # diameter 58
-    assert len(calls) <= 8
+    assert len(bfs_calls) <= 8
 
 
-def test_build_on_a_dense_gnp200_runs_at_most_2_bfs(monkeypatch):
+def test_build_on_a_dense_gnp200_runs_at_most_2_bfs(bfs_calls):
     # diameter 2: a bitset test of N[N[u]] settles what a BFS per node would
     g = gen_instance("random-gnp-connected", {"n": 200, "p": 0.3, "T": 1}, random.Random(0)).graph
-    calls = []
-    original = leaselab.hst.bfs_distances
-
-    def counted(graph, source):
-        calls.append(source)
-        return original(graph, source)
-
-    monkeypatch.setattr(leaselab.hst, "bfs_distances", counted)
     assert build_hst(g, random.Random(0)).delta == 1
-    assert len(calls) <= 2
+    assert len(bfs_calls) <= 2
 
 
 @pytest.mark.parametrize("missing, delta", [([], 0), ([(38, 39)], 1)], ids=["K40", "K40-minus-an-edge"])
-def test_build_with_a_universal_node_first_runs_1_bfs(monkeypatch, missing, delta):
+def test_build_with_a_universal_node_first_runs_1_bfs(bfs_calls, missing, delta):
     # a BFS of eccentricity 1 proves node 0 universal: diameter 1 if every node is, else 2
     g = build_graph(40, [(u, v) for u in range(40) for v in range(u + 1, 40) if (u, v) not in missing])
-    calls = []
-    original = leaselab.hst.bfs_distances
-
-    def counted(graph, source):
-        calls.append(source)
-        return original(graph, source)
-
-    monkeypatch.setattr(leaselab.hst, "bfs_distances", counted)
     assert build_hst(g, random.Random(0)).delta == delta
-    assert calls == [0]
+    assert bfs_calls == [0]
+
+
+def test_a_second_build_on_an_equal_graph_runs_no_bfs(bfs_calls):
+    # the depth is a function of the graph value, so an equal but distinct graph reuses it;
+    # trials run one after another, so the memo keeps one graph alive
+    assert leaselab.hst._ceil_log2_diameter.cache_info().maxsize == 1
+    first, second = grid_graph(30, 30), grid_graph(30, 30)
+    assert first == second and first is not second
+    delta = build_hst(first, random.Random(0)).delta
+    assert bfs_calls
+    bfs_calls.clear()
+    assert build_hst(second, random.Random(1)).delta == delta
+    assert bfs_calls == []
 
 
 def test_single_node_tree():
@@ -312,6 +320,16 @@ def test_edge_realization_joins_child_and_parent_centers():
         else:
             assert walk[0][0] == h.clusters[cid].center
             assert walk[-1][1] == h.clusters[cl.parent].center
+
+
+def test_edge_realization_walks_the_reference_path_on_the_30x30_grid():
+    # one shared search table, as a run keeps: resumed BFS and first-match walks alike
+    g = grid_graph(30, 30)
+    h = build_hst(g, random.Random(0))
+    searches = {}
+    for cid, cl in enumerate(h.clusters[1:], start=1):
+        walk = reference_shortest_path(g, cl.center, h.clusters[cl.parent].center)
+        assert edge_realization(h, cid, g, searches) == list(zip(walk, walk[1:]))
 
 
 def test_format_tree_mentions_every_cluster():
