@@ -159,7 +159,7 @@ class OnlineLeaser:
         return requested
 
     def buy(self, tr: Triplet, t: int) -> None:
-        self.ledger.add(tr, step=t, cost=self.catalog.cost(tr.lease))
+        self.ledger.add(tr, t, self.catalog.cost(tr.lease))
 
 
 @dataclass(slots=True)

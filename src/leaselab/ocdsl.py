@@ -15,10 +15,11 @@ randomized rounding algorithm for the domination-only problem.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat, starmap
+from itertools import starmap
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InfeasibleOutput
@@ -29,29 +30,41 @@ from .steiner import OsflState
 
 
 class GrowthTable:
-    """Phase 1's growth constants, shared by every state on an equal catalog: f_l = 1 + 1/c_l,
-    each A_l's start 1/|L|², the goal 1 + 1/|L|, the (rounds, f_l^r) of the growth from
-    all-zero weights, and per |doms| what w_0 = 0 grows to."""
+    """Phase 1's growth constants, shared by every state on an equal catalog: each f_l = 1 + 1/c_l
+    as an int pair (n_l, d_l) and as m_l over one denominator D, the (rounds, (n_l^r, d_l^r)) of
+    the growth from all-zero weights, and per |doms| what w_0 = 0 grows to."""
 
     def __init__(self, catalog: LeaseCatalog):
-        self.factors = {i: 1 + 1 / lt.cost for i, lt in enumerate(catalog, 1)}
-        self.start_mass = dict.fromkeys(self.factors, Fraction(1, len(catalog) ** 2))
-        self.goal = 1 + Fraction(1, len(catalog))
-        self.zero_start = self.search(self.start_mass)
+        # f_l = (c_n + c_d)/c_n in lowest terms, and f_l = m_l/D over the lcm D of those c_n
+        costs = (lt.cost.as_integer_ratio() for lt in catalog)
+        self.factors = {i: (cn + cd, cn) for i, (cn, cd) in enumerate(costs, 1)}
+        self.scale = math.lcm(*(d for _, d in self.factors.values()))
+        self.scaled = {i: n * (self.scale // d) for i, (n, d) in self.factors.items()}
+        self.lease_count = len(catalog)
+        self.zero_start = self.search(())
         self.zero_bumps: Dict[int, Dict[int, Fraction]] = {}
 
-    def search(self, mass: Dict[int, Fraction]) -> Tuple[int, Dict[int, Fraction]]:
-        """The least r whose total Σ_l A_l·f_l^r − 1/|L| reaches one, by galloping and
-        bisection over exact totals, with each lease's f_l^r."""
-        growth, goal = [(f, mass[lease]) for lease, f in self.factors.items()], self.goal
+    def search(self, held: Sequence[Tuple[int, Fraction]]) -> Tuple[int, Dict[int, Tuple[int, int]]]:
+        """The least r whose total Σ_l A_l·f_l^r − 1/|L| reaches one, with each lease's f_l^r as
+        (n_l^r, d_l^r); A_l is 1/|L|² plus the weights of the ``held`` (lease, weight) pairs on l.
+
+        By galloping and bisection over exact int comparisons: with every A_l = a_l/den over
+        one common denominator and f_l = m_l/D, the total falls short of one iff
+        |L|·Σ_l a_l·m_l^r < (|L| + 1)·den·D^r."""
+        count, scale = self.lease_count, self.scale
+        den = math.lcm(count * count, *(w.denominator for _, w in held))
+        mass = dict.fromkeys(self.scaled, den // (count * count))
+        for lease, w in held:
+            mass[lease] += w.numerator * (den // w.denominator)
+        growth, goal = [(mass[lease], m) for lease, m in self.scaled.items()], (count + 1) * den
         lo, hi = -1, None  # lo rounds fall short of one, hi rounds reach it: gallop, then bisect
         while hi is None or hi - lo > 1:
             r = max(2 * lo + 1, 0) if hi is None else (lo + hi) // 2
-            if sum(a * f**r for f, a in growth) < goal:
+            if sum(a * m**r for a, m in growth) * count < goal * scale**r:
                 lo = r
             else:
                 hi = r
-        return hi, {lease: f**hi for lease, f in self.factors.items()}
+        return hi, {lease: (n**hi, d**hi) for lease, (n, d) in self.factors.items()}
 
 
 # one table per catalog value: LeaseCatalog is a frozen dataclass, hashed by value
@@ -77,6 +90,7 @@ class OcdslState(OnlineLeaser):
         )
         # threshold = min of 2*ceil(log2(n+1)) uniforms; n.bit_length() is that ceiling
         self.mu_draws = 2 * graph.node_count.bit_length()
+        self._draw_args = ((),) * self.mu_draws  # one empty argument tuple per random() call
         self.max_dominator_count = 0  # over growth events
         self._growth = growth_table(catalog)
 
@@ -91,7 +105,7 @@ class OcdslState(OnlineLeaser):
         random() is a multiple of 2^-53, so the int is exact: mu = Fraction(m, 2**53)."""
         m = self.thresholds.get(tr)
         if m is None:
-            m = int(min(starmap(self._mu_rng.random, repeat((), self.mu_draws))) * 2**53)
+            m = int(min(starmap(self._mu_rng.random, self._draw_args)) * 2**53)
             self.thresholds[tr] = m
         return m
 
@@ -107,25 +121,22 @@ class OcdslState(OnlineLeaser):
         holds a weight the search depends on the catalog alone and is kept in its growth
         table, and so is the weight b·(f_l^r − 1) it gives each dominator, per |W|."""
         weights, k, growth = self.weights, len(doms), self._growth
-        held = [tr for tr in doms if tr in weights]
-        if held:
-            mass = dict(growth.start_mass)
-            for tr in held:
-                mass[tr.lease] += weights[tr]
-            rounds, power = growth.search(mass)
-            bump = None
-        else:
-            rounds, power = growth.zero_start
-            bump = growth.zero_bumps.get(k)
+        held = [(tr.lease, weights[tr]) for tr in doms if tr in weights]
+        rounds, power = growth.search(held) if held else growth.zero_start
         if rounds:
-            if bump is None:  # a growth from held weights, or the first from zero at this |W|
-                b = Fraction(1, k * len(self.catalog))
-                bump = {lease: b * (p - 1) for lease, p in power.items()}  # what w_0 = 0 grows to
-                if not held:
+            kl = k * len(self.catalog)  # b = 1/kl
+            if held:  # each w·f^r + b·(f^r − 1) as one Fraction over wd·d^r·kl
+                for tr in doms:
+                    (pn, pd), w = power[tr.lease], weights.get(tr, 0)
+                    wn, wd = w.numerator, w.denominator
+                    weights[tr] = Fraction(wn * pn * kl + (pn - pd) * wd, wd * pd * kl)
+            else:
+                bump = growth.zero_bumps.get(k)
+                if bump is None:  # the first growth from zero at this |W|: what w_0 = 0 grows to
+                    bump = {lease: Fraction(pn - pd, pd * kl) for lease, (pn, pd) in power.items()}
                     growth.zero_bumps[k] = bump
-            for tr in doms:
-                w = weights.get(tr)
-                weights[tr] = bump[tr.lease] if w is None else w * power[tr.lease] + bump[tr.lease]
+                for tr in doms:
+                    weights[tr] = bump[tr.lease]
         self.max_dominator_count = max(self.max_dominator_count, k)
         return rounds
 

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from .errors import InstanceError
 from .graphs import Graph
 from .instances import OnlineLeaser, StepReport
-from .leases import LeaseCatalog, cost_sum
+from .leases import LeaseCatalog
 
 
 class PermitState:
@@ -30,7 +30,8 @@ class PermitState:
         self.spend: Dict[Tuple[int, int], int] = {}
 
     def total_cost(self) -> Fraction:
-        return cost_sum(self.catalog.cost(k) for k, _ in self.owned)
+        units = self.catalog.units
+        return Fraction(sum(units[k - 1] for k, _ in self.owned), self.catalog.scale)
 
     def request(self, t: int) -> List[Tuple[int, int]]:
         """Serve a rainy day; returns the (lease, start) pairs bought, if any."""

@@ -197,6 +197,27 @@ def reference_grow(state: "ReferenceGrowthState", doms: Sequence[Triplet]) -> in
     return rounds
 
 
+def reference_search(
+    catalog: LeaseCatalog, held: Sequence[Tuple[int, Fraction]]
+) -> Tuple[int, Dict[int, Fraction]]:
+    """``GrowthTable.search`` in Fraction arithmetic, as first written: A_l is 1/|L|² plus the
+    held weights on lease l, and r the least with Σ_l A_l·f_l^r ≥ 1 + 1/|L|, by galloping and
+    bisection over exact Fraction totals; returns r and each lease's f_l^r."""
+    factors = {i: 1 + 1 / lt.cost for i, lt in enumerate(catalog, 1)}
+    mass = dict.fromkeys(factors, Fraction(1, len(catalog) ** 2))
+    for lease, w in held:
+        mass[lease] += w
+    goal = 1 + Fraction(1, len(catalog))
+    lo, hi = -1, None
+    while hi is None or hi - lo > 1:
+        r = max(2 * lo + 1, 0) if hi is None else (lo + hi) // 2
+        if sum(mass[lease] * f**r for lease, f in factors.items()) < goal:
+            lo = r
+        else:
+            hi = r
+    return hi, {lease: f**hi for lease, f in factors.items()}
+
+
 class ReferenceGrowthState(OcdslState):
     """Phase 1 growth by its definition, ``reference_grow``, with its round-by-round
     tallies: the cost charged and the least post-growth dominator mass."""

@@ -1002,14 +1002,19 @@ def test_golden_grid_served_per_occurrence_matches_serve_request():
     assert state.totals() == run.state.totals()
 
 
-# Fraction operator calls in one GOLDEN_6X6 run, counted at the implementation that built
-# Phase 1's growth constants on every growth: a run may make at most half as many
+# Fraction operator calls in one GOLDEN_6X6 run: ``before`` counted at the implementation that
+# built Phase 1's growth constants on every growth, and a bound a little above the count
+# since Phase 1 grows its weights in ints: 1 for odsl-rr and 12 to 15 for ocdsl, none of
+# them in Phase 1 (the rest sample the tree embedding and total the run)
+GOLDEN_FRACTION_CALLS = {"odsl-rr": 4, "ocdsl": 20}
+
+
 @pytest.mark.parametrize("algorithm, before", [("odsl-rr", 989), ("ocdsl", 1135)])
 def test_golden_grid_run_makes_at_most_half_the_fraction_operator_calls(algorithm, before, monkeypatch):
     inst = gen_instance("grid", GOLDEN_6X6_PARAMS, random.Random("golden:inst"))
     calls = count_fraction_operators(monkeypatch)
     run_algorithm(algorithm, inst, 5)
-    assert len(calls) <= before // 2
+    assert len(calls) <= GOLDEN_FRACTION_CALLS[algorithm] < before // 2
 
 
 # name -> (argv writing "out.csv", sha256 of that file), frozen like GOLDEN_6X6

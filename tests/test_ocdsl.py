@@ -15,6 +15,7 @@ from conftest import (
     edge_ledger_cost,
     fractional_cost,
     reference_grow,
+    reference_search,
     spy_guards,
     tree_cost,
 )
@@ -198,6 +199,43 @@ def test_grow_stops_when_the_total_is_exactly_one():
     state.weights[Triplet(0, 1, 0)] = Fraction(1, 8)
     assert state.grow_fractional(dominators(g, 0, 0, cat)) == 2
     assert state.weights[Triplet(0, 1, 0)] == 1
+
+
+def test_grow_from_a_held_weight_stops_at_an_exact_tie_with_the_goal():
+    # one lease of cost 3 and one dominator holding 1/2: A·f = (1 + 1/2)(1 + 1/3) = 2, which
+    # is the goal 1 + 1/|L| exactly, so the integer comparison must count one round as enough
+    g = build_graph(1, [])
+    cat = LeaseCatalog.from_pairs([(1, 3)])
+    state = OcdslState(g, cat, seed=0)
+    state.weights[Triplet(0, 1, 0)] = Fraction(1, 2)
+    assert ocdsl.growth_table(cat).search([(1, Fraction(1, 2))]) == (1, {1: (4, 3)})
+    assert state.grow_fractional(dominators(g, 0, 0, cat)) == 1
+    assert state.weights[Triplet(0, 1, 0)] == 1
+
+
+@given(cat=catalogs(), data=st.data())
+@settings(deadline=None)
+def test_growth_search_equals_the_fraction_loop(cat, data):
+    weight = st.fractions(min_value=0, max_value=3, max_denominator=10**6)
+    held = data.draw(st.lists(st.tuples(st.integers(1, len(cat)), weight), max_size=8))
+    rounds, power = ocdsl.GrowthTable(cat).search(held)
+    expected_rounds, expected_power = reference_search(cat, held)
+    assert rounds == expected_rounds
+    # each f_l^r as its numerator and denominator in lowest terms
+    assert power == {lease: p.as_integer_ratio() for lease, p in expected_power.items()}
+
+
+def test_held_weight_growth_runs_no_fraction_operator(monkeypatch, path3):
+    state, reference = OcdslState(path3, TWO, seed=0), ReferenceGrowthState(path3, TWO, seed=0)
+    for s in (state, reference):
+        s.weights[Triplet(0, 1, 0)], s.weights[Triplet(2, 2, 0)] = Fraction(1, 5), Fraction(2, 7)
+    doms = dominators(path3, 1, 0, TWO)
+    calls = count_fraction_operators(monkeypatch)
+    rounds = state.grow_fractional(doms)
+    assert calls == []  # each stored weight is built as one Fraction(num, den)
+    monkeypatch.undo()
+    assert rounds == reference_grow(reference, doms) > 0
+    assert state.weights == reference.weights
 
 
 def test_a_lease_of_cost_20000_grows_in_closed_form():
@@ -384,6 +422,19 @@ def test_fallback_buys_cheapest_lease_on_target(star4):
     tr = state.fallback(1, doms, 5)
     assert tr == Triplet(1, 1, 5)
     assert state.has_active_dominator(doms)
+
+
+def test_serve_request_falls_back_when_no_threshold_can_be_beaten(path3):
+    # thresholds of mu = 128 for all of node 1's dominators: a grown weight stays below 2,
+    # so rounding buys nothing and the step's one purchase is the fallback's (1, 1, t)
+    inst = make_instance(path3, TWO, [(0, [1])])
+    state = OcdslState(path3, TWO, seed=0)
+    state.thresholds.update(dict.fromkeys(dominators(path3, 1, 0, TWO), 2**60))
+    report = state.serve_request([1], 0)
+    assert report.purchases == report.s_t == report.representatives == [Triplet(1, 1, 0)]
+    assert report.c1_increment == 1 and report.c2_increment == 0 and report.growth_rounds > 0
+    assert max(state.weights.values()) < 2
+    assert check_solution(inst, state.ledger)
 
 
 def test_select_representatives_self_domination():
