@@ -5,10 +5,10 @@ permutation pi of the nodes, one random beta uniform in [1, 2). The cluster
 containing u at level i is determined by the first node in pi within graph
 distance beta * 2^(i-1) of u (distance is symmetric, so BFS balls grown from
 the nodes of pi in turn claim u for it), refined inside u's level-(i+1)
-cluster. Level-0 clusters are singletons (the leaves); the root at level
-delta+1 is all of V, where delta = ceil(log2(diameter)). The edge from a
-level-i cluster to its parent has length 2^i, so every leaf-to-root path sums
-the full geometric series 2^0 + ... + 2^delta.
+cluster. Level-0 clusters are singletons, the leaves, built without a ball
+(the radius beta // 2 is 0); the root at level delta+1 is all of V, where
+delta = ceil(log2(diameter)). The edge from a level-i cluster to its parent
+has length 2^i, so every leaf-to-root path sums 2^0 + ... + 2^delta.
 
 Because the graph metric is integral, a pair sharing a cluster at level j is
 at graph distance at most 2*(2^j - 1), which is exactly the leaf-to-leaf tree
@@ -94,19 +94,20 @@ def _ceil_log2_diameter(graph: Graph) -> int:
 
 def build_hst(graph: Graph, rng: random.Random) -> Hst:
     """Sample one embedding; deterministic for a given seeded rng. Its depth is the graph's
-    memoized ``_ceil_log2_diameter``, and each ball stops at its first empty layer."""
+    memoized ``_ceil_log2_diameter``, and each ball stops at its first empty layer. The leaves
+    are built directly: one per member of each level-1 cluster (the root's when delta is 0)."""
     n = graph.node_count
     if n == 1:
         return Hst(delta=0, clusters=(Cluster(level=0, center=0, parent=-1),), leaf_of=(0,))
     delta = _ceil_log2_diameter(graph)
-    order, adjacency = list(range(n)), graph.adjacency
+    order, adjacency, new = list(range(n)), graph.adjacency, tuple.__new__  # a Cluster, positionally
     rng.shuffle(order)
     beta = 1 + Fraction(rng.getrandbits(32), 2**32)
 
-    clusters: List[Cluster] = [Cluster(level=delta + 1, center=order[0], parent=-1)]
+    clusters: List[Cluster] = [new(Cluster, (delta + 1, order[0], -1))]
     member_lists: List[List[int]] = [sorted(range(n))]
     level_cids = [0]
-    for level in range(delta, -1, -1):
+    for level in range(delta, 0, -1):
         radius, claimer, unclaimed = beta * (1 << level) // 2, [-1] * n, n  # u -> first node of pi within radius
         near = [radius + 1] * n  # distance to the nearest ball so far: a ball stops where it is no nearer
         for v in order:
@@ -132,14 +133,15 @@ def build_hst(graph: Graph, rng: random.Random) -> Hst:
                 groups.setdefault(claimer[u], []).append(u)
             # iterate groups in first-member order (deterministic)
             for center, members in groups.items():
-                clusters.append(Cluster(level=level, center=center, parent=cid))
+                next_cids.append(len(clusters))
+                clusters.append(new(Cluster, (level, center, cid)))
                 member_lists.append(members)
-                next_cids.append(len(clusters) - 1)
         level_cids = next_cids
     leaf_of = [-1] * n
     for cid in level_cids:
-        (node,) = member_lists[cid]  # level-0 radius < 1 forces singletons
-        leaf_of[node] = cid
+        for u in member_lists[cid]:
+            leaf_of[u] = len(clusters)
+            clusters.append(new(Cluster, (0, u, cid)))
     return Hst(delta=delta, clusters=tuple(clusters), leaf_of=tuple(leaf_of))
 
 

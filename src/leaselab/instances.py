@@ -115,6 +115,18 @@ class PurchaseLedger:
         self.entries[tr] = step
         self._slots.setdefault((lease, start), []).append(tr)
 
+    def add_nodes(self, nodes: Iterable[int], lease: int, start: int, step: int, cost: Fraction) -> None:
+        """``add`` each (node, lease, start) of ``nodes`` not held yet, in order, with one price
+        check and one slot bucket lookup: a call that files nothing changes nothing."""
+        entries, new = self.entries, tuple.__new__  # a Triplet, skipping its __new__
+        fresh = {tr: step for tr in [new(Triplet, (node, lease, start)) for node in nodes] if tr not in entries}
+        if fresh:
+            price = self._prices.setdefault(lease, cost)
+            if price is not cost and price != cost:
+                raise LedgerError(f"lease {lease} costs {price} in this ledger, not {cost}")
+            entries.update(fresh)
+            self._slots.setdefault((lease, start), []).extend(fresh)
+
     def __contains__(self, tr: Triplet) -> bool:
         return tr in self.entries
 
@@ -160,6 +172,9 @@ class OnlineLeaser:
 
     def buy(self, tr: Triplet, t: int) -> None:
         self.ledger.add(tr, t, self.catalog.cost(tr.lease))
+
+    def buy_nodes(self, nodes: Iterable[int], lease: int, start: int, t: int) -> None:
+        self.ledger.add_nodes(nodes, lease, start, t, self.catalog.cost(lease))
 
 
 @dataclass(slots=True)

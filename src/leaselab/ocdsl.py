@@ -218,12 +218,9 @@ class OcdslState(OnlineLeaser):
             root_comp = connected_component(self.graph, root.node, active_now)
             r_nodes = sorted({tr.node for tr in reps} - root_comp)
             # an edge lease bought before has both of its node triplets in the ledger
-            entries, new = self.ledger.entries, tuple.__new__  # a Triplet, skipping its __new__
             for nodes, lease, start in self.osfl.connect(r_nodes, root.node, t):
-                for node in nodes:
-                    tr = new(Triplet, (node, lease, start))
-                    if tr not in entries:
-                        self.buy(tr, t)
+                if nodes:  # no graph edge when the child cluster's center is its parent's
+                    self.buy_nodes(nodes, lease, start, t)
 
         return StepReport.from_ledger(
             t, requested, self.ledger, self.catalog, len(self.ledger) - phase2_start,

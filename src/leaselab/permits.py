@@ -33,9 +33,10 @@ class PermitState:
         units = self.catalog.units
         return Fraction(sum(units[k - 1] for k, _ in self.owned), self.catalog.scale)
 
-    def request(self, t: int) -> List[Tuple[int, int]]:
-        """Serve a rainy day; returns the (lease, start) pairs bought, if any."""
-        slots = self.catalog.slots(t)  # one per lease type; slots[k] is type k + 1's
+    def request(self, t: int, slots: Sequence[Tuple[int, int]] = ()) -> List[Tuple[int, int]]:
+        """Serve a rainy day; returns the (lease, start) pairs bought, if any. ``slots``, when
+        given, must be ``catalog.slots(t)``: a caller serving many permits at t looks it up once."""
+        slots = slots or self.catalog.slots(t)  # one per lease type; slots[k] is type k + 1's
         owned, spend, units = self.owned, self.spend, self.catalog.units
         if not owned.keys().isdisjoint(slots):
             return []

@@ -1,12 +1,12 @@
 """Online Steiner forest leasing: permits per tree edge, realized as graph leases.
 
-Each edge of the embedded tree runs its own parking-permit instance whose
-rainy days are the steps on which the edge lies on some terminal-to-root tree
-path. A tree edge of length w behaves like w parallel unit permit instances
-charged together, so decisions follow the unit instance and the tree-side
-cost scales by w. A permit purchase leases the graph edges of the shortest path
-between the endpoint cluster centers, found once per tree edge by one BFS per
-parent center. The edge ledger and the tree cost are read from each edge's permits.
+Each edge of the embedded tree runs its own parking-permit instance whose rainy days
+are the steps on which the edge lies on some terminal-to-root tree path, served from
+one slot lookup per connect. A tree edge of length w acts as w unit permits charged
+together: decisions follow the unit instance, and the tree-side cost scales by w. A
+permit purchase leases the graph edges of the shortest path between the endpoint
+cluster centers, found once per tree edge by one BFS per parent center; the caller
+files its nodes in one ledger call. The permits give the edge ledger and tree cost.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class OsflState:
         """Lease enough graph edges that every terminal reaches the root at time t; returns
         (nodes, lease, start) per tree-edge permit bought, nodes the ends of its edges."""
         needed = {cid for r in set(terminals) for cid in tree_path_edges(self.hst, r, root)}
-        bought = []
+        slots, bought = self.catalog.slots(t), []  # one lookup serves every permit at t
         for cid in sorted(needed):
             if cid not in self.tree_edges:
                 walk = edge_realization(self.hst, cid, self.graph, self.searches)
@@ -47,7 +47,7 @@ class OsflState:
                 ends = tuple(dict.fromkeys(x for e in edges for x in e))
                 self.tree_edges[cid] = PermitState(self.catalog), edges, ends
             permit, _, ends = self.tree_edges[cid]
-            bought += [(ends, lease, start) for lease, start in permit.request(t)]
+            bought += [(ends, lease, start) for lease, start in permit.request(t, slots)]
         return bought
 
     def edge_ledger(self) -> Dict[Tuple[Tuple[int, int], int, int], int]:

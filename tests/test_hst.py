@@ -30,6 +30,10 @@ def star_graph(n):
     return build_graph(n, [(0, i) for i in range(1, n)])
 
 
+def complete_graph(n):
+    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
 def grid_graph(rows, cols):
     return gen_instance("grid", {"rows": rows, "cols": cols, "T": 1}, random.Random(0)).graph
 
@@ -63,6 +67,25 @@ def test_build_equals_the_reference_build_on_generated_graphs(kind, params, seed
     g = gen_instance(kind, {**params, "T": 1}, random.Random(0)).graph
     for seed in range(seeds):
         assert build_hst(g, random.Random(seed)) == reference_build_hst(g, random.Random(seed))
+
+
+# diameter 1, so delta = 0: no level between the root and the leaves, which hang from the root
+DIAMETER_ONE = {
+    **{f"K{n}": complete_graph(n) for n in range(2, 7)},
+    **{
+        f"gnp{n}-p1": gen_instance("random-gnp-connected", {"n": n, "p": 1.0, "T": 1}, random.Random(n)).graph
+        for n in (2, 5, 9)
+    },
+}
+
+
+@pytest.mark.parametrize("g", DIAMETER_ONE.values(), ids=list(DIAMETER_ONE))
+def test_build_equals_the_reference_build_where_delta_is_0(g):
+    for seed in range(4):
+        h = build_hst(g, random.Random(seed))
+        assert h == reference_build_hst(g, random.Random(seed))
+        assert h.delta == 0 and len(h.clusters) == g.node_count + 1
+        assert [h.clusters[cid].parent for cid in h.leaf_of] == [0] * g.node_count
 
 
 # ---------------------------------------------------------------- delta is exact

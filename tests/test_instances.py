@@ -114,6 +114,59 @@ def test_ledger_rows_and_total_equal_a_replay_of_its_adds(bought, inst, solve):
     assert ledger.total_cost() == sum((cost for _, _, cost in adds), Fraction(0))
 
 
+def ledger_state(ledger):
+    """Everything a ledger holds, its prices and slot index included; == skips the index."""
+    return list(ledger.entries.items()), dict(ledger._prices), {k: list(v) for k, v in ledger._slots.items()}
+
+
+@st.composite
+def node_purchases(draw, max_node: int):
+    """(nodes, lease, start) as Phase 2 files a permit purchase's path nodes; nodes may repeat."""
+    _, lease, start = draw(aligned_purchases(max_node))
+    return draw(st.lists(st.integers(min_value=0, max_value=max_node), max_size=4)), lease, start
+
+
+@given(
+    held=st.lists(aligned_purchases(5), max_size=12, unique=True),
+    calls=st.lists(node_purchases(5), max_size=12),
+)
+@settings(max_examples=60, deadline=None)
+def test_add_nodes_equals_one_add_per_triplet_not_held(held, calls):
+    bulk, single = aligned_ledger(held), aligned_ledger(held)
+    for step, (nodes, lease, start) in enumerate(calls, len(held)):
+        before, fresh = ledger_state(bulk), {Triplet(u, lease, start) for u in nodes} - bulk.entries.keys()
+        bulk.add_nodes(nodes, lease, start, step, CAT3.cost(lease))
+        for u in nodes:
+            if Triplet(u, lease, start) not in single:
+                single.add(Triplet(u, lease, start), step, CAT3.cost(lease))
+        if not fresh:  # all held, or empty: no price for an unbought lease, no empty slot bucket
+            assert ledger_state(bulk) == before
+    assert ledger_state(bulk) == ledger_state(single) and bulk == single
+    assert bulk.rows() == single.rows() and bulk.total_cost() == single.total_cost()
+    for t in range(70):
+        assert bulk.active_triplets(CAT3, t) == single.active_triplets(CAT3, t)
+
+
+def test_add_nodes_that_files_nothing_changes_nothing():
+    ledger = PurchaseLedger()
+    ledger.add_nodes([], 1, 5, 5, Fraction(1))
+    assert ledger == PurchaseLedger() and ledger_state(ledger) == ([], {}, {})
+    ledger.add(Triplet(0, 2, 4), 4, Fraction(2))
+    before = ledger_state(ledger)
+    ledger.add_nodes([0, 0], 2, 4, 5, Fraction(2))
+    ledger.add_nodes((), 3, 8, 8, Fraction(3))
+    assert ledger_state(ledger) == before
+
+
+def test_add_nodes_at_a_second_price_raises_and_files_nothing():
+    ledger = PurchaseLedger()
+    ledger.add(Triplet(0, 2, 4), 4, Fraction(2))
+    before = ledger_state(ledger)
+    with pytest.raises(LedgerError, match=r"^lease 2 costs 2 in this ledger, not 5/2$"):
+        ledger.add_nodes([1, 0, 2], 2, 4, 5, Fraction(5, 2))
+    assert ledger_state(ledger) == before
+
+
 def test_step_report_reads_the_rows_of_its_step_and_splits_off_the_last_as_c2():
     cat = LeaseCatalog.from_pairs([(1, "1/2"), (2, "2/3")])  # units 3 and 4 of 1/6
     ledger = PurchaseLedger()

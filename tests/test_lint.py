@@ -177,18 +177,24 @@ def scoped_nodes(node: ast.AST, scope: str = "") -> Iterator[Tuple[str, ast.AST]
         yield from scoped_nodes(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
 
 
-# the three places that price a purchase: an online leaser's, the oracle's and the ledger reader's
-PRICE_SITES = {"OnlineLeaser.buy", "_offline", "_read_ledger_csv"}
+# one place per kind of caller that prices a purchase: an online leaser's (one triplet, or the
+# nodes of one path, which are its ``buy`` and ``buy_nodes``), the oracle's and the ledger reader's
+PRICE_SITES = {"OnlineLeaser.buy", "OnlineLeaser.buy_nodes", "_offline", "_read_ledger_csv"}
 
 
 def priced_adds(source: str) -> List[str]:
     """'line: scope' for each .add() call that passes a cost (three positional arguments or
-    cost=) outside PRICE_SITES: an online leaser buys through OnlineLeaser.buy."""
+    cost=), and each .add_nodes() call, which always does, outside PRICE_SITES: an online
+    leaser buys through OnlineLeaser.buy or OnlineLeaser.buy_nodes."""
     found = []
     for scope, node in scoped_nodes(ast.parse(source)):
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add" and scope not in PRICE_SITES:
-            if len(node.args) == 3 or "cost" in {kw.arg for kw in node.keywords}:
-                found.append(f"{node.lineno}: {scope}")
+        if not isinstance(node, ast.Call) or scope in PRICE_SITES:
+            continue
+        method = getattr(node.func, "attr", None)
+        if method == "add_nodes" or method == "add" and (
+            len(node.args) == 3 or "cost" in {kw.arg for kw in node.keywords}
+        ):
+            found.append(f"{node.lineno}: {scope}")
     return found
 
 
@@ -197,19 +203,26 @@ def test_priced_adds_finds_only_the_purchases_priced_outside_the_three_sites():
 class OnlineLeaser:
     def buy(self, tr, t):
         self.ledger.add(tr, step=t, cost=1)
+    def buy_nodes(self, nodes, lease, start, t):
+        self.ledger.add_nodes(nodes, lease, start, t, 1)
 class A(OnlineLeaser):
     def f(self, tr, t):
         self.ledger.add(tr, t, 1)
         self.ledger.add(tr, step=t, cost=2)
         seen.add(tr)
         self.buy(tr, t)
+        self.ledger.add_nodes([0, 1], 1, t, t, 1)
+        self.ledger.add_nodes(*row)
+        self.buy_nodes([0, 1], 1, t, t)
 def _offline(ledger, tr):
     ledger.add(tr, step=0, cost=1)
 def _read_ledger_csv(ledger, tr):
     def inner():
         ledger.add(tr, 0, 1)
 """
-    assert priced_adds(source) == ["7: A.f", "8: A.f", "15: _read_ledger_csv.inner"]
+    assert priced_adds(source) == [
+        "9: A.f", "10: A.f", "13: A.f", "14: A.f", "20: _read_ledger_csv.inner"
+    ]
 
 
 def test_library_prices_purchases_only_at_the_three_sites():

@@ -304,6 +304,47 @@ def test_wide_grid_runs_one_bfs_per_parent_center_and_labels_far_fewer_nodes(mon
     assert 2 * labelled <= stopped
 
 
+def test_wide_grid_looks_up_slots_once_per_connect_and_files_each_path_in_one_ledger_call(monkeypatch):
+    inst = gen_instance(
+        "grid", {"rows": 30, "cols": 30, "T": 40, "k": 4, "L": 3}, random.Random(0)
+    )
+    slot_calls, ledger_calls, phase2 = [0], [], []  # phase2: (ledger calls so far, paths) per connect
+    original_slots, original_connect = LeaseCatalog.slots, OsflState.connect
+
+    def logged(name, method):
+        def call(*args):
+            ledger_calls.append(name)
+            return method(*args)
+
+        return call
+
+    def counted_slots(self, t):
+        slot_calls[0] += 1
+        return original_slots(self, t)
+
+    def watched_connect(self, terminals, root, t):
+        before = slot_calls[0]
+        bought = original_connect(self, terminals, root, t)
+        assert slot_calls[0] == before + 1
+        phase2.append((len(ledger_calls), sum(1 for nodes, _, _ in bought if nodes)))
+        return bought
+
+    monkeypatch.setattr(LeaseCatalog, "slots", counted_slots)
+    monkeypatch.setattr(OsflState, "connect", watched_connect)
+    for name in ("add", "add_nodes"):
+        monkeypatch.setattr(PurchaseLedger, name, logged(name, getattr(PurchaseLedger, name)))
+    state = OcdslState(inst.graph, inst.catalog, seed=0)
+    for t, nodes in inst.requests:
+        state.serve_request(nodes, t)
+        mark, paths = phase2[-1]  # every ledger call after this step's connect is Phase 2's
+        assert ledger_calls[mark:] == ["add_nodes"] * len(ledger_calls[mark:])
+        assert len(ledger_calls) - mark <= paths
+    monkeypatch.undo()
+
+    assert len(phase2) == len(inst.requests)
+    assert sum(paths for _, paths in phase2) > 100  # the stream bought many paths
+
+
 @given(
     g=connected_graphs(max_nodes=9),
     cat=catalogs(),
