@@ -626,6 +626,9 @@ RECORDS_BREAKING_A_RULE = {
     "records-seed-negative": "x#0,ocdsl,-5,3,1,2,,,3,1,2,1",
     "records-seed-past-64-bits": f"x#0,ocdsl,{2**64},3,1,2,,,3,1,2,1",
 }
+PAST_THE_CAP = json.dumps(
+    gen_instance("grid", {"rows": 3, "cols": 3, "T": 4, "L": 2}, random.Random(1)).to_json()
+)
 # name -> (argv, files to write first)
 CLI_ERRORS = {
     "trials-0": (["run", "--kind", "star", "--trials", "0"], {}),
@@ -736,6 +739,13 @@ CLI_ERRORS = {
     "gen-gnp-never-connected": (
         ["gen", "--kind", "random-gnp-connected", "--params", "n=6", "p=0"], {}
     ),
+    # a 3x3 grid with T=4 and L=2 has 36 candidates in its top slot [0, 4), past the cap of 24
+    **{
+        f"oracle-{mode}-past-the-cap": (
+            ["oracle", "--instance", "i.json", "--mode", mode], {"i.json": PAST_THE_CAP}
+        )
+        for mode in ("cds", "ds")
+    },
     "missing-records": (["report", "--records", "nope.csv"], {}),
     "missing-instance": (["run", "--instance", "nope.json"], {}),
     "missing-ledger": (

@@ -18,7 +18,9 @@ from leaselab.instances import PurchaseLedger, make_instance
 from leaselab.leases import LeaseCatalog, Triplet
 from leaselab.oracle import (
     TooLarge,
+    _requirements,
     candidate_universe,
+    check_domination_step,
     check_feasible_step,
     check_solution,
     offline_opt,
@@ -321,20 +323,25 @@ def benchmark_grid_instances():
     return instances
 
 
-def benchmark_grid_step_checks(monkeypatch):
-    """Step checks made by the 300 exact solves (both variants) of the benchmark grid."""
-    calls = Counter()
+def benchmark_grid_step_check_calls(monkeypatch):
+    """Step checks made by the 300 exact solves of the benchmark grid, per (solver, check)."""
+    calls, instances = Counter(), benchmark_grid_instances()
     for name in ("check_feasible_step", "check_domination_step"):
 
         def counted(graph, active_nodes, request_nodes, name=name, check=getattr(oracle, name)):
-            calls[name] += 1
+            calls[solve, name] += 1  # the solver of the loop below
             return check(graph, active_nodes, request_nodes)
 
         monkeypatch.setattr(oracle, name, counted)
-    for inst in benchmark_grid_instances():
-        offline_opt(inst)
-        offline_opt_ds(inst)
-    return sum(calls.values())
+    for solve in (offline_opt, offline_opt_ds):
+        for inst in instances:
+            solve(inst)
+    return calls
+
+
+def benchmark_grid_step_checks(monkeypatch):
+    """Step checks made by the 300 exact solves (both variants) of the benchmark grid."""
+    return sum(benchmark_grid_step_check_calls(monkeypatch).values())
 
 
 def test_benchmark_grid_optima_stay_within_a_step_check_budget(monkeypatch):
@@ -352,6 +359,42 @@ def test_node_keyed_benchmark_grid_optima_stay_within_a_node_set_budget(monkeypa
     # keyed by the mask of active candidates alone, the checks were 10,896; a new mask
     # whose active nodes were checked at that step before is answered by them: 6,119
     assert benchmark_grid_step_checks(monkeypatch) <= 6_500
+
+
+def test_dominating_masks_alone_reach_a_benchmark_grid_step_check(monkeypatch):
+    # with each step's domination compiled into requirement masks, the DS search checks no
+    # step and the CDS search only masks that dominate: 2,014 checks (CDS 2,989, DS 3,130 before)
+    calls = benchmark_grid_step_check_calls(monkeypatch)
+    assert [key for key in calls if key[0] is offline_opt_ds] == []
+    assert sum(calls.values()) <= 2_200
+
+
+def test_offline_opt_checks_connectivity_only_on_dominating_sets(monkeypatch):
+    checked = []
+
+    def spied(graph, active_nodes, request_nodes):
+        checked.append(check_domination_step(graph, active_nodes, request_nodes))
+        return check_feasible_step(graph, active_nodes, request_nodes)
+
+    monkeypatch.setattr(oracle, "check_feasible_step", spied)
+    for inst in benchmark_grid_instances():
+        offline_opt(inst)
+    assert checked and all(checked)
+
+
+@given(inst=small_instances(), data=st.data())
+@settings(deadline=None)
+def test_meeting_every_requirement_is_dominating_the_step(inst, data):
+    cands = candidate_universe(inst)
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << len(cands)) - 1))
+    for t, nodes in inst.requests:
+        _, needs = _requirements(inst.graph, cands, inst.catalog.slots(t), nodes)
+        # live by the lease window's definition, not by its slot
+        active = {
+            tr.node for i, tr in enumerate(cands)
+            if mask >> i & 1 and tr.start <= t < tr.start + inst.catalog.duration(tr.lease)
+        }
+        assert all(mask & need for need in needs) == check_domination_step(inst.graph, active, nodes)
 
 
 def test_benchmark_grid_optima_and_ledgers_equal_the_set_based_search():
