@@ -147,7 +147,7 @@ class PurchaseLedger:
         return [tr for key in catalog.slots(t) for tr in self._slots.get(key, ())]
 
     def active_nodes(self, catalog: LeaseCatalog, t: int) -> Set[int]:
-        return {tr.node for tr in self.active_triplets(catalog, t)}
+        return {tr[0] for tr in self.active_triplets(catalog, t)}
 
     def rows(self) -> List[Tuple[int, int, int, int, Fraction]]:
         """(node, lease, start, step, cost) per entry, in purchase order."""
@@ -171,7 +171,7 @@ class OnlineLeaser:
         return requested
 
     def buy(self, tr: Triplet, t: int) -> None:
-        self.ledger.add(tr, t, self.catalog.cost(tr.lease))
+        self.ledger.add(tr, t, self.catalog.cost(tr[1]))
 
     def buy_nodes(self, nodes: Iterable[int], lease: int, start: int, t: int) -> None:
         self.ledger.add_nodes(nodes, lease, start, t, self.catalog.cost(lease))

@@ -98,16 +98,23 @@ class OcdslState(OnlineLeaser):
 
     def has_active_dominator(self, doms: Sequence[Triplet]) -> bool:
         """True iff the ledger holds one of ``doms``, however long the ledger's history."""
-        return any(tr in self.ledger.entries for tr in doms)
+        entries = self.ledger.entries
+        for tr in doms:
+            if tr in entries:
+                return True
+        return False
 
-    def threshold(self, tr: Triplet) -> int:
-        """Per-triplet rounding threshold mu·2^53, sampled once on first touch. Every
-        random() is a multiple of 2^-53, so the int is exact: mu = Fraction(m, 2**53)."""
-        m = self.thresholds.get(tr)
-        if m is None:
-            m = int(min(starmap(self._mu_rng.random, self._draw_args)) * 2**53)
-            self.thresholds[tr] = m
-        return m
+    def thresholds_of(self, doms: Sequence[Triplet]) -> List[int]:
+        """Each triplet's rounding threshold mu·2^53, in ``doms`` order. The only place a threshold
+        is drawn: on a triplet's first touch, in ``doms`` order, and then frozen. Every random()
+        is a multiple of 2^-53, so the int is exact: mu = Fraction(m, 2**53)."""
+        thresholds, draw, args, out = self.thresholds, self._mu_rng.random, self._draw_args, []
+        for tr in doms:
+            m = thresholds.get(tr)
+            if m is None:
+                m = thresholds[tr] = int(min(starmap(draw, args)) * 2**53)
+            out.append(m)
+        return out
 
     # ------------------------------------------------------------------ phase 1
 
@@ -121,13 +128,13 @@ class OcdslState(OnlineLeaser):
         holds a weight the search depends on the catalog alone and is kept in its growth
         table, and so is the weight b·(f_l^r − 1) it gives each dominator, per |W|."""
         weights, k, growth = self.weights, len(doms), self._growth
-        held = [(tr.lease, weights[tr]) for tr in doms if tr in weights]
+        held = [(tr[1], weights[tr]) for tr in doms if tr in weights]
         rounds, power = growth.search(held) if held else growth.zero_start
         if rounds:
             kl = k * len(self.catalog)  # b = 1/kl
             if held:  # each w·f^r + b·(f^r − 1) as one Fraction over wd·d^r·kl
                 for tr in doms:
-                    (pn, pd), w = power[tr.lease], weights.get(tr, 0)
+                    (pn, pd), w = power[tr[1]], weights.get(tr, 0)
                     wn, wd = w.numerator, w.denominator
                     weights[tr] = Fraction(wn * pn * kl + (pn - pd) * wd, wd * pd * kl)
             else:
@@ -136,21 +143,20 @@ class OcdslState(OnlineLeaser):
                     bump = {lease: Fraction(pn - pd, pd * kl) for lease, (pn, pd) in power.items()}
                     growth.zero_bumps[k] = bump
                 for tr in doms:
-                    weights[tr] = bump[tr.lease]
+                    weights[tr] = bump[tr[1]]
         self.max_dominator_count = max(self.max_dominator_count, k)
         return rounds
 
     def round_purchases(self, doms: Sequence[Triplet], t: int) -> List[Triplet]:
-        """Buy every dominator whose weight w beats its frozen threshold: w > m/2^53."""
-        bought, weights, thresholds = [], self.weights, self.thresholds
-        for tr in doms:
-            m = thresholds.get(tr)
-            if m is None:
-                m = self.threshold(tr)  # drawn on first touch, even with no weight
+        """Buy, in ``doms`` order, every dominator whose weight w beats its frozen threshold:
+        w > m/2^53. One thresholds_of call first draws every threshold ``doms`` lacks, even
+        with no weight. Returns what it bought, in purchase order."""
+        bought, weights, entries = [], self.weights, self.ledger.entries
+        for tr, m in zip(doms, self.thresholds_of(doms)):
             w = weights.get(tr)
             if w is not None:
                 num, den = w.as_integer_ratio()
-                if num << 53 > m * den and tr not in self.ledger.entries:
+                if num << 53 > m * den and tr not in entries:
                     self.buy(tr, t)
                     bought.append(tr)
         return bought
@@ -184,7 +190,8 @@ class OcdslState(OnlineLeaser):
     # ------------------------------------------------------------------ driver
 
     def serve_request(self, nodes: Sequence[int], t: int) -> StepReport:
-        """Run both phases for one request step."""
+        """Run both phases for one request step. A requested node with no held dominator grows
+        and rounds; it calls the fallback only if that rounding bought nothing."""
         requested = self.begin(nodes, t)
         rounds = 0
 
@@ -196,14 +203,14 @@ class OcdslState(OnlineLeaser):
             if self.has_active_dominator(doms):
                 continue
             rounds += self.grow_fractional(doms)
-            self.round_purchases(doms, t)
-            self.fallback(u, doms, t)
+            if not self.round_purchases(doms, t):  # u is dominated iff rounding bought one
+                self.fallback(u, doms, t)
 
         # Phase 1 step ii: assign dominators and buy representatives
         # per node, a cheapest held dominator; cost ties go to the least node, then start
         entries, units = self.ledger.entries, self.catalog.units
         picks = {
-            min((units[tr.lease - 1], tr.node, tr.start, tr.lease) for tr in doms if tr in entries)
+            min((units[tr[1] - 1], tr[0], tr[2], tr[1]) for tr in doms if tr in entries)
             for doms in doms_of.values()
         }
         s_t = sorted(Triplet(node, lease, start) for _, node, start, lease in picks)

@@ -31,9 +31,10 @@ class DualState(OnlineLeaser):
         request rule, which serve_request applies."""
         doms = dominators(self.graph, u, t, self.catalog)
         slack, units, entries = self.slack, self.catalog.units, self.ledger.entries
-        if any(tr in entries for tr in doms):
-            return
-        left = [slack.get(tr, units[tr.lease - 1]) for tr in doms]
+        for tr in doms:
+            if tr in entries:
+                return
+        left = [slack.get(tr, units[tr[1] - 1]) for tr in doms]
         raise_by = min(left)
         self.dual += raise_by
         for tr, s in zip(doms, left):

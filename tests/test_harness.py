@@ -47,6 +47,7 @@ from leaselab.harness import (
 )
 from leaselab.instances import Instance, OnlineLeaser, PurchaseLedger, StepReport, make_instance
 from leaselab.leases import LeaseCatalog, Triplet
+from leaselab.ocdsl import OcdslState
 from leaselab.oracle import offline_opt, offline_opt_ds
 from leaselab.permits import pp_offline_opt
 from leaselab.primal_dual import DualState
@@ -1025,6 +1026,42 @@ def test_golden_grid_run_makes_at_most_half_the_fraction_operator_calls(algorith
     calls = count_fraction_operators(monkeypatch)
     run_algorithm(algorithm, inst, 5)
     assert len(calls) <= GOLDEN_FRACTION_CALLS[algorithm] < before // 2
+
+
+# Phase 1 calls in one GOLDEN_6X6 run: (round_purchases and thresholds_of each, has_active_dominator,
+# fallback). The implementation that drew each threshold in a call of its own and called the
+# fallback after every growth made 357 and 348 threshold calls, 150 and 151 dominator checks and
+# 30 and 31 fallbacks.
+GOLDEN_PHASE1_CALLS = {"odsl-rr": (30, 120, 0), "ocdsl": (31, 120, 0)}
+
+
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN_PHASE1_CALLS))
+def test_golden_grid_run_draws_thresholds_once_per_rounding_and_falls_back_only_after_an_empty_one(
+    algorithm, monkeypatch
+):
+    inst = gen_instance("grid", GOLDEN_6X6_PARAMS, random.Random("golden:inst"))
+    calls = dict.fromkeys(("thresholds_of", "round_purchases", "has_active_dominator", "fallback"), 0)
+    empty_roundings = [0]
+
+    def spy(name):
+        method = getattr(OcdslState, name)
+
+        def spied(state, *args):
+            calls[name] += 1
+            result = method(state, *args)
+            if name == "round_purchases" and not result:
+                empty_roundings[0] += 1
+            return result
+
+        monkeypatch.setattr(OcdslState, name, spied)
+
+    for name in calls:
+        spy(name)
+    run_algorithm(algorithm, inst, 5)
+    roundings, checks, fallbacks = GOLDEN_PHASE1_CALLS[algorithm]
+    assert calls["round_purchases"] == calls["thresholds_of"] == roundings
+    assert calls["has_active_dominator"] == checks == sum(len(nodes) for _, nodes in inst.requests)
+    assert calls["fallback"] == empty_roundings[0] == fallbacks
 
 
 # name -> (argv writing "out.csv", sha256 of that file), frozen like GOLDEN_6X6

@@ -16,6 +16,7 @@ from conftest import (
     fractional_cost,
     reference_grow,
     reference_search,
+    request_streams,
     spy_guards,
     tree_cost,
 )
@@ -268,7 +269,7 @@ def test_round_purchases_needs_a_weight_strictly_above_the_threshold():
     g = build_graph(1, [])
     tr = Triplet(0, 1, 0)
     for seed in range(20):
-        m = OcdslState(g, UNIT, seed=seed).threshold(tr)
+        (m,) = OcdslState(g, UNIT, seed=seed).thresholds_of([tr])
         mu = Fraction(m, 2**53)
         for weight, buys in (
             (mu, False),
@@ -302,7 +303,7 @@ def test_integer_rounding_buys_as_the_fraction_reference(g, cat, seed, data):
             for tr in doms:
                 # a touched threshold, or one drawn here on request, gets a weight next to it
                 if tr in reference.thresholds or data.draw(st.booleans()):
-                    m = state.threshold(tr)
+                    (m,) = state.thresholds_of([tr])
                     assert Fraction(m, 2**53) == reference.threshold(tr)
                     weight = Fraction(m, 2**53) + data.draw(near)
                 else:
@@ -317,6 +318,28 @@ def test_integer_rounding_buys_as_the_fraction_reference(g, cat, seed, data):
                 reference.thresholds
             )
             assert state._mu_rng.getstate() == reference._mu_rng.getstate()
+
+
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**16),
+    picks=st.lists(
+        st.builds(Triplet, st.integers(0, 3), st.integers(1, 2), st.integers(0, 3)),
+        min_size=1,
+        max_size=24,
+    ),
+)
+def test_thresholds_of_draws_as_one_call_per_triplet_and_as_the_fraction_reference(n, seed, picks):
+    # n sets the draws per threshold; the sequence repeats triplets within and across its halves
+    g, sequence = build_graph(n, [(i, i + 1) for i in range(n - 1)]), picks + picks[::2]
+    whole, single = (OcdslState(g, UNIT, seed=seed, connect=False) for _ in range(2))
+    reference = ReferenceOcdslState(g, UNIT, seed=seed, connect=False)
+    drawn = whole.thresholds_of(sequence)
+    assert drawn == [m for tr in sequence for m in single.thresholds_of([tr])]
+    assert list(whole.thresholds.items()) == list(single.thresholds.items())
+    assert whole._mu_rng.getstate() == single._mu_rng.getstate()
+    assert drawn == [reference.threshold(tr) * 2**53 for tr in sequence]
+    assert whole._mu_rng.getstate() == reference._mu_rng.getstate()
 
 
 def test_round_purchases_runs_no_fraction_operator_and_draws_q_uniforms_per_triplet(
@@ -435,6 +458,69 @@ def test_serve_request_falls_back_when_no_threshold_can_be_beaten(path3):
     assert report.c1_increment == 1 and report.c2_increment == 0 and report.growth_rounds > 0
     assert max(state.weights.values()) < 2
     assert check_solution(inst, state.ledger)
+
+
+def phase1_events(state: OcdslState, inst) -> list:
+    """Serve ``inst`` and return, in call order, ("round", bought anything) per rounding and
+    ("fallback", bought) per fallback call."""
+    events, rounding, fallback = [], OcdslState.round_purchases, OcdslState.fallback
+
+    def spied_rounding(self, doms, t):
+        bought = rounding(self, doms, t)
+        events.append(("round", bool(bought)))
+        return bought
+
+    def spied_fallback(self, u, doms, t):
+        tr = fallback(self, u, doms, t)
+        events.append(("fallback", tr is not None))
+        return tr
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(OcdslState, "round_purchases", spied_rounding)
+        mp.setattr(OcdslState, "fallback", spied_fallback)
+        for t, nodes in inst.requests:
+            state.serve_request(nodes, t)
+    return events
+
+
+def force_high_thresholds(state: OcdslState, inst, nodes) -> None:
+    """Give every dominator of ``nodes`` at each request time mu = 2^27, which no weight beats."""
+    for t, _ in inst.requests:
+        for u in nodes:
+            state.thresholds.update(dict.fromkeys(dominators(inst.graph, u, t, inst.catalog), 2**80))
+
+
+def fallbacks_after_empty_rounds(events: list) -> list:
+    """``events`` as they must be: one buying fallback right after each rounding that bought nothing."""
+    expected = []
+    for kind, bought in events:
+        if kind == "round":
+            expected.append((kind, bought))
+            if not bought:
+                expected.append(("fallback", True))
+    return expected
+
+
+@given(inst=request_streams(), connect=st.booleans(), data=st.data())
+@settings(deadline=None)
+def test_fallback_fires_exactly_after_the_roundings_that_bought_nothing(inst, connect, data):
+    state = OcdslState(inst.graph, inst.catalog, seed=data.draw(st.integers(0, 9)), connect=connect)
+    force_high_thresholds(state, inst, data.draw(st.sets(st.sampled_from(range(inst.graph.node_count)))))
+    events = phase1_events(state, inst)
+    assert events == fallbacks_after_empty_rounds(events)
+    assert check_solution(inst, state.ledger, require_connected=connect)
+
+
+def test_golden_grid_with_forced_thresholds_falls_back_on_each_empty_rounding_alone():
+    # forcing the dominators of every third node makes some roundings buy nothing, not all
+    params = {"rows": 6, "cols": 6, "T": 30, "k": 4, "L": 3}  # GOLDEN_6X6's instance
+    inst = gen_instance("grid", params, random.Random("golden:inst"))
+    state = OcdslState(inst.graph, inst.catalog, seed=5, connect=False)
+    force_high_thresholds(state, inst, range(0, inst.graph.node_count, 3))
+    events = phase1_events(state, inst)
+    assert events == fallbacks_after_empty_rounds(events)
+    assert ("round", True) in events and ("round", False) in events
+    assert check_solution(inst, state.ledger, require_connected=False)
 
 
 def test_select_representatives_self_domination():
