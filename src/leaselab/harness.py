@@ -296,7 +296,7 @@ def report(records: Sequence[RunRecord]) -> List[SummaryRow]:
     """Aggregate records per (instance family, algorithm)."""
     groups: Dict[Tuple[str, str], List[RunRecord]] = {}
     for rec in records:
-        family = rec.instance_id.split("#", 1)[0]
+        family = rec.instance_id.rsplit("#", 1)[0]  # run_trial appends "#<index>" last
         groups.setdefault((family, rec.algorithm), []).append(rec)
     rows = []
     for (family, algorithm) in sorted(groups):

@@ -2,12 +2,13 @@
 
 Phase 1 grows fractional weights over each undominated request node's
 dominators until they sum to one, rounds them against per-triplet random
-thresholds, falls back to a cheapest-lease purchase when rounding misses,
-and buys cheapest-lease representatives for the chosen dominators by greedy
-cover. Phase 2 connects the representatives that cannot already reach the
-root through active nodes, by leasing tree edges through the Steiner
-subsystem and mirroring every leased graph edge as two node triplets with
-the same lease and start.
+thresholds, falls back to a cheapest-lease purchase when rounding buys
+nothing, and buys cheapest-lease representatives for the chosen dominators
+by greedy cover. ``round_purchases`` is the one place a threshold is drawn.
+Phase 2 connects the representatives that cannot already reach the root
+through active nodes, by leasing tree edges through the Steiner subsystem
+and mirroring every leased graph edge as two node triplets with the same
+lease and start.
 
 With ``connect=False`` the state runs Phase 1 step i alone, which is the
 randomized rounding algorithm for the domination-only problem.
@@ -20,7 +21,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import starmap
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import InfeasibleOutput
 from .graphs import Graph, connected_component, dominators
@@ -104,18 +105,6 @@ class OcdslState(OnlineLeaser):
                 return True
         return False
 
-    def thresholds_of(self, doms: Sequence[Triplet]) -> List[int]:
-        """Each triplet's rounding threshold mu·2^53, in ``doms`` order. The only place a threshold
-        is drawn: on a triplet's first touch, in ``doms`` order, and then frozen. Every random()
-        is a multiple of 2^-53, so the int is exact: mu = Fraction(m, 2**53)."""
-        thresholds, draw, args, out = self.thresholds, self._mu_rng.random, self._draw_args, []
-        for tr in doms:
-            m = thresholds.get(tr)
-            if m is None:
-                m = thresholds[tr] = int(min(starmap(draw, args)) * 2**53)
-            out.append(m)
-        return out
-
     # ------------------------------------------------------------------ phase 1
 
     def grow_fractional(self, doms: Sequence[Triplet]) -> int:
@@ -148,11 +137,16 @@ class OcdslState(OnlineLeaser):
         return rounds
 
     def round_purchases(self, doms: Sequence[Triplet], t: int) -> List[Triplet]:
-        """Buy, in ``doms`` order, every dominator whose weight w beats its frozen threshold:
-        w > m/2^53. One thresholds_of call first draws every threshold ``doms`` lacks, even
-        with no weight. Returns what it bought, in purchase order."""
-        bought, weights, entries = [], self.weights, self.ledger.entries
-        for tr, m in zip(doms, self.thresholds_of(doms)):
+        """Buy, in ``doms`` order, every dominator whose weight w beats its threshold mu, and
+        return what it bought. The one place a threshold is drawn: mu is the min of mu_draws
+        uniforms, drawn on a triplet's first touch here, even with no weight, and then frozen.
+        Every random() is a multiple of 2^-53, so mu is kept exact as the int m = mu·2^53."""
+        bought, weights, entries, thresholds = [], self.weights, self.ledger.entries, self.thresholds
+        draw, args = self._mu_rng.random, self._draw_args
+        for tr in doms:
+            m = thresholds.get(tr)
+            if m is None:
+                m = thresholds[tr] = int(min(starmap(draw, args)) * 2**53)
             w = weights.get(tr)
             if w is not None:
                 num, den = w.as_integer_ratio()
@@ -161,10 +155,8 @@ class OcdslState(OnlineLeaser):
                     bought.append(tr)
         return bought
 
-    def fallback(self, u: int, doms: Sequence[Triplet], t: int) -> Optional[Triplet]:
-        """Guarantee domination: buy the cheapest-lease triplet on u if rounding missed."""
-        if self.has_active_dominator(doms):
-            return None
+    def fallback(self, u: int, t: int) -> Triplet:
+        """Dominate u after a rounding that bought nothing: buy the cheapest-lease triplet on u."""
         tr = self.catalog.triplet_at(u, 1, t)
         self.buy(tr, t)
         return tr
@@ -204,9 +196,9 @@ class OcdslState(OnlineLeaser):
                 continue
             rounds += self.grow_fractional(doms)
             if not self.round_purchases(doms, t):  # u is dominated iff rounding bought one
-                self.fallback(u, doms, t)
+                self.fallback(u, t)
 
-        # Phase 1 step ii: assign dominators and buy representatives
+        # Phase 1 step ii: assign dominators; Phase 2 below buys their representatives
         # per node, a cheapest held dominator; cost ties go to the least node, then start
         entries, units = self.ledger.entries, self.catalog.units
         picks = {
@@ -215,11 +207,11 @@ class OcdslState(OnlineLeaser):
         }
         s_t = sorted(Triplet(node, lease, start) for _, node, start, lease in picks)
 
-        root: Optional[Triplet] = None
-        r_nodes: List[int] = []
-        reps = self.select_representatives(s_t, requested, t) if self.osfl is not None else []
-        phase2_start = len(self.ledger)  # C2 rows start here, after the representatives (C1)
+        # with Phase 2 only: step ii's representatives (C1), then the tree edges joining them (C2)
+        reps, root, r_nodes, c2_rows = [], None, [], 0
         if self.osfl is not None:
+            reps = self.select_representatives(s_t, requested, t)
+            c1_end = len(self.ledger)
             root = min(reps, key=lambda tr: tr.node)
             active_now = self.ledger.active_nodes(self.catalog, t)
             root_comp = connected_component(self.graph, root.node, active_now)
@@ -228,9 +220,10 @@ class OcdslState(OnlineLeaser):
             for nodes, lease, start in self.osfl.connect(r_nodes, root.node, t):
                 if nodes:  # no graph edge when the child cluster's center is its parent's
                     self.buy_nodes(nodes, lease, start, t)
+            c2_rows = len(self.ledger) - c1_end
 
         return StepReport.from_ledger(
-            t, requested, self.ledger, self.catalog, len(self.ledger) - phase2_start,
+            t, requested, self.ledger, self.catalog, c2_rows,
             s_t=s_t, representatives=reps, root=root, r_t=r_nodes, growth_rounds=rounds,
         )
 

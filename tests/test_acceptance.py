@@ -158,8 +158,10 @@ def test_criterion_4_rounding_distribution():
         state = OcdslState(graph, LeaseCatalog.from_pairs([(1, 1)]), seed=f"dist:{n}")
         q = state.mu_draws
         assert q == 2 * math.ceil(math.log2(n + 1))
-        # thresholds are mu in units of 2^-53, so w > mu reads w * 2**53 > m
-        thresholds = state.thresholds_of([Triplet(0, 1, i) for i in range(samples)])
+        # rounding with no weights draws each threshold and buys nothing; thresholds are mu in
+        # units of 2^-53, so w > mu reads w * 2**53 > m
+        assert state.round_purchases([Triplet(0, 1, i) for i in range(samples)], 0) == []
+        thresholds = state.thresholds.values()
         for w in (0.25, 0.5, 0.75):
             empirical = sum(w * 2**53 > m for m in thresholds) / samples
             expected = 1 - (1 - w) ** q

@@ -304,6 +304,20 @@ def test_report_empty_is_ok():
     assert format_summary_table([]) == "(no records)"
 
 
+def test_report_groups_by_all_of_the_instance_id_before_the_trial_index():
+    # run --instance a#1.json names its trials a#1#0, a#1#1, ...: the family is a#1, not a
+    records = [
+        rec
+        for instance_id in ("a#1", "a#2")
+        for rec in run_experiment(ExperimentConfig(
+            algorithm="pp", trials=2, base_seed=0, generator=("star", {"n": 3, "T": 2}),
+            instance_id=instance_id,
+        ))
+    ]
+    assert [rec.instance_id for rec in records] == ["a#1#0", "a#1#1", "a#2#0", "a#2#1"]
+    assert [(row.group, row.runs) for row in report(records)] == [("a#1", 2), ("a#2", 2)]
+
+
 def test_report_rejects_broken_split():
     cfg = ExperimentConfig(
         algorithm="pp",
@@ -1028,10 +1042,10 @@ def test_golden_grid_run_makes_at_most_half_the_fraction_operator_calls(algorith
     assert len(calls) <= GOLDEN_FRACTION_CALLS[algorithm] < before // 2
 
 
-# Phase 1 calls in one GOLDEN_6X6 run: (round_purchases and thresholds_of each, has_active_dominator,
-# fallback). The implementation that drew each threshold in a call of its own and called the
-# fallback after every growth made 357 and 348 threshold calls, 150 and 151 dominator checks and
-# 30 and 31 fallbacks.
+# Phase 1 calls in one GOLDEN_6X6 run: (round_purchases, has_active_dominator, fallback); each
+# round_purchases call draws the thresholds its dominators lack. The implementation that drew each
+# threshold in a call of its own and called the fallback after every growth made 357 and 348
+# threshold calls, 150 and 151 dominator checks and 30 and 31 fallbacks.
 GOLDEN_PHASE1_CALLS = {"odsl-rr": (30, 120, 0), "ocdsl": (31, 120, 0)}
 
 
@@ -1040,7 +1054,7 @@ def test_golden_grid_run_draws_thresholds_once_per_rounding_and_falls_back_only_
     algorithm, monkeypatch
 ):
     inst = gen_instance("grid", GOLDEN_6X6_PARAMS, random.Random("golden:inst"))
-    calls = dict.fromkeys(("thresholds_of", "round_purchases", "has_active_dominator", "fallback"), 0)
+    calls = dict.fromkeys(("round_purchases", "has_active_dominator", "fallback"), 0)
     empty_roundings = [0]
 
     def spy(name):
@@ -1059,7 +1073,7 @@ def test_golden_grid_run_draws_thresholds_once_per_rounding_and_falls_back_only_
         spy(name)
     run_algorithm(algorithm, inst, 5)
     roundings, checks, fallbacks = GOLDEN_PHASE1_CALLS[algorithm]
-    assert calls["round_purchases"] == calls["thresholds_of"] == roundings
+    assert calls["round_purchases"] == roundings
     assert calls["has_active_dominator"] == checks == sum(len(nodes) for _, nodes in inst.requests)
     assert calls["fallback"] == empty_roundings[0] == fallbacks
 

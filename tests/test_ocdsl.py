@@ -269,13 +269,14 @@ def test_round_purchases_needs_a_weight_strictly_above_the_threshold():
     g = build_graph(1, [])
     tr = Triplet(0, 1, 0)
     for seed in range(20):
-        (m,) = OcdslState(g, UNIT, seed=seed).thresholds_of([tr])
-        mu = Fraction(m, 2**53)
+        probe = OcdslState(g, UNIT, seed=seed)
+        probe.round_purchases([tr], 0)  # with no weight: draws the threshold, buys nothing
+        mu = Fraction(probe.thresholds[tr], 2**53)
         for weight, buys in (
             (mu, False),
             (mu - Fraction(1, 2**80), False),
             (mu + Fraction(1, 2**80), True),
-            (Fraction(m + 1, 2**53), True),
+            (mu + Fraction(1, 2**53), True),
         ):
             state = OcdslState(g, UNIT, seed=seed)
             state.weights[tr] = weight
@@ -301,16 +302,19 @@ def test_integer_rounding_buys_as_the_fraction_reference(g, cat, seed, data):
         for u in data.draw(st.lists(st.sampled_from(range(g.node_count)), min_size=1, max_size=3)):
             doms = dominators(g, u, t, cat)
             for tr in doms:
-                # a touched threshold, or one drawn here on request, gets a weight next to it
-                if tr in reference.thresholds or data.draw(st.booleans()):
-                    (m,) = state.thresholds_of([tr])
-                    assert Fraction(m, 2**53) == reference.threshold(tr)
-                    weight = Fraction(m, 2**53) + data.draw(near)
-                else:
-                    weight = data.draw(fresh)
                 for s in (state, reference):
                     s.weights.pop(tr, None)
-                    if weight is not None:
+                # a touched threshold, or one drawn here on request, gets a weight next to it;
+                # rounding tr alone with no weight draws its threshold and buys nothing
+                if tr in reference.thresholds or data.draw(st.booleans()):
+                    assert state.round_purchases([tr], t) == []
+                    mu = Fraction(state.thresholds[tr], 2**53)
+                    assert mu == reference.threshold(tr)
+                    weight = mu + data.draw(near)
+                else:
+                    weight = data.draw(fresh)
+                if weight is not None:
+                    for s in (state, reference):
                         s.weights[tr] = weight
             assert state.round_purchases(doms, t) == reference.round_purchases(doms, t)
             assert state.ledger.rows() == reference.ledger.rows()
@@ -329,15 +333,17 @@ def test_integer_rounding_buys_as_the_fraction_reference(g, cat, seed, data):
         max_size=24,
     ),
 )
-def test_thresholds_of_draws_as_one_call_per_triplet_and_as_the_fraction_reference(n, seed, picks):
-    # n sets the draws per threshold; the sequence repeats triplets within and across its halves
+def test_round_purchases_draws_as_one_call_per_triplet_and_as_the_fraction_reference(n, seed, picks):
+    # n sets the draws per threshold; the sequence repeats triplets within and across its halves.
+    # With no weights, rounding draws each missing threshold and buys nothing.
     g, sequence = build_graph(n, [(i, i + 1) for i in range(n - 1)]), picks + picks[::2]
     whole, single = (OcdslState(g, UNIT, seed=seed, connect=False) for _ in range(2))
     reference = ReferenceOcdslState(g, UNIT, seed=seed, connect=False)
-    drawn = whole.thresholds_of(sequence)
-    assert drawn == [m for tr in sequence for m in single.thresholds_of([tr])]
+    assert whole.round_purchases(sequence, 0) == []
+    assert [single.round_purchases([tr], 0) for tr in sequence] == [[]] * len(sequence)
     assert list(whole.thresholds.items()) == list(single.thresholds.items())
     assert whole._mu_rng.getstate() == single._mu_rng.getstate()
+    drawn = [whole.thresholds[tr] for tr in sequence]
     assert drawn == [reference.threshold(tr) * 2**53 for tr in sequence]
     assert whole._mu_rng.getstate() == reference._mu_rng.getstate()
 
@@ -432,17 +438,10 @@ def test_rounding_probability_matches_min_of_uniforms():
     assert abs(hits / trials - (1 - 0.5**4)) < 0.02
 
 
-def test_fallback_none_when_dominated():
-    g = build_graph(1, [])
-    state = OcdslState(g, UNIT, seed=0)
-    state.ledger.add(Triplet(0, 1, 0), 0, Fraction(1))
-    assert state.fallback(0, dominators(g, 0, 0, UNIT), 0) is None
-
-
 def test_fallback_buys_cheapest_lease_on_target(star4):
     state = OcdslState(star4, TWO, seed=0)
     doms = dominators(star4, 1, 5, TWO)
-    tr = state.fallback(1, doms, 5)
+    tr = state.fallback(1, 5)
     assert tr == Triplet(1, 1, 5)
     assert state.has_active_dominator(doms)
 
@@ -462,7 +461,8 @@ def test_serve_request_falls_back_when_no_threshold_can_be_beaten(path3):
 
 def phase1_events(state: OcdslState, inst) -> list:
     """Serve ``inst`` and return, in call order, ("round", bought anything) per rounding and
-    ("fallback", bought) per fallback call."""
+    ("fallback", u dominated after it) per fallback call. The fallback buys unasked, so the spy
+    also asserts that u has no held dominator when it is called."""
     events, rounding, fallback = [], OcdslState.round_purchases, OcdslState.fallback
 
     def spied_rounding(self, doms, t):
@@ -470,9 +470,11 @@ def phase1_events(state: OcdslState, inst) -> list:
         events.append(("round", bool(bought)))
         return bought
 
-    def spied_fallback(self, u, doms, t):
-        tr = fallback(self, u, doms, t)
-        events.append(("fallback", tr is not None))
+    def spied_fallback(self, u, t):
+        doms = dominators(self.graph, u, t, self.catalog)
+        assert not self.has_active_dominator(doms)
+        tr = fallback(self, u, t)
+        events.append(("fallback", self.has_active_dominator(doms)))
         return tr
 
     with pytest.MonkeyPatch.context() as mp:
