@@ -15,11 +15,13 @@ class InstanceError(LeaselabError, ValueError):
     range, a self loop, a repeated edge); its lease catalog, whichever way it is built
     (empty, a duration that is not a power of two, a cost that is not positive, durations
     that do not ascend, a longer lease that costs less in total or per unit); a rainy day
-    outside the permit horizon; or a request step that breaks the request rule."""
+    outside the permit horizon; a negative time; or a request step that breaks the request
+    rule."""
 
 
 class NonMonotonicTime(InstanceError):
-    """A request step came at or before the time of the previous one."""
+    """A request step came at or before the time of the previous one, or a parking-permit
+    day came before the last day that permit served (an equal day is allowed)."""
 
 
 class EmptyRequest(InstanceError):

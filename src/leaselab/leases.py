@@ -149,12 +149,12 @@ class LeaseCatalog:
         """In lease order, the (lease index, start) of the one window per lease type
         that holds ``t``: the largest start s <= t with s ≡ 0 (mod duration)."""
         if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
+            raise InstanceError(f"time must be nonnegative, got {t}")
         return tuple([(i, t - t % lt.duration) for i, lt in enumerate(self.types, 1)])
 
     def triplet_at(self, node: int, index: int, t: int) -> Triplet:
         """The unique triplet of this lease type on ``node`` whose window contains ``t``:
         its start is that of ``slots(t)`` for this one type."""
         if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
+            raise InstanceError(f"time must be nonnegative, got {t}")
         return Triplet(node, index, t - t % self.types[index - 1].duration)

@@ -3,9 +3,11 @@
 The online rule: an uncovered rainy day buys the smallest permit and charges
 its cost into every enclosing slot; whenever the accumulated spend of smaller
 permit types inside a type-k slot reaches c_k, that slot's permit is bought
-too (largest type first). The offline optimum is an exact DP over the nested
-slot tree, which exists because durations are powers of two and starts are
-aligned.
+too (largest type first). Days come in order, so every owned window starts by
+the last day served, and a day is covered iff it falls before the end of the
+furthest window owned: one comparison. The offline optimum is an exact DP over
+the nested slot tree, which exists because durations are powers of two and
+starts are aligned.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .errors import InstanceError
+from .errors import InstanceError, NonMonotonicTime
 from .graphs import Graph
 from .instances import OnlineLeaser, StepReport
 from .leases import LeaseCatalog
@@ -28,18 +30,32 @@ class PermitState:
         self.owned: Dict[Tuple[int, int], int] = {}
         # (lease index, start) -> cost of smaller types inside, in units of 1/catalog.scale
         self.spend: Dict[Tuple[int, int], int] = {}
+        # the last day served, and the end of the furthest window owned (last <= reach): each
+        # owned window holds the day it was bought, so it starts by last, and a day t >= last
+        # is covered iff t < reach
+        self.last = self.reach = 0
 
     def total_cost(self) -> Fraction:
         units = self.catalog.units
         return Fraction(sum(units[k - 1] for k, _ in self.owned), self.catalog.scale)
 
     def request(self, t: int, slots: Sequence[Tuple[int, int]] = ()) -> List[Tuple[int, int]]:
-        """Serve a rainy day; returns the (lease, start) pairs bought, if any. ``slots``, when
-        given, must be ``catalog.slots(t)``: a caller serving many permits at t looks it up once."""
+        """Serve a rainy day, at or after the last one; returns the (lease, start) pairs bought,
+        if any. A covered day costs one comparison with ``reach``, plus the order check against
+        ``last``; only an uncovered day looks up its slots. ``slots``, when given, must be
+        ``catalog.slots(t)``: a caller serving many permits at t looks it up once. A negative
+        day raises InstanceError, and a day before the last one NonMonotonicTime, each before
+        any state changes."""
+        if t < self.reach:  # covered, as long as t is not before the last day
+            if t < self.last:
+                if t < 0:
+                    raise InstanceError(f"time must be nonnegative, got {t}")
+                raise NonMonotonicTime(f"permit days must not decrease ({self.last} then {t})")
+            self.last = t
+            return []
+        self.last = t  # uncovered, and t >= reach >= last
         slots = slots or self.catalog.slots(t)  # one per lease type; slots[k] is type k + 1's
         owned, spend, units = self.owned, self.spend, self.catalog.units
-        if not owned.keys().isdisjoint(slots):
-            return []
         bought = []
         k = 0  # an uncovered day buys the smallest type first
         while True:
@@ -54,6 +70,10 @@ class PermitState:
                 if key not in owned and spend.get(key, 0) >= units[k]:
                     break
             else:
+                # every window bought holds t, and aligned windows holding t nest,
+                # so the longest one ends furthest
+                lease, start = max(bought)
+                self.reach = start + self.catalog.duration(lease)
                 return bought
 
 
@@ -79,13 +99,15 @@ class PermitLeaser(OnlineLeaser):
 def pp_offline_opt(
     rainy: Iterable[int], catalog: LeaseCatalog, horizon: int | None = None
 ) -> Fraction:
-    """Exact minimum cover cost for the given rainy days.
+    """Exact minimum cover cost for the given rainy days, in any order.
 
-    DP in units of 1/catalog.scale, bottom-up over the slots that hold a rainy day:
-    each rainy day starts at c_1, then each lease type, smallest first, sums the
-    costs inside each of its slots and keeps min(c_k, sum), so a base slot costs c_1.
+    DP in units of 1/catalog.scale, bottom-up over the slots that hold a rainy day: it starts
+    at the first lease's occupied slots, each costing c_1 (= min(c_1, n·c_1) for the n rainy
+    days inside), then each longer lease type sums the costs inside each of its slots and
+    keeps min(c_k, sum).
     """
-    cost_of = dict.fromkeys(rainy, catalog.units[0])
+    c1 = catalog.units[0]
+    cost_of = dict.fromkeys(rainy, c1)
     if not cost_of:
         return Fraction(0)
     first, last = min(cost_of), max(cost_of)
@@ -93,7 +115,10 @@ def pp_offline_opt(
         horizon = last + 1
     if first < 0 or last >= horizon:
         raise InstanceError(f"rainy days must lie in [0, {horizon}), got {first}..{last}")
-    for lt, unit in zip(catalog, catalog.units):
+    d1 = catalog.duration(1)
+    if d1 > 1:  # else each day is its own first-lease slot
+        cost_of = dict.fromkeys([t - t % d1 for t in cost_of], c1)
+    for lt, unit in zip(catalog.types[1:], catalog.units[1:]):
         split: Dict[int, int] = {}
         for s, cost in cost_of.items():
             top = s - s % lt.duration

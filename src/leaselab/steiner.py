@@ -36,8 +36,9 @@ class OsflState:
         return build_hst(self.graph, self.rng)
 
     def connect(self, terminals, root: int, t: int) -> List[Tuple[Tuple[int, ...], int, int]]:
-        """Lease enough graph edges that every terminal reaches the root at time t; returns
-        (nodes, lease, start) per tree-edge permit bought, nodes the ends of its edges."""
+        """Lease enough graph edges that every terminal reaches the root at time t, which must
+        not come before an earlier call's (a tree edge's permit refuses it); returns (nodes,
+        lease, start) per tree-edge permit bought, nodes the ends of its edges."""
         needed = {cid for r in set(terminals) for cid in tree_path_edges(self.hst, r, root)}
         slots, bought = self.catalog.slots(t), []  # one lookup serves every permit at t
         for cid in sorted(needed):

@@ -27,11 +27,12 @@ def test_slots_examples():
 
 
 def test_slots_reject_negative_time():
+    # an InstanceError, inside the library's error hierarchy, and still a ValueError
     cat = LeaseCatalog.from_pairs([(2, 1)])
-    with pytest.raises(ValueError):
-        cat.slots(-1)
-    with pytest.raises(ValueError):
-        cat.triplet_at(0, 1, -1)
+    for call in (lambda: cat.slots(-1), lambda: cat.triplet_at(0, 1, -1)):
+        with pytest.raises(InstanceError, match=r"^time must be nonnegative, got -1$") as caught:
+            call()
+        assert isinstance(caught.value, ValueError)
 
 
 def test_is_active_examples():

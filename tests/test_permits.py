@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
@@ -7,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ReferencePermitState, catalogs, permit_cost, reference_pp_offline_opt
-from leaselab.errors import NonMonotonicTime
+from leaselab.errors import InstanceError, NonMonotonicTime
 from leaselab.generators import canonical_catalog
 from leaselab.graphs import build_graph
 from leaselab.leases import LeaseCatalog
-from leaselab.errors import InstanceError
 from leaselab.permits import PermitLeaser, PermitState, pp_offline_opt
 
 SINGLE = LeaseCatalog.from_pairs([(1, 1)])
@@ -56,14 +56,16 @@ def test_single_type_buys_each_day():
 def test_escalation_example():
     state = PermitState(TWO)
     assert state.request(0) == [(1, 0)]
+    assert state.reach == 1
     # second uncovered day pushes the [0,4) slot's spend to 2 >= c_2
     assert state.request(1) == [(1, 1), (2, 0)]
+    assert state.reach == 4  # the end of (2, 0), the longest window bought
     assert permit_cost(state) == 4
     assert pp_offline_opt([0, 1], TWO) == 2
 
 
 def test_rejects_decreasing_time():
-    # PermitState.request trusts its caller; the leaser applies the request rule
+    # the leaser applies the request rule before its PermitState sees the day
     leaser = PermitLeaser(build_graph(1, []), SINGLE)
     leaser.serve_request([0], 4)
     with pytest.raises(NonMonotonicTime):
@@ -80,6 +82,26 @@ def test_covered_day_buys_nothing():
 def test_equal_time_is_allowed():
     state = run_days(SINGLE, [4])
     assert state.request(4) == []
+    assert (state.last, state.reach) == (4, 5)
+
+
+# a last day that bought nothing, then one owned permit covers the earlier day; a last day
+# that bought, then none does
+@pytest.mark.parametrize("days, day", [([0, 1, 3], 2), ([0, 1, 4, 9], 6)])
+def test_day_before_the_last_is_refused_untouched(days, day):
+    state = run_days(TWO, days)
+    owned, spend, reach = dict(state.owned), dict(state.spend), state.reach
+    message = rf"^permit days must not decrease \({days[-1]} then {day}\)$"
+    with pytest.raises(NonMonotonicTime, match=message):
+        state.request(day)
+    assert (state.owned, state.spend, state.reach, state.last) == (owned, spend, reach, days[-1])
+
+
+def test_negative_first_day_is_refused_naming_it():
+    state = PermitState(TWO)
+    with pytest.raises(InstanceError, match=r"^time must be nonnegative, got -3$"):
+        state.request(-3)
+    assert (state.owned, state.spend, state.reach, state.last) == ({}, {}, 0, 0)
 
 
 def test_offline_opt_examples():
@@ -126,6 +148,37 @@ def test_request_buys_as_the_restart_loop(cat, days):
     assert list(state.owned.items()) == list(reference.owned.items())
     # spend is kept in units of 1/cat.scale
     assert {key: Fraction(units, cat.scale) for key, units in state.spend.items()} == reference.spend
+
+
+@given(cat=catalogs(), days=st.sets(st.integers(min_value=0, max_value=511), max_size=60))
+@settings(deadline=None)
+def test_reach_tells_a_covered_day(cat, days):
+    state = PermitState(cat)
+    for t in sorted(days):
+        state.request(t)
+        for u in (t, t + 1, state.reach - 1, state.reach):
+            # a day at or after the last one is covered iff it falls before reach
+            assert (u < state.reach) == (not state.owned.keys().isdisjoint(cat.slots(u))), (t, u)
+
+
+def permit_stream_days():
+    """The rainy days of the benchmark's permit-stream workload on seed 0."""
+    return sorted(random.Random("0:permits").sample(range(32000), 8000))
+
+
+def test_permit_stream_looks_up_slots_on_uncovered_days_alone(monkeypatch):
+    cat, calls = canonical_catalog(4), []
+    slots = LeaseCatalog.slots
+    monkeypatch.setattr(LeaseCatalog, "slots", lambda self, t: calls.append(t) or slots(self, t))
+    state = run_days(cat, permit_stream_days())
+    # one lookup per uncovered day: the other 4,715 of the 8,000 days are covered
+    assert len(calls) == 3285
+    assert len(state.owned) == 5998
+
+
+def test_permit_stream_offline_opt_equals_the_top_down_dp():
+    days, cat = permit_stream_days(), canonical_catalog(4)
+    assert pp_offline_opt(days, cat, 32000) == reference_pp_offline_opt(days, cat, 32000)
 
 
 @given(days=st.lists(st.integers(min_value=0, max_value=15), max_size=10))
