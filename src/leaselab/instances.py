@@ -94,38 +94,40 @@ class PurchaseLedger:
 
     The first ``add`` of a lease sets its price for the whole ledger; a row pays its lease's
     price, so ``rows()`` and ``total_cost()`` read the costs back from there. ``add`` also
-    files each triplet under its (lease, start) slot, so an activity lookup reads only the
-    |L| slots holding t: O(|L| + output). It therefore sees only starts aligned to their
-    lease's duration, which is how every algorithm and the oracle buy.
+    files each triplet under its (lease, start) slot by node, so a held question reads only the
+    |L| slots holding t, by node: O(|L| + output). It therefore sees only starts aligned to
+    their lease's duration, which is how every algorithm and the oracle buy.
     """
 
     entries: Dict[Triplet, int] = field(default_factory=dict, init=False)
     _prices: Dict[int, Fraction] = field(default_factory=dict, init=False, repr=False)
-    _slots: Dict[Tuple[int, int], List[Triplet]] = field(
+    # (lease, start) -> node -> the ledger's own triplet, in purchase order
+    _slots: Dict[Tuple[int, int], Dict[int, Triplet]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def add(self, tr: Triplet, step: int, cost: Fraction) -> None:
         if tr in self.entries:
             raise LedgerError(f"triplet {tr} bought twice")
-        _, lease, start = tr
+        node, lease, start = tr
         price = self._prices.setdefault(lease, cost)
         if price is not cost and price != cost:
             raise LedgerError(f"lease {lease} costs {price} in this ledger, not {cost}")
         self.entries[tr] = step
-        self._slots.setdefault((lease, start), []).append(tr)
+        self._slots.setdefault((lease, start), {})[node] = tr
 
     def add_nodes(self, nodes: Iterable[int], lease: int, start: int, step: int, cost: Fraction) -> None:
         """``add`` each (node, lease, start) of ``nodes`` not held yet, in order, with one price
-        check and one slot bucket lookup: a call that files nothing changes nothing."""
-        entries, new = self.entries, tuple.__new__  # a Triplet, skipping its __new__
-        fresh = {tr: step for tr in [new(Triplet, (node, lease, start)) for node in nodes] if tr not in entries}
+        check: the slot's bucket is asked by node, so a held node builds no triplet, and a
+        call that files nothing changes nothing."""
+        held, new = self._slots.get((lease, start), {}), tuple.__new__  # a Triplet, skipping its __new__
+        fresh = {node: new(Triplet, (node, lease, start)) for node in nodes if node not in held}
         if fresh:
             price = self._prices.setdefault(lease, cost)
             if price is not cost and price != cost:
                 raise LedgerError(f"lease {lease} costs {price} in this ledger, not {cost}")
-            entries.update(fresh)
-            self._slots.setdefault((lease, start), []).extend(fresh)
+            self.entries.update(dict.fromkeys(fresh.values(), step))
+            self._slots.setdefault((lease, start), held).update(fresh)
 
     def __contains__(self, tr: Triplet) -> bool:
         return tr in self.entries
@@ -143,11 +145,24 @@ class PurchaseLedger:
             counts[lease] += len(bought)
         return cost_sum(Fraction(p.numerator * counts[k], p.denominator) for k, p in self._prices.items())
 
+    def held(self, nodes: Sequence[int], slots: Sequence[Tuple[int, int]]) -> List[Triplet]:
+        """The ledger's own triplets on ``nodes`` in the windows ``slots`` (``catalog.slots(t)``
+        or part of it), slot by slot. Each call looks its buckets up afresh, so it sees every
+        purchase made before it, even one that opened a slot."""
+        return [bucket[v] for bucket in map(self._slots.get, slots) if bucket for v in nodes if v in bucket]
+
+    def holds(self, nodes: Sequence[int], slots: Sequence[Tuple[int, int]]) -> bool:
+        """Whether ``held(nodes, slots)`` is not empty, asked by node without building it."""
+        for bucket in map(self._slots.get, slots):
+            if bucket and not bucket.keys().isdisjoint(nodes):
+                return True
+        return False
+
     def active_triplets(self, catalog: LeaseCatalog, t: int) -> List[Triplet]:
-        return [tr for key in catalog.slots(t) for tr in self._slots.get(key, ())]
+        return [tr for key in catalog.slots(t) for tr in self._slots.get(key, {}).values()]
 
     def active_nodes(self, catalog: LeaseCatalog, t: int) -> Set[int]:
-        return {tr[0] for tr in self.active_triplets(catalog, t)}
+        return set().union(*[self._slots.get(key, ()) for key in catalog.slots(t)])
 
     def rows(self) -> List[Tuple[int, int, int, int, Fraction]]:
         """(node, lease, start, step, cost) per entry, in purchase order."""

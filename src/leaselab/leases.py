@@ -157,4 +157,5 @@ class LeaseCatalog:
         its start is that of ``slots(t)`` for this one type."""
         if t < 0:
             raise InstanceError(f"time must be nonnegative, got {t}")
-        return Triplet(node, index, t - t % self.types[index - 1].duration)
+        # built positionally, skipping the NamedTuple's Python-level __new__
+        return tuple.__new__(Triplet, (node, index, t - t % self.types[index - 1].duration))

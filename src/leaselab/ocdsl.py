@@ -97,13 +97,10 @@ class OcdslState(OnlineLeaser):
 
     # ------------------------------------------------------------------ helpers
 
-    def has_active_dominator(self, doms: Sequence[Triplet]) -> bool:
-        """True iff the ledger holds one of ``doms``, however long the ledger's history."""
-        entries = self.ledger.entries
-        for tr in doms:
-            if tr in entries:
-                return True
-        return False
+    def has_active_dominator(self, u: int, slots: Sequence[Tuple[int, int]]) -> bool:
+        """True iff the ledger holds a triplet on N[u] in ``slots``, which must be
+        ``catalog.slots(t)``: u's dominators at t are exactly those triplets."""
+        return self.ledger.holds(self.graph.closed_neighborhoods[u], slots)
 
     # ------------------------------------------------------------------ phase 1
 
@@ -167,13 +164,14 @@ class OcdslState(OnlineLeaser):
         """Greedy cover of the chosen dominators by cheapest-lease request nodes, first on ties."""
         uncovered = {tr.node for tr in s_t}
         reps: List[Triplet] = []
-        closed = self.graph.closed_neighborhoods
+        closed, cheapest = self.graph.closed_neighborhoods, self.catalog.slots(t)[:1]
         while uncovered:
             best_u = max(d_t, key=lambda u: len(uncovered.intersection(closed[u])))
             if uncovered.isdisjoint(closed[best_u]):
                 raise InfeasibleOutput(f"no request node covers nodes {sorted(uncovered)}")
-            rep = self.catalog.triplet_at(best_u, 1, t)
-            if rep not in self.ledger.entries:
+            held = self.ledger.held((best_u,), cheapest)  # [the ledger's own triplet] if bought
+            rep = held[0] if held else self.catalog.triplet_at(best_u, 1, t)
+            if not held:
                 self.buy(rep, t)
             reps.append(rep)
             uncovered.difference_update(closed[best_u])
@@ -185,27 +183,27 @@ class OcdslState(OnlineLeaser):
         """Run both phases for one request step. A requested node with no held dominator grows
         and rounds; it calls the fallback only if that rounding bought nothing."""
         requested = self.begin(nodes, t)
-        rounds = 0
+        rounds, slots = 0, self.catalog.slots(t)
 
-        # each requested node's dominators, built once for both steps of Phase 1
-        doms_of = {u: dominators(self.graph, u, t, self.catalog) for u in requested}
-
-        # Phase 1 step i: dominate every requested node
-        for u, doms in doms_of.items():
-            if self.has_active_dominator(doms):
+        # Phase 1 step i: dominate every requested node; only one with no held dominator
+        # builds its dominators
+        for u in requested:
+            if self.has_active_dominator(u, slots):
                 continue
+            doms = dominators(self.graph, u, t, self.catalog, slots)
             rounds += self.grow_fractional(doms)
             if not self.round_purchases(doms, t):  # u is dominated iff rounding bought one
                 self.fallback(u, t)
 
         # Phase 1 step ii: assign dominators; Phase 2 below buys their representatives
-        # per node, a cheapest held dominator; cost ties go to the least node, then start
-        entries, units = self.ledger.entries, self.catalog.units
-        picks = {
-            min((units[tr[1] - 1], tr[0], tr[2], tr[1]) for tr in doms if tr in entries)
-            for doms in doms_of.values()
-        }
-        s_t = sorted(Triplet(node, lease, start) for _, node, start, lease in picks)
+        # per node, the ledger's own cheapest held dominator; cost ties go to the least node,
+        # then start, then lease: the key ends in the triplet, which only meets one of equal
+        # node and start, so compares by lease
+        held, closed, units = self.ledger.held, self.graph.closed_neighborhoods, self.catalog.units
+        s_t = sorted({
+            min([(units[tr[1] - 1], tr[0], tr[2], tr) for tr in held(closed[u], slots)])[3]
+            for u in requested
+        })
 
         # with Phase 2 only: step ii's representatives (C1), then the tree edges joining them (C2)
         reps, root, r_nodes, c2_rows = [], None, [], 0

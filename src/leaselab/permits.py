@@ -28,7 +28,8 @@ class PermitState:
         self.catalog = catalog
         # (lease index, start) -> day bought, in purchase order
         self.owned: Dict[Tuple[int, int], int] = {}
-        # (lease index, start) -> cost of smaller types inside, in units of 1/catalog.scale
+        # (lease index, start) -> cost of smaller types inside, in units of 1/catalog.scale, for
+        # the slots holding the last uncovered day alone
         self.spend: Dict[Tuple[int, int], int] = {}
         # the last day served, and the end of the furthest window owned (last <= reach): each
         # owned window holds the day it was bought, so it starts by last, and a day t >= last
@@ -55,19 +56,17 @@ class PermitState:
             return []
         self.last = t  # uncovered, and t >= reach >= last
         slots = slots or self.catalog.slots(t)  # one per lease type; slots[k] is type k + 1's
-        owned, spend, units = self.owned, self.spend, self.catalog.units
-        bought = []
-        k = 0  # an uncovered day buys the smallest type first
+        old, owned, units = self.spend, self.owned, self.catalog.units
+        # the smallest type is bought first and charged into every larger slot holding t; spend
+        # keeps those slots alone, since days never decrease and no later day falls in an older one
+        spend = self.spend = {key: old.get(key, 0) + units[0] for key in slots[1:]}
+        owned[slots[0]] = t
+        bought = [slots[0]]
         while True:
-            owned[slots[k]] = t
-            bought.append(slots[k])
-            # charge into every strictly larger enclosing slot
-            for key in slots[k + 1 :]:
-                spend[key] = spend.get(key, 0) + units[k]
-            # then the largest unowned type whose slot's spend has reached its cost fires
+            # the largest unowned type whose slot's spend has reached its cost fires
             for k in range(len(slots) - 1, 0, -1):
                 key = slots[k]
-                if key not in owned and spend.get(key, 0) >= units[k]:
+                if key not in owned and spend[key] >= units[k]:
                     break
             else:
                 # every window bought holds t, and aligned windows holding t nest,
@@ -75,6 +74,10 @@ class PermitState:
                 lease, start = max(bought)
                 self.reach = start + self.catalog.duration(lease)
                 return bought
+            owned[key] = t
+            bought.append(key)
+            for key in slots[k + 1 :]:  # charge into every strictly larger enclosing slot
+                spend[key] += units[k]
 
 
 class PermitLeaser(OnlineLeaser):

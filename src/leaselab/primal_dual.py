@@ -29,11 +29,10 @@ class DualState(OnlineLeaser):
     def serve(self, u: int, t: int) -> None:
         """Serve one occurrence; it reports through the ledger and ``dual``, and skips the
         request rule, which serve_request applies."""
-        doms = dominators(self.graph, u, t, self.catalog)
-        slack, units, entries = self.slack, self.catalog.units, self.ledger.entries
-        for tr in doms:
-            if tr in entries:
-                return
+        slots = self.catalog.slots(t)
+        if self.ledger.holds(self.graph.closed_neighborhoods[u], slots):
+            return  # covered: some dominator is held
+        doms, slack, units = dominators(self.graph, u, t, self.catalog, slots), self.slack, self.catalog.units
         left = [slack.get(tr, units[tr[1] - 1]) for tr in doms]
         raise_by = min(left)
         self.dual += raise_by

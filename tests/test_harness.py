@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_fraction_operators, fractional_cost, spy_guards
+from leaselab import ocdsl, primal_dual
 from leaselab.cli import _ledger_csv, _read_ledger_csv, main
 from leaselab.errors import (
     ConfigError,
@@ -1076,6 +1077,36 @@ def test_golden_grid_run_draws_thresholds_once_per_rounding_and_falls_back_only_
     assert calls["round_purchases"] == roundings
     assert calls["has_active_dominator"] == checks == sum(len(nodes) for _, nodes in inst.requests)
     assert calls["fallback"] == empty_roundings[0] == fallbacks
+
+
+# ``dominators`` calls in one GOLDEN_6X6 run: only an occurrence with no held dominator builds
+# its dominators, so OCDSL builds them once per growth and odsl-pd once per uncovered occurrence
+@pytest.mark.parametrize("algorithm", ["ocdsl", "odsl-rr", "odsl-pd"])
+def test_golden_grid_run_builds_dominators_only_for_occurrences_with_no_held_dominator(
+    algorithm, monkeypatch
+):
+    inst = gen_instance("grid", GOLDEN_6X6_PARAMS, random.Random("golden:inst"))
+    calls, needed = [], []
+    for module in (ocdsl, primal_dual):
+        real = module.dominators
+        monkeypatch.setattr(module, "dominators", lambda *args, real=real: calls.append(args) or real(*args))
+    grow, serve = OcdslState.grow_fractional, DualState.serve
+
+    def spied_grow(state, doms):
+        needed.append(doms)
+        return grow(state, doms)
+
+    def spied_serve(state, u, t):
+        dual = state.dual
+        serve(state, u, t)
+        if state.dual != dual:  # an uncovered occurrence raises its dual above zero
+            needed.append(u)
+
+    monkeypatch.setattr(OcdslState, "grow_fractional", spied_grow)
+    monkeypatch.setattr(DualState, "serve", spied_serve)
+    run_algorithm(algorithm, inst, 5)
+    occurrences = sum(len(nodes) for _, nodes in inst.requests)
+    assert 0 < len(calls) == len(needed) < occurrences
 
 
 # name -> (argv writing "out.csv", sha256 of that file), frozen like GOLDEN_6X6

@@ -42,7 +42,7 @@ def test_slot_index_matches_window_scan(data, g):
         assert state.ledger.active_nodes(CAT3, t) == nodes
         for u in range(g.node_count):
             dominated = u in nodes or any(v in nodes for v in g.adjacency[u])
-            assert state.has_active_dominator(dominators(g, u, t, CAT3)) == dominated
+            assert state.has_active_dominator(u, CAT3.slots(t)) == dominated
 
 
 def test_ledger_equality_and_repr_ignore_the_slot_index():
@@ -116,7 +116,11 @@ def test_ledger_rows_and_total_equal_a_replay_of_its_adds(bought, inst, solve):
 
 def ledger_state(ledger):
     """Everything a ledger holds, its prices and slot index included; == skips the index."""
-    return list(ledger.entries.items()), dict(ledger._prices), {k: list(v) for k, v in ledger._slots.items()}
+    return (
+        list(ledger.entries.items()),
+        dict(ledger._prices),
+        {k: list(v.items()) for k, v in ledger._slots.items()},
+    )
 
 
 @st.composite
@@ -145,6 +149,28 @@ def test_add_nodes_equals_one_add_per_triplet_not_held(held, calls):
     assert bulk.rows() == single.rows() and bulk.total_cost() == single.total_cost()
     for t in range(70):
         assert bulk.active_triplets(CAT3, t) == single.active_triplets(CAT3, t)
+
+
+@given(
+    held=st.lists(aligned_purchases(5), max_size=12, unique=True),
+    calls=st.lists(node_purchases(5), min_size=1, max_size=12),
+    queries=st.lists(st.lists(st.integers(min_value=0, max_value=5), max_size=6), min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_node_query_and_active_nodes_equal_a_scan_of_the_entries(held, calls, queries):
+    # a ledger built with add and add_nodes (nodes may repeat), asked after each purchase
+    ledger = aligned_ledger(held)
+    for step, (nodes, lease, start) in enumerate(calls, len(held)):
+        ledger.add_nodes(nodes, lease, start, step, CAT3.cost(lease))
+        for t in (start, start + CAT3.duration(lease) - 1, 64):
+            slots = CAT3.slots(t)
+            assert ledger.active_nodes(CAT3, t) == {tr.node for tr in ledger if tr[1:] in slots}
+            for asked in queries:
+                scan = [tr for key in slots for v in asked for tr in ledger if tr == (v, *key)]
+                found = ledger.held(asked, slots)
+                assert found == scan and ledger.holds(asked, slots) == bool(scan)
+                # the ledger's own triplets, not copies
+                assert all(any(tr is own for own in ledger) for tr in found)
 
 
 def test_add_nodes_that_files_nothing_changes_nothing():

@@ -419,6 +419,9 @@ def test_step_choice_and_cost_split_equal_the_key_callback_and_cost_sum(g, cat, 
             })
             rows = state.ledger.rows()[start:]
             assert report.purchases == [row[:3] for row in rows]
+            # the choice and the representatives are the ledger's own triplets, not copies
+            own = {id(tr) for tr in state.ledger}
+            assert all(id(tr) in own for tr in report.s_t + report.representatives)
             assert report.c1_increment == cost_sum(row[4] for row in rows[:c1_rows])
             assert report.c2_increment == cost_sum(row[4] for row in rows[c1_rows:])
 
@@ -440,10 +443,10 @@ def test_rounding_probability_matches_min_of_uniforms():
 
 def test_fallback_buys_cheapest_lease_on_target(star4):
     state = OcdslState(star4, TWO, seed=0)
-    doms = dominators(star4, 1, 5, TWO)
+    assert not state.has_active_dominator(1, TWO.slots(5))
     tr = state.fallback(1, 5)
     assert tr == Triplet(1, 1, 5)
-    assert state.has_active_dominator(doms)
+    assert state.has_active_dominator(1, TWO.slots(5))
 
 
 def test_serve_request_falls_back_when_no_threshold_can_be_beaten(path3):
@@ -471,10 +474,10 @@ def phase1_events(state: OcdslState, inst) -> list:
         return bought
 
     def spied_fallback(self, u, t):
-        doms = dominators(self.graph, u, t, self.catalog)
-        assert not self.has_active_dominator(doms)
+        slots = self.catalog.slots(t)
+        assert not self.has_active_dominator(u, slots)
         tr = fallback(self, u, t)
-        events.append(("fallback", self.has_active_dominator(doms)))
+        events.append(("fallback", self.has_active_dominator(u, slots)))
         return tr
 
     with pytest.MonkeyPatch.context() as mp:
@@ -573,15 +576,27 @@ def test_select_representatives_shared_node_first():
 
 @pytest.mark.parametrize("connect", [True, False], ids=["ocdsl", "odsl-rr"])
 def test_serve_builds_each_requested_nodes_dominators_once(monkeypatch, connect):
-    calls = []
-    real = ocdsl.dominators
+    # at most once: a requested node with a held dominator builds none
+    calls, undominated, built = [], [], 0
+    real, check = ocdsl.dominators, OcdslState.has_active_dominator
+
+    def spied_check(self, u, slots):
+        held = check(self, u, slots)
+        if not held:
+            undominated.append(u)
+        return held
+
     monkeypatch.setattr(ocdsl, "dominators", lambda *args: calls.append(args[1:3]) or real(*args))
+    monkeypatch.setattr(OcdslState, "has_active_dominator", spied_check)
     inst = gen_instance("grid", {"rows": 4, "cols": 5, "T": 12, "k": 4, "L": 3}, random.Random(0))
     state = OcdslState(inst.graph, inst.catalog, seed=0, connect=connect)
     for t, nodes in inst.requests:
-        calls.clear()
+        calls.clear(), undominated.clear()
         state.serve_request(nodes, t)
-        assert calls == [(u, t) for u in nodes]
+        assert calls == [(u, t) for u in undominated]
+        built += len(calls)
+    # some requested nodes had a held dominator and built none, and some built theirs
+    assert 0 < built < sum(len(nodes) for _, nodes in inst.requests)
 
 
 def test_serve_single_node_graph():

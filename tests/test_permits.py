@@ -142,12 +142,24 @@ def test_offline_opt_equals_the_top_down_dp(cat, days):
 @given(cat=catalogs(), days=st.sets(st.integers(min_value=0, max_value=511), max_size=60))
 @settings(deadline=None)
 def test_request_buys_as_the_restart_loop(cat, days):
-    state, reference = PermitState(cat), ReferencePermitState(cat)
+    state, reference, live = PermitState(cat), ReferencePermitState(cat), ()
     for t in sorted(days):
-        assert state.request(t) == reference.request(t), t
+        bought = state.request(t)
+        assert bought == reference.request(t), t
+        if bought:  # an uncovered day: the slots holding it are the only ones charged from now on
+            live = cat.slots(t)[1:]
     assert list(state.owned.items()) == list(reference.owned.items())
-    # spend is kept in units of 1/cat.scale
-    assert {key: Fraction(units, cat.scale) for key, units in state.spend.items()} == reference.spend
+    # spend is kept in units of 1/cat.scale, and on the slots holding the last uncovered day alone
+    assert {key: Fraction(units, cat.scale) for key, units in state.spend.items()} == {
+        key: reference.spend[key] for key in live if key in reference.spend
+    }
+
+
+def test_spend_keeps_fewer_entries_than_lease_types_on_a_long_stream():
+    cat, state = canonical_catalog(4), PermitState(canonical_catalog(4))
+    for t in sorted(random.Random("spend").sample(range(80000), 20000)):
+        state.request(t)
+        assert len(state.spend) < len(cat)
 
 
 @given(cat=catalogs(), days=st.sets(st.integers(min_value=0, max_value=511), max_size=60))
