@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import DefaultDict, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import EmptyRequest, InstanceError, LeaselabError, LedgerError, NonMonotonicTime
 from .graphs import Graph, build_graph
@@ -92,18 +93,17 @@ def make_instance(
 class PurchaseLedger:
     """The online solution: bought triplets, each with its purchase step.
 
-    The first ``add`` of a lease sets its price for the whole ledger; a row pays its lease's
-    price, so ``rows()`` and ``total_cost()`` read the costs back from there. ``add`` also
-    files each triplet under its (lease, start) slot by node, so a held question reads only the
-    |L| slots holding t, by node: O(|L| + output). It therefore sees only starts aligned to
-    their lease's duration, which is how every algorithm and the oracle buy.
+    The first purchase of a lease sets its price for the whole ledger; a row pays its lease's
+    price, so ``rows()`` and ``total_cost()`` read the costs back from there. Each filing also
+    files its triplets by node under their (lease, start) slot, so a held question reads only the
+    |L| slots holding t: aligned starts, which is how every algorithm and the oracle buy.
     """
 
     entries: Dict[Triplet, int] = field(default_factory=dict, init=False)
     _prices: Dict[int, Fraction] = field(default_factory=dict, init=False, repr=False)
-    # (lease, start) -> node -> the ledger's own triplet, in purchase order
-    _slots: Dict[Tuple[int, int], Dict[int, Triplet]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    # (lease, start) -> node -> the ledger's own triplet, in purchase order; reads use get()
+    _slots: DefaultDict[Tuple[int, int], Dict[int, Triplet]] = field(
+        default_factory=lambda: defaultdict(dict), init=False, repr=False, compare=False
     )
 
     def add(self, tr: Triplet, step: int, cost: Fraction) -> None:
@@ -114,7 +114,24 @@ class PurchaseLedger:
         if price is not cost and price != cost:
             raise LedgerError(f"lease {lease} costs {price} in this ledger, not {cost}")
         self.entries[tr] = step
-        self._slots.setdefault((lease, start), {})[node] = tr
+        self._slots[lease, start][node] = tr
+
+    def add_all(self, trs: Sequence[Triplet], step: int, costs: Mapping[int, Fraction]) -> None:
+        """``add`` each of ``trs``, in order, at its lease's price in ``costs`` (lease -> price), in
+        one filing: a triplet held or repeated, or a second price, raises LedgerError and files none."""
+        entries, prices, slots, fresh = self.entries, self._prices, self._slots, dict.fromkeys(trs, step)
+        if len(fresh) < len(trs) or not entries.keys().isdisjoint(fresh):
+            tr = next(tr for i, tr in enumerate(trs) if tr in entries or tr in trs[:i])
+            raise LedgerError(f"triplet {tr} bought twice")
+        if prices != costs:  # some lease unpriced, or priced otherwise: check those of trs
+            for _, lease, _ in trs:
+                price, held = costs[lease], prices.get(lease)
+                if held is not None and held is not price and held != price:
+                    raise LedgerError(f"lease {lease} costs {held} in this ledger, not {price}")
+            prices.update({tr[1]: costs[tr[1]] for tr in trs if tr[1] not in prices})
+        entries.update(fresh)
+        for tr in trs:
+            slots[tr[1], tr[2]][tr[0]] = tr
 
     def add_nodes(self, nodes: Iterable[int], lease: int, start: int, step: int, cost: Fraction) -> None:
         """``add`` each (node, lease, start) of ``nodes`` not held yet, in order, with one price
@@ -127,7 +144,7 @@ class PurchaseLedger:
             if price is not cost and price != cost:
                 raise LedgerError(f"lease {lease} costs {price} in this ledger, not {cost}")
             self.entries.update(dict.fromkeys(fresh.values(), step))
-            self._slots.setdefault((lease, start), held).update(fresh)
+            self._slots[lease, start].update(fresh)
 
     def __contains__(self, tr: Triplet) -> bool:
         return tr in self.entries
@@ -145,14 +162,24 @@ class PurchaseLedger:
             counts[lease] += len(bought)
         return cost_sum(Fraction(p.numerator * counts[k], p.denominator) for k, p in self._prices.items())
 
-    def held(self, nodes: Sequence[int], slots: Sequence[Tuple[int, int]]) -> List[Triplet]:
-        """The ledger's own triplets on ``nodes`` in the windows ``slots`` (``catalog.slots(t)``
-        or part of it), slot by slot. Each call looks its buckets up afresh, so it sees every
-        purchase made before it, even one that opened a slot."""
-        return [bucket[v] for bucket in map(self._slots.get, slots) if bucket for v in nodes if v in bucket]
+    def cheapest_held(
+        self, nodes: Sequence[int], slots: Sequence[Tuple[int, int]], units: Sequence[int]
+    ) -> Optional[Triplet]:
+        """The least by (``catalog.units``, node, start, lease) of the ledger's own triplets on
+        ``nodes`` (sorted) in ``slots`` (``catalog.slots(t)`` or a prefix), or None. Costs never fall
+        with the lease index: it stops after the first equal-cost group with a hit, one node per slot."""
+        best, best_units, get = None, None, self._slots.get
+        for key in slots:
+            if best is not None and units[key[0] - 1] != best_units:
+                break
+            bucket = get(key)
+            node = next(filter(bucket.__contains__, nodes), None) if bucket else None
+            if node is not None and (best is None or (node, key[1]) < (best[0], best[2])):
+                best, best_units = bucket[node], units[key[0] - 1]
+        return best
 
     def holds(self, nodes: Sequence[int], slots: Sequence[Tuple[int, int]]) -> bool:
-        """Whether ``held(nodes, slots)`` is not empty, asked by node without building it."""
+        """Whether the ledger holds a triplet on ``nodes`` in ``slots``, asked by node."""
         for bucket in map(self._slots.get, slots):
             if bucket and not bucket.keys().isdisjoint(nodes):
                 return True
@@ -172,21 +199,24 @@ class PurchaseLedger:
 
 class OnlineLeaser:
     """What every online algorithm shares. A subclass's ``serve_request(nodes, t)`` ``begin``s
-    the step, ``buy``s each triplet at its lease's cost and reads its StepReport off the ledger."""
+    the step, ``buy``s each decision's triplets in one filing and reads its StepReport off the ledger."""
 
     def __init__(self, graph: Graph, catalog: LeaseCatalog):
         self.graph = graph
         self.catalog = catalog
         self.ledger = PurchaseLedger()
         self.last_time: Optional[int] = None
+        self._costs = {lease: lt.cost for lease, lt in enumerate(catalog, 1)}  # buy's prices
 
     def begin(self, nodes: Iterable[int], t: int) -> Tuple[int, ...]:
         requested = request_nodes(self.last_time, nodes, t, self.graph.node_count)  # may refuse the step
         self.last_time = t
         return requested
 
-    def buy(self, tr: Triplet, t: int) -> None:
-        self.ledger.add(tr, t, self.catalog.cost(tr[1]))
+    def buy(self, trs: Sequence[Triplet], t: int) -> None:
+        if len(trs) == 1:  # a single purchase costs less through add
+            return self.ledger.add(trs[0], t, self._costs[trs[0][1]])
+        self.ledger.add_all(trs, t, self._costs)
 
     def buy_nodes(self, nodes: Iterable[int], lease: int, start: int, t: int) -> None:
         self.ledger.add_nodes(nodes, lease, start, t, self.catalog.cost(lease))

@@ -134,10 +134,10 @@ class OcdslState(OnlineLeaser):
         return rounds
 
     def round_purchases(self, doms: Sequence[Triplet], t: int) -> List[Triplet]:
-        """Buy, in ``doms`` order, every dominator whose weight w beats its threshold mu, and
-        return what it bought. The one place a threshold is drawn: mu is the min of mu_draws
-        uniforms, drawn on a triplet's first touch here, even with no weight, and then frozen.
-        Every random() is a multiple of 2^-53, so mu is kept exact as the int m = mu·2^53."""
+        """Buy, in ``doms`` order and in one filing, every dominator whose weight w beats its
+        threshold mu, and return what it bought. The one place a threshold is drawn: mu is the min
+        of mu_draws uniforms, drawn on a triplet's first touch here, even with no weight, and then
+        frozen. Every random() is a multiple of 2^-53, so mu is kept exact as the int m = mu·2^53."""
         bought, weights, entries, thresholds = [], self.weights, self.ledger.entries, self.thresholds
         draw, args = self._mu_rng.random, self._draw_args
         for tr in doms:
@@ -148,14 +148,15 @@ class OcdslState(OnlineLeaser):
             if w is not None:
                 num, den = w.as_integer_ratio()
                 if num << 53 > m * den and tr not in entries:
-                    self.buy(tr, t)
                     bought.append(tr)
+        if bought:
+            self.buy(bought, t)
         return bought
 
     def fallback(self, u: int, t: int) -> Triplet:
         """Dominate u after a rounding that bought nothing: buy the cheapest-lease triplet on u."""
         tr = self.catalog.triplet_at(u, 1, t)
-        self.buy(tr, t)
+        self.buy((tr,), t)
         return tr
 
     def select_representatives(
@@ -166,13 +167,14 @@ class OcdslState(OnlineLeaser):
         reps: List[Triplet] = []
         closed, cheapest = self.graph.closed_neighborhoods, self.catalog.slots(t)[:1]
         while uncovered:
-            best_u = max(d_t, key=lambda u: len(uncovered.intersection(closed[u])))
+            covers = [len(uncovered.intersection(closed[u])) for u in d_t]
+            best_u = d_t[covers.index(max(covers))]  # the first that covers the most
             if uncovered.isdisjoint(closed[best_u]):
                 raise InfeasibleOutput(f"no request node covers nodes {sorted(uncovered)}")
-            held = self.ledger.held((best_u,), cheapest)  # [the ledger's own triplet] if bought
-            rep = held[0] if held else self.catalog.triplet_at(best_u, 1, t)
-            if not held:
-                self.buy(rep, t)
+            rep = self.ledger.cheapest_held((best_u,), cheapest, self.catalog.units)  # the ledger's own
+            if rep is None:
+                rep = self.catalog.triplet_at(best_u, 1, t)
+                self.buy((rep,), t)
             reps.append(rep)
             uncovered.difference_update(closed[best_u])
         return reps
@@ -196,14 +198,9 @@ class OcdslState(OnlineLeaser):
                 self.fallback(u, t)
 
         # Phase 1 step ii: assign dominators; Phase 2 below buys their representatives
-        # per node, the ledger's own cheapest held dominator; cost ties go to the least node,
-        # then start, then lease: the key ends in the triplet, which only meets one of equal
-        # node and start, so compares by lease
-        held, closed, units = self.ledger.held, self.graph.closed_neighborhoods, self.catalog.units
-        s_t = sorted({
-            min([(units[tr[1] - 1], tr[0], tr[2], tr) for tr in held(closed[u], slots)])[3]
-            for u in requested
-        })
+        # per node, the ledger's own cheapest held dominator, ties to the least node, start, lease
+        closed, units = self.graph.closed_neighborhoods, self.catalog.units
+        s_t = sorted({self.ledger.cheapest_held(closed[u], slots, units) for u in requested})
 
         # with Phase 2 only: step ii's representatives (C1), then the tree edges joining them (C2)
         reps, root, r_nodes, c2_rows = [], None, [], 0

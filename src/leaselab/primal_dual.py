@@ -19,17 +19,20 @@ from .leases import LeaseCatalog, Triplet
 
 class DualState(OnlineLeaser):
     """One primal-dual run; ``dual`` and ``slack`` are ints in units of 1/catalog.scale.
-    ``slack`` holds open constraints only: a dominator driven tight is bought and leaves it."""
+    ``slack`` holds open constraints only: an occurrence buys those it drives tight in one filing."""
 
     def __init__(self, graph: Graph, catalog: LeaseCatalog):
         super().__init__(graph, catalog)
         self.dual = 0  # sum of every occurrence's dual variable
         self.slack: Dict[Triplet, int] = {}  # open constraints: c_l minus dual mass charged in
+        self._at, self._slots = -1, ()  # the last time served and its catalog.slots
 
     def serve(self, u: int, t: int) -> None:
         """Serve one occurrence; it reports through the ledger and ``dual``, and skips the
         request rule, which serve_request applies."""
-        slots = self.catalog.slots(t)
+        if t != self._at:  # serve runs per occurrence: slots(t) is looked up once per time
+            self._at, self._slots = t, self.catalog.slots(t)
+        slots = self._slots
         if self.ledger.holds(self.graph.closed_neighborhoods[u], slots):
             return  # covered: some dominator is held
         doms, slack, units = dominators(self.graph, u, t, self.catalog, slots), self.slack, self.catalog.units
@@ -39,9 +42,9 @@ class DualState(OnlineLeaser):
         for tr, s in zip(doms, left):
             if s > raise_by:
                 slack[tr] = s - raise_by
-            else:  # tight: bought, so its constraint closes
+            else:  # tight: its constraint closes, and it is bought below
                 slack.pop(tr, None)
-                self.buy(tr, t)
+        self.buy([tr for tr, s in zip(doms, left) if s == raise_by], t)
 
     def serve_request(self, nodes: Sequence[int], t: int) -> StepReport:
         """Serve every occurrence of one request step; its purchases all count as C1."""

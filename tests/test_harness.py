@@ -1109,6 +1109,72 @@ def test_golden_grid_run_builds_dominators_only_for_occurrences_with_no_held_dom
     assert 0 < len(calls) == len(needed) < occurrences
 
 
+# ledger filings in one GOLDEN_6X6 run as (add calls, add_all calls): OCDSL files each rounding
+# that bought (31 for ocdsl, 30 for odsl-rr), each fallback (none) and each representative it
+# bought (60 for ocdsl) in one call, and odsl-pd each uncovered occurrence's tight dominators
+# (68); a single purchase goes through add, several through add_all. The implementation that
+# filed one triplet per add call made 288, 230 and 397 add calls.
+GOLDEN_FILINGS = {"ocdsl": (60, 31), "odsl-rr": (0, 30), "odsl-pd": (0, 68)}
+
+
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN_FILINGS))
+def test_golden_grid_run_files_each_rounding_and_each_dual_occurrence_in_one_call(algorithm, monkeypatch):
+    inst = gen_instance("grid", GOLDEN_6X6_PARAMS, random.Random("golden:inst"))
+    calls = dict.fromkeys(("add", "add_all", "decisions"), 0)
+
+    def counted(name):
+        method = getattr(PurchaseLedger, name)
+
+        def call(ledger, *args):
+            calls[name] += 1
+            return method(ledger, *args)
+
+        return call
+
+    for name in ("add", "add_all"):
+        monkeypatch.setattr(PurchaseLedger, name, counted(name))
+    round_purchases, fallback, reps, serve = (
+        OcdslState.round_purchases, OcdslState.fallback, OcdslState.select_representatives, DualState.serve
+    )
+
+    def spied_round(state, doms, t):
+        bought = round_purchases(state, doms, t)
+        calls["decisions"] += bool(bought)
+        return bought
+
+    def spied_fallback(state, u, t):
+        calls["decisions"] += 1
+        return fallback(state, u, t)
+
+    def spied_reps(state, s_t, d_t, t):
+        rows = len(state.ledger)
+        chosen = reps(state, s_t, d_t, t)
+        calls["decisions"] += len(state.ledger) - rows
+        return chosen
+
+    def spied_serve(state, u, t):
+        dual = state.dual
+        serve(state, u, t)
+        calls["decisions"] += state.dual != dual  # an uncovered occurrence raises its dual
+
+    monkeypatch.setattr(OcdslState, "round_purchases", spied_round)
+    monkeypatch.setattr(OcdslState, "fallback", spied_fallback)
+    monkeypatch.setattr(OcdslState, "select_representatives", spied_reps)
+    monkeypatch.setattr(DualState, "serve", spied_serve)
+    run_algorithm(algorithm, inst, 5)
+    assert (calls["add"], calls["add_all"]) == GOLDEN_FILINGS[algorithm]
+    assert calls["add"] + calls["add_all"] == calls["decisions"]
+
+
+def test_golden_grid_primal_dual_run_looks_up_the_slots_once_per_request_time(monkeypatch):
+    # the implementation that looked them up per occurrence made 120 calls, one per requested node
+    inst = gen_instance("grid", GOLDEN_6X6_PARAMS, random.Random("golden:inst"))
+    times, slots = [], LeaseCatalog.slots
+    monkeypatch.setattr(LeaseCatalog, "slots", lambda catalog, t: times.append(t) or slots(catalog, t))
+    run_algorithm("odsl-pd", inst, 5)
+    assert times == list(inst.times) and len(times) == 30
+
+
 # name -> (argv writing "out.csv", sha256 of that file), frozen like GOLDEN_6X6
 GOLDEN_CLI = {
     "ocdsl-edge-ledger": (

@@ -167,10 +167,65 @@ def test_node_query_and_active_nodes_equal_a_scan_of_the_entries(held, calls, qu
             assert ledger.active_nodes(CAT3, t) == {tr.node for tr in ledger if tr[1:] in slots}
             for asked in queries:
                 scan = [tr for key in slots for v in asked for tr in ledger if tr == (v, *key)]
-                found = ledger.held(asked, slots)
-                assert found == scan and ledger.holds(asked, slots) == bool(scan)
-                # the ledger's own triplets, not copies
-                assert all(any(tr is own for own in ledger) for tr in found)
+                assert ledger.holds(asked, slots) == bool(scan)
+
+
+# the canonical catalogs never give two leases one cost; these two do, in a pair and in all three
+TIE_CATALOGS = [
+    LeaseCatalog.from_pairs([(1, 1), (2, 1), (4, 2)]),
+    LeaseCatalog.from_pairs([(1, 1), (4, 1), (8, 1)]),
+]
+QUERY_CATALOGS = [canonical_catalog(count) for count in (1, 2, 3, 4)] + TIE_CATALOGS
+
+
+@st.composite
+def catalog_triplets(draw, catalog: LeaseCatalog, max_node: int = 5):
+    """A triplet of ``catalog`` with an aligned start in [0, 64)."""
+    lease = draw(st.integers(min_value=1, max_value=len(catalog)))
+    duration = catalog.duration(lease)
+    start = duration * draw(st.integers(min_value=0, max_value=64 // duration - 1))
+    return Triplet(draw(st.integers(min_value=0, max_value=max_node)), lease, start)
+
+
+@given(data=st.data(), catalog=st.sampled_from(QUERY_CATALOGS))
+@settings(max_examples=100, deadline=None)
+def test_cheapest_held_equals_the_least_scanned_triplet_by_cost_node_start_and_lease(data, catalog):
+    # a ledger built with add, add_nodes and add_all, asked after each filing; a twin built
+    # with add alone ends equal to it
+    filings = data.draw(st.lists(st.tuples(
+        st.sampled_from(["add", "add_nodes", "add_all"]),
+        st.lists(catalog_triplets(catalog), min_size=1, max_size=5),
+    ), max_size=10))
+    queries = data.draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=5), unique=True, max_size=6).map(sorted),
+        min_size=1, max_size=4,
+    ))
+    ledger, single, units = PurchaseLedger(), PurchaseLedger(), catalog.units
+    costs = {lease: lt.cost for lease, lt in enumerate(catalog, 1)}
+    for step, (how, drawn) in enumerate(filings):
+        fresh = [tr for tr in dict.fromkeys(drawn) if tr not in ledger]
+        if how == "add":
+            for tr in fresh:
+                ledger.add(tr, step, catalog.cost(tr.lease))
+        elif how == "add_nodes":  # one call per slot, which files its nodes together
+            keys = list(dict.fromkeys(tr[1:] for tr in drawn))
+            for lease, start in keys:
+                nodes = [tr.node for tr in drawn if tr[1:] == (lease, start)]
+                ledger.add_nodes(nodes, lease, start, step, catalog.cost(lease))
+            fresh.sort(key=lambda tr: keys.index(tr[1:]))
+        else:
+            ledger.add_all(fresh, step, costs)
+        for tr in fresh:
+            single.add(tr, step, catalog.cost(tr.lease))
+        for t in {0, 63, *(tr.start for tr in drawn), *(tr.start - 1 for tr in drawn if tr.start)}:
+            for slots in (catalog.slots(t), catalog.slots(t)[:1]):
+                for asked in queries:
+                    scan = [tr for tr in ledger.entries if tr[1:] in slots and tr.node in asked]
+                    least = min(scan, key=lambda tr: (units[tr.lease - 1], tr.node, tr.start, tr.lease), default=None)
+                    found = ledger.cheapest_held(asked, slots, units)
+                    assert found == least
+                    assert found is None or any(found is own for own in ledger)  # not a copy
+    assert ledger_state(ledger) == ledger_state(single)
 
 
 def test_add_nodes_that_files_nothing_changes_nothing():
@@ -182,6 +237,26 @@ def test_add_nodes_that_files_nothing_changes_nothing():
     ledger.add_nodes([0, 0], 2, 4, 5, Fraction(2))
     ledger.add_nodes((), 3, 8, 8, Fraction(3))
     assert ledger_state(ledger) == before
+
+
+def test_a_refused_add_all_files_nothing():
+    ledger = PurchaseLedger()
+    costs = {1: Fraction(1), 2: Fraction(2), 3: Fraction(3)}  # CAT3's
+    ledger.add_all([Triplet(0, 1, 3), Triplet(1, 2, 0)], 3, costs)
+    before, cost = ledger_state(ledger), ledger.total_cost()
+    second_price = {**costs, 2: Fraction(5, 2)}
+    refused = [
+        # a held triplet after a fresh one on an unpriced lease
+        ([Triplet(2, 3, 0), Triplet(0, 1, 3)], costs, r"triplet Triplet\(node=0, lease=1, start=3\) bought twice"),
+        # one triplet twice in the call
+        ([Triplet(2, 3, 0), Triplet(2, 3, 0)], costs, r"triplet Triplet\(node=2, lease=3, start=0\) bought twice"),
+        # a second price for lease 2, after lease 3's first
+        ([Triplet(2, 3, 0), Triplet(2, 2, 4)], second_price, r"lease 2 costs 2 in this ledger, not 5/2"),
+    ]
+    for trs, prices, message in refused:
+        with pytest.raises(LedgerError, match=f"^{message}$"):
+            ledger.add_all(trs, 5, prices)
+        assert ledger_state(ledger) == before and ledger.total_cost() == cost
 
 
 def test_add_nodes_at_a_second_price_raises_and_files_nothing():
