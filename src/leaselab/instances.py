@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import DefaultDict, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import DefaultDict, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import EmptyRequest, InstanceError, LeaselabError, LedgerError, NonMonotonicTime
 from .graphs import Graph, build_graph
@@ -94,9 +94,9 @@ class PurchaseLedger:
     """The online solution: bought triplets, each with its purchase step.
 
     The first purchase of a lease sets its price for the whole ledger; a row pays its lease's
-    price, so ``rows()`` and ``total_cost()`` read the costs back from there. Each filing also
-    files its triplets by node under their (lease, start) slot, so a held question reads only the
-    |L| slots holding t: aligned starts, which is how every algorithm and the oracle buy.
+    price, so ``rows()`` and ``total_cost()`` read the costs back from there. ``add`` and
+    ``add_nodes`` also file each triplet by node under its (lease, start) slot, so a held question
+    reads only the |L| slots holding t: aligned starts, which is how every algorithm and the oracle buy.
     """
 
     entries: Dict[Triplet, int] = field(default_factory=dict, init=False)
@@ -115,23 +115,6 @@ class PurchaseLedger:
             raise LedgerError(f"lease {lease} costs {price} in this ledger, not {cost}")
         self.entries[tr] = step
         self._slots[lease, start][node] = tr
-
-    def add_all(self, trs: Sequence[Triplet], step: int, costs: Mapping[int, Fraction]) -> None:
-        """``add`` each of ``trs``, in order, at its lease's price in ``costs`` (lease -> price), in
-        one filing: a triplet held or repeated, or a second price, raises LedgerError and files none."""
-        entries, prices, slots, fresh = self.entries, self._prices, self._slots, dict.fromkeys(trs, step)
-        if len(fresh) < len(trs) or not entries.keys().isdisjoint(fresh):
-            tr = next(tr for i, tr in enumerate(trs) if tr in entries or tr in trs[:i])
-            raise LedgerError(f"triplet {tr} bought twice")
-        if prices != costs:  # some lease unpriced, or priced otherwise: check those of trs
-            for _, lease, _ in trs:
-                price, held = costs[lease], prices.get(lease)
-                if held is not None and held is not price and held != price:
-                    raise LedgerError(f"lease {lease} costs {held} in this ledger, not {price}")
-            prices.update({tr[1]: costs[tr[1]] for tr in trs if tr[1] not in prices})
-        entries.update(fresh)
-        for tr in trs:
-            slots[tr[1], tr[2]][tr[0]] = tr
 
     def add_nodes(self, nodes: Iterable[int], lease: int, start: int, step: int, cost: Fraction) -> None:
         """``add`` each (node, lease, start) of ``nodes`` not held yet, in order, with one price
@@ -199,14 +182,14 @@ class PurchaseLedger:
 
 class OnlineLeaser:
     """What every online algorithm shares. A subclass's ``serve_request(nodes, t)`` ``begin``s
-    the step, ``buy``s each decision's triplets in one filing and reads its StepReport off the ledger."""
+    the step, ``buy``s each decision's triplets in one call and reads its StepReport off the ledger."""
 
     def __init__(self, graph: Graph, catalog: LeaseCatalog):
         self.graph = graph
         self.catalog = catalog
         self.ledger = PurchaseLedger()
         self.last_time: Optional[int] = None
-        self._costs = {lease: lt.cost for lease, lt in enumerate(catalog, 1)}  # buy's prices
+        self._costs = {lease: lt.cost for lease, lt in enumerate(catalog, 1)}  # buy and buy_nodes price from here
 
     def begin(self, nodes: Iterable[int], t: int) -> Tuple[int, ...]:
         requested = request_nodes(self.last_time, nodes, t, self.graph.node_count)  # may refuse the step
@@ -214,12 +197,11 @@ class OnlineLeaser:
         return requested
 
     def buy(self, trs: Sequence[Triplet], t: int) -> None:
-        if len(trs) == 1:  # a single purchase costs less through add
-            return self.ledger.add(trs[0], t, self._costs[trs[0][1]])
-        self.ledger.add_all(trs, t, self._costs)
+        for tr in trs:
+            self.ledger.add(tr, t, self._costs[tr[1]])
 
     def buy_nodes(self, nodes: Iterable[int], lease: int, start: int, t: int) -> None:
-        self.ledger.add_nodes(nodes, lease, start, t, self.catalog.cost(lease))
+        self.ledger.add_nodes(nodes, lease, start, t, self._costs[lease])
 
 
 @dataclass(slots=True)

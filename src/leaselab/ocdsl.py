@@ -134,7 +134,7 @@ class OcdslState(OnlineLeaser):
         return rounds
 
     def round_purchases(self, doms: Sequence[Triplet], t: int) -> List[Triplet]:
-        """Buy, in ``doms`` order and in one filing, every dominator whose weight w beats its
+        """Buy, in ``doms`` order and in one ``buy`` call, every dominator whose weight w beats its
         threshold mu, and return what it bought. The one place a threshold is drawn: mu is the min
         of mu_draws uniforms, drawn on a triplet's first touch here, even with no weight, and then
         frozen. Every random() is a multiple of 2^-53, so mu is kept exact as the int m = mu·2^53."""

@@ -19,7 +19,7 @@ from .leases import LeaseCatalog, Triplet
 
 class DualState(OnlineLeaser):
     """One primal-dual run; ``dual`` and ``slack`` are ints in units of 1/catalog.scale.
-    ``slack`` holds open constraints only: an occurrence buys those it drives tight in one filing."""
+    ``slack`` holds open constraints only: an occurrence buys those it drives tight in one ``buy`` call."""
 
     def __init__(self, graph: Graph, catalog: LeaseCatalog):
         super().__init__(graph, catalog)
@@ -39,12 +39,14 @@ class DualState(OnlineLeaser):
         left = [slack.get(tr, units[tr[1] - 1]) for tr in doms]
         raise_by = min(left)
         self.dual += raise_by
+        tight = []
         for tr, s in zip(doms, left):
             if s > raise_by:
                 slack[tr] = s - raise_by
             else:  # tight: its constraint closes, and it is bought below
                 slack.pop(tr, None)
-        self.buy([tr for tr, s in zip(doms, left) if s == raise_by], t)
+                tight.append(tr)
+        self.buy(tight, t)
 
     def serve_request(self, nodes: Sequence[int], t: int) -> StepReport:
         """Serve every occurrence of one request step; its purchases all count as C1."""

@@ -1109,30 +1109,30 @@ def test_golden_grid_run_builds_dominators_only_for_occurrences_with_no_held_dom
     assert 0 < len(calls) == len(needed) < occurrences
 
 
-# ledger filings in one GOLDEN_6X6 run as (add calls, add_all calls): OCDSL files each rounding
-# that bought (31 for ocdsl, 30 for odsl-rr), each fallback (none) and each representative it
-# bought (60 for ocdsl) in one call, and odsl-pd each uncovered occurrence's tight dominators
-# (68); a single purchase goes through add, several through add_all. The implementation that
-# filed one triplet per add call made 288, 230 and 397 add calls.
-GOLDEN_FILINGS = {"ocdsl": (60, 31), "odsl-rr": (0, 30), "odsl-pd": (0, 68)}
+# purchases in one GOLDEN_6X6 run as (buy calls, add calls): OCDSL buys each rounding that
+# bought (31 for ocdsl, 30 for odsl-rr), each fallback (none) and each representative it bought
+# (60 for ocdsl) in one buy call, and odsl-pd each uncovered occurrence's tight dominators (68);
+# buy files each triplet through add. The implementation that bought one triplet per buy call
+# made as many buy calls as add calls.
+GOLDEN_BUYS = {"ocdsl": (91, 288), "odsl-rr": (30, 230), "odsl-pd": (68, 397)}
 
 
-@pytest.mark.parametrize("algorithm", sorted(GOLDEN_FILINGS))
-def test_golden_grid_run_files_each_rounding_and_each_dual_occurrence_in_one_call(algorithm, monkeypatch):
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN_BUYS))
+def test_golden_grid_run_buys_each_rounding_and_each_dual_occurrence_in_one_call(algorithm, monkeypatch):
     inst = gen_instance("grid", GOLDEN_6X6_PARAMS, random.Random("golden:inst"))
-    calls = dict.fromkeys(("add", "add_all", "decisions"), 0)
+    calls = dict.fromkeys(("buy", "add", "decisions"), 0)
 
-    def counted(name):
-        method = getattr(PurchaseLedger, name)
+    def counted(owner, name):
+        method = getattr(owner, name)
 
-        def call(ledger, *args):
+        def call(self, *args):
             calls[name] += 1
-            return method(ledger, *args)
+            return method(self, *args)
 
         return call
 
-    for name in ("add", "add_all"):
-        monkeypatch.setattr(PurchaseLedger, name, counted(name))
+    monkeypatch.setattr(OnlineLeaser, "buy", counted(OnlineLeaser, "buy"))
+    monkeypatch.setattr(PurchaseLedger, "add", counted(PurchaseLedger, "add"))
     round_purchases, fallback, reps, serve = (
         OcdslState.round_purchases, OcdslState.fallback, OcdslState.select_representatives, DualState.serve
     )
@@ -1162,8 +1162,8 @@ def test_golden_grid_run_files_each_rounding_and_each_dual_occurrence_in_one_cal
     monkeypatch.setattr(OcdslState, "select_representatives", spied_reps)
     monkeypatch.setattr(DualState, "serve", spied_serve)
     run_algorithm(algorithm, inst, 5)
-    assert (calls["add"], calls["add_all"]) == GOLDEN_FILINGS[algorithm]
-    assert calls["add"] + calls["add_all"] == calls["decisions"]
+    assert (calls["buy"], calls["add"]) == GOLDEN_BUYS[algorithm]
+    assert calls["buy"] == calls["decisions"]
 
 
 def test_golden_grid_primal_dual_run_looks_up_the_slots_once_per_request_time(monkeypatch):

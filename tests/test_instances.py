@@ -190,10 +190,10 @@ def catalog_triplets(draw, catalog: LeaseCatalog, max_node: int = 5):
 @given(data=st.data(), catalog=st.sampled_from(QUERY_CATALOGS))
 @settings(max_examples=100, deadline=None)
 def test_cheapest_held_equals_the_least_scanned_triplet_by_cost_node_start_and_lease(data, catalog):
-    # a ledger built with add, add_nodes and add_all, asked after each filing; a twin built
-    # with add alone ends equal to it
+    # a ledger built with add and add_nodes, asked after each filing; a twin built with add
+    # alone ends equal to it
     filings = data.draw(st.lists(st.tuples(
-        st.sampled_from(["add", "add_nodes", "add_all"]),
+        st.sampled_from(["add", "add_nodes"]),
         st.lists(catalog_triplets(catalog), min_size=1, max_size=5),
     ), max_size=10))
     queries = data.draw(st.lists(
@@ -201,20 +201,17 @@ def test_cheapest_held_equals_the_least_scanned_triplet_by_cost_node_start_and_l
         min_size=1, max_size=4,
     ))
     ledger, single, units = PurchaseLedger(), PurchaseLedger(), catalog.units
-    costs = {lease: lt.cost for lease, lt in enumerate(catalog, 1)}
     for step, (how, drawn) in enumerate(filings):
         fresh = [tr for tr in dict.fromkeys(drawn) if tr not in ledger]
         if how == "add":
             for tr in fresh:
                 ledger.add(tr, step, catalog.cost(tr.lease))
-        elif how == "add_nodes":  # one call per slot, which files its nodes together
+        else:  # one add_nodes call per slot, which files its nodes together
             keys = list(dict.fromkeys(tr[1:] for tr in drawn))
             for lease, start in keys:
                 nodes = [tr.node for tr in drawn if tr[1:] == (lease, start)]
                 ledger.add_nodes(nodes, lease, start, step, catalog.cost(lease))
             fresh.sort(key=lambda tr: keys.index(tr[1:]))
-        else:
-            ledger.add_all(fresh, step, costs)
         for tr in fresh:
             single.add(tr, step, catalog.cost(tr.lease))
         for t in {0, 63, *(tr.start for tr in drawn), *(tr.start - 1 for tr in drawn if tr.start)}:
@@ -239,23 +236,21 @@ def test_add_nodes_that_files_nothing_changes_nothing():
     assert ledger_state(ledger) == before
 
 
-def test_a_refused_add_all_files_nothing():
+def test_a_refused_add_files_nothing():
     ledger = PurchaseLedger()
-    costs = {1: Fraction(1), 2: Fraction(2), 3: Fraction(3)}  # CAT3's
-    ledger.add_all([Triplet(0, 1, 3), Triplet(1, 2, 0)], 3, costs)
+    ledger.add(Triplet(0, 1, 3), 3, Fraction(1))
+    ledger.add(Triplet(1, 2, 0), 3, Fraction(2))
     before, cost = ledger_state(ledger), ledger.total_cost()
-    second_price = {**costs, 2: Fraction(5, 2)}
     refused = [
-        # a held triplet after a fresh one on an unpriced lease
-        ([Triplet(2, 3, 0), Triplet(0, 1, 3)], costs, r"triplet Triplet\(node=0, lease=1, start=3\) bought twice"),
-        # one triplet twice in the call
-        ([Triplet(2, 3, 0), Triplet(2, 3, 0)], costs, r"triplet Triplet\(node=2, lease=3, start=0\) bought twice"),
-        # a second price for lease 2, after lease 3's first
-        ([Triplet(2, 3, 0), Triplet(2, 2, 4)], second_price, r"lease 2 costs 2 in this ledger, not 5/2"),
+        # a held triplet, at its price and at another
+        (Triplet(0, 1, 3), Fraction(1), r"triplet Triplet\(node=0, lease=1, start=3\) bought twice"),
+        (Triplet(1, 2, 0), Fraction(3), r"triplet Triplet\(node=1, lease=2, start=0\) bought twice"),
+        # a second price for lease 2, in a slot with no bucket yet
+        (Triplet(2, 2, 4), Fraction(5, 2), r"lease 2 costs 2 in this ledger, not 5/2"),
     ]
-    for trs, prices, message in refused:
+    for tr, price, message in refused:
         with pytest.raises(LedgerError, match=f"^{message}$"):
-            ledger.add_all(trs, 5, prices)
+            ledger.add(tr, 5, price)
         assert ledger_state(ledger) == before and ledger.total_cost() == cost
 
 

@@ -184,14 +184,14 @@ PRICE_SITES = {"OnlineLeaser.buy", "OnlineLeaser.buy_nodes", "_offline", "_read_
 
 def priced_adds(source: str) -> List[str]:
     """'line: scope' for each .add() call that passes a cost (three positional arguments or
-    cost=), and each .add_all() or .add_nodes() call, which always does, outside PRICE_SITES:
-    an online leaser buys through OnlineLeaser.buy or OnlineLeaser.buy_nodes."""
+    cost=), and each .add_nodes() call, which always does, outside PRICE_SITES: an online
+    leaser buys through OnlineLeaser.buy or OnlineLeaser.buy_nodes."""
     found = []
     for scope, node in scoped_nodes(ast.parse(source)):
         if not isinstance(node, ast.Call) or scope in PRICE_SITES:
             continue
         method = getattr(node.func, "attr", None)
-        if method in ("add_all", "add_nodes") or method == "add" and (
+        if method == "add_nodes" or method == "add" and (
             len(node.args) == 3 or "cost" in {kw.arg for kw in node.keywords}
         ):
             found.append(f"{node.lineno}: {scope}")
@@ -201,8 +201,8 @@ def priced_adds(source: str) -> List[str]:
 def test_priced_adds_finds_only_the_purchases_priced_outside_the_three_sites():
     source = """
 class OnlineLeaser:
-    def buy(self, trs, t):
-        self.ledger.add_all(trs, t, self._costs)
+    def buy(self, tr, t):
+        self.ledger.add(tr, step=t, cost=1)
     def buy_nodes(self, nodes, lease, start, t):
         self.ledger.add_nodes(nodes, lease, start, t, 1)
 class A(OnlineLeaser):
@@ -210,11 +210,10 @@ class A(OnlineLeaser):
         self.ledger.add(tr, t, 1)
         self.ledger.add(tr, step=t, cost=2)
         seen.add(tr)
-        self.buy([tr], t)
+        self.buy(tr, t)
         self.ledger.add_nodes([0, 1], 1, t, t, 1)
         self.ledger.add_nodes(*row)
         self.buy_nodes([0, 1], 1, t, t)
-        self.ledger.add_all([tr], t, self._costs)
 def _offline(ledger, tr):
     ledger.add(tr, step=0, cost=1)
 def _read_ledger_csv(ledger, tr):
@@ -222,7 +221,7 @@ def _read_ledger_csv(ledger, tr):
         ledger.add(tr, 0, 1)
 """
     assert priced_adds(source) == [
-        "9: A.f", "10: A.f", "13: A.f", "14: A.f", "16: A.f", "21: _read_ledger_csv.inner"
+        "9: A.f", "10: A.f", "13: A.f", "14: A.f", "20: _read_ledger_csv.inner"
     ]
 
 
