@@ -11,7 +11,7 @@ from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import Disconnected, InstanceError
-from .leases import LeaseCatalog, Triplet
+from .leases import Triplet
 
 
 @dataclass(frozen=True)
@@ -101,13 +101,11 @@ def connected_component(graph: Graph, start: int, allowed: Set[int]) -> Set[int]
     return seen
 
 
-def dominators(
-    graph: Graph, u: int, t: int, catalog: LeaseCatalog, slots: Sequence[Tuple[int, int]] = ()
-) -> Tuple[Triplet, ...]:
-    """The (deg(u)+1)·|L| candidate t-triplets on u's closed neighborhood, sorted as built:
-    the neighborhood is sorted by node, the catalog by lease index, and a lease fixes its start.
-    ``slots``, when given, must be ``catalog.slots(t)``: a caller that holds it passes it on."""
-    slots, new = slots or catalog.slots(t), tuple.__new__  # a Triplet, skipping its __new__
+def dominators(graph: Graph, u: int, slots: Sequence[Tuple[int, int]]) -> Tuple[Triplet, ...]:
+    """The (deg(u)+1)·|L| candidate t-triplets on u's closed neighborhood, for ``slots`` =
+    ``catalog.slots(t)``, sorted as built: the neighborhood is sorted by node, the slots by
+    lease index, and a lease fixes its start."""
+    new = tuple.__new__  # a Triplet, skipping its __new__
     return tuple([
         new(Triplet, (i, lease, start)) for i in graph.closed_neighborhoods[u] for lease, start in slots
     ])

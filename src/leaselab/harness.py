@@ -49,7 +49,7 @@ from .primal_dual import DualState
 VARIANTS: Dict[str, Tuple[Callable[[Instance, PurchaseLedger], bool], Callable[[Instance], Fraction]]] = {
     "cds": (lambda inst, ledger: check_solution(inst, ledger, True), lambda inst: offline_opt(inst)[0]),
     "ds": (lambda inst, ledger: check_solution(inst, ledger, False), lambda inst: offline_opt_ds(inst)[0]),
-    "pp": (lambda inst, ledger: all(ledger.active_triplets(inst.catalog, t) for t, _ in inst.requests),
+    "pp": (lambda inst, ledger: all(ledger.active_nodes(inst.catalog, t) for t in inst.times),
            lambda inst: pp_offline_opt(inst.times, inst.catalog)),  # one active lease per request time
 }
 # algorithm name -> (factory (instance, seed) -> a fresh leaser, the VARIANTS key of its problem)

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import DefaultDict, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import EmptyRequest, InstanceError, LeaselabError, LedgerError, NonMonotonicTime
 from .graphs import Graph, build_graph
@@ -101,9 +100,9 @@ class PurchaseLedger:
 
     entries: Dict[Triplet, int] = field(default_factory=dict, init=False)
     _prices: Dict[int, Fraction] = field(default_factory=dict, init=False, repr=False)
-    # (lease, start) -> node -> the ledger's own triplet, in purchase order; reads use get()
-    _slots: DefaultDict[Tuple[int, int], Dict[int, Triplet]] = field(
-        default_factory=lambda: defaultdict(dict), init=False, repr=False, compare=False
+    # (lease, start) -> node -> the ledger's own triplet, in purchase order
+    _slots: Dict[Tuple[int, int], Dict[int, Triplet]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def add(self, tr: Triplet, step: int, cost: Fraction) -> None:
@@ -114,7 +113,7 @@ class PurchaseLedger:
         if price is not cost and price != cost:
             raise LedgerError(f"lease {lease} costs {price} in this ledger, not {cost}")
         self.entries[tr] = step
-        self._slots[lease, start][node] = tr
+        self._slots.setdefault((lease, start), {})[node] = tr
 
     def add_nodes(self, nodes: Iterable[int], lease: int, start: int, step: int, cost: Fraction) -> None:
         """``add`` each (node, lease, start) of ``nodes`` not held yet, in order, with one price
@@ -127,7 +126,7 @@ class PurchaseLedger:
             if price is not cost and price != cost:
                 raise LedgerError(f"lease {lease} costs {price} in this ledger, not {cost}")
             self.entries.update(dict.fromkeys(fresh.values(), step))
-            self._slots[lease, start].update(fresh)
+            self._slots.setdefault((lease, start), {}).update(fresh)
 
     def __contains__(self, tr: Triplet) -> bool:
         return tr in self.entries
@@ -167,9 +166,6 @@ class PurchaseLedger:
             if bucket and not bucket.keys().isdisjoint(nodes):
                 return True
         return False
-
-    def active_triplets(self, catalog: LeaseCatalog, t: int) -> List[Triplet]:
-        return [tr for key in catalog.slots(t) for tr in self._slots.get(key, {}).values()]
 
     def active_nodes(self, catalog: LeaseCatalog, t: int) -> Set[int]:
         return set().union(*[self._slots.get(key, ()) for key in catalog.slots(t)])

@@ -95,13 +95,6 @@ class OcdslState(OnlineLeaser):
         self.max_dominator_count = 0  # over growth events
         self._growth = growth_table(catalog)
 
-    # ------------------------------------------------------------------ helpers
-
-    def has_active_dominator(self, u: int, slots: Sequence[Tuple[int, int]]) -> bool:
-        """True iff the ledger holds a triplet on N[u] in ``slots``, which must be
-        ``catalog.slots(t)``: u's dominators at t are exactly those triplets."""
-        return self.ledger.holds(self.graph.closed_neighborhoods[u], slots)
-
     # ------------------------------------------------------------------ phase 1
 
     def grow_fractional(self, doms: Sequence[Triplet]) -> int:
@@ -187,19 +180,19 @@ class OcdslState(OnlineLeaser):
         requested = self.begin(nodes, t)
         rounds, slots = 0, self.catalog.slots(t)
 
-        # Phase 1 step i: dominate every requested node; only one with no held dominator
-        # builds its dominators
+        # Phase 1 step i: dominate every requested node; only one with no held dominator (a
+        # ledger triplet on N[u] in slots) builds its dominators
+        closed, units = self.graph.closed_neighborhoods, self.catalog.units
         for u in requested:
-            if self.has_active_dominator(u, slots):
+            if self.ledger.holds(closed[u], slots):
                 continue
-            doms = dominators(self.graph, u, t, self.catalog, slots)
+            doms = dominators(self.graph, u, slots)
             rounds += self.grow_fractional(doms)
             if not self.round_purchases(doms, t):  # u is dominated iff rounding bought one
                 self.fallback(u, t)
 
         # Phase 1 step ii: assign dominators; Phase 2 below buys their representatives
         # per node, the ledger's own cheapest held dominator, ties to the least node, start, lease
-        closed, units = self.graph.closed_neighborhoods, self.catalog.units
         s_t = sorted({self.ledger.cheapest_held(closed[u], slots, units) for u in requested})
 
         # with Phase 2 only: step ii's representatives (C1), then the tree edges joining them (C2)

@@ -22,7 +22,7 @@ optimum the search meets, and so the ledger, is the one an unbounded start meets
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .errors import TooLarge
 from .graphs import Graph, connected_component
@@ -73,10 +73,11 @@ def check_solution(
     return True
 
 
-def candidate_universe(inst: Instance, live: Optional[List[Slots]] = None) -> List[Triplet]:
-    """All triplets that can matter: every node x lease x slot hit by a request time, or by the
-    slots ``live`` lists. Node-major over the sorted slots, which is the sorted Triplet order."""
-    slots = sorted({slot for step in live or map(inst.catalog.slots, inst.times) for slot in step})
+def candidate_universe(inst: Instance, live: Sequence[Slots]) -> List[Triplet]:
+    """All triplets that can matter: every node x lease x slot that ``live``, each request
+    step's ``catalog.slots(t)``, lists. Node-major over the sorted slots, which is the sorted
+    Triplet order."""
+    slots = sorted({slot for step in live for slot in step})
     return [tuple.__new__(Triplet, (node, *slot)) for node in range(inst.graph.node_count) for slot in slots]
 
 

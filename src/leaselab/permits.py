@@ -94,8 +94,7 @@ class PermitLeaser(OnlineLeaser):
 
     def serve_request(self, nodes: Sequence[int], t: int) -> StepReport:
         requested = self.begin(nodes, t)
-        for lease, start in self.permit.request(t):
-            self.buy((self.catalog.triplet_at(0, lease, start),), t)
+        self.buy([self.catalog.triplet_at(0, lease, start) for lease, start in self.permit.request(t)], t)
         return StepReport.from_ledger(t, requested, self.ledger, self.catalog)
 
 

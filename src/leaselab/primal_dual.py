@@ -35,7 +35,7 @@ class DualState(OnlineLeaser):
         slots = self._slots
         if self.ledger.holds(self.graph.closed_neighborhoods[u], slots):
             return  # covered: some dominator is held
-        doms, slack, units = dominators(self.graph, u, t, self.catalog, slots), self.slack, self.catalog.units
+        doms, slack, units = dominators(self.graph, u, slots), self.slack, self.catalog.units
         left = [slack.get(tr, units[tr[1] - 1]) for tr in doms]
         raise_by = min(left)
         self.dual += raise_by

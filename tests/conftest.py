@@ -260,10 +260,15 @@ def tree_cost(osfl: OsflState) -> Fraction:
     return sum((length(cid) * e[0].total_cost() for cid, e in osfl.tree_edges.items()), Fraction(0))
 
 
+def candidates(inst: Instance) -> List[Triplet]:
+    """The oracle's candidate universe: every triplet live at some request step."""
+    return candidate_universe(inst, [inst.catalog.slots(t) for t in inst.times])
+
+
 def reference_offline(inst: Instance, require_connected: bool) -> Tuple[Fraction, PurchaseLedger]:
     """The exact optimum by the plain branch and bound over sets: candidates by cost
     descending, take before skip, and every search node re-checks every request step."""
-    cands = sorted(candidate_universe(inst), key=lambda tr: (-inst.catalog.cost(tr.lease), tr))
+    cands = sorted(candidates(inst), key=lambda tr: (-inst.catalog.cost(tr.lease), tr))
     costs = [inst.catalog.cost(tr.lease) for tr in cands]
     graph, catalog = inst.graph, inst.catalog
     step_active: List[List[int]] = [
@@ -400,7 +405,7 @@ class ReferenceDualState(DualState):
         self.dual = Fraction(0)
 
     def serve(self, u: int, t: int) -> Tuple[List[Triplet], Fraction]:
-        doms = dominators(self.graph, u, t, self.catalog)
+        doms = dominators(self.graph, u, self.catalog.slots(t))
         if any(tr in self.ledger for tr in doms):
             return [], Fraction(0)
         for tr in doms:

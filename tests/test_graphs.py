@@ -63,7 +63,7 @@ def test_build_graph_rejects_bad_node_id():
 
 def test_dominators_star_leaf(star4):
     cat = LeaseCatalog.from_pairs([(1, 1), (4, 2)])
-    dom = dominators(star4, 1, 0, cat)
+    dom = dominators(star4, 1, cat.slots(0))
     assert len(dom) == 4  # (deg+1) * |L| = 2 * 2
     assert {tr.node for tr in dom} == {0, 1}
 
@@ -71,7 +71,7 @@ def test_dominators_star_leaf(star4):
 def test_dominators_single_node():
     g = build_graph(1, [])
     cat = LeaseCatalog.from_pairs([(1, 1)])
-    dom = dominators(g, 0, 5, cat)
+    dom = dominators(g, 0, cat.slots(5))
     assert [tuple(tr) for tr in dom] == [(0, 1, 5)]
     # built without Triplet's own __new__, yet a Triplet with its fields and a tuple's hash
     assert type(dom[0]) is Triplet and dom[0].start == 5 and hash(dom[0]) == hash((0, 1, 5))
@@ -80,12 +80,12 @@ def test_dominators_single_node():
 def test_dominators_triangle():
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     cat = LeaseCatalog.from_pairs([(1, 1)])
-    assert len(dominators(g, 0, 0, cat)) == 3
+    assert len(dominators(g, 0, cat.slots(0))) == 3
 
 
 def test_dominators_is_pure(path3):
     cat = LeaseCatalog.from_pairs([(2, 1)])
-    assert dominators(path3, 1, 3, cat) == dominators(path3, 1, 3, cat)
+    assert dominators(path3, 1, cat.slots(3)) == dominators(path3, 1, cat.slots(3))
 
 
 def test_shortest_path_examples(path3):
@@ -108,7 +108,7 @@ def test_max_degree_examples(star4, path3):
 def test_dominator_count_formula(g, cat, t):
     delta = max_degree(g)
     for u in range(g.node_count):
-        dom = dominators(g, u, t, cat)
+        dom = dominators(g, u, cat.slots(t))
         assert len(dom) == (len(g.adjacency[u]) + 1) * len(cat)
         assert len(dom) <= (delta + 1) * len(cat)
 
@@ -121,7 +121,7 @@ def test_dominator_count_formula(g, cat, t):
 def test_dominators_come_out_sorted(g, lease_count, t):
     cat = canonical_catalog(lease_count)
     for u in range(g.node_count):
-        dom = dominators(g, u, t, cat)
+        dom = dominators(g, u, cat.slots(t))
         assert dom == tuple(sorted(dom))
 
 

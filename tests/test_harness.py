@@ -50,7 +50,7 @@ from leaselab.instances import Instance, OnlineLeaser, PurchaseLedger, StepRepor
 from leaselab.leases import LeaseCatalog, Triplet
 from leaselab.ocdsl import OcdslState
 from leaselab.oracle import offline_opt, offline_opt_ds
-from leaselab.permits import pp_offline_opt
+from leaselab.permits import PermitLeaser, pp_offline_opt
 from leaselab.primal_dual import DualState
 
 
@@ -219,7 +219,10 @@ def test_verify_run_checks_each_algorithm_against_its_variant():
     assert {alg: verify_run(alg, inst, apart) for alg in ALGORITHMS} == {
         "ocdsl": False, "odsl-pd": True, "odsl-rr": True, "pp": True,
     }
-    assert [alg for alg in ALGORITHMS if verify_run(alg, inst, PurchaseLedger())] == []
+    first_only = PurchaseLedger()  # a row at the first request time, none live at the second
+    first_only.add(Triplet(0, 1, 0), 0, Fraction(1))
+    for ledger in (PurchaseLedger(), first_only):
+        assert [alg for alg in ALGORITHMS if verify_run(alg, inst, ledger)] == []
 
 
 def test_an_unknown_algorithm_is_refused():
@@ -1043,10 +1046,10 @@ def test_golden_grid_run_makes_at_most_half_the_fraction_operator_calls(algorith
     assert len(calls) <= GOLDEN_FRACTION_CALLS[algorithm] < before // 2
 
 
-# Phase 1 calls in one GOLDEN_6X6 run: (round_purchases, has_active_dominator, fallback); each
-# round_purchases call draws the thresholds its dominators lack. The implementation that drew each
-# threshold in a call of its own and called the fallback after every growth made 357 and 348
-# threshold calls, 150 and 151 dominator checks and 30 and 31 fallbacks.
+# Phase 1 calls in one GOLDEN_6X6 run: (round_purchases, step i's PurchaseLedger.holds checks,
+# fallback); each round_purchases call draws the thresholds its dominators lack. The
+# implementation that drew each threshold in a call of its own and called the fallback after
+# every growth made 357 and 348 threshold calls, 150 and 151 dominator checks and 30 and 31 fallbacks.
 GOLDEN_PHASE1_CALLS = {"odsl-rr": (30, 120, 0), "ocdsl": (31, 120, 0)}
 
 
@@ -1055,27 +1058,28 @@ def test_golden_grid_run_draws_thresholds_once_per_rounding_and_falls_back_only_
     algorithm, monkeypatch
 ):
     inst = gen_instance("grid", GOLDEN_6X6_PARAMS, random.Random("golden:inst"))
-    calls = dict.fromkeys(("round_purchases", "has_active_dominator", "fallback"), 0)
+    calls = dict.fromkeys(("round_purchases", "holds", "fallback"), 0)
     empty_roundings = [0]
 
-    def spy(name):
-        method = getattr(OcdslState, name)
+    def spy(owner, name):
+        method = getattr(owner, name)
 
-        def spied(state, *args):
+        def spied(self, *args):
             calls[name] += 1
-            result = method(state, *args)
+            result = method(self, *args)
             if name == "round_purchases" and not result:
                 empty_roundings[0] += 1
             return result
 
-        monkeypatch.setattr(OcdslState, name, spied)
+        monkeypatch.setattr(owner, name, spied)
 
-    for name in calls:
-        spy(name)
+    # step i is OCDSL's one caller of PurchaseLedger.holds
+    for owner, name in ((OcdslState, "round_purchases"), (PurchaseLedger, "holds"), (OcdslState, "fallback")):
+        spy(owner, name)
     run_algorithm(algorithm, inst, 5)
     roundings, checks, fallbacks = GOLDEN_PHASE1_CALLS[algorithm]
     assert calls["round_purchases"] == roundings
-    assert calls["has_active_dominator"] == checks == sum(len(nodes) for _, nodes in inst.requests)
+    assert calls["holds"] == checks == sum(len(nodes) for _, nodes in inst.requests)
     assert calls["fallback"] == empty_roundings[0] == fallbacks
 
 
@@ -1111,10 +1115,10 @@ def test_golden_grid_run_builds_dominators_only_for_occurrences_with_no_held_dom
 
 # purchases in one GOLDEN_6X6 run as (buy calls, add calls): OCDSL buys each rounding that
 # bought (31 for ocdsl, 30 for odsl-rr), each fallback (none) and each representative it bought
-# (60 for ocdsl) in one buy call, and odsl-pd each uncovered occurrence's tight dominators (68);
-# buy files each triplet through add. The implementation that bought one triplet per buy call
-# made as many buy calls as add calls.
-GOLDEN_BUYS = {"ocdsl": (91, 288), "odsl-rr": (30, 230), "odsl-pd": (68, 397)}
+# (60 for ocdsl) in one buy call, odsl-pd each uncovered occurrence's tight dominators (68), and
+# pp each request step's permits (30 steps, 16 permits); buy files each triplet through add. The
+# implementation that bought one triplet per buy call made as many buy calls as add calls.
+GOLDEN_BUYS = {"ocdsl": (91, 288), "odsl-rr": (30, 230), "odsl-pd": (68, 397), "pp": (30, 16)}
 
 
 @pytest.mark.parametrize("algorithm", sorted(GOLDEN_BUYS))
@@ -1133,8 +1137,9 @@ def test_golden_grid_run_buys_each_rounding_and_each_dual_occurrence_in_one_call
 
     monkeypatch.setattr(OnlineLeaser, "buy", counted(OnlineLeaser, "buy"))
     monkeypatch.setattr(PurchaseLedger, "add", counted(PurchaseLedger, "add"))
-    round_purchases, fallback, reps, serve = (
-        OcdslState.round_purchases, OcdslState.fallback, OcdslState.select_representatives, DualState.serve
+    round_purchases, fallback, reps, serve, permits = (
+        OcdslState.round_purchases, OcdslState.fallback, OcdslState.select_representatives, DualState.serve,
+        PermitLeaser.serve_request,
     )
 
     def spied_round(state, doms, t):
@@ -1157,10 +1162,15 @@ def test_golden_grid_run_buys_each_rounding_and_each_dual_occurrence_in_one_call
         serve(state, u, t)
         calls["decisions"] += state.dual != dual  # an uncovered occurrence raises its dual
 
+    def spied_permits(state, nodes, t):
+        calls["decisions"] += 1  # a step's permits, if any
+        return permits(state, nodes, t)
+
     monkeypatch.setattr(OcdslState, "round_purchases", spied_round)
     monkeypatch.setattr(OcdslState, "fallback", spied_fallback)
     monkeypatch.setattr(OcdslState, "select_representatives", spied_reps)
     monkeypatch.setattr(DualState, "serve", spied_serve)
+    monkeypatch.setattr(PermitLeaser, "serve_request", spied_permits)
     run_algorithm(algorithm, inst, 5)
     assert (calls["buy"], calls["add"]) == GOLDEN_BUYS[algorithm]
     assert calls["buy"] == calls["decisions"]

@@ -1,6 +1,6 @@
 """Source checks that need no linter: every import in the library is used, no
-method only reads a field that callers can read themselves, no library code
-branches on an algorithm's name or leaser class, every leaser keeps its graph,
+method only reads a field or calls a field's method, which callers can do themselves,
+no library code branches on an algorithm's name or leaser class, every leaser keeps its graph,
 catalog, ledger, request rule and purchase price on the one ``OnlineLeaser``
 base, only ``harness.run_algorithm`` serves requests, and every file the
 library, scripts and tests open as text is opened with an explicit encoding."""
@@ -67,7 +67,8 @@ def _reads_self_field(expr: ast.expr, params: Set[str]) -> bool:
 
 def field_wrappers(source: str) -> List[str]:
     """'Class.method' for each method whose body, docstring aside, returns self.f,
-    self.f[param], self.f[param].g or range(self.f); dunders and properties are exempt."""
+    self.f[param], self.f[param].g, range(self.f) or a call of a method of self.f, such as
+    self.f.g(...); dunders and properties are exempt."""
     found = []
     for cls in ast.walk(ast.parse(source)):
         if not isinstance(cls, ast.ClassDef):
@@ -82,9 +83,11 @@ def field_wrappers(source: str) -> List[str]:
             if not isinstance(body[0], ast.Return):
                 continue
             value, params = body[0].value, {a.arg for a in fn.args.args[1:]}
-            is_range = isinstance(value, ast.Call) and getattr(value.func, "id", None) == "range"
-            if is_range and len(value.args) == 1:
+            func = value.func if isinstance(value, ast.Call) else None
+            if getattr(func, "id", None) == "range" and len(value.args) == 1:
                 value, params = value.args[0], set()
+            elif isinstance(func, ast.Attribute):  # self.f.g(...) asks self.f what callers can ask it
+                value, params = func.value, set()
             if _reads_self_field(value, params):
                 found.append(f"{cls.name}.{fn.name}")
     return found
@@ -108,6 +111,15 @@ class A:
         return self.x.total()
     def g(self):
         return self.x[0]
+    def m(self, u, slots):
+        \"\"\"Doc.\"\"\"
+        return self.ledger.holds(self.graph.closed[u], slots)
+    def n(self, i):
+        return self.x[i].total()
+    def p(self):
+        return self.total() + len(self.x)
+    def q(self):
+        return self.x.y.total()
     def __len__(self):
         return self.n
     @property
@@ -117,12 +129,16 @@ class A:
     def k(self):
         return self.x
 """
-    assert field_wrappers(source) == ["A.a", "A.b", "A.c", "A.d"]
+    assert field_wrappers(source) == ["A.a", "A.b", "A.c", "A.d", "A.f", "A.m"]
+
+
+# perfbench calls it (ROADMAP item 2a drops it together with that call)
+FIELD_WRAPPERS_KEPT = {"ocdsl.py:OcdslState.total_cost"}
 
 
 def test_library_has_no_field_wrapper():
     found = [f"{path.name}:{entry}" for path in SOURCES for entry in field_wrappers(path.read_text(encoding="utf-8"))]
-    assert found == []
+    assert set(found) - FIELD_WRAPPERS_KEPT == set()
 
 
 LEASER_CLASSES = {"OnlineLeaser", "OcdslState", "DualState", "PermitLeaser"}

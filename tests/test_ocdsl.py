@@ -24,7 +24,7 @@ from leaselab import ocdsl
 from leaselab.errors import EmptyRequest, NonMonotonicTime
 from leaselab.generators import canonical_catalog, gen_instance
 from leaselab.graphs import build_graph, dominators
-from leaselab.instances import make_instance
+from leaselab.instances import PurchaseLedger, make_instance
 from leaselab.leases import LeaseCatalog, Triplet, cost_sum
 from leaselab.ocdsl import OcdslState
 from leaselab.oracle import check_solution
@@ -49,14 +49,14 @@ def replay_growth(costs, w_count, lease_count):
 def test_grow_single_dominator_one_round():
     g = build_graph(1, [])
     state = OcdslState(g, UNIT, seed=0)
-    assert state.grow_fractional(dominators(g, 0, 0, UNIT)) == 1
+    assert state.grow_fractional(dominators(g, 0, UNIT.slots(0))) == 1
     assert state.weights[Triplet(0, 1, 0)] == 1
 
 
 def test_grow_two_equal_dominators_one_round(path3):
     g = build_graph(2, [(0, 1)])
     state = OcdslState(g, UNIT, seed=0)
-    assert state.grow_fractional(dominators(g, 0, 0, UNIT)) == 1
+    assert state.grow_fractional(dominators(g, 0, UNIT.slots(0))) == 1
     assert state.weights[Triplet(0, 1, 0)] == Fraction(1, 2)
     assert state.weights[Triplet(1, 1, 0)] == Fraction(1, 2)
 
@@ -66,7 +66,7 @@ def test_grow_two_node_two_lease_needs_two_rounds():
     # 1/(4*2*c); replay the rule independently and compare exactly
     g = build_graph(2, [(0, 1)])
     state = OcdslState(g, TWO, seed=0)
-    doms = dominators(g, 0, 0, TWO)
+    doms = dominators(g, 0, TWO.slots(0))
     rounds = state.grow_fractional(doms)
     costs = [TWO.cost(tr.lease) for tr in doms]
     expected_rounds, expected_weights = replay_growth(costs, len(doms), len(TWO))
@@ -78,7 +78,7 @@ def test_grow_two_node_two_lease_needs_two_rounds():
 def test_grow_tracks_fractional_cost(path3):
     # Σ c·w over the weights grown from zero is what the round-by-round growth charged
     state, reference = OcdslState(path3, TWO, seed=0), ReferenceGrowthState(path3, TWO, seed=0)
-    doms = dominators(path3, 0, 0, TWO)
+    doms = dominators(path3, 0, TWO.slots(0))
     assert state.grow_fractional(doms) == reference_grow(reference, doms)
     total = sum(
         TWO.cost(tr.lease) * w for tr, w in state.weights.items()
@@ -88,8 +88,8 @@ def test_grow_tracks_fractional_cost(path3):
 
 def test_zero_start_growth_after_the_first_makes_no_fraction_comparison(monkeypatch, path3):
     state = OcdslState(path3, TWO, seed=0)
-    state.grow_fractional(dominators(path3, 0, 0, TWO))
-    doms = dominators(path3, 2, 4, TWO)  # slots of their own: every weight starts at zero
+    state.grow_fractional(dominators(path3, 0, TWO.slots(0)))
+    doms = dominators(path3, 2, TWO.slots(4))  # slots of their own: every weight starts at zero
     calls = count_fraction_operators(monkeypatch)
     assert state.grow_fractional(doms) > 0
     assert not {"__eq__", "__lt__", "__le__", "__gt__", "__ge__"} & set(calls)
@@ -100,9 +100,9 @@ def test_states_on_equal_catalogs_share_one_growth_table(monkeypatch, path3):
     first, second = canonical_catalog(3), canonical_catalog(3)
     assert first == second and first is not second
     state = OcdslState(path3, first, seed=0)
-    state.grow_fractional(dominators(path3, 1, 0, first))
+    state.grow_fractional(dominators(path3, 1, first.slots(0)))
     fresh = OcdslState(path3, second, seed=0)
-    doms = dominators(path3, 1, 0, second)
+    doms = dominators(path3, 1, second.slots(0))
     calls = count_fraction_operators(monkeypatch)
     assert fresh.grow_fractional(doms) > 0
     assert calls == []  # rounds, f_l^r and the bumps for |doms| = 9 were the first state's
@@ -123,7 +123,7 @@ def test_states_on_equal_catalogs_share_one_growth_table(monkeypatch, path3):
 @settings(deadline=None)
 def test_grow_equals_the_reference_round_loop(g, cat, events, data):
     fast, slow = OcdslState(g, cat, seed=0), ReferenceGrowthState(g, cat, seed=0)
-    doms_seq = [dominators(g, u % g.node_count, t, cat) for u, t in events]
+    doms_seq = [dominators(g, u % g.node_count, cat.slots(t)) for u, t in events]
     for tr in sorted(set().union(*doms_seq)):
         if data.draw(st.booleans()):
             w = data.draw(st.fractions(min_value=0, max_value=Fraction(3, 2), max_denominator=16))
@@ -145,7 +145,7 @@ def test_zero_start_growth_equals_the_reference_round_loop(g, cat, data):
     with pytest.MonkeyPatch.context() as mp:
         guards = spy_guards(mp)
         for i, u in enumerate(order):
-            doms = dominators(g, u, 32 * i, cat)
+            doms = dominators(g, u, cat.slots(32 * i))
             assert not any(tr in fast.weights for tr in doms)
             assert_grows_as_the_reference(fast, slow, doms, {}, guards)
 
@@ -198,7 +198,7 @@ def test_grow_stops_when_the_total_is_exactly_one():
     cat = LeaseCatalog.from_pairs([(1, 3)])
     state = OcdslState(g, cat, seed=0)
     state.weights[Triplet(0, 1, 0)] = Fraction(1, 8)
-    assert state.grow_fractional(dominators(g, 0, 0, cat)) == 2
+    assert state.grow_fractional(dominators(g, 0, cat.slots(0))) == 2
     assert state.weights[Triplet(0, 1, 0)] == 1
 
 
@@ -210,7 +210,7 @@ def test_grow_from_a_held_weight_stops_at_an_exact_tie_with_the_goal():
     state = OcdslState(g, cat, seed=0)
     state.weights[Triplet(0, 1, 0)] = Fraction(1, 2)
     assert ocdsl.growth_table(cat).search([(1, Fraction(1, 2))]) == (1, {1: (4, 3)})
-    assert state.grow_fractional(dominators(g, 0, 0, cat)) == 1
+    assert state.grow_fractional(dominators(g, 0, cat.slots(0))) == 1
     assert state.weights[Triplet(0, 1, 0)] == 1
 
 
@@ -230,7 +230,7 @@ def test_held_weight_growth_runs_no_fraction_operator(monkeypatch, path3):
     state, reference = OcdslState(path3, TWO, seed=0), ReferenceGrowthState(path3, TWO, seed=0)
     for s in (state, reference):
         s.weights[Triplet(0, 1, 0)], s.weights[Triplet(2, 2, 0)] = Fraction(1, 5), Fraction(2, 7)
-    doms = dominators(path3, 1, 0, TWO)
+    doms = dominators(path3, 1, TWO.slots(0))
     calls = count_fraction_operators(monkeypatch)
     rounds = state.grow_fractional(doms)
     assert calls == []  # each stored weight is built as one Fraction(num, den)
@@ -253,7 +253,7 @@ def test_round_purchases_weight_one_always_buys():
     g = build_graph(1, [])
     state = OcdslState(g, UNIT, seed=123)
     state.weights[Triplet(0, 1, 0)] = Fraction(1)
-    bought = state.round_purchases(dominators(g, 0, 0, UNIT), 0)
+    bought = state.round_purchases(dominators(g, 0, UNIT.slots(0)), 0)
     assert bought == [Triplet(0, 1, 0)]  # any mu < 1 loses to weight 1
 
 
@@ -261,7 +261,7 @@ def test_round_purchases_weight_zero_never_buys():
     g = build_graph(1, [])
     for seed in range(50):
         state = OcdslState(g, UNIT, seed=seed)
-        assert state.round_purchases(dominators(g, 0, 0, UNIT), 0) == []
+        assert state.round_purchases(dominators(g, 0, UNIT.slots(0)), 0) == []
 
 
 def test_round_purchases_needs_a_weight_strictly_above_the_threshold():
@@ -300,7 +300,7 @@ def test_integer_rounding_buys_as_the_fraction_reference(g, cat, seed, data):
     times = data.draw(st.sets(st.integers(min_value=0, max_value=12), min_size=1, max_size=6))
     for t in sorted(times):
         for u in data.draw(st.lists(st.sampled_from(range(g.node_count)), min_size=1, max_size=3)):
-            doms = dominators(g, u, t, cat)
+            doms = dominators(g, u, cat.slots(t))
             for tr in doms:
                 for s in (state, reference):
                     s.weights.pop(tr, None)
@@ -412,7 +412,7 @@ def test_step_choice_and_cost_split_equal_the_key_callback_and_cost_sum(g, cat, 
             c1_rows = (c1_ends.pop() if connect else len(state.ledger)) - start
             assert report.s_t == sorted({
                 min(
-                    (tr for tr in dominators(g, u, t, cat) if tr in entries),
+                    (tr for tr in dominators(g, u, cat.slots(t)) if tr in entries),
                     key=lambda tr: (cost(tr.lease), tr.node, tr.start, tr.lease),
                 )
                 for u in report.requested
@@ -442,11 +442,11 @@ def test_rounding_probability_matches_min_of_uniforms():
 
 
 def test_fallback_buys_cheapest_lease_on_target(star4):
-    state = OcdslState(star4, TWO, seed=0)
-    assert not state.has_active_dominator(1, TWO.slots(5))
+    state, closed = OcdslState(star4, TWO, seed=0), star4.closed_neighborhoods[1]
+    assert not state.ledger.holds(closed, TWO.slots(5))
     tr = state.fallback(1, 5)
     assert tr == Triplet(1, 1, 5)
-    assert state.has_active_dominator(1, TWO.slots(5))
+    assert state.ledger.holds(closed, TWO.slots(5))
 
 
 def test_serve_request_falls_back_when_no_threshold_can_be_beaten(path3):
@@ -454,7 +454,7 @@ def test_serve_request_falls_back_when_no_threshold_can_be_beaten(path3):
     # so rounding buys nothing and the step's one purchase is the fallback's (1, 1, t)
     inst = make_instance(path3, TWO, [(0, [1])])
     state = OcdslState(path3, TWO, seed=0)
-    state.thresholds.update(dict.fromkeys(dominators(path3, 1, 0, TWO), 2**60))
+    state.thresholds.update(dict.fromkeys(dominators(path3, 1, TWO.slots(0)), 2**60))
     report = state.serve_request([1], 0)
     assert report.purchases == report.s_t == report.representatives == [Triplet(1, 1, 0)]
     assert report.c1_increment == 1 and report.c2_increment == 0 and report.growth_rounds > 0
@@ -474,10 +474,10 @@ def phase1_events(state: OcdslState, inst) -> list:
         return bought
 
     def spied_fallback(self, u, t):
-        slots = self.catalog.slots(t)
-        assert not self.has_active_dominator(u, slots)
+        closed, slots = self.graph.closed_neighborhoods[u], self.catalog.slots(t)
+        assert not self.ledger.holds(closed, slots)
         tr = fallback(self, u, t)
-        events.append(("fallback", self.has_active_dominator(u, slots)))
+        events.append(("fallback", self.ledger.holds(closed, slots)))
         return tr
 
     with pytest.MonkeyPatch.context() as mp:
@@ -492,7 +492,7 @@ def force_high_thresholds(state: OcdslState, inst, nodes) -> None:
     """Give every dominator of ``nodes`` at each request time mu = 2^27, which no weight beats."""
     for t, _ in inst.requests:
         for u in nodes:
-            state.thresholds.update(dict.fromkeys(dominators(inst.graph, u, t, inst.catalog), 2**80))
+            state.thresholds.update(dict.fromkeys(dominators(inst.graph, u, inst.catalog.slots(t)), 2**80))
 
 
 def fallbacks_after_empty_rounds(events: list) -> list:
@@ -576,24 +576,26 @@ def test_select_representatives_shared_node_first():
 
 @pytest.mark.parametrize("connect", [True, False], ids=["ocdsl", "odsl-rr"])
 def test_serve_builds_each_requested_nodes_dominators_once(monkeypatch, connect):
-    # at most once: a requested node with a held dominator builds none
+    # at most once: a requested node with a held dominator builds none. Step i is OCDSL's
+    # one caller of PurchaseLedger.holds, with u's closed neighborhood
     calls, undominated, built = [], [], 0
-    real, check = ocdsl.dominators, OcdslState.has_active_dominator
+    real, holds = ocdsl.dominators, PurchaseLedger.holds
 
-    def spied_check(self, u, slots):
-        held = check(self, u, slots)
+    def spied_holds(self, nodes, slots):
+        held = holds(self, nodes, slots)
         if not held:
-            undominated.append(u)
+            undominated.append((nodes, slots))
         return held
 
-    monkeypatch.setattr(ocdsl, "dominators", lambda *args: calls.append(args[1:3]) or real(*args))
-    monkeypatch.setattr(OcdslState, "has_active_dominator", spied_check)
+    monkeypatch.setattr(ocdsl, "dominators", lambda *args: calls.append(args[1:]) or real(*args))
+    monkeypatch.setattr(PurchaseLedger, "holds", spied_holds)
     inst = gen_instance("grid", {"rows": 4, "cols": 5, "T": 12, "k": 4, "L": 3}, random.Random(0))
-    state = OcdslState(inst.graph, inst.catalog, seed=0, connect=connect)
+    state, closed = OcdslState(inst.graph, inst.catalog, seed=0, connect=connect), inst.graph.closed_neighborhoods
     for t, nodes in inst.requests:
         calls.clear(), undominated.clear()
         state.serve_request(nodes, t)
-        assert calls == [(u, t) for u in undominated]
+        assert [(closed[u], slots) for u, slots in calls] == undominated
+        assert all(slots == inst.catalog.slots(t) for _, slots in calls)
         built += len(calls)
     # some requested nodes had a held dominator and built none, and some built theirs
     assert 0 < built < sum(len(nodes) for _, nodes in inst.requests)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import catalogs, connected_graphs, reference_offline, small_instances
+from conftest import candidates, catalogs, connected_graphs, reference_offline, small_instances
 from leaselab import oracle
 from leaselab.benchmarks import BENCHMARK_GRID
 from leaselab.generators import gen_instance
@@ -19,7 +19,6 @@ from leaselab.leases import LeaseCatalog, Triplet
 from leaselab.oracle import (
     TooLarge,
     _requirements,
-    candidate_universe,
     check_domination_step,
     check_feasible_step,
     check_solution,
@@ -152,7 +151,7 @@ def test_too_large_universe_raises():
     inst = make_instance(
         path(9), LeaseCatalog.from_pairs([(1, 1), (4, 2)]), [(t, [0]) for t in range(3)]
     )
-    assert len(candidate_universe(inst)) == 36
+    assert len(candidates(inst)) == 36
     for solve in (offline_opt, offline_opt_ds):
         with pytest.raises(TooLarge, match=r"36 triplets in the top slot \[0, 4\)"):
             solve(inst)
@@ -176,7 +175,7 @@ def test_a_universe_past_the_cap_is_refused_before_it_is_built():
 def test_a_universe_past_the_cap_in_small_top_slots_solves():
     # 27 candidates in all, but each unit top slot holds only its 9 nodes
     inst = make_instance(path(9), UNIT, [(t, [0]) for t in range(3)])
-    assert len(candidate_universe(inst)) == 27
+    assert len(candidates(inst)) == 27
     for solve in (offline_opt, offline_opt_ds):
         cost, ledger = solve(inst)
         assert cost == 3
@@ -187,7 +186,7 @@ def test_a_long_unit_lease_stream_solves_slot_by_slot():
     # 2x3 grid, one unit lease, T=40: 240 candidates, 6 per top slot
     params = {"rows": 2, "cols": 3, "T": 40, "k": 2, "L": 1}
     inst = gen_instance("grid", params, random.Random(0))
-    assert len(candidate_universe(inst)) == 240
+    assert len(candidates(inst)) == 240
     for require_connected, solve in ((True, offline_opt), (False, offline_opt_ds)):
         cost, ledger = solve(inst)
         assert check_solution(inst, ledger, require_connected)
@@ -201,7 +200,7 @@ def test_oracle_solution_is_feasible_and_minimal_small():
     # full enumeration cross-check on universes of at most 12 candidates
     for seed in range(12):
         inst = _random_instance(seed, max_nodes=3, max_steps=2)
-        cands = candidate_universe(inst)
+        cands = candidates(inst)
         if len(cands) > 12:
             continue
         cost, ledger = offline_opt(inst)
@@ -248,7 +247,7 @@ def test_oracle_lower_bounds_any_feasible_ledger(seed):
         return
     # the everything-leased ledger is feasible, so opt can never exceed it
     ledger = PurchaseLedger()
-    for tr in candidate_universe(inst):
+    for tr in candidates(inst):
         ledger.add(tr, 0, inst.catalog.cost(tr.lease))
     assert check_solution(inst, ledger)
     assert opt <= ledger.total_cost()
@@ -276,7 +275,7 @@ def test_relabelling_the_nodes_keeps_the_optima(seed, perm_seed):
 @given(inst=small_instances())
 @settings(deadline=None)
 def test_offline_optima_equal_the_set_based_search(inst):
-    assert len(candidate_universe(inst)) <= 24
+    assert len(candidates(inst)) <= 24
     for require_connected, solve in ((True, offline_opt), (False, offline_opt_ds)):
         cost, ledger = solve(inst)
         ref_cost, ref_ledger = reference_offline(inst, require_connected)
@@ -385,7 +384,7 @@ def test_offline_opt_checks_connectivity_only_on_dominating_sets(monkeypatch):
 @given(inst=small_instances(), data=st.data())
 @settings(deadline=None)
 def test_meeting_every_requirement_is_dominating_the_step(inst, data):
-    cands = candidate_universe(inst)
+    cands = candidates(inst)
     mask = data.draw(st.integers(min_value=0, max_value=(1 << len(cands)) - 1))
     for t, nodes in inst.requests:
         _, needs = _requirements(inst.graph, cands, inst.catalog.slots(t), nodes)
@@ -422,7 +421,7 @@ def test_offline_opt_checks_each_step_mask_once(monkeypatch):
     cost, ledger = offline_opt(inst)
     ref_cost, ref_ledger = reference_offline(inst, True)
     assert cost == ref_cost and ledger.rows() == ref_ledger.rows()
-    assert len(candidate_universe(inst)) == 18
+    assert len(candidates(inst)) == 18
     assert max(calls.values()) == 1
 
 
@@ -444,5 +443,5 @@ def test_offline_opt_checks_each_step_node_set_once(monkeypatch):
         cost, ledger = solve(inst)
         ref_cost, ref_ledger = reference_offline(inst, require_connected)
         assert cost == ref_cost and ledger.rows() == ref_ledger.rows()
-    assert len(candidate_universe(inst)) == 18
+    assert len(candidates(inst)) == 18
     assert max(calls.values()) == 1

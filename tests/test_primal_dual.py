@@ -193,7 +193,7 @@ def test_slack_holds_only_open_constraints(g, cat, data):
     times = data.draw(st.sets(st.integers(min_value=0, max_value=40), min_size=1, max_size=8))
     for t in sorted(times):
         for u in data.draw(st.lists(st.sampled_from(range(g.node_count)), min_size=1, max_size=4)):
-            doms = dominators(g, u, t, cat)
+            doms = dominators(g, u, cat.slots(t))
             if not any(tr in state.ledger for tr in doms):
                 charged.update(doms)  # an uncovered occurrence charges each of its dominators
             state.serve(u, t)
