@@ -69,12 +69,13 @@ def max_degree(graph: Graph) -> int:
 
 def extend_bfs(graph: Graph, dist: Dict[int, int], layer: List[int], stop: Optional[int] = None) -> None:
     """Grow a BFS (labels ``dist``, last layer ``layer``) in place until it labels ``stop``."""
+    adjacency = graph.adjacency
     while layer and stop not in dist:
-        nxt = []
+        d, nxt = dist[layer[0]] + 1, []  # one distance labels the whole next layer
         for x in layer:
-            for y in graph.adjacency[x]:
+            for y in adjacency[x]:
                 if y not in dist:
-                    dist[y] = dist[x] + 1
+                    dist[y] = d
                     nxt.append(y)
         layer[:] = nxt
 

@@ -167,18 +167,18 @@ def tree_distance(h: Hst, u: int, v: int) -> int:
     return sum(h.edge_length(cid) for cid in tree_path_edges(h, u, v))
 
 
-def edge_realization(h: Hst, child_cid: int, graph: Graph, searches: dict) -> List[Tuple[int, int]]:
-    """Graph edges standing in for one tree edge: the minimum-hop path from the child
-    cluster's center to its parent's, ties broken toward the smallest next node id.
+def edge_realization(h: Hst, child_cid: int, graph: Graph, searches: dict) -> List[int]:
+    """Graph path standing in for one tree edge: the minimum-hop [child center, ..., parent center],
+    ties broken toward the smallest next node id, or [] when the two centers are one node.
     ``searches`` maps each parent center to its BFS, (labels, last layer), grown as needed."""
     a, b = h.clusters[child_cid].center, h.clusters[h.clusters[child_cid].parent].center
     dist, layer = searches.get(b) or searches.setdefault(b, ({b: 0}, [b]))  # built on a miss only
     extend_bfs(graph, dist, layer, stop=a)
-    path = [a]
+    path, adjacency = [a], graph.adjacency
     while a != b:  # adjacency is sorted, so the first neighbour one step nearer is the least
         d = dist[a] - 1
-        for a in graph.adjacency[a]:
+        for a in adjacency[a]:
             if dist.get(a) == d:
                 break
         path.append(a)
-    return list(zip(path, path[1:]))
+    return path if len(path) > 1 else []

@@ -126,7 +126,10 @@ class PurchaseLedger:
             if price is not cost and price != cost:
                 raise LedgerError(f"lease {lease} costs {price} in this ledger, not {cost}")
             self.entries.update(dict.fromkeys(fresh.values(), step))
-            self._slots.setdefault((lease, start), {}).update(fresh)
+            if held:  # a slot's bucket is never empty: an empty ``held`` is the default
+                held.update(fresh)
+            else:
+                self._slots[lease, start] = fresh
 
     def __contains__(self, tr: Triplet) -> bool:
         return tr in self.entries

@@ -5,8 +5,9 @@ are the steps on which the edge lies on some terminal-to-root tree path, served 
 one slot lookup per connect. A tree edge of length w acts as w unit permits charged
 together: decisions follow the unit instance, and the tree-side cost scales by w. A
 permit purchase leases the graph edges of the shortest path between the endpoint
-cluster centers, found once per tree edge by one BFS per parent center; the caller
-files its nodes in one ledger call. The permits give the edge ledger and tree cost.
+cluster centers, found once per tree edge by one BFS per parent center and kept as
+its node path; the caller files the path's nodes in one ledger call. The permits give
+the tree cost, and the paths' edges the edge ledger.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from .permits import PermitState
 class OsflState:
     """State of one online Steiner-forest-leasing run over a fixed embedding, sampled from
     ``rng`` on first use (nothing else draws from it): a run with no tree edge builds none.
-    One record per tree edge met: child cluster id -> (permit, normalized graph edges, ends)."""
+    One record per tree edge met: child cluster id -> (permit, node path, ends), ends the path's
+    nodes in the order its normalized edges first name them: the first hop's sorted, then the rest."""
 
     def __init__(self, graph: Graph, catalog: LeaseCatalog, rng: random.Random):
         self.graph, self.catalog, self.rng = graph, catalog, rng
-        self.tree_edges: Dict[int, Tuple[PermitState, List[Tuple[int, int]], tuple]] = {}
+        self.tree_edges: Dict[int, Tuple[PermitState, List[int], Tuple[int, ...]]] = {}
         self.searches: dict = {}  # parent center -> its BFS, see edge_realization
 
     @cached_property
@@ -36,19 +38,19 @@ class OsflState:
         return build_hst(self.graph, self.rng)
 
     def connect(self, terminals, root: int, t: int) -> List[Tuple[Tuple[int, ...], int, int]]:
-        """Lease enough graph edges that every terminal reaches the root at time t, which must
-        not come before an earlier call's (a tree edge's permit refuses it); returns (nodes,
-        lease, start) per tree-edge permit bought, nodes the ends of its edges."""
+        """Lease enough graph edges that every terminal reaches the root at time t; returns
+        (nodes, lease, start) per tree-edge permit bought, nodes the ends of its edges. A tree edge
+        met before refuses a t before its last; OCDSL's request rule keeps the calls' times rising."""
         needed = {cid for r in set(terminals) for cid in tree_path_edges(self.hst, r, root)}
-        slots, bought = self.catalog.slots(t), []  # one lookup serves every permit at t
+        slots, bought, records = self.catalog.slots(t), [], self.tree_edges  # one lookup serves every permit at t
         for cid in sorted(needed):
-            if cid not in self.tree_edges:
-                walk = edge_realization(self.hst, cid, self.graph, self.searches)
-                edges = [(a, b) if a < b else (b, a) for a, b in walk]
-                ends = tuple(dict.fromkeys(x for e in edges for x in e))
-                self.tree_edges[cid] = PermitState(self.catalog), edges, ends
-            permit, _, ends = self.tree_edges[cid]
-            bought += [(ends, lease, start) for lease, start in permit.request(t, slots)]
+            record = records.get(cid)
+            if record is None:
+                path = edge_realization(self.hst, cid, self.graph, self.searches)
+                record = records[cid] = PermitState(self.catalog), path, (*sorted(path[:2]), *path[2:])
+            permit, _, ends = record
+            for lease, start in permit.request(t, slots):
+                bought.append((ends, lease, start))
         return bought
 
     def edge_ledger(self) -> Dict[Tuple[Tuple[int, int], int, int], int]:
@@ -58,6 +60,7 @@ class OsflState:
         owned = [(t, cid, s) for cid, e in self.tree_edges.items() for s, t in e[0].owned.items()]
         ledger: dict = {}
         for t, cid, (lease, start) in sorted(owned, key=lambda p: p[:2]):
-            for edge in self.tree_edges[cid][1]:
-                ledger.setdefault((edge, lease, start), t)
+            path = self.tree_edges[cid][1]
+            for a, b in zip(path, path[1:]):
+                ledger.setdefault(((a, b) if a < b else (b, a), lease, start), t)
         return ledger

@@ -1192,6 +1192,17 @@ GOLDEN_CLI = {
          "--seed", "5", "--out", "records.csv", "--edge-ledger-out", "out.csv"],
         "f8b19f88d7e65ad874375ab86fab45bba78491384c90bc92f27482d0984c1b81",
     ),
+    # a 30x30 grid, whose Phase 2 paths run many hops, in both ledgers
+    "ocdsl-30x30-ledger": (
+        ["run", "--kind", "grid", "--params", "rows=30", "cols=30", "T=40", "k=4", "L=3",
+         "--seed", "0", "--out", "records.csv", "--ledger-out", "out.csv"],
+        "7a7468730a01bfc4dd88e970e87825735e78cc631603eb63d17dabee9880d6c7",
+    ),
+    "ocdsl-30x30-edge-ledger": (
+        ["run", "--kind", "grid", "--params", "rows=30", "cols=30", "T=40", "k=4", "L=3",
+         "--seed", "0", "--out", "records.csv", "--edge-ledger-out", "out.csv"],
+        "84748ca075c32eeecfd0e50396646b0691890c8a948b7c197ab49be91d6f4d3b",
+    ),
     "pp": (
         ["pp", "--rainy", "0,1,2,3,5,8,13,21,34,55,89", "--leases", "1:1,4:2,16:5",
          "--out", "out.csv"],

@@ -337,12 +337,12 @@ def test_edge_realization_joins_child_and_parent_centers():
     for cid, cl in enumerate(h.clusters):
         if cl.parent < 0:
             continue
-        walk = edge_realization(h, cid, g, {})
+        path = edge_realization(h, cid, g, {})
         if h.clusters[cid].center == h.clusters[cl.parent].center:
-            assert walk == []
+            assert path == []
         else:
-            assert walk[0][0] == h.clusters[cid].center
-            assert walk[-1][1] == h.clusters[cl.parent].center
+            assert path[0] == h.clusters[cid].center
+            assert path[-1] == h.clusters[cl.parent].center
 
 
 def test_edge_realization_walks_the_reference_path_on_the_30x30_grid():
@@ -352,7 +352,7 @@ def test_edge_realization_walks_the_reference_path_on_the_30x30_grid():
     searches = {}
     for cid, cl in enumerate(h.clusters[1:], start=1):
         walk = reference_shortest_path(g, cl.center, h.clusters[cl.parent].center)
-        assert edge_realization(h, cid, g, searches) == list(zip(walk, walk[1:]))
+        assert edge_realization(h, cid, g, searches) == (walk if len(walk) > 1 else [])
 
 
 def test_format_tree_mentions_every_cluster():

@@ -116,10 +116,8 @@ def test_escalation_matches_per_edge_permit_replay():
     # ledger equals the replayed permits mapped through the per-edge realization
     expected_keys = set()
     for cid in needed:
-        walk = {
-            tuple(sorted(e))
-            for e in edge_realization(st_.hst, cid, g, {})
-        }
+        path = edge_realization(st_.hst, cid, g, {})
+        walk = {tuple(sorted(e)) for e in zip(path, path[1:])}
         for day in fired:
             for lease, start in day:
                 expected_keys.update((edge, lease, start) for edge in walk)
@@ -278,11 +276,12 @@ def test_wide_grid_runs_one_bfs_per_parent_center_and_labels_far_fewer_nodes(mon
     inst = gen_instance(
         "grid", {"rows": 30, "cols": 30, "T": 40, "k": 4, "L": 3}, random.Random(0)
     )
-    searches_of, stopped = {}, 0
+    searches_of, stopped, calls = {}, 0, 0
     original = steiner.edge_realization
 
     def watched(h, cid, graph, searches):
-        nonlocal stopped
+        nonlocal stopped, calls
+        calls += 1
         walk = original(h, cid, graph, searches)
         a, b = h.clusters[cid].center, h.clusters[h.clusters[cid].parent].center
         # one search object per parent center, made once and only grown after
@@ -302,6 +301,26 @@ def test_wide_grid_runs_one_bfs_per_parent_center_and_labels_far_fewer_nodes(mon
     assert set(searches) == set(searches_of)
     labelled = sum(len(dist) for dist, _ in searches.values())
     assert 2 * labelled <= stopped
+    # frozen work: one realization per tree edge met, and the labels of the searches as the
+    # BFS that labelled each node from its parent's distance left them
+    assert calls == len(state.osfl.tree_edges) == 407
+    assert labelled == 6376
+
+
+def test_wide_grid_ends_are_the_nodes_in_the_order_the_normalized_edges_name_them():
+    inst = gen_instance(
+        "grid", {"rows": 30, "cols": 30, "T": 40, "k": 4, "L": 3}, random.Random(0)
+    )
+    state = OcdslState(inst.graph, inst.catalog, seed=0)
+    for t, nodes in inst.requests:
+        state.serve_request(nodes, t)
+
+    for _, path, ends in state.osfl.tree_edges.values():
+        # the reference: first appearances over the path's edges, each sorted
+        assert ends == tuple(dict.fromkeys(x for a, b in zip(path, path[1:]) for x in sorted((a, b))))
+    paths = [path for _, path, _ in state.osfl.tree_edges.values() if path]
+    # most paths start with a descending hop, whose two nodes ends swaps
+    assert (len(paths), sum(path[0] > path[1] for path in paths)) == (321, 213)
 
 
 def test_wide_grid_looks_up_slots_once_per_connect_and_files_each_path_in_one_ledger_call(monkeypatch):
